@@ -54,6 +54,7 @@ from .words import (
     are_equal,
     commutator,
     format_word,
+    free_reduce,
     invert,
     multiply,
     normal_form,
@@ -109,6 +110,7 @@ __all__ = [
     "format_graph",
     "format_stallings",
     "format_word",
+    "free_reduce",
     "from_generators",
     "induced_subgraph",
     "intersection_ball",

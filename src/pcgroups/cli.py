@@ -15,8 +15,8 @@ import sys
 from .classify import catalog_entry, classify, embeds_in
 from .errors import InputError, ParseError
 from .graphs import SimpleGraph, complete_decomposition, find_induced_p3, parse_graph, reflexive_closure_is_transitive
-from .stallings import format_stallings, from_generators
-from .visible import VertexRestriction, is_in_visible, rewrite_in_visible
+from .stallings import StallingsGraph, format_stallings, from_generators
+from .visible import VertexRestriction, rewrite_in_visible
 from .words import format_word, normal_form, parse_word, support
 from .zf2 import certify_not_fg
 
@@ -85,12 +85,12 @@ def _cmd_member_visible(args, stdout) -> int:
     g = _load_graph(args.graph)
     r = VertexRestriction(g, args.subset.split())
     w = parse_word(args.word)
-    member = is_in_visible(w, r)
     rewritten = rewrite_in_visible(w, r)
+    member = rewritten is not None
     _emit(
         {
             "member": member,
-            "rewritten": format_word(rewritten) if rewritten is not None else None,
+            "rewritten": format_word(rewritten) if member else None,
         },
         stdout,
     )
@@ -111,12 +111,12 @@ def _cmd_intersect_free(args, stdout) -> int:
     sg1 = from_generators(_load_words(args.generators1), alphabet)
     sg2 = from_generators(_load_words(args.generators2), alphabet)
     meet = sg1.intersect(sg2)
-    for path, text in ((args.out, format_stallings(meet)), (args.dot, meet.to_dot())):
+    for path, render in ((args.out, format_stallings), (args.dot, StallingsGraph.to_dot)):
         if not path:
             continue
         try:
             with open(path, "w", encoding="utf-8") as handle:
-                handle.write(text)
+                handle.write(render(meet))
         except OSError as exc:
             raise InputError(f"cannot write {path}: {exc.strerror}") from None
     _emit(

@@ -1,13 +1,15 @@
 """Stallings automata for finitely generated subgroups of free groups.
 
 A subgroup generated by finitely many words is represented by a rooted,
-folded, core automaton over the positive generators: a bouquet of loops
-spelling the generators is folded to determinism (merging states with
-union-find until no two equal labels leave or enter one state), then pruned
-to its core (no non-base state of degree one).  Membership is tracing the
-free reduction of a word from the base; the rank of the subgroup is
-``edges - states + 1``; intersections come from the product automaton based
-at the pair of base states.
+folded, core automaton over the positive generators.  Each freely reduced
+generator is read from the base along the transitions already built, from
+both ends, and only its unread middle is added as a fresh arc; the result is
+folded to determinism once (merging states with union-find until no two
+equal labels leave or enter one state), then pruned to its core (no non-base
+state of degree one).  Membership is tracing the free reduction of a word
+from the base; the rank of the subgroup is ``edges - states + 1``;
+intersections come from the product automaton based at the pair of base
+states.
 
 States are renumbered by breadth-first search from the base with a fixed
 generator order, so equal automata compare equal and isomorphism checks in
@@ -24,8 +26,7 @@ from collections import deque
 from typing import Iterable, Optional
 
 from .errors import InputError, ParseError
-from .graphs import SimpleGraph
-from .words import Word, normal_form
+from .words import Word, free_reduce
 
 __all__ = [
     "StallingsGraph",
@@ -42,7 +43,7 @@ class StallingsGraph:
     direction only; the inverse transition is implied.  The base state is 0.
     """
 
-    __slots__ = ("alphabet", "num_states", "transitions", "_inverse", "_free")
+    __slots__ = ("alphabet", "num_states", "transitions", "_inverse")
 
     base = 0
 
@@ -57,7 +58,6 @@ class StallingsGraph:
                 raise AssertionError("automaton is not folded")
             inverse[key] = u
         self._inverse = inverse
-        self._free = SimpleGraph(alphabet)
 
     def states(self) -> range:
         return range(self.num_states)
@@ -67,7 +67,7 @@ class StallingsGraph:
 
     def member(self, w: Word) -> bool:
         """Does the free reduction of ``w`` trace a closed path at the base?"""
-        reduced = normal_form(w, self._free)
+        reduced = free_reduce(w, self.alphabet)
         state = 0
         for gen, sign in reduced.letters:
             if sign > 0:
@@ -289,32 +289,60 @@ def _assemble(alphabet: tuple[str, ...], base, edges) -> StallingsGraph:
 
 
 def from_generators(ws: Iterable[Word], alphabet: Iterable[str]) -> StallingsGraph:
-    """Fold the bouquet of the given words into the subgroup's automaton.
+    """Build the subgroup's automaton from generator words.
 
-    Words are freely reduced first and may be unreduced or trivial; the
-    trivial subgroup comes out as a single base state with no transitions.
+    Each freely reduced word is read forward from the base along the
+    transitions added so far, for at most all but its last letter, then
+    backward from the base for its suffix, never past what the prefix read.
+    The unread middle, at least one letter, becomes a fresh arc between the
+    two states reached.  A fresh arc between existing states adds exactly
+    the loop spelling the word to the fundamental group, just as a bouquet
+    loop would, so the subgroup is the one the words generate.  One fold at
+    the end makes the automaton deterministic.
+
+    Words may be unreduced or trivial; the trivial subgroup comes out as a
+    single base state with no transitions.
     """
     alpha = tuple(sorted(set(alphabet)))
-    free = SimpleGraph(alpha)
+    known = frozenset(alpha)
     edges = []
+    # one transition per (state, generator) in each direction, kept so words
+    # can be read along what is built; the first one added wins
+    out: dict = {}
+    inc: dict = {}
     counter = 1
     for w in ws:
-        reduced = normal_form(w, free).letters
-        if not reduced:
+        letters = free_reduce(w, known).letters
+        n = len(letters)
+        if not n:
             continue
-        prev = 0
-        last = len(reduced) - 1
-        for i, (gen, sign) in enumerate(reduced):
-            if i == last:
-                nxt = 0
+        head, i = 0, 0
+        while i < n - 1:
+            gen, sign = letters[i]
+            nxt = (out if sign > 0 else inc).get((head, gen))
+            if nxt is None:
+                break
+            head, i = nxt, i + 1
+        tail, j = 0, n
+        while j - 1 > i:
+            gen, sign = letters[j - 1]
+            prev = (inc if sign > 0 else out).get((tail, gen))
+            if prev is None:
+                break
+            tail, j = prev, j - 1
+        state = head
+        for k in range(i, j):
+            gen, sign = letters[k]
+            if k == j - 1:
+                nxt = tail
             else:
                 nxt = counter
                 counter += 1
-            if sign > 0:
-                edges.append((prev, gen, nxt))
-            else:
-                edges.append((nxt, gen, prev))
-            prev = nxt
+            u, v = (state, nxt) if sign > 0 else (nxt, state)
+            edges.append((u, gen, v))
+            out.setdefault((u, gen), v)
+            inc.setdefault((v, gen), u)
+            state = nxt
     base, folded = _fold(counter, edges)
     return _assemble(alpha, base, folded)
 

@@ -7,20 +7,26 @@ returns the canonical representative of the group element: fully reduced (no
 inverse pair can be brought together by commuting swaps) and lexicographically
 least among its shuffles.
 
+``free_reduce`` is the same for a free group (no two generators commute):
+one stack pass that cancels adjacent inverse pairs.
+
 Word text syntax: whitespace-separated tokens, each a vertex name optionally
 suffixed ``^k`` for a nonzero integer ``k``; ``x^-1`` is the inverse and the
-empty string is the identity.
+empty string is the identity.  A word may expand to at most
+``MAX_WORD_LETTERS`` (10**6) letters; ``parse_word`` refuses a longer one
+before building any of it.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Iterable, NamedTuple
+from typing import Collection, Iterable, NamedTuple
 
 from .errors import InputError, ParseError
 from .graphs import SimpleGraph
 
 __all__ = [
+    "MAX_WORD_LETTERS",
     "Letter",
     "Word",
     "NormalWord",
@@ -30,9 +36,12 @@ __all__ = [
     "invert",
     "commutator",
     "normal_form",
+    "free_reduce",
     "are_equal",
     "support",
 ]
+
+MAX_WORD_LETTERS = 10**6
 
 
 class Letter(NamedTuple):
@@ -63,22 +72,29 @@ class Word:
         self.letters = tuple(out)
 
     @classmethod
+    def _trusted(cls, letters: tuple) -> "Word":
+        """Wrap a tuple of ``Letter``s built by this library, unchecked."""
+        word = object.__new__(cls)
+        word.letters = letters
+        return word
+
+    @classmethod
     def gen(cls, name: str, sign: int = 1) -> "Word":
         return cls(((name, sign),))
 
     def inverse(self) -> "Word":
-        return Word((g, -s) for g, s in reversed(self.letters))
+        return Word._trusted(tuple(Letter(g, -s) for g, s in reversed(self.letters)))
 
     def __invert__(self) -> "Word":
         return self.inverse()
 
     def __mul__(self, other: "Word") -> "Word":
-        return Word(self.letters + other.letters)
+        return Word._trusted(self.letters + other.letters)
 
     def __pow__(self, n: int) -> "Word":
         if n < 0:
             return self.inverse() ** (-n)
-        return Word(self.letters * n)
+        return Word._trusted(self.letters * n)
 
     def __len__(self) -> int:
         return len(self.letters)
@@ -108,7 +124,10 @@ class NormalWord(Word):
 
 
 def parse_word(text: str) -> Word:
-    """Parse the token syntax; ``x^3`` expands to three letters."""
+    """Parse the token syntax; ``x^3`` expands to three letters.
+
+    Raises ``ParseError`` when the expansion would pass ``MAX_WORD_LETTERS``.
+    """
     letters = []
     for tok in text.split():
         name, caret, exp = tok.partition("^")
@@ -123,6 +142,8 @@ def parse_word(text: str) -> Word:
                 raise ParseError(f"zero exponent in token {tok!r}")
         else:
             k = 1
+        if len(letters) + abs(k) > MAX_WORD_LETTERS:
+            raise ParseError(f"word expands to more than {MAX_WORD_LETTERS} letters")
         sign = 1 if k > 0 else -1
         letters.extend((name, sign) for _ in range(abs(k)))
     return Word(letters)
@@ -153,7 +174,7 @@ def multiply(*words: Word) -> Word:
     out: tuple = ()
     for w in words:
         out += w.letters
-    return Word(out)
+    return Word._trusted(out)
 
 
 def invert(w: Word) -> Word:
@@ -203,7 +224,7 @@ def _depile(piles, order, blockers) -> list:
         for gen in order:
             pile = piles[gen]
             if pile and pile[0]:
-                out.append((gen, pile[0]))
+                out.append(Letter(gen, pile[0]))
                 pile.popleft()
                 for other in blockers[gen]:
                     piles[other].popleft()
@@ -232,7 +253,25 @@ def normal_form(w: Word, g: SimpleGraph) -> NormalWord:
     }
     piles = {x: deque() for x in occurring}
     _pile(letters, piles, blockers)
-    return NormalWord(_depile(piles, occurring, blockers))
+    return NormalWord._trusted(tuple(_depile(piles, occurring, blockers)))
+
+
+def free_reduce(w: Word, alphabet: Collection[str]) -> Word:
+    """Free reduction of ``w`` over the generators in ``alphabet``: the
+    normal form in the free group, where no two generators commute.
+
+    Raises ``InputError`` on a letter over a generator outside ``alphabet``.
+    """
+    out: list = []
+    for letter in w.letters:
+        gen, sign = letter
+        if gen not in alphabet:
+            raise InputError(f"letter over unknown generator {gen!r}")
+        if out and out[-1] == (gen, -sign):
+            out.pop()
+        else:
+            out.append(letter)
+    return Word._trusted(tuple(out))
 
 
 def are_equal(u: Word, v: Word, g: SimpleGraph) -> bool:

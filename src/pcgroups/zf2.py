@@ -18,9 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import InputError
-from .graphs import SimpleGraph
 from .stallings import StallingsGraph, from_generators
-from .words import Word, format_word, normal_form
+from .words import Letter, Word, format_word, free_reduce
 
 __all__ = [
     "FREE_ALPHABET",
@@ -33,12 +32,10 @@ __all__ = [
 ]
 
 FREE_ALPHABET = ("a", "b")
-_FREE = SimpleGraph(FREE_ALPHABET)
 
 
 def _a_power(n: int) -> Word:
-    sign = 1 if n > 0 else -1
-    return Word((("a", sign),) * abs(n))
+    return Word._trusted((Letter("a", 1 if n > 0 else -1),) * abs(n))
 
 
 def _is_reduced(w: Word) -> bool:
@@ -65,7 +62,7 @@ class ZF2Element:
     def __mul__(self, other: "ZF2Element") -> "ZF2Element":
         return ZF2Element(
             self.t_exp + other.t_exp,
-            normal_form(self.word * other.word, _FREE),
+            free_reduce(self.word * other.word, FREE_ALPHABET),
         )
 
 
@@ -74,7 +71,7 @@ def eval_k_word(w: Word) -> ZF2Element:
     t-exponent is the a-exponent sum of the word and the free part is its
     reduction."""
     t_exp = sum(sign for gen, sign in w.letters if gen == "a")
-    return ZF2Element(t_exp, normal_form(w, _FREE))
+    return ZF2Element(t_exp, free_reduce(w, FREE_ALPHABET))
 
 
 def intersection_ball(L: int) -> set[Word]:

@@ -67,6 +67,68 @@ def free_reduce(letters):
     return tuple(out)
 
 
+def bouquet_automaton(generator_words, alphabet):
+    """Stallings automaton of the subgroup of the free group on ``alphabet``
+    generated by the words, as text in the Stallings serialization.
+
+    A bouquet of one loop per freely reduced word is folded by repeatedly
+    identifying the ends of two equally labelled edges that share a start or
+    an end, then non-base states of degree one are stripped until none is
+    left.  States are numbered breadth-first from the base, generators in
+    alphabet order, the forward transition before the backward one.
+    """
+    edges = set()
+    fresh = itertools.count(1)
+    for w in generator_words:
+        t = free_reduce(tuple((g, s) for g, s in w))
+        if not t:
+            continue
+        path = [0] + [next(fresh) for _ in range(len(t) - 1)] + [0]
+        for (gen, sign), u, v in zip(t, path, path[1:]):
+            edges.add((u, gen, v) if sign > 0 else (v, gen, u))
+
+    def clash():
+        for e, f in itertools.combinations(edges, 2):
+            if e[1] == f[1]:
+                if e[0] == f[0] and e[2] != f[2]:
+                    return e[2], f[2]
+                if e[2] == f[2] and e[0] != f[0]:
+                    return e[0], f[0]
+        return None
+
+    while (pair := clash()) is not None:
+        keep, drop = min(pair), max(pair)
+        edges = {
+            (keep if u == drop else u, g, keep if v == drop else v) for u, g, v in edges
+        }
+
+    while True:
+        degree = {}
+        for u, _, v in edges:
+            degree[u] = degree.get(u, 0) + 1
+            degree[v] = degree.get(v, 0) + 1
+        leaves = {s for s, d in degree.items() if s != 0 and d == 1}
+        if not leaves:
+            break
+        edges = {(u, g, v) for u, g, v in edges if u not in leaves and v not in leaves}
+
+    order = {0: 0}
+    queue = [0]
+    for s in queue:
+        for gen in alphabet:
+            for u, g, v in sorted(edges):
+                if g == gen and u == s and v not in order:
+                    order[v] = len(order)
+                    queue.append(v)
+            for u, g, v in sorted(edges):
+                if g == gen and v == s and u not in order:
+                    order[u] = len(order)
+                    queue.append(u)
+    lines = [" ".join(("0",) + tuple(alphabet))]
+    lines.extend(f"{u} {g} {v}" for u, g, v in sorted((order[u], g, order[v]) for u, g, v in edges))
+    return "\n".join(lines) + "\n"
+
+
 def subgroup_ball(generator_words, depth):
     """Reduced forms of every product of at most ``depth`` factors drawn from
     the generators and their inverses."""

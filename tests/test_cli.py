@@ -71,6 +71,11 @@ class TestNormalForm:
         code, _, err = invoke("normal-form", xy_file, "q")
         assert code == 2 and "'q'" in err
 
+    def test_word_too_long(self, xy_file):
+        code, out, err = invoke("normal-form", xy_file, "x^3000000")
+        assert code == 2 and out == ""
+        assert err.count("\n") == 1 and "letters" in err
+
 
 class TestEqual:
     def test_true_is_bare_json(self, xy_file):
@@ -150,6 +155,25 @@ class TestIntersectFree:
         meet = parse_stallings(out_path.read_text())
         assert meet.member(parse_word("a^6")) and not meet.member(parse_word("a^3"))
         assert dot_path.read_text().startswith("digraph")
+
+    def test_renders_only_what_is_asked(self, tmp_path, monkeypatch):
+        from pcgroups import StallingsGraph, cli
+
+        def refuse(*_):
+            raise AssertionError("rendered without its flag")
+
+        h = tmp_path / "h.words"
+        h.write_text("a^2\nb\n")
+        monkeypatch.setattr(cli, "format_stallings", refuse)
+        monkeypatch.setattr(StallingsGraph, "to_dot", refuse)
+        argv = ["intersect-free", "--alphabet", "a b", str(h), str(h)]
+        assert invoke(*argv)[0] == 0
+        monkeypatch.undo()
+        monkeypatch.setattr(StallingsGraph, "to_dot", refuse)
+        assert invoke(*argv, "--out", str(tmp_path / "meet.stallings"))[0] == 0
+        monkeypatch.undo()
+        monkeypatch.setattr(cli, "format_stallings", refuse)
+        assert invoke(*argv, "--dot", str(tmp_path / "meet.dot"))[0] == 0
 
     def test_bad_word_file_line_numbered(self, tmp_path):
         h = tmp_path / "h.words"

@@ -11,13 +11,59 @@ from pcgroups import (
     parse_stallings,
     parse_word,
 )
-from oracles import free_reduce, random_reduced_word, subgroup_ball
+from oracles import (
+    bouquet_automaton,
+    free_reduce,
+    random_reduced_word,
+    random_word,
+    subgroup_ball,
+)
 
 AB = ("a", "b")
 
 
 def w(text):
     return parse_word(text)
+
+
+# How a generator relates to the ones drawn before it; the read-along
+# construction takes a different path for each.
+GENERATOR_KINDS = (
+    "reduced", "unreduced", "trivial", "duplicate", "prefix", "suffix",
+    "inverse", "product", "conjugate",
+)
+
+
+def related_generators(rng, alphabet, count, kinds):
+    """``count`` generators; after the first, each is of a kind drawn from
+    ``kinds`` relative to the generators already drawn."""
+    gens = [Word(random_reduced_word(rng, alphabet, 6))]
+    while len(gens) < count:
+        kind = rng.choice(kinds)
+        earlier = rng.choice(gens)
+        reduced = free_reduce(tuple(earlier.letters))
+        cut = rng.randrange(len(reduced) + 1)
+        if kind == "reduced":
+            new = Word(random_reduced_word(rng, alphabet, 6))
+        elif kind == "unreduced":
+            new = Word(random_word(rng, alphabet, 8))
+        elif kind == "trivial":
+            around = Word(random_word(rng, alphabet, 3))
+            new = around * earlier * ~earlier * ~around
+        elif kind == "duplicate":
+            new = earlier
+        elif kind == "prefix":
+            new = Word(reduced[:cut])
+        elif kind == "suffix":
+            new = Word(reduced[cut:])
+        elif kind == "inverse":
+            new = ~earlier
+        elif kind == "product":
+            new = earlier * ~rng.choice(gens) * rng.choice(gens)
+        else:
+            new = rng.choice(gens) * earlier * ~rng.choice(gens)
+        gens.append(new)
+    return gens
 
 
 def random_subgroup(rng, max_gens=3, max_len=5):
@@ -61,6 +107,30 @@ class TestFromGenerators:
     def test_unknown_generator_rejected(self):
         with pytest.raises(InputError, match="'c'"):
             from_generators([w("c")], AB)
+        # also when the letter would cancel, or follows a readable prefix
+        with pytest.raises(InputError, match="'c'"):
+            from_generators([w("a"), w("a c c^-1")], AB)
+
+    @pytest.mark.parametrize("alphabet", [AB, ("a", "b", "c")])
+    def test_matches_bouquet_fold_oracle(self, alphabet):
+        rng = random.Random(61 + len(alphabet))
+        for trial in range(1000):
+            kind = GENERATOR_KINDS[trial % len(GENERATOR_KINDS)]
+            kinds = (kind, rng.choice(GENERATOR_KINDS))
+            gens = related_generators(rng, alphabet, rng.randrange(2, 6), kinds)
+            sg = from_generators(gens, alphabet)
+            expected = bouquet_automaton(gens, alphabet)
+            assert format_stallings(sg) == expected, gens
+            assert parse_stallings(format_stallings(sg)) == parse_stallings(expected) == sg
+
+    def test_oracle_kinds_reach_their_cases(self):
+        rng = random.Random(62)
+        trivial = related_generators(rng, "ab", 5, ("trivial",))[1:]
+        assert all(free_reduce(tuple(g.letters)) == () for g in trivial)
+        # a generator already in the subgroup leaves the automaton unchanged
+        for kind in ("duplicate", "inverse", "product", "conjugate"):
+            gens = related_generators(rng, "ab", 4, (kind,))
+            assert from_generators(gens, AB) == from_generators(gens[:1], AB)
 
     def test_folding_confluent_under_permutation(self):
         rng = random.Random(67)
@@ -149,6 +219,8 @@ class TestMember:
         sg = from_generators([w("a")], AB)
         with pytest.raises(InputError):
             sg.member(w("q"))
+        with pytest.raises(InputError, match="'q'"):
+            sg.member(w("a q^-1 q"))
 
 
 class TestRank:

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+import pcgroups.words
 from pcgroups import (
     InputError,
     Letter,
@@ -15,6 +16,7 @@ from pcgroups import (
     complete_graph,
     edgeless_graph,
     format_word,
+    free_reduce,
     invert,
     multiply,
     normal_form,
@@ -22,6 +24,7 @@ from pcgroups import (
     support,
 )
 from oracles import bfs_reachable, oracle_normal_form, random_word, word_key
+from oracles import free_reduce as oracle_free_reduce
 
 XY_EDGE = SimpleGraph(("x", "y"), [("x", "y")])
 XY_FREE = SimpleGraph(("x", "y"))
@@ -59,6 +62,16 @@ class TestParsing:
         with pytest.raises(ParseError):
             w("^3")
 
+    def test_expansion_limit(self, monkeypatch):
+        assert pcgroups.words.MAX_WORD_LETTERS == 10**6
+        with pytest.raises(ParseError, match="more than 1000000 letters"):
+            w("a^3000000")
+        monkeypatch.setattr(pcgroups.words, "MAX_WORD_LETTERS", 5)
+        assert len(w("x^3 y^-2")) == 5
+        for text in ("x^6", "x^-6", "x^3 y^-2 z", "x y z u v w"):
+            with pytest.raises(ParseError, match="more than 5 letters"):
+                w(text)
+
     def test_format_compresses_runs(self):
         assert format_word(w("x x x y^-1 y^-1 x")) == "x^3 y^-2 x"
         assert format_word(w("")) == ""
@@ -91,9 +104,35 @@ class TestAlgebra:
             g = PATH_XYZ
             assert normal_form(word * ~word, g).letters == ()
 
+    def test_built_words_hold_letters(self):
+        word = w("x y^-1")
+        for built in (~word, word * word, word**3, word**-2, multiply(word, word)):
+            assert all(isinstance(letter, Letter) for letter in built.letters)
+        assert type(~word) is Word and type(normal_form(word, XY_EDGE)) is NormalWord
+
     def test_commutator(self):
         assert commutator("x", "y") == w("x y x^-1 y^-1")
         assert commutator(w("x"), w("y z")) == w("x y z x^-1 z^-1 y^-1")
+
+
+class TestFreeReduce:
+    def test_against_oracle(self):
+        rng = random.Random(19)
+        for _ in range(500):
+            letters = random_word(rng, "abc", 12)
+            reduced = free_reduce(Word(letters), ("a", "b", "c"))
+            assert reduced.letters == oracle_free_reduce(letters)
+            assert all(isinstance(letter, Letter) for letter in reduced.letters)
+
+    def test_is_the_edgeless_normal_form(self):
+        rng = random.Random(23)
+        for _ in range(200):
+            word = Word(random_word(rng, "xy", 10))
+            assert free_reduce(word, {"x", "y"}) == normal_form(word, XY_FREE)
+
+    def test_unknown_generator(self):
+        with pytest.raises(InputError, match="'q'"):
+            free_reduce(w("x q q^-1"), ("x", "y"))
 
 
 class TestNormalForm:

@@ -29,6 +29,12 @@ class TestZF2Element:
         with pytest.raises(InputError, match="'c'"):
             ZF2Element(0, w("c"))
 
+    def test_unknown_letter_rejected(self):
+        with pytest.raises(InputError, match="'c'"):
+            eval_k_word(w("a c c^-1"))
+        with pytest.raises(InputError, match="'c'"):
+            ZF2Element(0, w("a c c^-1"))
+
     def test_componentwise_product(self):
         left = ZF2Element(2, w("a b"))
         right = ZF2Element(-1, w("b^-1 a"))
