@@ -4,9 +4,10 @@ For a finite simple graph the following are equivalent, and ``classify``
 decides them all at once: the group is Howson (intersections of finitely
 generated subgroups stay finitely generated), it is fully residually free, it
 is a free product of free-abelian groups, it avoids Z x F2 as a subgroup, and
-the graph has no induced path on three vertices.  The report carries a
-constructive witness either way: the free-abelian ranks of the free factors,
-or an induced-P3 triple.
+the graph has no induced path on three vertices, i.e. every component is
+complete.  The report carries a constructive witness either way: the
+free-abelian ranks of the free factors (the component sizes), or an
+induced-P3 triple.
 
 ``embeds_in`` answers "does the group of this pattern embed in the group of
 that graph" for the small catalog of patterns where subgroup embedding is
@@ -82,26 +83,27 @@ class ClassificationReport:
 def classify(g: SimpleGraph) -> ClassificationReport:
     """Decide every condition of the classification for a finite graph.
 
+    One decomposition pass decides; the largest factor rank is then the
+    maximal free-abelian rank.  Only a graph that fails it is searched for
+    the P3 witness and its clique number.
+
     The fixed-point and periodic-point verdicts (finitely generated for every
     endomorphism) coincide with the main verdict on finite graphs and are
     reported as such; no endomorphism computation takes place.
     """
-    witness = find_induced_p3(g)
     ranks = complete_decomposition(g)
-    good = witness is None
-    if good != (ranks is not None):  # pragma: no cover - the two searches agree
-        raise AssertionError("P3 search and clique decomposition disagree")
+    good = ranks is not None
     return ClassificationReport(
         p3_free=good,
         fully_residually_free=good,
         howson=good,
         contains_z_cross_f2=not good,
         free_product_of_free_abelian=good,
-        factor_ranks=ranks if good else None,
-        p3_witness=witness,
+        factor_ranks=ranks,
+        p3_witness=None if good else find_induced_p3(g),
         fix_points_fg=good,
         per_points_fg=good,
-        max_abelian_rank=clique_number(g),
+        max_abelian_rank=max(ranks, default=0) if good else clique_number(g),
     )
 
 

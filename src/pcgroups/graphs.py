@@ -146,20 +146,21 @@ def find_induced_p3(g: SimpleGraph) -> Optional[tuple[str, str, str]]:
     """Least ordered triple (x, y, z) with edges xy and yz but not xz.
 
     Returns None exactly when no three vertices induce a path, i.e. when the
-    graph is a disjoint union of complete graphs.
+    graph is a disjoint union of complete graphs.  Read off the components:
+    x is the least vertex with deg(x) < |component(x)| - 1, i.e. whose closed
+    neighbourhood N[x] misses part of its (connected) component; y is x's
+    least neighbour with a neighbour outside N[x]; z is y's least such one.
     """
-    verts = g.vertices
     adj = g._adj
-    for x in verts:
-        nx = adj[x]
-        for y in verts:
-            if y == x or y not in nx:
-                continue
-            ny = adj[y]
-            for z in verts:
-                if z != x and z != y and z in ny and z not in nx:
-                    return (x, y, z)
-    return None
+    x = min(
+        (v for block in connected_components(g) for v in block if len(adj[v]) < len(block) - 1),
+        default=None,
+    )
+    if x is None:
+        return None
+    closed = adj[x] | {x}
+    y = next(v for v in sorted(adj[x]) if not adj[v] <= closed)
+    return (x, y, min(adj[y] - closed))
 
 
 def reflexive_closure_is_transitive(g: SimpleGraph) -> bool:
@@ -285,23 +286,23 @@ def clique_number(g: SimpleGraph) -> int:
     """Size of a largest complete subgraph, by branch and bound.
 
     Vertices are expanded in degree-descending order and a branch is cut when
-    even taking every remaining candidate cannot beat the incumbent.
+    even taking every remaining candidate cannot beat the incumbent.  The
+    search keeps its own stack of (size, candidates, next index) frames, so
+    its depth is not bounded by the interpreter's recursion limit.
     """
     adj = g._adj
     order = sorted(g.vertices, key=lambda v: (-len(adj[v]), v))
     best = 0
-
-    def extend(size: int, cands: list[str]) -> None:
-        nonlocal best
-        if size > best:
-            best = size
-        for i, v in enumerate(cands):
-            if size + len(cands) - i <= best:
-                return
-            nv = adj[v]
-            extend(size + 1, [u for u in cands[i + 1 :] if u in nv])
-
-    extend(0, order)
+    stack = [(0, order, 0)]
+    while stack:
+        size, cands, i = stack.pop()
+        if size + len(cands) - i <= best:
+            continue
+        nv = adj[cands[i]]
+        stack.append((size, cands, i + 1))
+        stack.append((size + 1, [u for u in cands[i + 1 :] if u in nv], 0))
+        if size >= best:
+            best = size + 1
     return best
 
 

@@ -215,34 +215,20 @@ def _fold(num_states: int, edges: Iterable[tuple[int, str, int]]):
 
 
 def _assemble(alphabet: tuple[str, ...], base, edges) -> StallingsGraph:
-    """Component of the base, cored, canonically renumbered."""
+    """Cored, canonically renumbered automaton.  The edges must be connected
+    to the base: ``intersect`` searches from the base, ``from_generators``
+    hangs each arc off a reached state (folding keeps that) and
+    ``parse_stallings`` rejects disconnected input."""
     edges = list(edges)
     incident: dict = {base: []}
     for idx, (u, g, v) in enumerate(edges):
         incident.setdefault(u, []).append(idx)
         incident.setdefault(v, []).append(idx)
 
-    # restrict to the connected component of the base
-    component = {base}
-    stack = [base]
-    while stack:
-        s = stack.pop()
-        for idx in incident[s]:
-            u, _, v = edges[idx]
-            for t in (u, v):
-                if t not in component:
-                    component.add(t)
-                    stack.append(t)
-
     # core: repeatedly strip non-base states of degree <= 1
-    degree = {s: 0 for s in component}
-    live_edge = [False] * len(edges)
-    for idx, (u, _, v) in enumerate(edges):
-        if u in component:
-            live_edge[idx] = True
-            degree[u] += 1
-            degree[v] += 1
-    alive = {s for s in component}
+    degree = {s: len(ids) for s, ids in incident.items()}
+    live_edge = [True] * len(edges)
+    alive = set(incident)
     trim = deque(s for s in alive if s != base and degree[s] <= 1)
     while trim:
         s = trim.popleft()
@@ -256,15 +242,13 @@ def _assemble(alphabet: tuple[str, ...], base, edges) -> StallingsGraph:
             u, _, v = edges[idx]
             other = v if u == s else u
             degree[other] -= 1
-            if u == v:  # pragma: no cover - a looped state has degree >= 2
-                continue
             if other != base and other in alive and degree[other] <= 1:
                 trim.append(other)
 
     out = {}
     inc = {}
     for idx, (u, g, v) in enumerate(edges):
-        if live_edge[idx] and u in alive and v in alive:
+        if live_edge[idx]:
             out[(u, g)] = v
             inc[(v, g)] = u
 

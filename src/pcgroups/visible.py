@@ -7,7 +7,9 @@ of the graph group of the induced subgraph on Y.
 
 Membership in the subgroup is decided by the support of the normal form: an
 element lies in the subgroup generated by Y iff its canonical word only uses
-generators from Y.
+generators from Y.  That canonical word is then already the normal form over
+the induced subgraph, because the induced adjacency among Y is the ambient
+one.
 """
 
 from __future__ import annotations
@@ -81,4 +83,4 @@ def rewrite_in_visible(w: Word, r: VertexRestriction) -> Optional[NormalWord]:
     ambient_nf = normal_form(w, r.ambient)
     if any(gen not in r.ys for gen, _ in ambient_nf.letters):
         return None
-    return normal_form(ambient_nf, r.induced)
+    return ambient_nf

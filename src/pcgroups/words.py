@@ -56,18 +56,26 @@ class Letter(NamedTuple):
 
 
 class Word:
-    """An immutable sequence of letters; not assumed reduced."""
+    """An immutable sequence of letters; not assumed reduced.
+
+    A generator name may not contain ``^`` or whitespace, so that the text
+    ``format_word`` writes parses back to the same word.
+    """
 
     __slots__ = ("letters",)
 
     def __init__(self, letters: Iterable = ()):
         out = []
+        names: set[str] = set()
         for item in letters:
             gen, sign = item
             if sign not in (1, -1):
                 raise InputError(f"letter sign must be +1 or -1, got {sign!r}")
-            if not isinstance(gen, str) or not gen:
-                raise InputError(f"letter generator must be a non-empty string, got {gen!r}")
+            if not (isinstance(gen, str) and gen in names):
+                if not isinstance(gen, str) or not gen or "^" in gen or gen.split() != [gen]:
+                    raise InputError(f"letter generator must be a non-empty string "
+                                     f"without '^' or whitespace, got {gen!r}")
+                names.add(gen)
             out.append(Letter(gen, sign))
         self.letters = tuple(out)
 

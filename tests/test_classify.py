@@ -45,6 +45,12 @@ class TestClassify:
         assert report.factor_ranks == (3, 1)
         assert report.p3_witness is None
         assert report.max_abelian_rank == 3
+        report = classify(complete_graph(1200))
+        assert report.factor_ranks == (1200,) and report.max_abelian_rank == 1200
+        g = disjoint_union(complete_graph(300, prefix="x"), complete_graph(300, prefix="y"))
+        report = classify(g)
+        assert report.howson and report.p3_witness is None
+        assert report.factor_ranks == (300, 300) and report.max_abelian_rank == 300
 
     def test_z_cross_f2_itself(self):
         g = join(complete_graph(1, prefix="t"), edgeless_graph(2, prefix="f"))

@@ -46,6 +46,19 @@ class TestClassify:
         code, out, err = invoke("classify", "/nonexistent/g.graph")
         assert code == 2 and out == "" and "error" in err
 
+    def test_clique_minus_an_edge_past_recursion_limit(self, tmp_path):
+        names = [f"v{i:04d}" for i in range(1, 1051)]
+        edges = [f"{u} {v}" for i, u in enumerate(names) for v in names[i + 1 :]]
+        path = tmp_path / "k1050-e.graph"
+        path.write_text("\n".join([" ".join(names)] + edges[1:]) + "\n")
+        code, out, err = invoke("classify", str(path))
+        assert code == 0 and err == ""
+        report = json.loads(out)
+        assert report["p3_witness"] == ["v0001", "v0003", "v0002"]
+        assert report["max_abelian_rank"] == 1049
+        code, out, err = invoke("embed", "K_1049", str(path))
+        assert code == 0 and err == "" and json.loads(out)["embeds"] is True
+
     def test_malformed_file_line_numbered(self, tmp_path):
         path = tmp_path / "bad.graph"
         path.write_text("a b\na a\n")

@@ -114,7 +114,7 @@ class TestFindInducedP3:
         assert find_induced_p3(C4()) == ("a", "b", "c")
 
     def test_witness_valid_and_least_exhaustive(self):
-        for g in all_labeled_graphs(4):
+        for g in itertools.chain.from_iterable(all_labeled_graphs(n) for n in (4, 5, 6)):
             wit = find_induced_p3(g)
             triples = [
                 (x, y, z)
@@ -275,6 +275,8 @@ class TestCliqueNumber:
         assert clique_number(C4()) == 2
         g = join(complete_graph(3, prefix="x"), edgeless_graph(2, prefix="y"))
         assert clique_number(g) == 4  # frozen from subset brute force
+        # deeper than the interpreter's recursion limit
+        assert clique_number(complete_graph(1200)) == 1200
 
     def test_against_subset_oracle(self):
         for n in range(6):

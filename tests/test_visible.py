@@ -146,6 +146,8 @@ class TestMembership:
             for _ in range(5):
                 word = Word(random_word(rng, ys, 6)) if ys else w("")
                 assert is_in_visible(alpha_include(word, r), r)
+                # the ambient normal form of a member is its induced one
+                assert rewrite_in_visible(alpha_include(word, r), r) == normal_form(word, r.induced)
 
 
 def test_membership_agrees_with_enumeration():

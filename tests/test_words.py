@@ -82,6 +82,20 @@ class TestParsing:
             word = Word(random_word(rng, "xyz", 8))
             assert parse_word(format_word(word)) == word
 
+    def test_generator_names_that_would_not_round_trip_rejected(self):
+        # format_word would write these as text that parses to other letters;
+        # the last two are not names at all
+        for name in ("x^2", "x y", "x\ty", " x", "x\n", "^", "", 3):
+            with pytest.raises(InputError, match="non-empty string without"):
+                Word([(name, 1)])
+            with pytest.raises(InputError, match="non-empty string without"):
+                Word([("a", 1), (name, -1)])
+        assert Word([("x_2", 1), ("x", -1), ("x_2", 1)]).letters == (
+            Letter("x_2", 1),
+            Letter("x", -1),
+            Letter("x_2", 1),
+        )
+
 
 class TestAlgebra:
     def test_invert_reverses_and_flips(self):
