@@ -1,15 +1,20 @@
 """Stallings automata for finitely generated subgroups of free groups.
 
 A subgroup generated by finitely many words is represented by a rooted,
-folded, core automaton over the positive generators.  Each freely reduced
-generator is read from the base along the transitions already built, from
-both ends, and only its unread middle is added as a fresh arc; the result is
-folded to determinism once (merging states with union-find until no two
-equal labels leave or enter one state), then pruned to its core (no non-base
-state of degree one).  Membership is tracing the free reduction of a word
-from the base; the rank of the subgroup is ``edges - states + 1``;
-intersections come from the product automaton based at the pair of base
-states.
+folded, core automaton over the positive generators.  While it is built,
+an automaton is held in one shape only: per-state label maps, ``out[s]``
+from a generator to the target of the arc it labels at ``s`` and ``inc[s]``
+from a generator to the source of the arc it labels into ``s``.  Each freely
+reduced generator is read from the base along these maps, from both ends,
+and only its unread middle is added as fresh arcs; where an arc's label is
+already taken at a state, the pair of states to identify is queued.  One
+fold then merges the queued pairs with union-find, folding the smaller maps
+into the larger, until no two equal labels leave or enter one state.  The
+core (no non-base state of degree one) is trimmed on the same maps.
+Membership is tracing the free reduction of a word from the base; the rank
+of the subgroup is ``edges - states + 1``; intersections come from the
+product automaton based at the pair of base states, whose maps are written
+as it is searched.
 
 States are renumbered by breadth-first search from the base with a fixed
 generator order, so equal automata compare equal and isomorphism checks in
@@ -22,7 +27,6 @@ positively-labeled transition.
 
 from __future__ import annotations
 
-from collections import deque
 from typing import Iterable, Optional
 
 from .errors import InputError, ParseError
@@ -84,34 +88,37 @@ class StallingsGraph:
 
     def intersect(self, other: "StallingsGraph") -> "StallingsGraph":
         """Automaton of the subgroup intersection, via the product based at
-        the pair of bases (restricted to its component, then cored)."""
+        the pair of bases (searched from there, then cored)."""
         if self.alphabet != other.alphabet:
             raise InputError("cannot intersect subgroups over different alphabets")
         index = {(0, 0): 0}
-        queue = deque([(0, 0)])
-        edges = set()
-        while queue:
-            pair = queue.popleft()
-            s1, s2 = pair
-            here = index[pair]
+        pairs = [(0, 0)]
+        out: dict = {0: {}}
+        inc: dict = {0: {}}
+
+        def reach(pair) -> int:
+            state = index.get(pair)
+            if state is None:
+                state = index[pair] = len(pairs)
+                pairs.append(pair)
+                out[state] = {}
+                inc[state] = {}
+            return state
+
+        # each arc is recorded from its source; backward arcs only reach states
+        for here, (s1, s2) in enumerate(pairs):
             for g in self.alphabet:
                 t1 = self.transitions.get((s1, g))
                 t2 = other.transitions.get((s2, g))
                 if t1 is not None and t2 is not None:
-                    target = (t1, t2)
-                    if target not in index:
-                        index[target] = len(index)
-                        queue.append(target)
-                    edges.add((here, g, index[target]))
+                    there = reach((t1, t2))
+                    out[here][g] = there
+                    inc[there][g] = here
                 u1 = self._inverse.get((s1, g))
                 u2 = other._inverse.get((s2, g))
                 if u1 is not None and u2 is not None:
-                    source = (u1, u2)
-                    if source not in index:
-                        index[source] = len(index)
-                        queue.append(source)
-                    edges.add((index[source], g, here))
-        return _assemble(self.alphabet, 0, edges)
+                    reach((u1, u2))
+        return _assemble(self.alphabet, 0, out, inc)
 
     def to_dot(self) -> str:
         """Plain DOT text; the base state is drawn as a double circle."""
@@ -142,12 +149,17 @@ class StallingsGraph:
         )
 
 
-def _fold(num_states: int, edges: Iterable[tuple[int, str, int]]):
-    """Union-find folding: process edges, merging states whenever two equal
-    labels leave (or enter) one state, until the edge set is deterministic.
-    Returns (root of state 0, folded edge set over root states)."""
-    parent = list(range(num_states))
-    size = [1] * num_states
+def _fold(out: dict, inc: dict, merges: list) -> int:
+    """Fold the label maps in place and return the base's state.
+
+    ``out[s]`` maps a generator to the target of the arc it labels at ``s``
+    and ``inc[s]`` to the source of the arc it labels into ``s``; states are
+    ``0 .. len(out) - 1`` and 0 is the base.  ``merges`` lists pairs of states
+    to identify.  Union-find merges each pair, folding the smaller maps into
+    the larger; wherever both give one label, the two ends it leads to are
+    identified in turn.  Merged-away states leave the maps, and the targets
+    of the remaining ones are resolved to their roots."""
+    parent = list(range(len(out)))
 
     def find(x: int) -> int:
         while parent[x] != x:
@@ -155,120 +167,57 @@ def _fold(num_states: int, edges: Iterable[tuple[int, str, int]]):
             x = parent[x]
         return x
 
-    out: list[dict] = [dict() for _ in range(num_states)]
-    inc: list[dict] = [dict() for _ in range(num_states)]
-    pending = deque(edges)
-
-    def merge(a: int, b: int) -> None:
+    while merges:
+        a, b = merges.pop()
         a, b = find(a), find(b)
         if a == b:
-            return
-        if size[a] < size[b]:
+            continue
+        if len(out[a]) + len(inc[a]) < len(out[b]) + len(inc[b]):
             a, b = b, a
         parent[b] = a
-        size[a] += size[b]
-        # the loser's transitions get replayed so conflicts surface at the winner
-        for g, t in out[b].items():
-            pending.append((b, g, t))
-        for g, s in inc[b].items():
-            pending.append((s, g, b))
-        out[b] = {}
-        inc[b] = {}
-
-    while pending:
-        u, g, v = pending.popleft()
-        u, v = find(u), find(v)
-        t = out[u].get(g)
-        if t is not None:
-            t = find(t)
-            if t != v:
-                merge(t, v)
-                pending.append((u, g, v))
-                continue
-            s = inc[v].get(g)
-            if s is None:
-                inc[v][g] = u
-                continue
-            s = find(s)
-            if s != u:
-                merge(s, u)
-                pending.append((u, g, v))
-            continue
-        s = inc[v].get(g)
-        if s is not None:
-            s = find(s)
-            if s == u:
-                out[u][g] = v
-                continue
-            merge(s, u)
-            pending.append((u, g, v))
-            continue
-        out[u][g] = v
-        inc[v][g] = u
-
-    folded = set()
-    for u in range(num_states):
-        if find(u) == u:
-            for g, v in out[u].items():
-                folded.add((u, g, find(v)))
-    return find(0), folded
+        for kept, gone in ((out[a], out.pop(b)), (inc[a], inc.pop(b))):
+            for g, t in gone.items():
+                held = kept.setdefault(g, t)
+                if held != t:
+                    merges.append((held, t))
+    for maps in (out, inc):
+        for arcs in maps.values():
+            for g, t in arcs.items():
+                arcs[g] = find(t)
+    return find(0)
 
 
-def _assemble(alphabet: tuple[str, ...], base, edges) -> StallingsGraph:
-    """Cored, canonically renumbered automaton.  The edges must be connected
-    to the base: ``intersect`` searches from the base, ``from_generators``
-    hangs each arc off a reached state (folding keeps that) and
-    ``parse_stallings`` rejects disconnected input."""
-    edges = list(edges)
-    incident: dict = {base: []}
-    for idx, (u, g, v) in enumerate(edges):
-        incident.setdefault(u, []).append(idx)
-        incident.setdefault(v, []).append(idx)
-
-    # core: repeatedly strip non-base states of degree <= 1
-    degree = {s: len(ids) for s, ids in incident.items()}
-    live_edge = [True] * len(edges)
-    alive = set(incident)
-    trim = deque(s for s in alive if s != base and degree[s] <= 1)
+def _assemble(alphabet: tuple[str, ...], base, out: dict, inc: dict) -> StallingsGraph:
+    """Cored, canonically renumbered automaton from folded label maps
+    (``out[s]``: generator -> target and ``inc[s]``: generator -> source,
+    both keyed by every state).  Every state must be connected to the
+    base: ``intersect`` searches from the base, ``from_generators`` hangs each
+    arc off a reached state (folding keeps that) and ``parse_stallings``
+    rejects disconnected input.  The core is trimmed on the maps themselves:
+    a non-base state of degree ``len(out[s]) + len(inc[s]) <= 1`` goes, with
+    its one entry at its neighbour, until none is left."""
+    trim = [s for s in out if s != base and len(out[s]) + len(inc[s]) <= 1]
     while trim:
-        s = trim.popleft()
-        if s not in alive:
-            continue
-        alive.discard(s)
-        for idx in incident[s]:
-            if not live_edge[idx]:
-                continue
-            live_edge[idx] = False
-            u, _, v = edges[idx]
-            other = v if u == s else u
-            degree[other] -= 1
-            if other != base and other in alive and degree[other] <= 1:
-                trim.append(other)
-
-    out = {}
-    inc = {}
-    for idx, (u, g, v) in enumerate(edges):
-        if live_edge[idx]:
-            out[(u, g)] = v
-            inc[(v, g)] = u
+        s = trim.pop()
+        for arcs, back in ((out, inc), (inc, out)):
+            for g, t in arcs.pop(s).items():
+                del back[t][g]
+                if t != base and len(out[t]) + len(inc[t]) == 1:
+                    trim.append(t)
 
     # canonical numbering: breadth-first from the base, generators in order,
     # forward transition before backward at each label
     order = {base: 0}
-    queue = deque([base])
-    while queue:
-        s = queue.popleft()
+    queue = [base]
+    for s in queue:
+        forward, backward = out[s], inc[s]
         for g in alphabet:
-            t = out.get((s, g))
-            if t is not None and t not in order:
-                order[t] = len(order)
-                queue.append(t)
-            t = inc.get((s, g))
-            if t is not None and t not in order:
-                order[t] = len(order)
-                queue.append(t)
+            for t in (forward.get(g), backward.get(g)):
+                if t is not None and t not in order:
+                    order[t] = len(order)
+                    queue.append(t)
 
-    transitions = {(order[u], g): order[v] for (u, g), v in out.items()}
+    transitions = {(order[u], g): order[v] for u, arcs in out.items() for g, v in arcs.items()}
     return StallingsGraph(alphabet, len(order), transitions)
 
 
@@ -289,12 +238,11 @@ def from_generators(ws: Iterable[Word], alphabet: Iterable[str]) -> StallingsGra
     """
     alpha = tuple(sorted(set(alphabet)))
     known = frozenset(alpha)
-    edges = []
-    # one transition per (state, generator) in each direction, kept so words
-    # can be read along what is built; the first one added wins
-    out: dict = {}
-    inc: dict = {}
-    counter = 1
+    # the first arc with a label at a state is the one words are read along;
+    # a later one with the same label asks for its other end to be merged
+    out: dict = {0: {}}
+    inc: dict = {0: {}}
+    merges = []
     for w in ws:
         letters = free_reduce(w, known).letters
         n = len(letters)
@@ -303,14 +251,14 @@ def from_generators(ws: Iterable[Word], alphabet: Iterable[str]) -> StallingsGra
         head, i = 0, 0
         while i < n - 1:
             gen, sign = letters[i]
-            nxt = (out if sign > 0 else inc).get((head, gen))
+            nxt = (out if sign > 0 else inc)[head].get(gen)
             if nxt is None:
                 break
             head, i = nxt, i + 1
         tail, j = 0, n
         while j - 1 > i:
             gen, sign = letters[j - 1]
-            prev = (inc if sign > 0 else out).get((tail, gen))
+            prev = (inc if sign > 0 else out)[tail].get(gen)
             if prev is None:
                 break
             tail, j = prev, j - 1
@@ -320,15 +268,19 @@ def from_generators(ws: Iterable[Word], alphabet: Iterable[str]) -> StallingsGra
             if k == j - 1:
                 nxt = tail
             else:
-                nxt = counter
-                counter += 1
+                nxt = len(out)
+                out[nxt] = {}
+                inc[nxt] = {}
             u, v = (state, nxt) if sign > 0 else (nxt, state)
-            edges.append((u, gen, v))
-            out.setdefault((u, gen), v)
-            inc.setdefault((v, gen), u)
+            held = out[u].setdefault(gen, v)
+            if held != v:
+                merges.append((held, v))
+            held = inc[v].setdefault(gen, u)
+            if held != u:
+                merges.append((held, u))
             state = nxt
-    base, folded = _fold(counter, edges)
-    return _assemble(alpha, base, folded)
+    base = _fold(out, inc, merges)
+    return _assemble(alpha, base, out, inc)
 
 
 def format_stallings(sg: StallingsGraph) -> str:
@@ -378,38 +330,31 @@ def parse_stallings(text: str) -> StallingsGraph:
     if base is None:
         raise ParseError("empty input: the first line must name the base state", line=1)
 
-    out = {}
-    inc = {}
-    states = {base}
+    out: dict = {base: {}}
+    inc: dict = {base: {}}
     for u, g, v, lineno in raw:
-        if (u, g) in out and out[(u, g)] != v:
+        for s in (u, v):
+            if s not in out:
+                out[s] = {}
+                inc[s] = {}
+        if out[u].setdefault(g, v) != v:
             raise ParseError(f"two '{g}' transitions leave state {u}: not folded", line=lineno)
-        if (v, g) in inc and inc[(v, g)] != u:
+        if inc[v].setdefault(g, u) != u:
             raise ParseError(f"two '{g}' transitions enter state {v}: not folded", line=lineno)
-        out[(u, g)] = v
-        inc[(v, g)] = u
-        states.add(u)
-        states.add(v)
 
-    degree: dict[int, int] = {s: 0 for s in states}
     reach = {base}
-    adjacency: dict[int, set[int]] = {s: set() for s in states}
-    for (u, g), v in out.items():
-        degree[u] += 1
-        degree[v] += 1
-        adjacency[u].add(v)
-        adjacency[v].add(u)
     stack = [base]
     while stack:
-        for t in adjacency[stack.pop()]:
+        s = stack.pop()
+        for t in (*out[s].values(), *inc[s].values()):
             if t not in reach:
                 reach.add(t)
                 stack.append(t)
-    if reach != states:
-        raise ParseError(f"states {sorted(states - reach)} are not connected to the base")
-    bad = sorted(s for s in states if s != base and degree[s] <= 1)
+    if len(reach) != len(out):
+        raise ParseError(f"states {sorted(set(out) - reach)} are not connected to the base")
+    bad = sorted(s for s in out if s != base and len(out[s]) + len(inc[s]) <= 1)
     if bad:
         raise ParseError(f"non-base states of degree <= 1: {bad} (not a core automaton)")
 
-    alphabet = tuple(sorted(set(declared) | {g for (_, g) in out}))
-    return _assemble(alphabet, base, [(u, g, v) for (u, g), v in out.items()])
+    alphabet = tuple(sorted(set(declared) | {g for arcs in out.values() for g in arcs}))
+    return _assemble(alphabet, base, out, inc)

@@ -102,18 +102,47 @@ def bouquet_automaton(generator_words, alphabet):
             (keep if u == drop else u, g, keep if v == drop else v) for u, g, v in edges
         }
 
+    return _core_text(edges, 0, alphabet)
+
+
+def intersection_automaton(text1, text2, alphabet):
+    """Stallings automaton of the intersection of the subgroups that two
+    automata in the Stallings serialization (base 0) represent, as text.
+
+    The set product of their edge sets, pairing equal labels, is based at
+    the pair of bases; its base component is cored and numbered as
+    ``bouquet_automaton`` does.
+    """
+    edges = {
+        ((u1, u2), g, (v1, v2))
+        for u1, g, v1 in _text_edges(text1)
+        for u2, h, v2 in _text_edges(text2)
+        if g == h
+    }
+    return _core_text(edges, (0, 0), alphabet)
+
+
+def _text_edges(text):
+    return {(int(u), g, int(v)) for u, g, v in (line.split() for line in text.splitlines()[1:])}
+
+
+def _core_text(edges, base, alphabet):
+    """Strip non-base states of degree one until none is left, then number
+    the base's component breadth-first from the base, generators in alphabet
+    order, the forward transition before the backward one, and write that
+    component in the Stallings serialization."""
     while True:
         degree = {}
         for u, _, v in edges:
             degree[u] = degree.get(u, 0) + 1
             degree[v] = degree.get(v, 0) + 1
-        leaves = {s for s, d in degree.items() if s != 0 and d == 1}
+        leaves = {s for s, d in degree.items() if s != base and d == 1}
         if not leaves:
             break
         edges = {(u, g, v) for u, g, v in edges if u not in leaves and v not in leaves}
 
-    order = {0: 0}
-    queue = [0]
+    order = {base: 0}
+    queue = [base]
     for s in queue:
         for gen in alphabet:
             for u, g, v in sorted(edges):
@@ -125,7 +154,10 @@ def bouquet_automaton(generator_words, alphabet):
                     order[u] = len(order)
                     queue.append(u)
     lines = [" ".join(("0",) + tuple(alphabet))]
-    lines.extend(f"{u} {g} {v}" for u, g, v in sorted((order[u], g, order[v]) for u, g, v in edges))
+    lines.extend(
+        f"{u} {g} {v}"
+        for u, g, v in sorted((order[u], g, order[v]) for u, g, v in edges if u in order)
+    )
     return "\n".join(lines) + "\n"
 
 

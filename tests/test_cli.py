@@ -1,5 +1,8 @@
 import io
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -220,6 +223,10 @@ def test_self_check():
 def test_unknown_command_exits_2(capsys):
     assert run(["frobnicate"]) == 2
     capsys.readouterr()  # swallow argparse noise
+    # the parser is built once and reused; a failed parse leaves it usable
+    code, out, err = invoke(*GOLDEN_INVOCATIONS["classify"])
+    assert code == 0 and err == ""
+    assert out == (GOLDEN / "classify.json").read_text()
 
 
 def test_no_command_exits_2(capsys):
@@ -252,3 +259,14 @@ def test_golden_outputs(command):
     code, out, err = invoke(*GOLDEN_INVOCATIONS[command])
     assert code == 0 and err == ""
     assert out == (GOLDEN / f"{command}.json").read_text()
+
+
+def test_runs_as_a_module():
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    done = subprocess.run(
+        [sys.executable, "-m", "pcgroups.cli", *GOLDEN_INVOCATIONS["classify"]],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 0 and done.stderr == ""
+    assert done.stdout == (GOLDEN / "classify.json").read_text()

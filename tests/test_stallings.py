@@ -14,6 +14,7 @@ from pcgroups import (
 from oracles import (
     bouquet_automaton,
     free_reduce,
+    intersection_automaton,
     random_reduced_word,
     random_word,
     subgroup_ball,
@@ -258,6 +259,20 @@ class TestIntersect:
         assert meet.member(w("a^6")) and meet.member(w("b"))
         assert not meet.member(w("a^2")) and not meet.member(w("a^3"))
         assert meet.rank() == 2
+
+    @pytest.mark.parametrize("alphabet", [AB, ("a", "b", "c")])
+    def test_matches_product_oracle(self, alphabet):
+        rng = random.Random(113 + len(alphabet))
+        kind_pairs = [(k1, k2) for k1 in GENERATOR_KINDS for k2 in GENERATOR_KINDS]
+        for trial in range(300):
+            kind1, kind2 = kind_pairs[trial % len(kind_pairs)]
+            gens1 = related_generators(rng, alphabet, rng.randrange(1, 5), (kind1,))
+            gens2 = related_generators(rng, alphabet, rng.randrange(1, 5), (kind2,))
+            meet = from_generators(gens1, alphabet).intersect(from_generators(gens2, alphabet))
+            expected = intersection_automaton(
+                bouquet_automaton(gens1, alphabet), bouquet_automaton(gens2, alphabet), alphabet
+            )
+            assert format_stallings(meet) == expected, (gens1, gens2)
 
     def test_alphabet_mismatch(self):
         sg1 = from_generators([w("a")], AB)
