@@ -18,7 +18,7 @@ from .errors import InputError, ParseError
 from .graphs import SimpleGraph, complete_decomposition, parse_graph, reflexive_closure_is_transitive
 from .stallings import StallingsGraph, format_stallings, from_generators
 from .visible import VertexRestriction, rewrite_in_visible
-from .words import format_word, normal_form, parse_word, support
+from .words import format_word, normal_form, parse_word
 from .zf2 import certify_not_fg
 
 __all__ = ["run", "main"]

@@ -63,6 +63,17 @@ class StallingsGraph:
             inverse[key] = u
         self._inverse = inverse
 
+    @classmethod
+    def _trusted(cls, alphabet: tuple[str, ...], num_states: int, transitions: dict,
+                 inverse: dict) -> "StallingsGraph":
+        """Wrap maps that ``_assemble`` built from a folded automaton, unchecked."""
+        sg = object.__new__(cls)
+        sg.alphabet = alphabet
+        sg.num_states = num_states
+        sg.transitions = transitions
+        sg._inverse = inverse
+        return sg
+
     def states(self) -> range:
         return range(self.num_states)
 
@@ -217,8 +228,15 @@ def _assemble(alphabet: tuple[str, ...], base, out: dict, inc: dict) -> Stalling
                     order[t] = len(order)
                     queue.append(t)
 
-    transitions = {(order[u], g): order[v] for u, arcs in out.items() for g, v in arcs.items()}
-    return StallingsGraph(alphabet, len(order), transitions)
+    transitions: dict = {}
+    inverse: dict = {}
+    for u, arcs in out.items():
+        here = order[u]
+        for g, v in arcs.items():
+            there = order[v]
+            transitions[here, g] = there
+            inverse[there, g] = here
+    return StallingsGraph._trusted(alphabet, len(order), transitions, inverse)
 
 
 def from_generators(ws: Iterable[Word], alphabet: Iterable[str]) -> StallingsGraph:

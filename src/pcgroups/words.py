@@ -7,6 +7,15 @@ returns the canonical representative of the group element: fully reduced (no
 inverse pair can be brought together by commuting swaps) and lexicographically
 least among its shuffles.
 
+``normal_form`` piles the letters as a heap of pieces, one stack per
+generator, and stores each piece with ``c``, the number of live pieces that
+do not commute with it when it lands.  The counts of all generators are
+fields of ``W = len(w).bit_length() + 1`` bits in one integer, so each letter
+costs a constant number of integer operations.  No count exceeds
+``len(w) < 2**(W-1)``, so the fields never overflow into each other, and
+their top bit is free for the read-off's test: a generator's front piece may
+be emitted exactly when its field of (front count - emitted count) is zero.
+
 ``free_reduce`` is the same for a free group (no two generators commute):
 one stack pass that cancels adjacent inverse pairs.
 
@@ -19,7 +28,6 @@ before building any of it.
 
 from __future__ import annotations
 
-from collections import deque
 from typing import Collection, Iterable, NamedTuple
 
 from .errors import InputError, ParseError
@@ -136,7 +144,11 @@ def parse_word(text: str) -> Word:
 
     Raises ``ParseError`` when the expansion would pass ``MAX_WORD_LETTERS``.
     """
-    letters = []
+    # a name cut from a whitespace-split token before its first '^' is
+    # non-empty once checked, and holds no '^' or whitespace: a valid
+    # generator name, so the letters need no second check in ``Word``
+    letters: list = []
+    made: dict = {}  # one Letter per (name, sign)
     for tok in text.split():
         name, caret, exp = tok.partition("^")
         if not name:
@@ -152,9 +164,15 @@ def parse_word(text: str) -> Word:
             k = 1
         if len(letters) + abs(k) > MAX_WORD_LETTERS:
             raise ParseError(f"word expands to more than {MAX_WORD_LETTERS} letters")
-        sign = 1 if k > 0 else -1
-        letters.extend((name, sign) for _ in range(abs(k)))
-    return Word(letters)
+        key = (name, 1 if k > 0 else -1)
+        letter = made.get(key)
+        if letter is None:
+            letter = made[key] = Letter(*key)
+        if k == 1:
+            letters.append(letter)
+        else:
+            letters += [letter] * abs(k)
+    return Word._trusted(tuple(letters))
 
 
 def format_word(w: Word) -> str:
@@ -198,70 +216,93 @@ def commutator(u, v) -> Word:
     return u * v * u.inverse() * v.inverse()
 
 
-def _checked_letters(w: Word, g: SimpleGraph) -> tuple:
-    for gen, _ in w.letters:
-        if gen not in g:
-            raise InputError(f"letter over unknown generator {gen!r}")
-    return w.letters
-
-
-def _pile(letters, piles, blockers) -> None:
-    # One stack per generator.  A letter lands on its own stack; every
-    # non-commuting generator's stack receives a 0 marker so later inverses
-    # know they are blocked.  A letter whose own stack top is its unblocked
-    # inverse cancels instead, popping the partner's markers everywhere.
-    for gen, sign in letters:
-        pile = piles[gen]
-        if pile and pile[-1] == -sign:
-            pile.pop()
-            for other in blockers[gen]:
-                piles[other].pop()
-        else:
-            pile.append(sign)
-            for other in blockers[gen]:
-                piles[other].append(0)
-
-
-def _depile(piles, order, blockers) -> list:
-    # Greedy linearization: repeatedly emit the least generator whose stack
-    # front is an actual letter.  This yields the lexicographically least
-    # shuffle of the reduced word.
-    remaining = sum(1 for pile in piles.values() for entry in pile if entry)
-    out = []
-    while remaining:
-        for gen in order:
-            pile = piles[gen]
-            if pile and pile[0]:
-                out.append(Letter(gen, pile[0]))
-                pile.popleft()
-                for other in blockers[gen]:
-                    piles[other].popleft()
-                remaining -= 1
-                break
-        else:  # pragma: no cover - the heap always has a minimal letter
-            raise AssertionError("piling invariant broken")
-    return out
-
-
 def normal_form(w: Word, g: SimpleGraph) -> NormalWord:
     """Canonical representative of the element of the graph group of ``g``.
 
-    Letters are piled left to right: a letter cancels against the most recent
-    occurrence of its inverse unless some non-commuting letter arrived in
-    between, in which case it is stacked.  The surviving heap is then read off
-    greedily by least generator.  The result is idempotent, never longer than
-    the input, and equal for two words exactly when they represent the same
-    group element.
+    Letters are piled left to right into a heap of pieces, one stack per
+    generator: a letter cancels against the most recent piece of its inverse
+    unless some non-commuting letter arrived in between, in which case it is
+    stacked.  The surviving heap is then read off greedily by least
+    generator.  The result is idempotent, never longer than the input, and
+    equal for two words exactly when they represent the same group element.
+
+    Counts live in packed ints: each occurring generator, in sorted order,
+    owns a field of ``W = len(w).bit_length() + 1`` bits.  A piece of ``x``
+    is stored with ``c``, the number of live pieces that do not commute with
+    ``x`` when it lands.  Those pieces lie below it and stay live as long as
+    it does, because a piece with a live non-commuting piece above it cannot
+    cancel.  So a letter ``x^-s`` meets nothing non-commuting above the top
+    piece ``x^s`` exactly when that count is still ``c``.  The read-off may
+    emit the front piece of ``x`` once all ``c`` pieces below it are out,
+    that is when the field of ``x`` in (front counts - emitted counts) is
+    zero.  Every count is at most ``len(w)``, below ``2**(W-1)``, so no field
+    overflows into the next; an emptied stack's front count is
+    ``2**(W-1) - 1``, above any emitted count, which is at most
+    ``len(w) - 1``.  So each field of that difference lies in
+    ``[0, 2**(W-1))``, adding ``2**(W-1) - 1`` to it never carries out of the
+    field, and the sum's top bit is clear exactly when the field was zero.
+    The lowest such bit names the least generator that may be emitted.
+
+    Raises ``InputError`` for the first letter, in word order, over a
+    generator that is not a vertex of ``g``.
     """
-    letters = _checked_letters(w, g)
-    occurring = sorted({gen for gen, _ in letters})
-    blockers = {
-        x: tuple(y for y in occurring if y != x and y not in g.neighbors(x))
-        for x in occurring
-    }
-    piles = {x: deque() for x in occurring}
-    _pile(letters, piles, blockers)
-    return NormalWord._trusted(tuple(_depile(piles, occurring, blockers)))
+    letters = w.letters
+    gens = {gen for gen, _ in letters}
+    if not all(map(g.__contains__, gens)):
+        unknown = next(gen for gen, _ in letters if gen not in g)
+        raise InputError(f"letter over unknown generator {unknown!r}")
+    occurring = sorted(gens)
+    index = {x: i for i, x in enumerate(occurring)}
+    width = len(letters).bit_length() + 1
+    mask = (1 << width) - 1
+    shifts = [width * i for i in range(len(occurring))]
+    # inc[i] has a 1 in the field of each occurring generator that does not
+    # commute with occurring[i].  It is read as binary text, last field
+    # first: one flag byte per generator (1 where it commutes), each widened
+    # to its field.
+    commuting, blocking = b"0" * width, b"0" * (width - 1) + b"1"
+    backwards = occurring[::-1]
+    inc = [
+        int(bytes(map(g.neighbors(x).__contains__, backwards))
+            .replace(b"\x01", commuting).replace(b"\x00", blocking), 2) - (1 << shift)
+        for x, shift in zip(occurring, shifts)
+    ]
+
+    stacks: list[list] = [[] for _ in occurring]
+    live = 0  # per field: live pieces that do not commute with its generator
+    for gen, sign in letters:
+        i = index[gen]
+        c = (live >> shifts[i]) & mask
+        stack = stacks[i]
+        if stack and stack[-1] == (c, -sign):
+            stack.pop()
+            live -= inc[i]
+        else:
+            stack.append((c, sign))
+            live += inc[i]
+
+    top = 1 << (width - 1)
+    spent = top - 1
+    fill = sum(spent << shift for shift in shifts)
+    high = sum(top << shift for shift in shifts)
+    for stack in stacks:
+        stack.reverse()
+    # per field: the front piece's count, minus the non-commuting pieces
+    # emitted so far, plus ``spent``
+    gap = fill + sum((stack[-1][0] if stack else spent) << shift
+                     for stack, shift in zip(stacks, shifts))
+    faces = [(Letter(x, 1), Letter(x, -1)) for x in occurring]
+    out = []
+    for _ in range(sum(map(len, stacks))):
+        least = high & ~gap
+        # the top bit of field i is bit width * (i + 1) - 1
+        i = (least & -least).bit_length() // width - 1
+        stack = stacks[i]
+        c, sign = stack.pop()
+        after = stack[-1][0] if stack else spent
+        gap += ((after - c) << shifts[i]) - inc[i]
+        out.append(faces[i][sign < 0])
+    return NormalWord._trusted(tuple(out))
 
 
 def free_reduce(w: Word, alphabet: Collection[str]) -> Word:

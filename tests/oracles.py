@@ -67,6 +67,32 @@ def free_reduce(letters):
     return tuple(out)
 
 
+def insertion_normal_form(letters, edges):
+    """Normal form by insertion, one letter at a time, for long words.
+
+    The output so far is the normal form of the prefix read.  A new letter
+    walks back over the suffix of letters whose generators it commutes
+    with.  If the letter just before that suffix is its inverse, the two
+    cancel: every letter between them commutes with it, so none was held
+    in place by it.  Otherwise it goes in before the first letter of the
+    suffix that is greater than it, the lexicographically least place it
+    can take.  ``edges`` are pairs of commuting generators.
+    """
+    commute = {frozenset(e) for e in edges}
+    out = []
+    for gen, sign in letters:
+        j = len(out)
+        while j and out[j - 1][0] != gen and frozenset((gen, out[j - 1][0])) in commute:
+            j -= 1
+        if j and out[j - 1] == (gen, -sign):
+            del out[j - 1]
+            continue
+        while j < len(out) and letter_key(out[j]) < letter_key((gen, sign)):
+            j += 1
+        out.insert(j, (gen, sign))
+    return tuple(out)
+
+
 def bouquet_automaton(generator_words, alphabet):
     """Stallings automaton of the subgroup of the free group on ``alphabet``
     generated by the words, as text in the Stallings serialization.

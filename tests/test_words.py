@@ -23,7 +23,14 @@ from pcgroups import (
     parse_word,
     support,
 )
-from oracles import bfs_reachable, oracle_normal_form, random_word, word_key
+from oracles import (
+    all_labeled_graphs,
+    bfs_reachable,
+    insertion_normal_form,
+    oracle_normal_form,
+    random_word,
+    word_key,
+)
 from oracles import free_reduce as oracle_free_reduce
 
 XY_EDGE = SimpleGraph(("x", "y"), [("x", "y")])
@@ -33,6 +40,10 @@ PATH_XYZ = SimpleGraph(("x", "y", "z"), [("x", "y"), ("y", "z")])
 
 def w(text):
     return parse_word(text)
+
+
+def random_word_of_length(rng, alphabet, length):
+    return tuple((rng.choice(alphabet), rng.choice((1, -1))) for _ in range(length))
 
 
 class TestParsing:
@@ -120,7 +131,7 @@ class TestAlgebra:
 
     def test_built_words_hold_letters(self):
         word = w("x y^-1")
-        for built in (~word, word * word, word**3, word**-2, multiply(word, word)):
+        for built in (word, w("z^3 x^-2"), ~word, word * word, word**3, word**-2, multiply(word, word)):
             assert all(isinstance(letter, Letter) for letter in built.letters)
         assert type(~word) is Word and type(normal_form(word, XY_EDGE)) is NormalWord
 
@@ -186,6 +197,10 @@ class TestNormalForm:
     def test_unknown_generator(self):
         with pytest.raises(InputError, match="'q'"):
             normal_form(w("q"), XY_EDGE)
+        # the first unknown letter in word order is named
+        for text, first in (("x q y z q^-1", "q"), ("z^-1 y q x", "z"), ("y a b c d e f", "a")):
+            with pytest.raises(InputError, match=f"^letter over unknown generator '{first}'$"):
+                normal_form(w(text), XY_EDGE)
 
 
 class TestAgainstOracle:
@@ -216,6 +231,44 @@ class TestAgainstOracle:
             nf = tuple(normal_form(Word(word), PATH_XYZ).letters)
             shortest = [u for u in bfs_reachable(word, PATH_XYZ) if len(u) == len(nf)]
             assert word_key(nf) == min(word_key(u) for u in shortest)
+
+
+class TestAgainstInsertionReferee:
+    # lengths 2**b - 1 and 2**b sit at the edges of the counter field width
+    EDGE_LENGTHS = sorted({n for b in range(9) for n in (2**b - 1, 2**b)})
+
+    def test_referee_matches_bfs_oracle(self):
+        rng = random.Random(43)
+        graphs = [g for n in range(1, 5) for g in all_labeled_graphs(n)]
+        for _ in range(1000):
+            g = rng.choice(graphs)
+            letters = random_word(rng, g.vertices, 6)
+            assert insertion_normal_form(letters, g.edges) == oracle_normal_form(letters, g)
+
+    def test_long_words(self):
+        rng = random.Random(47)
+        for case in range(2000):
+            names = [f"g{i:02d}" for i in range(rng.randint(1, 30))]
+            p = rng.choice((0.0, 0.1, 0.3, 0.5, 0.7, 0.9, 1.0))
+            g = SimpleGraph(names, (e for e in itertools.combinations(names, 2) if rng.random() < p))
+            length = rng.choice(self.EDGE_LENGTHS) if case % 2 else rng.randrange(401)
+            kind = case // 2 % 4
+            if kind == 0:  # letters over every generator
+                letters = random_word_of_length(rng, names, length)
+            elif kind == 1:  # letters over two or three generators: many cancel
+                letters = random_word_of_length(rng, rng.sample(names, min(len(names), rng.randint(2, 3))), length)
+            elif kind == 2:  # runs of one generator
+                letters = []
+                while len(letters) < length:
+                    letters += [(rng.choice(names), rng.choice((1, -1)))] * rng.randint(1, length)
+                letters = tuple(letters[:length])
+            else:  # a word times its inverse, which cancels to nothing
+                half = random_word_of_length(rng, names, length // 2)
+                letters = half + tuple((gen, -sign) for gen, sign in reversed(half))
+            nf = normal_form(Word(letters), g)
+            assert tuple(nf.letters) == insertion_normal_form(letters, g.edges), (case, names, p)
+            if kind == 3:
+                assert nf.letters == ()
 
 
 class TestAreEqual:
