@@ -13,7 +13,10 @@ induced-P3 triple.
 that graph" for the small catalog of patterns where subgroup embedding is
 equivalent to induced-subgraph containment.  That equivalence fails in
 general (F3 embeds in F2 while a 3-vertex edgeless graph never embeds in a
-2-vertex one), so non-catalog patterns are rejected outright.
+2-vertex one), so non-catalog patterns are rejected outright.  Each catalog
+entry is decided by a direct test on the host graph rather than by a search
+for the pattern: a count, the component decomposition, the clique search,
+the cograph split or common neighbourhoods.
 """
 
 from __future__ import annotations
@@ -25,12 +28,14 @@ from typing import Optional
 from .errors import InputError
 from .graphs import (
     SimpleGraph,
+    _has_clique,
+    _has_induced_c4,
+    _has_induced_p4,
     clique_number,
     complete_decomposition,
     complete_graph,
     cycle_graph,
     edgeless_graph,
-    find_induced_embedding,
     find_induced_p3,
     path_graph,
 )
@@ -201,14 +206,30 @@ def embeds_in(pattern_entry: ExplicitCatalogEntry, host: SimpleGraph) -> bool:
 
     Only valid for catalog entries; anything else raises, because for general
     graphs subgroup embedding does not reduce to the induced-subgraph
-    question.  Complete patterns are answered through the clique number, the
-    rest through induced-pattern search.
+    question.  Each entry is decided directly, in polynomial time except for
+    K_n: the trivial group embeds everywhere, Z in any non-empty graph's
+    group and F2 when two vertices are not adjacent; K_n by a clique search
+    that stops at the first n-clique; P3 when some component is not
+    complete; P4 when the host is not a cograph; C4 when two non-adjacent
+    vertices have two non-adjacent common neighbours.
     """
     if not _entry_shape_ok(pattern_entry):
         raise InputError(
             f"pattern {pattern_entry.name!r} does not match the explicit catalog; "
             "group embedding is not detectable from induced subgraphs in general"
         )
-    if pattern_entry.name.startswith("K_"):
-        return clique_number(host) >= len(pattern_entry.pattern.vertices)
-    return find_induced_embedding(pattern_entry.pattern, host) is not None
+    name = pattern_entry.name
+    n = len(host.vertices)
+    if name.startswith("K_"):
+        return _has_clique(host, len(pattern_entry.pattern.vertices))
+    if name == "edgeless_0":
+        return True
+    if name == "edgeless_1":
+        return n > 0
+    if name == "edgeless_2":
+        return len(host.edges) < n * (n - 1) // 2
+    if name == "P3":
+        return complete_decomposition(host) is None
+    if name == "P4":
+        return _has_induced_p4(host)
+    return _has_induced_c4(host)

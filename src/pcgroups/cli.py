@@ -144,7 +144,7 @@ def _cmd_self_check(args, stdout) -> int:
         verts = names[:n]
         pairs = list(combinations(verts, 2))
         for mask in range(1 << len(pairs)):
-            g = SimpleGraph(verts, (p for i, p in enumerate(pairs) if mask >> i & 1))
+            g = SimpleGraph._trusted(verts, (p for i, p in enumerate(pairs) if mask >> i & 1))
             checked += 1
             # classify decides by complete components; transitivity of the
             # reflexive closure is the independent referee

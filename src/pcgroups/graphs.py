@@ -4,7 +4,16 @@ Everywhere else in the package a graph doubles as a group presentation:
 vertices are generators and an edge means the two generators commute.  This
 module is purely combinatorial: induced subgraphs, connectivity, the
 path-on-three-vertices search, joins and disjoint unions, induced-pattern
-matching, and exact clique number.
+matching by backtracking, the exact clique number, and polynomial tests for
+an induced P4 or C4.
+
+The last three work on adjacency bitmasks, one Python int per vertex, which a
+graph builds on first use and keeps.  The clique number splits the graph into
+components and co-components and runs a branch and bound cut by greedy
+colourings (Tomita & Seki's MCQ) on each part that splits neither way; a P4
+shows up when such a part has two or more vertices (the graph is then not a
+cograph); a C4 is a non-adjacent pair whose common neighbourhood is not a
+clique.
 
 Vertex names are opaque strings ordered lexicographically; every "least
 witness" promise made by the search functions refers to that order.
@@ -53,29 +62,44 @@ class SimpleGraph:
     stored canonically, so equality and hashing behave as expected.
     """
 
-    __slots__ = ("vertices", "edges", "_adj")
+    __slots__ = ("vertices", "edges", "_adj", "_masks")
 
     def __init__(self, vertices: Iterable[str], edges: Iterable = ()):
         vs = tuple(sorted(set(vertices)))
         for v in vs:
             if not isinstance(v, str) or not v:
                 raise InputError(f"vertex names must be non-empty strings, got {v!r}")
-        adj: dict[str, set[str]] = {v: set() for v in vs}
-        canon = set()
-        for pair in edges:
-            u, v = pair
+        known = set(vs)
+        pairs = []
+        for u, v in edges:
             if u == v:
                 raise InputError(f"loop edge at {u!r} is not allowed")
-            if u not in adj:
+            if u not in known:
                 raise InputError(f"edge endpoint {u!r} is not a vertex")
-            if v not in adj:
+            if v not in known:
                 raise InputError(f"edge endpoint {v!r} is not a vertex")
+            pairs.append((u, v))
+        self._fill(vs, pairs)
+
+    @classmethod
+    def _trusted(cls, vertices: Iterable[str], pairs: Iterable) -> "SimpleGraph":
+        """Build from distinct non-empty names and pairs of two distinct names
+        among them, as this library produces them, unchecked."""
+        g = object.__new__(cls)
+        g._fill(tuple(sorted(vertices)), pairs)
+        return g
+
+    def _fill(self, vs: tuple, pairs: Iterable) -> None:
+        adj: dict[str, set[str]] = {v: set() for v in vs}
+        canon = set()
+        for u, v in pairs:
             canon.add((u, v) if u < v else (v, u))
             adj[u].add(v)
             adj[v].add(u)
         self.vertices = vs
         self.edges = frozenset(canon)
         self._adj = {v: frozenset(ns) for v, ns in adj.items()}
+        self._masks = None
 
     def adjacent(self, u: str, v: str) -> bool:
         if u not in self._adj:
@@ -115,7 +139,7 @@ def induced_subgraph(g: SimpleGraph, ys: Iterable[str]) -> SimpleGraph:
     for y in sorted(keep):
         if y not in g._adj:
             raise InputError(f"unknown vertex {y!r}")
-    return SimpleGraph(keep, (e for e in g.edges if e[0] in keep and e[1] in keep))
+    return SimpleGraph._trusted(keep, (e for e in g.edges if e[0] in keep and e[1] in keep))
 
 
 def connected_components(g: SimpleGraph) -> tuple[tuple[str, ...], ...]:
@@ -202,7 +226,7 @@ def _check_disjoint(g1: SimpleGraph, g2: SimpleGraph) -> None:
 def disjoint_union(g1: SimpleGraph, g2: SimpleGraph) -> SimpleGraph:
     """Union of two graphs over disjoint vertex names."""
     _check_disjoint(g1, g2)
-    return SimpleGraph(g1.vertices + g2.vertices, list(g1.edges) + list(g2.edges))
+    return SimpleGraph._trusted(g1.vertices + g2.vertices, g1.edges | g2.edges)
 
 
 def join(g1: SimpleGraph, g2: SimpleGraph) -> SimpleGraph:
@@ -210,7 +234,7 @@ def join(g1: SimpleGraph, g2: SimpleGraph) -> SimpleGraph:
     _check_disjoint(g1, g2)
     edges = list(g1.edges) + list(g2.edges)
     edges.extend((u, v) for u in g1.vertices for v in g2.vertices)
-    return SimpleGraph(g1.vertices + g2.vertices, edges)
+    return SimpleGraph._trusted(g1.vertices + g2.vertices, edges)
 
 
 def relabel(g: SimpleGraph, mapping: dict) -> SimpleGraph:
@@ -282,28 +306,217 @@ def find_induced_embedding(
     return InducedEmbedding(tuple((p, assigned[p]) for p in pverts))
 
 
-def clique_number(g: SimpleGraph) -> int:
-    """Size of a largest complete subgraph, by branch and bound.
+def _bitsets(g: SimpleGraph) -> list[int]:
+    """Adjacency bitmasks, built on first use and kept on the graph.
 
-    Vertices are expanded in degree-descending order and a branch is cut when
-    even taking every remaining candidate cannot beat the incumbent.  The
-    search keeps its own stack of (size, candidates, next index) frames, so
-    its depth is not bounded by the interpreter's recursion limit.
-    """
-    adj = g._adj
-    order = sorted(g.vertices, key=lambda v: (-len(adj[v]), v))
-    best = 0
-    stack = [(0, order, 0)]
-    while stack:
-        size, cands, i = stack.pop()
-        if size + len(cands) - i <= best:
+    Vertex sets are Python ints.  Vertices are ranked by degree, highest
+    first (ties by name), and the vertex of rank r is bit ``n - 1 - r``, so
+    taking a set's highest bit first visits it in rank order.  ``masks[b]``
+    is the set of neighbours of the vertex at bit ``b``."""
+    masks = g._masks
+    if masks is None:
+        adj = g._adj
+        by_bit = sorted(g.vertices, key=lambda v: (-len(adj[v]), v), reverse=True)
+        bit = {v: 1 << b for b, v in enumerate(by_bit)}
+        masks = g._masks = [sum(map(bit.__getitem__, adj[v])) for v in by_bit]
+    return masks
+
+
+def _components(masks: list[int], s: int, co: bool) -> list[int]:
+    """Vertex sets of the components of the subgraph induced on ``s``, or of
+    its complement when ``co``."""
+    parts = []
+    while s:
+        top = 1 << (s.bit_length() - 1)
+        part = frontier = top
+        s ^= top
+        while frontier:
+            v = frontier.bit_length() - 1
+            frontier ^= 1 << v
+            near = s & masks[v]
+            new = s ^ near if co else near
+            if new:
+                s ^= new
+                part |= new
+                frontier |= new
+        parts.append(part)
+    return parts
+
+
+def _split(masks: list[int], s: int) -> tuple[bool, list[int]]:
+    """``(False, components)`` of the subgraph induced on ``s`` when it is
+    disconnected, else ``(True, co-components)``: the parts of a join.  One
+    part means ``s`` splits neither way."""
+    parts = _components(masks, s, False)
+    if len(parts) != 1:
+        return False, parts
+    return True, _components(masks, s, True)
+
+
+def _colour(anti: list[int], bits: list[int], cands: int, floor: int) -> tuple[list, list, int]:
+    """Greedy sequential colouring of the vertex set ``cands`` in rank order.
+
+    Each colour class takes the highest uncoloured candidate, then every
+    lower one adjacent to none taken so far (``anti[v]`` is every vertex but
+    v and its neighbours).  A clique meets each class at most once, so a
+    vertex of colour c starts no clique of more than c candidates.  Returns
+    the vertices of colour above ``floor`` with their colours, in colour
+    order, and the number of colours."""
+    verts: list[int] = []
+    colours: list[int] = []
+    k = 0
+    uncoloured = cands
+    while uncoloured:
+        k += 1
+        free = uncoloured
+        while free:
+            v = free.bit_length() - 1
+            free &= anti[v]
+            uncoloured ^= bits[v]
+            if k > floor:
+                verts.append(v)
+                colours.append(k)
+    return verts, colours, k
+
+
+def _clique_search(masks: list[int], anti: list[int], bits: list[int], cands: int,
+                   best: int, stop: int) -> int:
+    """Largest clique within ``cands`` if it exceeds ``best``, else ``best``;
+    returns as soon as a clique of ``stop`` vertices is found.
+
+    MCQ-style branch and bound (Tomita & Seki, DMTCS 2003) over bitsets, as
+    in San Segundo et al.'s BBMC.  A frame holds a clique size, its
+    candidates, and the candidates whose colour could beat the incumbent,
+    expanded from the last, i.e. in reverse colour order.  Expanding v drops
+    it from its frame's candidates and colours the candidates adjacent to v;
+    a frame is abandoned once its clique size plus the next colour cannot
+    beat the incumbent.  Candidates that take one colour each are a clique
+    and end the branch.  The stack is explicit, so the depth is not bounded
+    by the interpreter's recursion limit."""
+    stack = []
+    size = 0
+    while True:
+        verts, colours, k = _colour(anti, bits, cands, best - size)
+        if k == cands.bit_count():
+            if size + k > best:
+                best = size + k
+                if best >= stop:
+                    return best
+        elif verts:
+            stack.append([size, cands, verts, colours])
+        while stack:
+            frame = stack[-1]
+            size, cands, verts, colours = frame
+            if verts and size + colours.pop() > best:
+                v = verts.pop()
+                frame[1] = cands ^ bits[v]
+                size, cands = size + 1, cands & masks[v]
+                break
+            stack.pop()
+        else:
+            return best
+
+
+def _clique_value(masks: list[int], best: int, stop: int) -> int:
+    """The clique number if it exceeds ``best``, else ``best``; returns as
+    soon as it reaches ``stop``.
+
+    The clique number of a disconnected graph is the largest over its
+    components, and that of a graph with a disconnected complement (a join)
+    the sum over its co-components.  The vertex set is split that way as far
+    as it goes, on an explicit stack of frames (join?, parts left, value so
+    far, best, stop), and a part that splits neither way is handed to the
+    clique search.  A component is searched with the value so far as its
+    incumbent.  A co-component is valued exactly, up to what its join still
+    needs to reach ``stop``."""
+    n = len(masks)
+    full = (1 << n) - 1
+    bits = [1 << v for v in range(n)]
+    anti = [full ^ m ^ bits[v] for v, m in enumerate(masks)]
+
+    def frame(s: int, best: int, stop: int) -> list:
+        join, parts = _split(masks, s)
+        if len(parts) == 1:
+            return [False, [], _clique_search(masks, anti, bits, s, best, stop), best, stop]
+        return [join, parts, 0 if join else best, best, stop]
+
+    stack = [frame(full, best, stop)]
+    while True:
+        join, parts, value, best, stop = stack[-1]
+        if parts and value < stop:
+            s = parts.pop()
+            stack.append(frame(s, 0, stop - value) if join else frame(s, value, stop))
             continue
-        nv = adj[cands[i]]
-        stack.append((size, cands, i + 1))
-        stack.append((size + 1, [u for u in cands[i + 1 :] if u in nv], 0))
-        if size >= best:
-            best = size + 1
-    return best
+        stack.pop()
+        value = max(value, best)
+        if not stack:
+            return value
+        parent = stack[-1]
+        parent[2] = parent[2] + value if parent[0] else value
+
+
+def clique_number(g: SimpleGraph) -> int:
+    """Size of a largest complete subgraph.
+
+    The graph is split into components, whose largest clique number is the
+    graph's, and co-components, whose clique numbers add up.  Each part
+    that splits neither way is searched by branch and bound over adjacency
+    bitsets with vertices ranked by degree: a greedy colouring of each
+    branch's candidates bounds the clique it can reach, and vertices are
+    expanded in reverse colour order (Tomita & Seki's MCQ).  Both the split
+    and the search keep their own stacks, so the depth is not bounded by the
+    interpreter's recursion limit."""
+    masks = _bitsets(g)
+    return _clique_value(masks, 0, len(masks))
+
+
+def _has_clique(g: SimpleGraph, n: int) -> bool:
+    """Does ``g`` contain n pairwise adjacent vertices?  The clique number's
+    computation with an incumbent of n - 1, stopped at the first n-clique."""
+    return _clique_value(_bitsets(g), n - 1, n) >= n
+
+
+def _has_induced_p4(g: SimpleGraph) -> bool:
+    """Does ``g`` contain an induced path on four vertices?
+
+    A graph is P4-free (a cograph) iff every induced subgraph on at least two
+    vertices is disconnected or has a disconnected complement (Seinsche, JCT
+    B 1974; Corneil, Lerchs & Stewart Burlingham, DAM 1981).  P4 is connected
+    and self-complementary, so it lies in a graph iff it lies in one of its
+    components, or in one of its co-components when the graph is connected.
+    The split runs on an explicit stack of vertex sets; sets of at most
+    three vertices cannot hold a P4 and are dropped."""
+    masks = _bitsets(g)
+    stack = [(1 << len(masks)) - 1]
+    while stack:
+        s = stack.pop()
+        if s.bit_count() < 4:
+            continue
+        _, parts = _split(masks, s)
+        if len(parts) == 1:
+            return True
+        stack.extend(parts)
+    return False
+
+
+def _has_induced_c4(g: SimpleGraph) -> bool:
+    """Does ``g`` contain an induced cycle on four vertices?
+
+    It does iff some non-adjacent pair u, v has two non-adjacent common
+    neighbours, i.e. a common neighbourhood that is not a clique."""
+    masks = _bitsets(g)
+    for u, near_u in enumerate(masks):
+        far = ((1 << u) - 1) & ~near_u
+        while far:
+            v = far.bit_length() - 1
+            far ^= 1 << v
+            rest = near_u & masks[v]
+            while rest:
+                w = rest.bit_length() - 1
+                rest ^= 1 << w
+                if rest & masks[w] != rest:
+                    return True
+    return False
 
 
 def _names(n_or_names, prefix: str) -> tuple[str, ...]:
@@ -371,7 +584,8 @@ def parse_graph(text: str) -> SimpleGraph:
             if t not in known:
                 raise ParseError(f"unknown vertex {t!r} in edge", line=lineno)
         edges.append((u, v))
-    return SimpleGraph(vertices or (), edges)
+    # every name and edge line was checked above, with its line number
+    return SimpleGraph._trusted(vertices or (), edges)
 
 
 def format_graph(g: SimpleGraph) -> str:

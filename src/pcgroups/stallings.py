@@ -45,6 +45,9 @@ class StallingsGraph:
 
     ``transitions`` maps ``(state, generator) -> state`` for the positive
     direction only; the inverse transition is implied.  The base state is 0.
+    The constructor raises ``InputError`` unless every state lies in
+    ``range(num_states)``, every label is in the alphabet and no two arcs
+    with one label enter one state.
     """
 
     __slots__ = ("alphabet", "num_states", "transitions", "_inverse")
@@ -52,15 +55,23 @@ class StallingsGraph:
     base = 0
 
     def __init__(self, alphabet: tuple[str, ...], num_states: int, transitions: dict):
+        if type(num_states) is not int or num_states < 1:
+            raise InputError(f"num_states must be a positive int, got {num_states!r}")
+        transitions = dict(transitions)
+        known = set(alphabet)
+        inverse = {}
+        for (u, g), v in transitions.items():
+            if g not in known:
+                raise InputError(f"transition label {g!r} is not in the alphabet")
+            for s in (u, v):
+                if type(s) is not int or not 0 <= s < num_states:
+                    raise InputError(f"state {s!r} is outside 0 .. {num_states - 1}")
+            if (v, g) in inverse:
+                raise InputError(f"two {g!r} transitions enter state {v}: not folded")
+            inverse[v, g] = u
         self.alphabet = alphabet
         self.num_states = num_states
-        self.transitions = dict(transitions)
-        inverse = {}
-        for (u, g), v in self.transitions.items():
-            key = (v, g)
-            if key in inverse:  # pragma: no cover - construction guarantees folded
-                raise AssertionError("automaton is not folded")
-            inverse[key] = u
+        self.transitions = transitions
         self._inverse = inverse
 
     @classmethod

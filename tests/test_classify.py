@@ -1,3 +1,5 @@
+import importlib
+import itertools
 import json
 import random
 
@@ -6,6 +8,7 @@ import pytest
 from pcgroups import (
     ExplicitCatalogEntry,
     InputError,
+    SimpleGraph,
     catalog_entry,
     classify,
     clique_number,
@@ -20,7 +23,11 @@ from pcgroups import (
     max_abelian_rank,
     path_graph,
 )
-from oracles import all_labeled_graphs, clique_oracle
+from pcgroups import graphs
+from oracles import all_labeled_graphs, clique_oracle, iso_representatives
+
+# the package attribute ``pcgroups.classify`` is the function
+classify_module = importlib.import_module("pcgroups.classify")
 
 
 def P3():
@@ -178,6 +185,16 @@ class TestEmbedsIn:
             k = clique_number(g)
             for n in range(1, 6):
                 assert embeds_in(catalog_entry(f"K_{n}"), g) == (n <= k)
+        # the K_n test stops at the first n-clique: true at omega, false above
+        rng = random.Random(31)
+        for _ in range(300):
+            size = rng.randrange(1, 13)
+            p = rng.random()
+            names = [f"v{i}" for i in range(size)]
+            g = SimpleGraph(names, (q for q in itertools.combinations(names, 2) if rng.random() < p))
+            k = clique_number(g)
+            assert embeds_in(catalog_entry(f"K_{k}"), g)
+            assert not embeds_in(catalog_entry(f"K_{k + 1}"), g)
 
     def test_forged_entry_rejected(self):
         bogus = ExplicitCatalogEntry("P3", complete_graph(3), "made up")
@@ -186,6 +203,58 @@ class TestEmbedsIn:
         bogus2 = ExplicitCatalogEntry("pentagon", cycle_graph(5), "made up")
         with pytest.raises(InputError):
             embeds_in(bogus2, cycle_graph(5))
+
+    def test_agrees_with_induced_search(self):
+        # find_induced_embedding is the referee for every direct decision
+        entries = list(explicit_catalog()) + [catalog_entry(f"K_{n}") for n in range(1, 7)]
+        hosts = [g for n in range(6) for g in all_labeled_graphs(n)] + iso_representatives(6)
+        for host in hosts:
+            for entry in entries:
+                expected = find_induced_embedding(entry.pattern, host) is not None
+                assert embeds_in(entry, host) == expected, (entry.name, host)
+
+    def test_decisions_do_not_search_for_the_pattern(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("embeds_in must not search for the pattern")
+
+        for module in (graphs, classify_module):
+            monkeypatch.setattr(module, "find_induced_embedding", refuse, raising=False)
+        for entry in list(explicit_catalog()) + [catalog_entry("K_3")]:
+            embeds_in(entry, cycle_graph(5))
+
+    def test_p4_absent_from_complete_multipartite(self):
+        # K_{40,40,40} is a join of edgeless graphs, so a cograph: no P4, but
+        # squares, P3s and triangles
+        parts = [edgeless_graph(40, prefix=f"p{i}_") for i in range(3)]
+        host = join(join(parts[0], parts[1]), parts[2])
+        assert not embeds_in(catalog_entry("P4"), host)
+        assert embeds_in(catalog_entry("C4"), host)
+        assert embeds_in(catalog_entry("P3"), host)
+        assert embeds_in(catalog_entry("K_3"), host)
+        assert not embeds_in(catalog_entry("K_4"), host)
+
+    def test_split_graphs_and_planted_patterns(self):
+        # a clique plus an independent side (a split graph) never holds an
+        # induced C4: two non-adjacent vertices of a square cannot both be
+        # in the clique, and two adjacent ones cannot both be on the side
+        rng = random.Random(90)
+        clique = [f"k{i:02d}" for i in range(45)]
+        side = [f"s{i:02d}" for i in range(45)]
+        within = list(itertools.combinations(clique, 2))
+        random_split = SimpleGraph(clique + side, within + [(s, k) for s in side for k in clique if rng.random() < 0.5])
+        assert not embeds_in(catalog_entry("C4"), random_split)
+        # with nested side neighbourhoods (s_j sees k_0 .. k_j) it is a
+        # threshold graph, free of P4 as well
+        nested = [(s, clique[i]) for j, s in enumerate(side) for i in range(j + 1)]
+        threshold = SimpleGraph(clique + side, within + nested)
+        assert not embeds_in(catalog_entry("C4"), threshold)
+        assert not embeds_in(catalog_entry("P4"), threshold)
+        # s00 - k44 - k01 - s01 becomes an induced P4
+        planted_p4 = SimpleGraph(clique + side, within + nested + [("s00", "k44")])
+        assert embeds_in(catalog_entry("P4"), planted_p4)
+        # without the edge k00 k01, s01 - k00 - s02 - k01 is an induced square
+        planted_c4 = SimpleGraph(clique + side, [e for e in within if e != ("k00", "k01")] + nested)
+        assert embeds_in(catalog_entry("C4"), planted_c4)
 
     def test_p3_detects_non_howson(self):
         # mirror of the acceptance criterion at small scale

@@ -210,6 +210,7 @@ class TestUnionAndJoin:
         a, b = complete_graph(("a",)), complete_graph(("b",))
         assert disjoint_union(a, b) == edgeless_graph(("a", "b"))
         assert join(a, b) == complete_graph(("a", "b"))
+        assert join(b, a) == complete_graph(("a", "b"))  # the cross edge comes out as (b, a)
 
     def test_name_clash_rejected(self):
         with pytest.raises(InputError, match="a"):
@@ -282,6 +283,40 @@ class TestCliqueNumber:
         for n in range(6):
             for g in all_labeled_graphs(n):
                 assert clique_number(g) == clique_oracle(g)
+        rng = random.Random(12)
+        for _ in range(400):
+            n = rng.randrange(7, 13)
+            p = rng.random()
+            names = [f"v{i}" for i in range(n)]
+            g = SimpleGraph(names, (q for q in itertools.combinations(names, 2) if rng.random() < p))
+            assert clique_number(g) == clique_oracle(g)
+
+    def test_complement_of_union_of_paths_cycles_cliques(self):
+        # the complement of a disjoint union is the join of the parts'
+        # complements, so omega is the sum of the parts' independence numbers:
+        # ceil(k/2) for a path, floor(k/2) for a cycle and 1 for a clique
+        rng = random.Random(20)
+        for _ in range(5):
+            pool = [f"v{i:02d}" for i in range(88)]
+            rng.shuffle(pool)  # so that no part is a run of the vertex order
+            names, union, alpha = [], set(), 0
+            while len(names) < 80:
+                kind, k = rng.choice(("path", "cycle", "clique")), rng.randrange(3, 9)
+                block = pool[len(names) : len(names) + k]
+                names += block
+                if kind == "clique":
+                    union.update(itertools.combinations(block, 2))
+                    alpha += 1
+                else:
+                    union.update(zip(block, block[1:]))
+                    if kind == "cycle":
+                        union.add((block[0], block[-1]))
+                    alpha += k // 2 if kind == "cycle" else (k + 1) // 2
+            g = SimpleGraph(names, (
+                (u, v) for u, v in itertools.combinations(names, 2)
+                if (u, v) not in union and (v, u) not in union
+            ))
+            assert clique_number(g) == alpha
 
     def test_join_and_union_arithmetic(self):
         rng = random.Random(9)

@@ -5,6 +5,7 @@ import pytest
 from pcgroups import (
     InputError,
     ParseError,
+    StallingsGraph,
     Word,
     format_stallings,
     from_generators,
@@ -346,6 +347,29 @@ class TestSerialization:
         sg = from_generators([], AB)
         back = parse_stallings(format_stallings(sg))
         assert back.num_states == 1 and back.transitions == {}
+
+
+class TestConstructor:
+    def test_accepts_a_folded_automaton(self):
+        sg = from_generators([w("a^2"), w("b a b^-1")], AB)
+        rebuilt = StallingsGraph(sg.alphabet, sg.num_states, sg.transitions)
+        assert rebuilt == sg
+        assert rebuilt.member(w("b a^4 b^-1")) and not rebuilt.member(w("a"))
+
+    def test_rejects_unfolded(self):
+        with pytest.raises(InputError, match="not folded"):
+            StallingsGraph(("a",), 2, {(0, "a"): 1, (1, "a"): 1})
+
+    def test_rejects_states_outside_the_range(self):
+        for transitions in ({(0, "a"): 5}, {(-1, "a"): 0}, {(0, "a"): "0"}):
+            with pytest.raises(InputError, match="outside"):
+                StallingsGraph(("a",), 1, transitions)
+        with pytest.raises(InputError, match="positive"):
+            StallingsGraph(("a",), 0, {})
+
+    def test_rejects_labels_outside_the_alphabet(self):
+        with pytest.raises(InputError, match="'b'"):
+            StallingsGraph(("a",), 1, {(0, "b"): 0})
 
 
 def test_to_dot_mentions_every_edge():
