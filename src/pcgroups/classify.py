@@ -118,13 +118,34 @@ def max_abelian_rank(g: SimpleGraph) -> int:
     return clique_number(g)
 
 
+class _BuiltOnRead:
+    """The ``pattern`` field of ``ExplicitCatalogEntry``.  A pattern given as
+    None is the complete graph that the entry's ``K_<n>`` name names, built
+    and kept the first time the field is read: ``embeds_in`` decides K_n from
+    n alone, so ``catalog_entry`` leaves it unbuilt."""
+
+    def __get__(self, entry, owner=None):
+        if entry is None:
+            raise AttributeError("pattern")  # no class default: the field stays required
+        g = entry.__dict__["_pattern"]
+        if g is None:
+            g = complete_graph(_complete_order(entry.name), prefix="k")
+            entry.__dict__["_pattern"] = g
+        return g
+
+    def __set__(self, entry, pattern):
+        entry.__dict__["_pattern"] = pattern
+
+
 @dataclass(frozen=True)
 class ExplicitCatalogEntry:
     """A pattern whose group embeds in another graph group exactly when the
-    pattern appears as an induced subgraph, with a provenance note."""
+    pattern appears as an induced subgraph, with a provenance note.  For a
+    ``K_<n>`` name the pattern may be given as None; it is then built when
+    first read.  Entries compare and hash by value, as any frozen dataclass."""
 
     name: str
-    pattern: SimpleGraph
+    pattern: SimpleGraph = _BuiltOnRead()  # type: ignore[assignment]
     provenance: str
 
 
@@ -139,17 +160,24 @@ _PROVENANCE = {
 }
 
 
+def _complete_order(name: str) -> int:
+    """n for a name ``K_<n>``, which must be a whole number >= 1."""
+    try:
+        n = int(name[2:])
+    except ValueError:
+        raise InputError(f"bad complete-graph name {name!r}") from None
+    if n < 1:
+        raise InputError("K_n needs n >= 1")
+    return n
+
+
 def catalog_entry(name: str) -> ExplicitCatalogEntry:
     """Build the catalog entry for one of: K_<n>, P3, P4, C4, edgeless_0,
-    edgeless_1, edgeless_2."""
+    edgeless_1, edgeless_2.  The complete graph of K_<n> is built only when
+    the entry's ``pattern`` is read."""
     if name.startswith("K_"):
-        try:
-            n = int(name[2:])
-        except ValueError:
-            raise InputError(f"bad complete-graph name {name!r}") from None
-        if n < 1:
-            raise InputError("K_n needs n >= 1")
-        return ExplicitCatalogEntry(name, complete_graph(n, prefix="k"), _PROVENANCE["K"])
+        _complete_order(name)
+        return ExplicitCatalogEntry(name, None, _PROVENANCE["K"])
     if name.startswith("edgeless_"):
         if name not in ("edgeless_0", "edgeless_1", "edgeless_2"):
             raise InputError(
@@ -179,25 +207,24 @@ def explicit_catalog() -> tuple[ExplicitCatalogEntry, ...]:
     )
 
 
-def _degree_multiset(g: SimpleGraph) -> tuple[int, ...]:
-    return tuple(sorted(len(g.neighbors(v)) for v in g.vertices))
-
-
 def _entry_shape_ok(entry: ExplicitCatalogEntry) -> bool:
-    g = entry.pattern
-    n = len(g.vertices)
-    e = len(g.edges)
     name = entry.name
+    g = entry._pattern  # None while a K_n pattern is unbuilt
+    if g is None:
+        return name.startswith("K_") and name == f"K_{_complete_order(name)}"
+    n = len(g.vertices)
+    degrees = sorted(map(len, g._adj.values()))
+    e = sum(degrees) // 2
     if name == f"K_{n}" and name.startswith("K_"):
         return n >= 1 and e == n * (n - 1) // 2
     if name == f"edgeless_{n}":
         return n <= 2 and e == 0
     if name == "P3":
-        return n == 3 and e == 2 and _degree_multiset(g) == (1, 1, 2)
+        return degrees == [1, 1, 2]
     if name == "P4":
-        return n == 4 and e == 3 and _degree_multiset(g) == (1, 1, 2, 2)
+        return degrees == [1, 1, 2, 2]
     if name == "C4":
-        return n == 4 and e == 4 and _degree_multiset(g) == (2, 2, 2, 2)
+        return degrees == [2, 2, 2, 2]
     return False
 
 
@@ -221,13 +248,13 @@ def embeds_in(pattern_entry: ExplicitCatalogEntry, host: SimpleGraph) -> bool:
     name = pattern_entry.name
     n = len(host.vertices)
     if name.startswith("K_"):
-        return _has_clique(host, len(pattern_entry.pattern.vertices))
+        return _has_clique(host, int(name[2:]))
     if name == "edgeless_0":
         return True
     if name == "edgeless_1":
         return n > 0
     if name == "edgeless_2":
-        return len(host.edges) < n * (n - 1) // 2
+        return sum(map(len, host._adj.values())) < n * (n - 1)
     if name == "P3":
         return complete_decomposition(host) is None
     if name == "P4":

@@ -30,6 +30,8 @@ def _read(path: str) -> str:
             return handle.read()
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc.strerror}") from None
+    except UnicodeDecodeError as exc:
+        raise InputError(f"cannot read {path}: not UTF-8 text (byte {exc.start})") from None
 
 
 def _load_graph(path: str) -> SimpleGraph:
@@ -143,8 +145,20 @@ def _cmd_self_check(args, stdout) -> int:
     for n in range(6):
         verts = names[:n]
         pairs = list(combinations(verts, 2))
+        # pair i is bit i of the mask.  Each vertex keeps the bits of its own
+        # pairs and its neighbour set under every choice of them, so a
+        # graph's neighbour sets are read straight off its mask.
+        near = []
+        for v in verts:
+            at = [(1 << i, u if w == v else w) for i, (u, w) in enumerate(pairs) if v in (u, w)]
+            table = {
+                sum(bit for bit, _ in chosen): frozenset(w for _, w in chosen)
+                for r in range(len(at) + 1)
+                for chosen in combinations(at, r)
+            }
+            near.append((v, sum(bit for bit, _ in at), table))
         for mask in range(1 << len(pairs)):
-            g = SimpleGraph._trusted(verts, (p for i, p in enumerate(pairs) if mask >> i & 1))
+            g = SimpleGraph._trusted({v: table[mask & bits] for v, bits, table in near})
             checked += 1
             # classify decides by complete components; transitivity of the
             # reflexive closure is the independent referee

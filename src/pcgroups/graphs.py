@@ -7,13 +7,20 @@ path-on-three-vertices search, joins and disjoint unions, induced-pattern
 matching by backtracking, the exact clique number, and polynomial tests for
 an induced P4 or C4.
 
-The last three work on adjacency bitmasks, one Python int per vertex, which a
-graph builds on first use and keeps.  The clique number splits the graph into
-components and co-components and runs a branch and bound cut by greedy
-colourings (Tomita & Seki's MCQ) on each part that splits neither way; a P4
-shows up when such a part has two or more vertices (the graph is then not a
-cograph); a C4 is a non-adjacent pair whose common neighbourhood is not a
-clique.
+A graph stores its adjacency: each vertex name maps to the frozenset of its
+neighbours.  Parsing, induced subgraphs, joins, unions and relabelling write
+neighbour sets directly; the edge set is derived only when it is read.  The
+decomposition into complete components reads closed neighbourhoods and
+needs no search.
+
+The clique number and the P4 and C4 tests work on adjacency bitmasks, one
+Python int per vertex, which a graph builds on first use and keeps.  All
+three split the graph into components and co-components.  The clique number
+runs a branch and bound cut by greedy colourings (Tomita & Seki's MCQ) on
+each part that splits neither way; a P4 shows up when such a part has two or
+more vertices (the graph is then not a cograph); a C4 shows up when a join
+has two co-components of two or more vertices, or when such a part has a
+non-adjacent pair whose common neighbourhood is not a clique.
 
 Vertex names are opaque strings ordered lexicographically; every "least
 witness" promise made by the search functions refers to that order.
@@ -57,49 +64,54 @@ __all__ = [
 class SimpleGraph:
     """An immutable, undirected, loopless graph.
 
-    ``vertices`` is a sorted tuple of names and ``edges`` a frozenset of
-    pairs ``(u, v)`` with ``u < v``; the same edge given as ``(v, u)`` is
-    stored canonically, so equality and hashing behave as expected.
+    ``vertices`` is a sorted tuple of names.  The stored shape is adjacency:
+    each name maps to the frozenset of its neighbours.  ``edges``, the
+    frozenset of pairs ``(u, v)`` with ``u < v``, is derived from it on first
+    access and kept; an edge given as ``(v, u)`` comes out as ``(u, v)``, so
+    equality and hashing behave as expected.
     """
 
-    __slots__ = ("vertices", "edges", "_adj", "_masks")
+    __slots__ = ("vertices", "_adj", "_edges", "_masks")
 
     def __init__(self, vertices: Iterable[str], edges: Iterable = ()):
         vs = tuple(sorted(set(vertices)))
-        for v in vs:
-            if not isinstance(v, str) or not v:
-                raise InputError(f"vertex names must be non-empty strings, got {v!r}")
-        known = set(vs)
-        pairs = []
+        _check_names(vs)
+        adj: dict[str, set[str]] = {v: set() for v in vs}
         for u, v in edges:
             if u == v:
                 raise InputError(f"loop edge at {u!r} is not allowed")
-            if u not in known:
+            if u not in adj:
                 raise InputError(f"edge endpoint {u!r} is not a vertex")
-            if v not in known:
+            if v not in adj:
                 raise InputError(f"edge endpoint {v!r} is not a vertex")
-            pairs.append((u, v))
-        self._fill(vs, pairs)
-
-    @classmethod
-    def _trusted(cls, vertices: Iterable[str], pairs: Iterable) -> "SimpleGraph":
-        """Build from distinct non-empty names and pairs of two distinct names
-        among them, as this library produces them, unchecked."""
-        g = object.__new__(cls)
-        g._fill(tuple(sorted(vertices)), pairs)
-        return g
-
-    def _fill(self, vs: tuple, pairs: Iterable) -> None:
-        adj: dict[str, set[str]] = {v: set() for v in vs}
-        canon = set()
-        for u, v in pairs:
-            canon.add((u, v) if u < v else (v, u))
             adj[u].add(v)
             adj[v].add(u)
         self.vertices = vs
-        self.edges = frozenset(canon)
         self._adj = {v: frozenset(ns) for v, ns in adj.items()}
+        self._edges = None
         self._masks = None
+
+    @classmethod
+    def _trusted(cls, adj: dict) -> "SimpleGraph":
+        """Wrap a map from distinct non-empty names to the frozensets of their
+        neighbours, symmetric and loopless, as this library builds it:
+        unchecked and uncopied."""
+        g = object.__new__(cls)
+        g.vertices = tuple(sorted(adj))
+        g._adj = adj
+        g._edges = None
+        g._masks = None
+        return g
+
+    @property
+    def edges(self) -> frozenset:
+        edges = self._edges
+        if edges is None:
+            adj = self._adj
+            edges = self._edges = frozenset(
+                (u, v) for u in self.vertices for v in adj[u] if u < v
+            )
+        return edges
 
     def adjacent(self, u: str, v: str) -> bool:
         if u not in self._adj:
@@ -123,7 +135,7 @@ class SimpleGraph:
     def __eq__(self, other) -> bool:
         if not isinstance(other, SimpleGraph):
             return NotImplemented
-        return self.vertices == other.vertices and self.edges == other.edges
+        return self.vertices == other.vertices and self._adj == other._adj
 
     def __hash__(self) -> int:
         return hash((self.vertices, self.edges))
@@ -132,14 +144,21 @@ class SimpleGraph:
         return f"SimpleGraph({list(self.vertices)!r}, {sorted(self.edges)!r})"
 
 
+def _check_names(names: Iterable) -> None:
+    for v in names:
+        if not isinstance(v, str) or not v:
+            raise InputError(f"vertex names must be non-empty strings, got {v!r}")
+
+
 def induced_subgraph(g: SimpleGraph, ys: Iterable[str]) -> SimpleGraph:
     """The full subgraph of ``g`` spanned by ``ys``: those vertices and every
     edge of ``g`` with both ends among them."""
     keep = set(ys)
+    adj = g._adj
     for y in sorted(keep):
-        if y not in g._adj:
+        if y not in adj:
             raise InputError(f"unknown vertex {y!r}")
-    return SimpleGraph._trusted(keep, (e for e in g.edges if e[0] in keep and e[1] in keep))
+    return SimpleGraph._trusted({v: adj[v] & keep for v in keep})
 
 
 def connected_components(g: SimpleGraph) -> tuple[tuple[str, ...], ...]:
@@ -201,16 +220,29 @@ def complete_decomposition(g: SimpleGraph) -> Optional[tuple[int, ...]]:
     """Component sizes, sorted descending, if every component is complete.
 
     Returns None as soon as some component misses an edge.  The empty graph
-    decomposes into the empty multiset ``()``.
+    decomposes into the empty multiset ``()``.  Read off closed
+    neighbourhoods, with no search: for the least vertex v not yet placed,
+    N[v] is a complete component iff every neighbour u of v has as many
+    neighbours as v and all of them in N[v] (then N[u] = N[v]).  Otherwise
+    the component of v is not complete.
     """
     adj = g._adj
+    placed: set[str] = set()
     sizes = []
-    for block in connected_components(g):
-        k = len(block)
-        if any(len(adj[v]) != k - 1 for v in block):
-            return None
-        sizes.append(k)
-    return tuple(sorted(sizes, reverse=True))
+    for v in g.vertices:
+        if v in placed:
+            continue
+        near = adj[v]
+        k = len(near)
+        closed = near | {v}
+        for u in near:
+            around = adj[u]
+            if len(around) != k or not around <= closed:
+                return None
+        placed |= near
+        sizes.append(k + 1)
+    sizes.sort(reverse=True)
+    return tuple(sizes)
 
 
 def _check_disjoint(g1: SimpleGraph, g2: SimpleGraph) -> None:
@@ -226,15 +258,16 @@ def _check_disjoint(g1: SimpleGraph, g2: SimpleGraph) -> None:
 def disjoint_union(g1: SimpleGraph, g2: SimpleGraph) -> SimpleGraph:
     """Union of two graphs over disjoint vertex names."""
     _check_disjoint(g1, g2)
-    return SimpleGraph._trusted(g1.vertices + g2.vertices, g1.edges | g2.edges)
+    return SimpleGraph._trusted({**g1._adj, **g2._adj})
 
 
 def join(g1: SimpleGraph, g2: SimpleGraph) -> SimpleGraph:
     """Disjoint union plus every edge from one side to the other."""
     _check_disjoint(g1, g2)
-    edges = list(g1.edges) + list(g2.edges)
-    edges.extend((u, v) for u in g1.vertices for v in g2.vertices)
-    return SimpleGraph._trusted(g1.vertices + g2.vertices, edges)
+    side1, side2 = frozenset(g1.vertices), frozenset(g2.vertices)
+    adj = {v: near | side2 for v, near in g1._adj.items()}
+    adj.update((v, near | side1) for v, near in g2._adj.items())
+    return SimpleGraph._trusted(adj)
 
 
 def relabel(g: SimpleGraph, mapping: dict) -> SimpleGraph:
@@ -244,9 +277,10 @@ def relabel(g: SimpleGraph, mapping: dict) -> SimpleGraph:
         raise InputError(f"mapping misses vertices: {missing}")
     if len(set(mapping[v] for v in g.vertices)) != len(g.vertices):
         raise InputError("mapping is not injective on the vertex set")
-    return SimpleGraph(
-        (mapping[v] for v in g.vertices),
-        ((mapping[u], mapping[v]) for u, v in g.edges),
+    _check_names(mapping[v] for v in g.vertices)
+    adj = g._adj
+    return SimpleGraph._trusted(
+        {mapping[v]: frozenset(map(mapping.__getitem__, adj[v])) for v in g.vertices}
     )
 
 
@@ -502,11 +536,39 @@ def _has_induced_p4(g: SimpleGraph) -> bool:
 def _has_induced_c4(g: SimpleGraph) -> bool:
     """Does ``g`` contain an induced cycle on four vertices?
 
-    It does iff some non-adjacent pair u, v has two non-adjacent common
-    neighbours, i.e. a common neighbourhood that is not a clique."""
+    A square is connected, so it lies in one component.  Its complement is
+    two disjoint edges, so in a join it lies in one co-component or takes a
+    non-adjacent pair from each of two; a co-component of two or more
+    vertices is connected in the complement, so it holds such a pair.  The
+    graph is split that way, as for the P4 test; on a part that splits
+    neither way, a square is a non-adjacent pair u, v with two non-adjacent
+    common neighbours, i.e. a common neighbourhood that is not a clique."""
     masks = _bitsets(g)
-    for u, near_u in enumerate(masks):
-        far = ((1 << u) - 1) & ~near_u
+    stack = [(1 << len(masks)) - 1]
+    while stack:
+        s = stack.pop()
+        if s.bit_count() < 4:
+            continue
+        join, parts = _split(masks, s)
+        if len(parts) == 1:
+            if _pair_has_c4(masks, s):
+                return True
+        elif join and sum(p & (p - 1) != 0 for p in parts) >= 2:
+            return True
+        else:
+            stack.extend(parts)
+    return False
+
+
+def _pair_has_c4(masks: list[int], s: int) -> bool:
+    """Does the subgraph induced on ``s`` hold a non-adjacent pair whose
+    common neighbourhood is not a clique?"""
+    rest_u = s
+    while rest_u:
+        u = rest_u.bit_length() - 1
+        rest_u ^= 1 << u
+        near_u = masks[u] & s
+        far = rest_u & ~near_u
         while far:
             v = far.bit_length() - 1
             far ^= 1 << v
@@ -550,29 +612,28 @@ def cycle_graph(n_or_names, prefix: str = "v") -> SimpleGraph:
 
 
 def parse_graph(text: str) -> SimpleGraph:
-    """Parse the one-graph text format described in the module docstring."""
-    vertices: Optional[list[str]] = None
-    known: set[str] = set()
-    edges = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        tokens = line.split()
-        if vertices is None:
-            seen: set[str] = set()
+    """Parse the one-graph text format described in the module docstring.
+
+    Each name and edge line is checked once, with its line number, and each
+    edge is written straight into both endpoints' neighbour sets."""
+    lines = [raw.split("#", 1)[0] for raw in text.splitlines()]
+    numbered = enumerate(map(str.split, lines), start=1)
+    adj: dict[str, set[str]] = {}
+    for lineno, tokens in numbered:
+        if tokens:
             for t in tokens:
                 if "^" in t:
                     raise ParseError(
                         f"vertex name {t!r} may not contain '^'", line=lineno
                     )
-                if t in seen:
+                if t in adj:
                     raise ParseError(f"duplicate vertex name {t!r}", line=lineno)
-                seen.add(t)
-            vertices = tokens
-            known = seen
-            continue
+                adj[t] = set()
+            break
+    for lineno, tokens in numbered:
         if len(tokens) != 2:
+            if not tokens:
+                continue
             raise ParseError(
                 f"edge line needs exactly two vertex names, got {len(tokens)}",
                 line=lineno,
@@ -580,12 +641,13 @@ def parse_graph(text: str) -> SimpleGraph:
         u, v = tokens
         if u == v:
             raise ParseError(f"loop edge '{u} {v}' is not allowed", line=lineno)
-        for t in (u, v):
-            if t not in known:
-                raise ParseError(f"unknown vertex {t!r} in edge", line=lineno)
-        edges.append((u, v))
-    # every name and edge line was checked above, with its line number
-    return SimpleGraph._trusted(vertices or (), edges)
+        try:
+            adj[u].add(v)
+            adj[v].add(u)
+        except KeyError:
+            unknown = u if u not in adj else v
+            raise ParseError(f"unknown vertex {unknown!r} in edge", line=lineno) from None
+    return SimpleGraph._trusted({v: frozenset(near) for v, near in adj.items()})
 
 
 def format_graph(g: SimpleGraph) -> str:

@@ -1,3 +1,4 @@
+import dataclasses
 import importlib
 import itertools
 import json
@@ -143,6 +144,23 @@ class TestCatalog:
         assert len(entry.pattern.vertices) == 4
         assert len(entry.pattern.edges) == 6
 
+    def test_entries_are_frozen_values(self):
+        for name in ("K_5", "P3", "P4", "C4", "edgeless_0", "edgeless_1", "edgeless_2"):
+            a, b = catalog_entry(name), catalog_entry(name)
+            assert a == b and hash(a) == hash(b)
+        lazy = catalog_entry("K_3")
+        built = ExplicitCatalogEntry("K_3", complete_graph(3, prefix="k"), lazy.provenance)
+        assert lazy == built and hash(lazy) == hash(built)
+        assert catalog_entry("K_3") != catalog_entry("K_4")
+        assert catalog_entry("P3") != catalog_entry("P4")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            lazy.name = "K_4"
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            lazy.pattern = path_graph(3)
+        assert [f.name for f in dataclasses.fields(lazy)] == ["name", "pattern", "provenance"]
+        assert dataclasses.replace(lazy, provenance="p").pattern == complete_graph(3, prefix="k")
+        assert dataclasses.asdict(catalog_entry("P3"))["name"] == "P3"
+
     def test_unknown_names_rejected(self):
         with pytest.raises(InputError):
             catalog_entry("Q7")
@@ -200,6 +218,8 @@ class TestEmbedsIn:
         bogus = ExplicitCatalogEntry("P3", complete_graph(3), "made up")
         with pytest.raises(InputError, match="not detectable"):
             embeds_in(bogus, cycle_graph(4))
+        with pytest.raises(InputError, match="not detectable"):
+            embeds_in(ExplicitCatalogEntry("K_3", path_graph(3), "made up"), cycle_graph(4))
         bogus2 = ExplicitCatalogEntry("pentagon", cycle_graph(5), "made up")
         with pytest.raises(InputError):
             embeds_in(bogus2, cycle_graph(5))
@@ -255,6 +275,28 @@ class TestEmbedsIn:
         # without the edge k00 k01, s01 - k00 - s02 - k01 is an induced square
         planted_c4 = SimpleGraph(clique + side, [e for e in within if e != ("k00", "k01")] + nested)
         assert embeds_in(catalog_entry("C4"), planted_c4)
+
+    def test_c4_on_the_component_split(self):
+        c4 = catalog_entry("C4")
+        # vertex i sees every earlier vertex when i is odd: a threshold graph,
+        # so a cograph that splits down to single vertices and has no square
+        names = [f"t{i:03d}" for i in range(300)]
+        nested = [(names[j], names[i]) for i in range(1, 300, 2) for j in range(i)]
+        assert not embeds_in(c4, SimpleGraph(names, nested))
+        # without the edge t003 t005, t000 - t003 - t002 - t005 is a square
+        planted = SimpleGraph(names, [e for e in nested if e != ("t003", "t005")])
+        square = ("t000", "t003", "t002", "t005")
+        assert all(planted.adjacent(square[i - 1], square[i]) for i in range(4))
+        assert not planted.adjacent("t000", "t002") and not planted.adjacent("t003", "t005")
+        assert embeds_in(c4, planted)
+        # a join of two non-cliques holds a square with a non-adjacent pair
+        # from each side, although neither side holds one
+        for left, right in ((path_graph(3, prefix="x"), path_graph(3, prefix="y")),
+                            (path_graph(4, prefix="x"), edgeless_graph(2, prefix="y"))):
+            assert not embeds_in(c4, left) and not embeds_in(c4, right)
+            assert embeds_in(c4, join(left, right))
+        # a clique side adds no non-adjacent pair, and a pentagon has no square
+        assert not embeds_in(c4, join(complete_graph(5, prefix="x"), cycle_graph(5, prefix="y")))
 
     def test_p3_detects_non_howson(self):
         # mirror of the acceptance criterion at small scale

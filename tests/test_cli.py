@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -152,6 +153,20 @@ class TestEmbed:
         assert code == 1
 
 
+    def test_k_n_costs_what_the_host_costs(self):
+        # K_n is decided from n; the n-vertex pattern is never built
+        argv = ("embed", "K_1000", str(INPUTS / "p3.graph"))
+        invoke(*argv)  # the parser is built once per process
+        tracemalloc.start()
+        try:
+            code, out, err = invoke(*argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0 and err == "" and json.loads(out) == {"pattern": "K_1000", "embeds": False}
+        assert peak < 1_000_000
+
+
 class TestIntersectFree:
     def test_reports_and_writes(self, tmp_path):
         h = tmp_path / "h.words"
@@ -218,6 +233,46 @@ def test_self_check():
     code, out, _ = invoke("self-check")
     assert code == 0
     assert json.loads(out) == {"graphs_checked": 1100, "disagreements": 0, "ok": True}
+
+
+def _write(tmp_path, name, data):
+    path = tmp_path / name
+    path.write_bytes(data)
+    return str(path)
+
+
+def _bad_graph(line):
+    return lambda tmp: ("classify", _write(tmp, "bad.graph", b"a b c\n" + line + b"\n"))
+
+
+CONTRACT_CASES = {
+    "non-utf8 graph": lambda tmp: ("classify", _write(tmp, "bad.graph", b"a b\n\xff\xfe c\n")),
+    "non-utf8 words": lambda tmp: (
+        "intersect-free", "--alphabet", "a b",
+        _write(tmp, "h.words", b"a^2\n\xff b\n"), str(INPUTS / "k.words"),
+    ),
+    "binary bytes": lambda tmp: ("classify", _write(tmp, "blob.graph", bytes(range(256)) * 4)),
+    "directory path": lambda tmp: ("classify", str(tmp)),
+    "huge exponent": lambda tmp: ("normal-form", str(INPUTS / "xy.graph"), "x^99999999999999999999"),
+    "unwritable out": lambda tmp: (
+        "intersect-free", "--alphabet", "a b", str(INPUTS / "h.words"), str(INPUTS / "k.words"),
+        "--out", str(tmp / "missing" / "meet.stallings"),
+    ),
+    "duplicate name": lambda tmp: ("classify", _write(tmp, "bad.graph", b"a b a\n")),
+    "caret in name": lambda tmp: ("classify", _write(tmp, "bad.graph", b"a x^2\n")),
+    "three tokens": _bad_graph(b"a b c"),
+    "loop": _bad_graph(b"b b"),
+    "unknown first endpoint": _bad_graph(b"z a"),
+    "unknown second endpoint": _bad_graph(b"a z"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CONTRACT_CASES))
+def test_bad_input_exits_2_with_one_error_line(case, tmp_path):
+    code, out, err = invoke(*CONTRACT_CASES[case](tmp_path))
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")
+    assert "Traceback" not in err
 
 
 def test_unknown_command_exits_2(capsys):

@@ -71,6 +71,55 @@ class TestSimpleGraph:
         assert clique_number(g) == 0
 
 
+def canonical_pairs(pairs):
+    return frozenset((u, v) if u < v else (v, u) for u, v in pairs)
+
+
+class TestDerivedEdges:
+    """Every constructor stores neighbour sets only; ``edges`` is derived
+    from them, and equality and hashing agree with the canonical pairs."""
+
+    def check(self, g, vertices, pairs):
+        reference = SimpleGraph(vertices, pairs)
+        assert g.vertices == tuple(sorted(vertices))
+        assert g.edges == canonical_pairs(pairs)
+        assert g.edges is g.edges  # derived once, then kept
+        assert g == reference and hash(g) == hash(reference)
+        assert repr(g) == repr(reference)
+        for v in g.vertices:
+            assert g.neighbors(v) == {w for p in g.edges if v in p for w in p if w != v}
+
+    def test_every_constructor(self):
+        rng = random.Random(8)
+        for _ in range(60):
+            n = rng.randint(0, 9)
+            names = [f"n{i}" for i in range(n)]
+            pairs = [p[:: rng.choice((1, -1))] for p in itertools.combinations(names, 2) if rng.random() < 0.4]
+            self.check(SimpleGraph(names, pairs), names, pairs)
+            adj = {v: frozenset(w for p in pairs if v in p for w in p if w != v) for v in names}
+            self.check(SimpleGraph._trusted(adj), names, pairs)
+            text = " ".join(names) + "\n" + "".join(f"{u} {v}\n" for u, v in pairs)
+            self.check(parse_graph(text), names, pairs)
+            g = SimpleGraph(names, pairs)
+            ys = [v for v in names if rng.random() < 0.6]
+            self.check(induced_subgraph(g, ys), ys, [p for p in pairs if set(p) <= set(ys)])
+            h = relabel(g, {v: "r" + v for v in names})
+            rnames = ["r" + v for v in names]
+            renamed = [("r" + u, "r" + v) for u, v in pairs]
+            self.check(h, rnames, renamed)
+            self.check(disjoint_union(g, h), names + rnames, pairs + renamed)
+            across = [(u, r) for u in names for r in rnames]
+            self.check(join(g, h), names + rnames, pairs + renamed + across)
+            self.check(join(h, g), names + rnames, pairs + renamed + across)
+
+    def test_relabel_checks_new_names(self):
+        g = complete_graph(("a", "b"))
+        with pytest.raises(InputError, match="non-empty strings"):
+            relabel(g, {"a": "x", "b": ""})
+        with pytest.raises(InputError, match="non-empty strings"):
+            relabel(g, {"a": "x", "b": 7})
+
+
 class TestInducedSubgraph:
     def test_path_endpoints(self):
         assert induced_subgraph(P3(), {"a", "c"}) == edgeless_graph(("a", "c"))
@@ -149,7 +198,45 @@ class TestTransitivity:
             assert reflexive_closure_is_transitive(g) == expected
 
 
+def decomposition_referee(g):
+    """Component sizes, descending, if every component is complete, read off
+    ``connected_components``."""
+    blocks = connected_components(g)
+    if any(g.degree(v) != len(block) - 1 for block in blocks for v in block):
+        return None
+    return tuple(sorted(map(len, blocks), reverse=True))
+
+
+def clique_union_with_toggles(rng, n, toggles):
+    """A disjoint union of cliques on n shuffled names with ``toggles``
+    random pairs flipped between edge and non-edge."""
+    names = [f"v{i:02d}" for i in range(n)]
+    rng.shuffle(names)
+    edges, at = set(), 0
+    while at < n:
+        k = rng.randint(1, n - at)
+        edges.update(itertools.combinations(sorted(names[at : at + k]), 2))
+        at += k
+    for _ in range(toggles):
+        if n >= 2:
+            edges ^= {tuple(sorted(rng.sample(names, 2)))}
+    return SimpleGraph(names, edges)
+
+
 class TestCompleteDecomposition:
+    def test_agrees_with_component_referee(self):
+        for n in range(7):
+            for g in all_labeled_graphs(n):
+                assert complete_decomposition(g) == decomposition_referee(g), g
+        rng = random.Random(77)
+        complete = 0
+        for _ in range(500):
+            g = clique_union_with_toggles(rng, rng.randint(1, 60), rng.randint(0, 2))
+            ranks = complete_decomposition(g)
+            assert ranks == decomposition_referee(g), g
+            complete += ranks is not None
+        assert 50 < complete < 450  # both verdicts were exercised
+
     def test_clique_union(self):
         g = disjoint_union(complete_graph(3, prefix="x"), edgeless_graph(("p", "q")))
         assert complete_decomposition(g) == (3, 1, 1)
@@ -351,6 +438,15 @@ class TestTextFormat:
         text = "# a square\na b c d\n\na b\nb c\nb c  # twice is fine\nc d\nd a\n"
         assert parse_graph(text) == C4()
 
+    def test_tabs_crlf_and_comments(self):
+        text = "# a square\r\na\tb c\td  # names\r\n\r\na\tb\r\nb c\r\n\t# only a comment\r\nc d\r\nd\ta\r\n"
+        assert parse_graph(text) == C4()
+
+    def test_edge_reaches_both_endpoints(self):
+        g = parse_graph("a b c\nc a\n")
+        assert g.neighbors("a") == {"c"} and g.neighbors("c") == {"a"}
+        assert g.edges == {("a", "c")}
+
     def test_loop_is_line_numbered(self):
         with pytest.raises(ParseError, match="line 3"):
             parse_graph("a b\na b\na a\n")
@@ -362,6 +458,8 @@ class TestTextFormat:
     def test_unknown_vertex(self):
         with pytest.raises(ParseError, match="'z'"):
             parse_graph("a b\na z\n")
+        with pytest.raises(ParseError, match="line 3: unknown vertex 'y'"):
+            parse_graph("a b\na b\ny z\n")
 
     def test_duplicate_vertex_name(self):
         with pytest.raises(ParseError, match="duplicate"):
