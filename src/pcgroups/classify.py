@@ -161,20 +161,25 @@ _PROVENANCE = {
 
 
 def _complete_order(name: str) -> int:
-    """n for a name ``K_<n>``, which must be a whole number >= 1."""
-    try:
-        n = int(name[2:])
-    except ValueError:
-        raise InputError(f"bad complete-graph name {name!r}") from None
-    if n < 1:
-        raise InputError("K_n needs n >= 1")
-    return n
+    """n for a name ``K_<n>``, where n >= 1 is written in ASCII decimal
+    digits with no leading zero; any other spelling raises ``InputError``."""
+    digits = name[2:]
+    if name.startswith("K_") and digits.isascii() and digits.isdigit() and digits[0] != "0":
+        try:
+            return int(digits)
+        except ValueError:  # past the interpreter's cap on digits int() reads
+            raise InputError(f"K_<n>: n has {len(digits)} digits, too many to read") from None
+    raise InputError(
+        f"bad complete-graph name {name!r}: write K_<n> with n >= 1 in decimal "
+        "digits, with no sign, space, underscore or leading zero"
+    )
 
 
 def catalog_entry(name: str) -> ExplicitCatalogEntry:
     """Build the catalog entry for one of: K_<n>, P3, P4, C4, edgeless_0,
-    edgeless_1, edgeless_2.  The complete graph of K_<n> is built only when
-    the entry's ``pattern`` is read."""
+    edgeless_1, edgeless_2.  In K_<n>, n >= 1 is written in ASCII decimal
+    digits with no leading zero.  The complete graph of K_<n> is built only
+    when the entry's ``pattern`` is read."""
     if name.startswith("K_"):
         _complete_order(name)
         return ExplicitCatalogEntry(name, None, _PROVENANCE["K"])

@@ -123,7 +123,7 @@ def _cmd_intersect_free(args, stdout) -> int:
         except OSError as exc:
             raise InputError(f"cannot write {path}: {exc.strerror}") from None
     _emit(
-        {"rank": meet.rank(), "states": meet.num_states, "edges": len(meet.transitions)},
+        {"rank": meet.rank(), "states": meet.num_states, "edges": meet.num_edges},
         stdout,
     )
     return 0

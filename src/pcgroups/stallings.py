@@ -1,24 +1,33 @@
 """Stallings automata for finitely generated subgroups of free groups.
 
 A subgroup generated by finitely many words is represented by a rooted,
-folded, core automaton over the positive generators.  While it is built,
-an automaton is held in one shape only: per-state label maps, ``out[s]``
-from a generator to the target of the arc it labels at ``s`` and ``inc[s]``
-from a generator to the source of the arc it labels into ``s``.  Each freely
+folded, core automaton over the positive generators.  A built automaton
+holds its arcs as per-generator state arrays: ``_fwd[i][s]`` is the target
+of the arc labelled ``alphabet[i]`` at state ``s`` and ``_bwd[i][s]`` the
+source of the one entering ``s``, or -1 where there is none.  Membership
+traces the free reduction of a word along these arrays from the base; the
+rank of the subgroup is ``edges - states + 1``.
+
+``from_generators`` builds on per-state label maps, ``out[s]`` from a
+generator to the target of the arc it labels at ``s`` and ``inc[s]`` from a
+generator to the source of the arc it labels into ``s``.  Each freely
 reduced generator is read from the base along these maps, from both ends,
 and only its unread middle is added as fresh arcs; where an arc's label is
 already taken at a state, the pair of states to identify is queued.  One
 fold then merges the queued pairs with union-find, folding the smaller maps
 into the larger, until no two equal labels leave or enter one state.  The
-core (no non-base state of degree one) is trimmed on the same maps.
-Membership is tracing the free reduction of a word from the base; the rank
-of the subgroup is ``edges - states + 1``; intersections come from the
-product automaton based at the pair of base states, whose maps are written
-as it is searched.
+core (no non-base state of degree one) is trimmed on the same maps, and the
+arrays are written as the states are numbered.
 
-States are renumbered by breadth-first search from the base with a fixed
-generator order, so equal automata compare equal and isomorphism checks in
-tests are plain ``==``.
+States are numbered canonically: breadth-first from the base, generators in
+order, the forward arc before the backward one at each label.  So equal
+automata compare equal and isomorphism checks in tests are plain ``==``.
+``intersect`` searches the product automaton based at the pair of bases in
+exactly that order, keying each pair of states by one int, and appends
+every product arc to the arrays as it goes.  A tree that hangs off the core
+is entered only through its root, so it never precedes that root and never
+discovers a core state: the search's numbering, restricted to the core, is
+already canonical, and trimming the trees only closes the gaps they leave.
 
 Text serialization: the base state (always 0) followed by the alphabet on
 the first line, then one line ``state_from generator state_to`` per
@@ -43,104 +52,180 @@ __all__ = [
 class StallingsGraph:
     """Folded core automaton; instances are immutable once built.
 
-    ``transitions`` maps ``(state, generator) -> state`` for the positive
-    direction only; the inverse transition is implied.  The base state is 0.
-    The constructor raises ``InputError`` unless every state lies in
-    ``range(num_states)``, every label is in the alphabet and no two arcs
-    with one label enter one state.
+    ``_fwd[i][s]`` is the target of the arc labelled ``alphabet[i]`` at state
+    ``s`` and ``_bwd[i][s]`` the source of the one entering ``s``, or -1.
+    ``transitions`` is the same automaton as a ``(state, generator) -> state``
+    dict over the positive direction, derived when first read; the inverse
+    transition is implied.  The base state is 0.
+
+    The constructor keeps the state numbers it is given.  It raises
+    ``InputError`` unless the alphabet repeats no label, every state lies in
+    ``range(num_states)``, every label is in the alphabet, no two arcs with
+    one label enter one state, every state is connected to the base and
+    every non-base state has degree at least two (a core automaton).
     """
 
-    __slots__ = ("alphabet", "num_states", "transitions", "_inverse")
+    __slots__ = ("alphabet", "num_states", "num_edges", "_fwd", "_bwd", "_transitions")
 
     base = 0
 
-    def __init__(self, alphabet: tuple[str, ...], num_states: int, transitions: dict):
+    def __init__(self, alphabet: Iterable[str], num_states: int, transitions: dict):
+        alphabet = tuple(alphabet)
+        if len(set(alphabet)) != len(alphabet):
+            raise InputError(f"alphabet {alphabet!r} repeats a label")
         if type(num_states) is not int or num_states < 1:
             raise InputError(f"num_states must be a positive int, got {num_states!r}")
         transitions = dict(transitions)
         known = set(alphabet)
-        inverse = {}
+        out: dict = {s: {} for s in range(num_states)}
+        inc: dict = {s: {} for s in range(num_states)}
         for (u, g), v in transitions.items():
             if g not in known:
                 raise InputError(f"transition label {g!r} is not in the alphabet")
             for s in (u, v):
                 if type(s) is not int or not 0 <= s < num_states:
                     raise InputError(f"state {s!r} is outside 0 .. {num_states - 1}")
-            if (v, g) in inverse:
+            if inc[v].setdefault(g, u) != u:
                 raise InputError(f"two {g!r} transitions enter state {v}: not folded")
-            inverse[v, g] = u
-        self.alphabet = alphabet
-        self.num_states = num_states
-        self.transitions = transitions
-        self._inverse = inverse
+            out[u][g] = v
+        problem = _core_problem(out, inc, 0)
+        if problem:
+            raise InputError(problem)
+        fwd = [[-1] * num_states for _ in alphabet]
+        bwd = [[-1] * num_states for _ in alphabet]
+        column = {g: i for i, g in enumerate(alphabet)}
+        for (u, g), v in transitions.items():
+            fwd[column[g]][u] = v
+            bwd[column[g]][v] = u
+        self._set(alphabet, num_states, fwd, bwd, len(transitions))
 
     @classmethod
-    def _trusted(cls, alphabet: tuple[str, ...], num_states: int, transitions: dict,
-                 inverse: dict) -> "StallingsGraph":
-        """Wrap maps that ``_assemble`` built from a folded automaton, unchecked."""
+    def _trusted(cls, alphabet: tuple[str, ...], num_states: int, fwd: list, bwd: list,
+                 num_edges: int) -> "StallingsGraph":
+        """Wrap arrays that the library built from a folded core automaton,
+        unchecked and uncopied."""
         sg = object.__new__(cls)
-        sg.alphabet = alphabet
-        sg.num_states = num_states
-        sg.transitions = transitions
-        sg._inverse = inverse
+        sg._set(alphabet, num_states, fwd, bwd, num_edges)
         return sg
+
+    def _set(self, alphabet, num_states, fwd, bwd, num_edges) -> None:
+        self.alphabet = alphabet
+        self.num_states = num_states
+        self.num_edges = num_edges
+        self._fwd = fwd
+        self._bwd = bwd
+        self._transitions = None
+
+    @property
+    def transitions(self) -> dict:
+        """``(state, generator) -> state`` over the positive arcs, built from
+        the arrays on first read and kept."""
+        if self._transitions is None:
+            self._transitions = {
+                (u, g): v
+                for g, targets in zip(self.alphabet, self._fwd)
+                for u, v in enumerate(targets)
+                if v >= 0
+            }
+        return self._transitions
 
     def states(self) -> range:
         return range(self.num_states)
 
     def edges(self) -> list[tuple[int, str, int]]:
-        return sorted((u, g, v) for (u, g), v in self.transitions.items())
+        """Every arc as ``(source, generator, target)``, in sorted order."""
+        rows = sorted(zip(self.alphabet, self._fwd))
+        return [
+            (u, g, v) for u in range(self.num_states) for g, targets in rows if (v := targets[u]) >= 0
+        ]
 
     def member(self, w: Word) -> bool:
         """Does the free reduction of ``w`` trace a closed path at the base?"""
         reduced = free_reduce(w, self.alphabet)
+        forward = dict(zip(self.alphabet, self._fwd))
+        backward = dict(zip(self.alphabet, self._bwd))
         state = 0
         for gen, sign in reduced.letters:
-            if sign > 0:
-                state = self.transitions.get((state, gen))
-            else:
-                state = self._inverse.get((state, gen))
-            if state is None:
+            state = (forward if sign > 0 else backward)[gen][state]
+            if state < 0:
                 return False
         return state == 0
 
     def rank(self) -> int:
         """Rank of the represented subgroup: edges - states + 1 on the core."""
-        return len(self.transitions) - self.num_states + 1
+        return self.num_edges - self.num_states + 1
 
     def intersect(self, other: "StallingsGraph") -> "StallingsGraph":
-        """Automaton of the subgroup intersection, via the product based at
-        the pair of bases (searched from there, then cored)."""
+        """Automaton of the subgroup intersection: the core of the product
+        automaton based at the pair of bases.
+
+        The product is searched breadth-first from the pair of bases; a pair
+        ``(s1, s2)`` is keyed by the int ``s1 * other.num_states + s2`` and
+        numbered when first reached.  Each visited state appends, per
+        generator in order, its forward and then its backward product target
+        (or -1) to that generator's arrays, so the arrays are complete when
+        the search ends.  That is the canonical order: breadth-first from the
+        base, generators in order, forward before backward.
+
+        The core drops the trees hanging off it.  Such a tree meets the rest
+        only in its root, a core state, so the search enters it only through
+        that root: every tree state is numbered after its root, and no tree
+        state is the first to reach a core state.  Core states are therefore
+        reached by core states alone, in the order a search of the core alone
+        would reach them, and the product numbering restricted to the core is
+        canonical.  Trimming the trees leaf by leaf then only closes up the
+        survivors' numbers in order; no renumbering search is needed.
+        """
         if self.alphabet != other.alphabet:
             raise InputError("cannot intersect subgroups over different alphabets")
-        index = {(0, 0): 0}
-        pairs = [(0, 0)]
-        out: dict = {0: {}}
-        inc: dict = {0: {}}
+        width = other.num_states
+        fwd: list = [[] for _ in self.alphabet]
+        bwd: list = [[] for _ in self.alphabet]
+        steps = []
+        for i in range(len(self.alphabet)):
+            steps.append((self._fwd[i], other._fwd[i], fwd[i].append))
+            steps.append((self._bwd[i], other._bwd[i], bwd[i].append))
+        firsts, seconds = [0], [0]
+        claim = {0: 0}.setdefault
+        n = 1
+        # the lists grow while zip walks them: each state is visited once
+        for s1, s2 in zip(firsts, seconds):
+            for row1, row2, add in steps:
+                t1 = row1[s1]
+                t2 = row2[s2]
+                if t1 < 0 or t2 < 0:
+                    add(-1)
+                    continue
+                t = claim(t1 * width + t2, n)
+                if t == n:
+                    n += 1
+                    firsts.append(t1)
+                    seconds.append(t2)
+                add(t)
 
-        def reach(pair) -> int:
-            state = index.get(pair)
-            if state is None:
-                state = index[pair] = len(pairs)
-                pairs.append(pair)
-                out[state] = {}
-                inc[state] = {}
-            return state
-
-        # each arc is recorded from its source; backward arcs only reach states
-        for here, (s1, s2) in enumerate(pairs):
-            for g in self.alphabet:
-                t1 = self.transitions.get((s1, g))
-                t2 = other.transitions.get((s2, g))
-                if t1 is not None and t2 is not None:
-                    there = reach((t1, t2))
-                    out[here][g] = there
-                    inc[there][g] = here
-                u1 = self._inverse.get((s1, g))
-                u2 = other._inverse.get((s2, g))
-                if u1 is not None and u2 is not None:
-                    reach((u1, u2))
-        return _assemble(self.alphabet, 0, out, inc)
+        rows = fwd + bwd
+        degree = [len(arcs) - arcs.count(-1) for arcs in zip(*rows)]
+        trim = [s for s in range(1, n) if degree[s] <= 1]
+        if trim:
+            ends = list(zip(rows, bwd + fwd))
+            for s in trim:  # grows as trimming exposes new leaves
+                degree[s] = -1
+                for row, back in ends:
+                    t = row[s]
+                    if t >= 0:
+                        back[t] = -1
+                        degree[t] -= 1
+                        if t and degree[t] == 1:
+                            trim.append(t)
+            keep = [s for s in range(n) if degree[s] >= 0]
+            number = [-1] * (n + 1)  # number[-1] stays -1 for a missing arc
+            for new, s in enumerate(keep):
+                number[s] = new
+            fwd = [[number[row[s]] for s in keep] for row in fwd]
+            bwd = [[number[row[s]] for s in keep] for row in bwd]
+            n = len(keep)
+        num_edges = sum(len(row) - row.count(-1) for row in fwd)
+        return StallingsGraph._trusted(self.alphabet, n, fwd, bwd, num_edges)
 
     def to_dot(self) -> str:
         """Plain DOT text; the base state is drawn as a double circle."""
@@ -158,17 +243,38 @@ class StallingsGraph:
         return (
             self.alphabet == other.alphabet
             and self.num_states == other.num_states
-            and self.transitions == other.transitions
+            and self._fwd == other._fwd
         )
 
     def __hash__(self) -> int:
-        return hash((self.alphabet, self.num_states, frozenset(self.transitions.items())))
+        return hash((self.alphabet, self.num_states, tuple(map(tuple, self._fwd))))
 
     def __repr__(self) -> str:
         return (
             f"StallingsGraph(alphabet={self.alphabet!r}, states={self.num_states}, "
             f"edges={self.edges()!r})"
         )
+
+
+def _core_problem(out: dict, inc: dict, base) -> Optional[str]:
+    """What keeps folded label maps from being a core automaton connected to
+    the base, or None.  ``out[s]`` and ``inc[s]`` map a generator to the
+    target and the source of the arcs it labels at ``s``; both are keyed by
+    every state."""
+    reach = {base}
+    stack = [base]
+    while stack:
+        s = stack.pop()
+        for t in (*out[s].values(), *inc[s].values()):
+            if t not in reach:
+                reach.add(t)
+                stack.append(t)
+    if len(reach) != len(out):
+        return f"states {sorted(set(out) - reach)} are not connected to the base"
+    bad = sorted(s for s in out if s != base and len(out[s]) + len(inc[s]) <= 1)
+    if bad:
+        return f"non-base states of degree <= 1: {bad} (not a core automaton)"
+    return None
 
 
 def _fold(out: dict, inc: dict, merges: list) -> int:
@@ -210,14 +316,15 @@ def _fold(out: dict, inc: dict, merges: list) -> int:
 
 
 def _assemble(alphabet: tuple[str, ...], base, out: dict, inc: dict) -> StallingsGraph:
-    """Cored, canonically renumbered automaton from folded label maps
+    """Cored, canonically numbered automaton from folded label maps
     (``out[s]``: generator -> target and ``inc[s]``: generator -> source,
     both keyed by every state).  Every state must be connected to the
-    base: ``intersect`` searches from the base, ``from_generators`` hangs each
-    arc off a reached state (folding keeps that) and ``parse_stallings``
-    rejects disconnected input.  The core is trimmed on the maps themselves:
-    a non-base state of degree ``len(out[s]) + len(inc[s]) <= 1`` goes, with
-    its one entry at its neighbour, until none is left."""
+    base: ``from_generators`` hangs each arc off a reached state (folding
+    keeps that) and ``parse_stallings`` rejects disconnected input.  The core
+    is trimmed on the maps themselves: a non-base state of degree
+    ``len(out[s]) + len(inc[s]) <= 1`` goes, with its one entry at its
+    neighbour, until none is left.  The state arrays are then written while
+    the states are numbered breadth-first from the base."""
     trim = [s for s in out if s != base and len(out[s]) + len(inc[s]) <= 1]
     while trim:
         s = trim.pop()
@@ -227,27 +334,24 @@ def _assemble(alphabet: tuple[str, ...], base, out: dict, inc: dict) -> Stalling
                 if t != base and len(out[t]) + len(inc[t]) == 1:
                     trim.append(t)
 
-    # canonical numbering: breadth-first from the base, generators in order,
-    # forward transition before backward at each label
+    n = len(out)
+    fwd = [[-1] * n for _ in alphabet]
+    bwd = [[-1] * n for _ in alphabet]
+    steps = [(g, fwd[i], bwd[i]) for i, g in enumerate(alphabet)]
     order = {base: 0}
     queue = [base]
-    for s in queue:
+    for here, s in enumerate(queue):
         forward, backward = out[s], inc[s]
-        for g in alphabet:
-            for t in (forward.get(g), backward.get(g)):
-                if t is not None and t not in order:
-                    order[t] = len(order)
-                    queue.append(t)
-
-    transitions: dict = {}
-    inverse: dict = {}
-    for u, arcs in out.items():
-        here = order[u]
-        for g, v in arcs.items():
-            there = order[v]
-            transitions[here, g] = there
-            inverse[there, g] = here
-    return StallingsGraph._trusted(alphabet, len(order), transitions, inverse)
+        for g, targets, sources in steps:
+            for arcs, row in ((forward, targets), (backward, sources)):
+                t = arcs.get(g)
+                if t is not None:
+                    there = order.get(t)
+                    if there is None:
+                        there = order[t] = len(queue)
+                        queue.append(t)
+                    row[here] = there
+    return StallingsGraph._trusted(alphabet, n, fwd, bwd, sum(map(len, out.values())))
 
 
 def from_generators(ws: Iterable[Word], alphabet: Iterable[str]) -> StallingsGraph:
@@ -370,20 +474,9 @@ def parse_stallings(text: str) -> StallingsGraph:
             raise ParseError(f"two '{g}' transitions leave state {u}: not folded", line=lineno)
         if inc[v].setdefault(g, u) != u:
             raise ParseError(f"two '{g}' transitions enter state {v}: not folded", line=lineno)
-
-    reach = {base}
-    stack = [base]
-    while stack:
-        s = stack.pop()
-        for t in (*out[s].values(), *inc[s].values()):
-            if t not in reach:
-                reach.add(t)
-                stack.append(t)
-    if len(reach) != len(out):
-        raise ParseError(f"states {sorted(set(out) - reach)} are not connected to the base")
-    bad = sorted(s for s in out if s != base and len(out[s]) + len(inc[s]) <= 1)
-    if bad:
-        raise ParseError(f"non-base states of degree <= 1: {bad} (not a core automaton)")
+    problem = _core_problem(out, inc, base)
+    if problem:
+        raise ParseError(problem)
 
     alphabet = tuple(sorted(set(declared) | {g for arcs in out.values() for g in arcs}))
     return _assemble(alphabet, base, out, inc)

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 from .errors import InputError
 from .stallings import StallingsGraph, from_generators
-from .words import Letter, Word, format_word, free_reduce
+from .words import MAX_WORD_LETTERS, Letter, Word, format_word, free_reduce
 
 __all__ = [
     "FREE_ALPHABET",
@@ -101,9 +101,18 @@ def intersection_ball(L: int) -> set[Word]:
 
 
 def conjugate_generators(m: int) -> tuple[Word, ...]:
-    """The words a^-k b a^k for k = -m..m."""
+    """The words a^-k b a^k for k = -m..m.
+
+    They total 2m^2 + 4m + 1 letters; raises ``InputError`` when that passes
+    ``MAX_WORD_LETTERS``, the cap on one parsed word (so m <= 706)."""
     if m < 0:
         raise InputError("m must be >= 0")
+    letters = 2 * m * m + 4 * m + 1
+    if letters > MAX_WORD_LETTERS:
+        raise InputError(
+            f"the {2 * m + 1} conjugates for m = {m} total {letters} letters, "
+            f"more than {MAX_WORD_LETTERS}"
+        )
     return tuple(
         _a_power(-k) * Word.gen("b") * _a_power(k) if k else Word.gen("b")
         for k in range(-m, m + 1)

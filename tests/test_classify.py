@@ -3,6 +3,7 @@ import importlib
 import itertools
 import json
 import random
+import sys
 
 import pytest
 
@@ -168,6 +169,21 @@ class TestCatalog:
             catalog_entry("edgeless_3")
         with pytest.raises(InputError):
             catalog_entry("K_0")
+
+    def test_k_n_spelling(self):
+        # n >= 1 in ASCII decimal digits with no leading zero; any other
+        # spelling is refused for its name, before any embedding question
+        for name in ("K_1", "K_5", "K_10", "K_1000"):
+            assert catalog_entry(name).name == name
+        for name in ("K_05", "K_+5", "K_ 5", "K_5 ", "K_1_0", "K_-1", "K_0", "K_",
+                     "K_\u0665", "K_\uff15", "K_\u00b2"):
+            with pytest.raises(InputError, match="bad complete-graph name"):
+                catalog_entry(name)
+        cap = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no cap
+        if cap:
+            digits = cap + 1
+            with pytest.raises(InputError, match=f"{digits} digits, too many"):
+                catalog_entry("K_" + "1" * digits)
 
 
 class TestEmbedsIn:

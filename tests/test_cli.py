@@ -264,6 +264,9 @@ CONTRACT_CASES = {
     "loop": _bad_graph(b"b b"),
     "unknown first endpoint": _bad_graph(b"z a"),
     "unknown second endpoint": _bad_graph(b"a z"),
+    "leading zero in K_n": lambda tmp: ("embed", "K_05", str(INPUTS / "p3.graph")),
+    "signed K_n": lambda tmp: ("embed", "K_+5", str(INPUTS / "p3.graph")),
+    "huge m": lambda tmp: ("demo-nonhowson", "--m", "100000000"),
 }
 
 

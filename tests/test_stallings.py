@@ -68,6 +68,26 @@ def related_generators(rng, alphabet, count, kinds):
     return gens
 
 
+def product_size(sg1, sg2):
+    """States of the product automaton reachable from the pair of bases,
+    before any core trimming."""
+    arcs = {}
+    for sg in (sg1, sg2):
+        for (u, g), v in sg.transitions.items():
+            arcs.setdefault((sg, u), []).append(((g, 1), v))
+            arcs.setdefault((sg, v), []).append(((g, -1), u))
+    seen = {(0, 0)}
+    stack = [(0, 0)]
+    while stack:
+        s1, s2 = stack.pop()
+        for g, t1 in arcs.get((sg1, s1), ()):
+            for h, t2 in arcs.get((sg2, s2), ()):
+                if g == h and (t1, t2) not in seen:
+                    seen.add((t1, t2))
+                    stack.append((t1, t2))
+    return len(seen)
+
+
 def random_subgroup(rng, max_gens=3, max_len=5):
     gens = []
     for _ in range(rng.randrange(1, max_gens + 1)):
@@ -275,6 +295,30 @@ class TestIntersect:
             )
             assert format_stallings(meet) == expected, (gens1, gens2)
 
+    def test_product_numbering_is_canonical_after_trimming(self):
+        # the search numbers product states in canonical order, and trimming
+        # the trees that hang off the core only closes up the numbers
+        rng = random.Random(127)
+        trimmed = 0
+        for trial in range(600):
+            alphabet = ("a", "b", "c")[: 1 + trial % 3]
+            gens1 = related_generators(rng, alphabet, rng.randrange(1, 5), GENERATOR_KINDS)
+            gens2 = related_generators(rng, alphabet, rng.randrange(1, 5), GENERATOR_KINDS)
+            sg1, sg2 = from_generators(gens1, alphabet), from_generators(gens2, alphabet)
+            meet = sg1.intersect(sg2)
+            if product_size(sg1, sg2) > meet.num_states:
+                trimmed += 1
+            text = format_stallings(meet)
+            assert parse_stallings(text) == meet, (gens1, gens2)
+            expected = intersection_automaton(
+                format_stallings(sg1), format_stallings(sg2), alphabet
+            )
+            assert text == expected, (gens1, gens2)
+            assert StallingsGraph(meet.alphabet, meet.num_states, meet.transitions) == meet
+            assert len(meet.transitions) == meet.num_edges
+            assert meet.rank() == meet.num_edges - meet.num_states + 1
+        assert trimmed >= 100
+
     def test_alphabet_mismatch(self):
         sg1 = from_generators([w("a")], AB)
         sg2 = from_generators([w("a")], ("a", "c"))
@@ -370,6 +414,45 @@ class TestConstructor:
     def test_rejects_labels_outside_the_alphabet(self):
         with pytest.raises(InputError, match="'b'"):
             StallingsGraph(("a",), 1, {(0, "b"): 0})
+
+    def test_rejects_disconnected(self):
+        with pytest.raises(InputError, match="not connected"):
+            StallingsGraph(("a",), 2, {})
+        with pytest.raises(InputError, match="not connected"):
+            StallingsGraph(("a",), 2, {(1, "a"): 1})
+
+    def test_rejects_non_core(self):
+        with pytest.raises(InputError, match="core"):
+            StallingsGraph(("a",), 2, {(0, "a"): 1})
+        with pytest.raises(InputError, match="core"):
+            StallingsGraph(("a", "b"), 2, {(0, "a"): 0, (0, "b"): 1})
+
+    def test_rejects_a_repeated_label(self):
+        with pytest.raises(InputError, match="repeats"):
+            StallingsGraph(("a", "a"), 1, {(0, "a"): 0})
+
+    def test_alphabet_is_kept_as_a_tuple(self):
+        sg = StallingsGraph(["a", "b"], 1, {(0, "a"): 0})
+        assert sg.alphabet == ("a", "b")
+        assert hash(sg) == hash(StallingsGraph(("a", "b"), 1, {(0, "a"): 0}))
+        assert sg == from_generators([w("a")], AB)
+
+    def test_keeps_the_given_numbering(self):
+        # the base has a b-loop; the a-cycle 0 -> 2 -> 1 -> 0 is numbered
+        # off the canonical order, and the constructor leaves it so
+        transitions = {(0, "a"): 2, (2, "a"): 1, (1, "a"): 0, (0, "b"): 0}
+        sg = StallingsGraph(AB, 3, transitions)
+        assert sg.transitions == transitions
+        assert sg.num_edges == 4 and sg.rank() == 2
+        assert sg.member(w("a^3")) and not sg.member(w("a"))
+        assert sg != parse_stallings(format_stallings(sg))
+        assert parse_stallings(format_stallings(sg)) == from_generators([w("a^3"), w("b")], AB)
+
+
+def test_edges_sorted_whatever_the_alphabet_order():
+    sg = StallingsGraph(("b", "a"), 3, {(0, "a"): 2, (2, "a"): 1, (1, "a"): 0, (0, "b"): 0, (1, "b"): 2})
+    assert sg.edges() == sorted((u, g, v) for (u, g), v in sg.transitions.items())
+    assert format_stallings(sg).splitlines()[1:] == ["0 a 2", "0 b 0", "1 a 0", "1 b 2", "2 a 1"]
 
 
 def test_to_dot_mentions_every_edge():

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+import pcgroups.zf2
 from pcgroups import (
     InputError,
     Word,
@@ -117,6 +118,25 @@ class TestConjugateGenerators:
     def test_negative_rejected(self):
         with pytest.raises(InputError):
             conjugate_generators(-1)
+
+    def test_letter_count(self):
+        for m in range(6):
+            assert sum(map(len, conjugate_generators(m))) == 2 * m * m + 4 * m + 1
+
+    def test_cost_is_capped_like_a_word(self):
+        # 2m^2 + 4m + 1 letters: m = 706 stays within 10^6, m = 707 does not
+        assert 2 * 706**2 + 4 * 706 + 1 <= pcgroups.zf2.MAX_WORD_LETTERS < 2 * 707**2 + 4 * 707 + 1
+        for m in (707, 10**8, 10**30):
+            with pytest.raises(InputError, match="1000000"):
+                conjugate_generators(m)
+            with pytest.raises(InputError, match="1000000"):
+                certify_not_fg(m)
+
+    def test_cap_boundary(self, monkeypatch):
+        monkeypatch.setattr(pcgroups.zf2, "MAX_WORD_LETTERS", 2 * 3 * 3 + 4 * 3 + 1)
+        assert certify_not_fg(3).rank == 7
+        with pytest.raises(InputError, match="31"):
+            certify_not_fg(4)
 
 
 class TestCertificates:
