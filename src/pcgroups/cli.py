@@ -68,7 +68,7 @@ def _cmd_normal_form(args, stdout) -> int:
         {
             "normal_form": format_word(nf),
             "length": len(nf),
-            "support": sorted({gen for gen, _ in nf.letters}),
+            "support": sorted({gen for gen, _ in nf.syllables}),
         },
         stdout,
     )
@@ -79,7 +79,7 @@ def _cmd_equal(args, stdout) -> int:
     g = _load_graph(args.graph)
     left = normal_form(parse_word(args.word1), g)
     right = normal_form(parse_word(args.word2), g)
-    verdict = left.letters == right.letters
+    verdict = left == right
     _emit(verdict, stdout)
     return 0 if verdict or not args.exit_status else 1
 

@@ -145,10 +145,12 @@ class StallingsGraph:
         forward = dict(zip(self.alphabet, self._fwd))
         backward = dict(zip(self.alphabet, self._bwd))
         state = 0
-        for gen, sign in reduced.letters:
-            state = (forward if sign > 0 else backward)[gen][state]
-            if state < 0:
-                return False
+        for gen, k in reduced.syllables:
+            row = (forward if k > 0 else backward)[gen]
+            for _ in range(abs(k)):
+                state = row[state]
+                if state < 0:
+                    return False
         return state == 0
 
     def rank(self) -> int:

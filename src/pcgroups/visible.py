@@ -49,10 +49,10 @@ def alpha_include(w: Word, r: VertexRestriction) -> Word:
     """Reinterpret a word over the induced subgraph as a word over the
     ambient graph.  The letters are unchanged; the map is injective on group
     elements because the retraction undoes it."""
-    for gen, _ in w.letters:
+    for gen, _ in w.syllables:
         if gen not in r.ys:
             raise InputError(f"letter over generator {gen!r} outside the subset")
-    return Word(w.letters)
+    return Word._trusted(w.syllables, len(w))
 
 
 def rho_retract(w: Word, r: VertexRestriction) -> Word:
@@ -61,10 +61,10 @@ def rho_retract(w: Word, r: VertexRestriction) -> Word:
     This is a homomorphism onto the subgroup: each defining commutation
     relation is either kept intact or killed entirely.
     """
-    for gen, _ in w.letters:
+    for gen, _ in w.syllables:
         if gen not in r.ambient:
             raise InputError(f"letter over unknown generator {gen!r}")
-    return Word(letter for letter in w.letters if letter.gen in r.ys)
+    return Word._joined(s for s in w.syllables if s[0] in r.ys)
 
 
 def is_in_visible(w: Word, r: VertexRestriction) -> bool:
@@ -81,6 +81,6 @@ def rewrite_in_visible(w: Word, r: VertexRestriction) -> Optional[NormalWord]:
     canonical word is empty) is not conflated with non-membership.
     """
     ambient_nf = normal_form(w, r.ambient)
-    if any(gen not in r.ys for gen, _ in ambient_nf.letters):
+    if any(gen not in r.ys for gen, _ in ambient_nf.syllables):
         return None
     return ambient_nf

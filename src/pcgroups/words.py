@@ -1,33 +1,43 @@
 """Words over signed generators and the normal form that solves the word
 problem in a graph group.
 
-A word is a plain sequence of letters ``x`` or ``x^-1`` whose generators are
-vertices of an ambient graph; adjacent vertices commute.  ``normal_form``
-returns the canonical representative of the group element: fully reduced (no
-inverse pair can be brought together by commuting swaps) and lexicographically
-least among its shuffles.
+A word is a sequence of letters ``x`` or ``x^-1`` whose generators are
+vertices of an ambient graph; adjacent vertices commute.  It is stored as its
+maximal syllables: pairs ``(x, k)`` with ``k != 0``, each a run of ``|k|``
+letters ``x`` (``k > 0``) or ``x^-1`` (``k < 0``), no two neighbours spelling
+the same letter.  ``Word.letters`` is derived from the syllables when first
+read and then kept; a word built from letters is run-length encoded when its
+syllables are first read.  Parsing, the normal form and formatting work on
+syllables only, so their cost follows the length of the text, not the number
+of letters it stands for.
 
-``normal_form`` piles the letters as a heap of pieces, one stack per
-generator, and stores each piece with ``c``, the number of live pieces that
-do not commute with it when it lands.  The counts of all generators are
-fields of ``W = len(w).bit_length() + 1`` bits in one integer, so each letter
-costs a constant number of integer operations.  No count exceeds
-``len(w) < 2**(W-1)``, so the fields never overflow into each other, and
-their top bit is free for the read-off's test: a generator's front piece may
-be emitted exactly when its field of (front count - emitted count) is zero.
+``normal_form`` returns the canonical representative of the group element:
+fully reduced (no inverse pair can be brought together by commuting swaps)
+and lexicographically least among its shuffles.  It piles the syllables as a
+heap of pieces, one stack per generator.  A piece of ``x`` is a run ``(c, k)``
+stored with ``c``, the number of live pieces that do not commute with ``x``
+when it lands.  A syllable ``x^k`` that meets ``x``'s top piece with the same
+count lands on it: the exponents add, which merges the two when the signs
+agree and cancels when they differ.  A cancellation that reaches zero pops the
+piece; one that overshoots leaves the remainder in its place, with count
+``c``.  Any other syllable becomes a new piece.  The counts of all generators
+are fields of ``W = (number of syllables).bit_length() + 1`` bits in one
+integer, so each syllable costs a constant number of integer operations.
+The read-off emits a whole piece at a time.
 
 ``free_reduce`` is the same for a free group (no two generators commute):
-one stack pass that cancels adjacent inverse pairs.
+one stack pass over syllables.
 
 Word text syntax: whitespace-separated tokens, each a vertex name optionally
-suffixed ``^k`` for a nonzero integer ``k``; ``x^-1`` is the inverse and the
-empty string is the identity.  A word may expand to at most
-``MAX_WORD_LETTERS`` (10**6) letters; ``parse_word`` refuses a longer one
-before building any of it.
+suffixed ``^k`` for a nonzero integer ``k`` written as ASCII decimal digits
+after an optional ``-``; ``x^-1`` is the inverse and the empty string is the
+identity.  A word may stand for at most ``MAX_WORD_LETTERS`` (10**6) letters;
+``parse_word`` refuses a longer one.
 """
 
 from __future__ import annotations
 
+from itertools import groupby
 from typing import Collection, Iterable, NamedTuple
 
 from .errors import InputError, ParseError
@@ -64,13 +74,16 @@ class Letter(NamedTuple):
 
 
 class Word:
-    """An immutable sequence of letters; not assumed reduced.
+    """An immutable word; not assumed reduced.
 
-    A generator name may not contain ``^`` or whitespace, so that the text
-    ``format_word`` writes parses back to the same word.
+    ``syllables`` are its maximal runs ``(gen, k)``, ``letters`` its
+    ``Letter``s; either is derived from the other when first read.
+    ``len`` is the number of letters.  A generator name may not contain
+    ``^`` or whitespace, so that the text ``format_word`` writes parses back
+    to the same word.
     """
 
-    __slots__ = ("letters",)
+    __slots__ = ("_syllables", "_letters", "_len")
 
     def __init__(self, letters: Iterable = ()):
         out = []
@@ -85,35 +98,73 @@ class Word:
                                      f"without '^' or whitespace, got {gen!r}")
                 names.add(gen)
             out.append(Letter(gen, sign))
-        self.letters = tuple(out)
+        self._syllables = None
+        self._letters = tuple(out)
+        self._len = len(out)
 
     @classmethod
-    def _trusted(cls, letters: tuple) -> "Word":
-        """Wrap a tuple of ``Letter``s built by this library, unchecked."""
+    def _trusted(cls, syllables: tuple, length: int) -> "Word":
+        """Wrap maximal syllables built by this library, and their letter
+        count, unchecked."""
         word = object.__new__(cls)
-        word.letters = letters
+        word._syllables = syllables
+        word._letters = None
+        word._len = length
         return word
+
+    @property
+    def syllables(self) -> tuple:
+        syllables = self._syllables
+        if syllables is None:
+            syllables = self._syllables = tuple(
+                (gen, sign * len(list(run))) for (gen, sign), run in groupby(self._letters)
+            )
+        return syllables
+
+    @property
+    def letters(self) -> tuple:
+        letters = self._letters
+        if letters is None:
+            out: list = []
+            for gen, k in self._syllables:
+                out += (Letter(gen, 1),) * k if k > 0 else (Letter(gen, -1),) * -k
+            letters = self._letters = tuple(out)
+        return letters
+
+    @classmethod
+    def _joined(cls, syllables: Iterable) -> "Word":
+        """The word spelled by syllables ``(gen, k != 0)`` built by this
+        library, with neighbours that spell the same letter merged."""
+        out: list = []
+        length = 0
+        for gen, k in syllables:
+            length += abs(k)
+            if out and out[-1][0] == gen and (out[-1][1] > 0) == (k > 0):
+                out[-1] = (gen, out[-1][1] + k)
+            else:
+                out.append((gen, k))
+        return cls._trusted(tuple(out), length)
 
     @classmethod
     def gen(cls, name: str, sign: int = 1) -> "Word":
         return cls(((name, sign),))
 
     def inverse(self) -> "Word":
-        return Word._trusted(tuple(Letter(g, -s) for g, s in reversed(self.letters)))
+        return Word._trusted(tuple((g, -k) for g, k in reversed(self.syllables)), self._len)
 
     def __invert__(self) -> "Word":
         return self.inverse()
 
     def __mul__(self, other: "Word") -> "Word":
-        return Word._trusted(self.letters + other.letters)
+        return multiply(self, other)
 
     def __pow__(self, n: int) -> "Word":
         if n < 0:
             return self.inverse() ** (-n)
-        return Word._trusted(self.letters * n)
+        return Word._joined(self.syllables * n)
 
     def __len__(self) -> int:
-        return len(self.letters)
+        return self._len
 
     def __iter__(self):
         return iter(self.letters)
@@ -124,10 +175,10 @@ class Word:
     def __eq__(self, other) -> bool:
         if not isinstance(other, Word):
             return NotImplemented
-        return self.letters == other.letters
+        return self._len == other._len and self.syllables == other.syllables
 
     def __hash__(self) -> int:
-        return hash(self.letters)
+        return hash(self.syllables)
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}({format_word(self)!r})"
@@ -139,68 +190,60 @@ class NormalWord(Word):
     __slots__ = ()
 
 
-def parse_word(text: str) -> Word:
-    """Parse the token syntax; ``x^3`` expands to three letters.
-
-    Raises ``ParseError`` when the expansion would pass ``MAX_WORD_LETTERS``.
-    """
+def _syllable(tok: str) -> tuple:
+    """The syllable ``(name, k)`` one token spells."""
     # a name cut from a whitespace-split token before its first '^' is
     # non-empty once checked, and holds no '^' or whitespace: a valid
-    # generator name, so the letters need no second check in ``Word``
-    letters: list = []
-    made: dict = {}  # one Letter per (name, sign)
+    # generator name, so the syllables need no second check in ``Word``
+    name, caret, exp = tok.partition("^")
+    if not name:
+        raise ParseError(f"bad token {tok!r}")
+    if not caret:
+        return name, 1
+    digits = exp[1:] if exp[:1] == "-" else exp
+    if not (digits.isascii() and digits.isdigit()):
+        raise ParseError(f"bad exponent in token {tok!r}")
+    try:
+        k = int(exp)
+    except ValueError:  # past the interpreter's cap on digits int() reads
+        raise ParseError(f"bad exponent in token {tok!r}") from None
+    if k == 0:
+        raise ParseError(f"zero exponent in token {tok!r}")
+    return name, k
+
+
+def parse_word(text: str) -> Word:
+    """Parse the token syntax into syllables; ``x^3`` is one syllable, and
+    neighbouring tokens that spell the same letter share one.
+
+    Raises ``ParseError`` when the word would pass ``MAX_WORD_LETTERS``
+    letters.
+    """
+    syllables: list = []
+    made: dict = {}  # token -> its syllable; a word repeats few tokens
+    last = ("", 0)  # no token spells this
     for tok in text.split():
-        name, caret, exp = tok.partition("^")
-        if not name:
-            raise ParseError(f"bad token {tok!r}")
-        if caret:
-            try:
-                k = int(exp)
-            except ValueError:
-                raise ParseError(f"bad exponent in token {tok!r}") from None
-            if k == 0:
-                raise ParseError(f"zero exponent in token {tok!r}")
+        syllable = made.get(tok)
+        if syllable is None:
+            syllable = made[tok] = _syllable(tok)
+        if syllable[0] == last[0] and (syllable[1] > 0) == (last[1] > 0):
+            last = syllables[-1] = (last[0], last[1] + syllable[1])
         else:
-            k = 1
-        if len(letters) + abs(k) > MAX_WORD_LETTERS:
-            raise ParseError(f"word expands to more than {MAX_WORD_LETTERS} letters")
-        key = (name, 1 if k > 0 else -1)
-        letter = made.get(key)
-        if letter is None:
-            letter = made[key] = Letter(*key)
-        if k == 1:
-            letters.append(letter)
-        else:
-            letters += [letter] * abs(k)
-    return Word._trusted(tuple(letters))
+            syllables.append(syllable)
+            last = syllable
+    length = sum(abs(k) for _, k in syllables)
+    if length > MAX_WORD_LETTERS:
+        raise ParseError(f"word expands to more than {MAX_WORD_LETTERS} letters")
+    return Word._trusted(tuple(syllables), length)
 
 
 def format_word(w: Word) -> str:
-    """Tokens with maximal runs compressed, e.g. ``a^-2 b a^3``; identity -> ''."""
-    parts = []
-    run_gen, run_sign, run_len = None, 0, 0
-
-    def flush():
-        if run_len == 0:
-            return
-        k = run_sign * run_len
-        parts.append(run_gen if k == 1 else f"{run_gen}^{k}")
-
-    for gen, sign in w.letters:
-        if gen == run_gen and sign == run_sign:
-            run_len += 1
-        else:
-            flush()
-            run_gen, run_sign, run_len = gen, sign, 1
-    flush()
-    return " ".join(parts)
+    """One token per syllable, e.g. ``a^-2 b a^3``; identity -> ''."""
+    return " ".join(gen if k == 1 else f"{gen}^{k}" for gen, k in w.syllables)
 
 
 def multiply(*words: Word) -> Word:
-    out: tuple = ()
-    for w in words:
-        out += w.letters
-    return Word._trusted(out)
+    return Word._joined(s for w in words for s in w.syllables)
 
 
 def invert(w: Word) -> Word:
@@ -219,41 +262,57 @@ def commutator(u, v) -> Word:
 def normal_form(w: Word, g: SimpleGraph) -> NormalWord:
     """Canonical representative of the element of the graph group of ``g``.
 
-    Letters are piled left to right into a heap of pieces, one stack per
-    generator: a letter cancels against the most recent piece of its inverse
-    unless some non-commuting letter arrived in between, in which case it is
-    stacked.  The surviving heap is then read off greedily by least
-    generator.  The result is idempotent, never longer than the input, and
-    equal for two words exactly when they represent the same group element.
+    Syllables are piled left to right into a heap of pieces, one stack per
+    generator: a syllable of ``x`` lands on ``x``'s top piece unless some
+    non-commuting piece arrived in between, in which case it is stacked.  The
+    surviving heap is then read off greedily by least generator, a whole
+    piece at a time.  The result is idempotent, never longer than the input,
+    and equal for two words exactly when they represent the same group
+    element.
 
     Counts live in packed ints: each occurring generator, in sorted order,
-    owns a field of ``W = len(w).bit_length() + 1`` bits.  A piece of ``x``
-    is stored with ``c``, the number of live pieces that do not commute with
-    ``x`` when it lands.  Those pieces lie below it and stay live as long as
-    it does, because a piece with a live non-commuting piece above it cannot
-    cancel.  So a letter ``x^-s`` meets nothing non-commuting above the top
-    piece ``x^s`` exactly when that count is still ``c``.  The read-off may
-    emit the front piece of ``x`` once all ``c`` pieces below it are out,
-    that is when the field of ``x`` in (front counts - emitted counts) is
-    zero.  Every count is at most ``len(w)``, below ``2**(W-1)``, so no field
-    overflows into the next; an emptied stack's front count is
-    ``2**(W-1) - 1``, above any emitted count, which is at most
-    ``len(w) - 1``.  So each field of that difference lies in
-    ``[0, 2**(W-1))``, adding ``2**(W-1) - 1`` to it never carries out of the
-    field, and the sum's top bit is clear exactly when the field was zero.
-    The lowest such bit names the least generator that may be emitted.
+    owns a field of ``W = m.bit_length() + 1`` bits, ``m`` the number of
+    syllables.  A piece of ``x`` is stored with ``c``, the number of live
+    pieces that do not commute with ``x`` when it lands.  Those pieces lie
+    below it and stay live and unchanged as long as it does, because a piece
+    with a live non-commuting piece above it is never landed on: a syllable
+    over its generator counts that piece too.  So a syllable ``x^k`` meets
+    nothing non-commuting above the top piece ``(c, t)`` of ``x`` exactly
+    when the count is still ``c``.  It then lands on the piece, which becomes
+    ``(c, t + k)``, or is popped when that is zero; an overshooting
+    cancellation leaves the remainder with the count ``c`` it lands with.
+    Only a new or a popped piece moves the counts.  So a stack's counts rise
+    strictly from bottom to top, and no count exceeds ``m``.
 
-    Raises ``InputError`` for the first letter, in word order, over a
+    Read off letter by letter, a piece would still come out whole.  Each of
+    its letters has the count ``c``, and emitting ``x`` changes only the
+    fields of generators that do not commute with ``x``, so ``x`` stays
+    ready.  Such a generator ``y`` is not waiting on only part of the piece:
+    if ``y``'s front piece lies above it, it counted the whole piece; if
+    below, ``x`` could not have been emitted before it.  So ``x`` stays the
+    least ready generator, and the read-off emits the whole piece at once.
+    It may emit the front piece of ``x`` once all ``c`` pieces below it are
+    out, that is when the field of ``x`` in (front counts - emitted counts)
+    is zero.  An emptied stack's front count is ``2**(W-1) - 1``, above any
+    emitted count, which is at most ``m - 1``.  So each field of that
+    difference lies in ``[0, 2**(W-1))``, adding ``2**(W-1) - 1`` to it
+    never carries out of the field, and the sum's top bit is clear exactly
+    when the field was zero.  The lowest such bit names the least generator
+    that may be emitted.  Two pieces of one generator never come out next to
+    each other, since the next piece's count is higher, so the output
+    syllables are maximal.
+
+    Raises ``InputError`` for the first syllable, in word order, over a
     generator that is not a vertex of ``g``.
     """
-    letters = w.letters
-    gens = {gen for gen, _ in letters}
+    syllables = w.syllables
+    gens = {gen for gen, _ in syllables}
     if not all(map(g.__contains__, gens)):
-        unknown = next(gen for gen, _ in letters if gen not in g)
+        unknown = next(gen for gen, _ in syllables if gen not in g)
         raise InputError(f"letter over unknown generator {unknown!r}")
     occurring = sorted(gens)
     index = {x: i for i, x in enumerate(occurring)}
-    width = len(letters).bit_length() + 1
+    width = len(syllables).bit_length() + 1
     mask = (1 << width) - 1
     shifts = [width * i for i in range(len(occurring))]
     # inc[i] has a 1 in the field of each occurring generator that does not
@@ -270,15 +329,19 @@ def normal_form(w: Word, g: SimpleGraph) -> NormalWord:
 
     stacks: list[list] = [[] for _ in occurring]
     live = 0  # per field: live pieces that do not commute with its generator
-    for gen, sign in letters:
+    for gen, k in syllables:
         i = index[gen]
         c = (live >> shifts[i]) & mask
         stack = stacks[i]
-        if stack and stack[-1] == (c, -sign):
-            stack.pop()
-            live -= inc[i]
+        if stack and stack[-1][0] == c:
+            k += stack[-1][1]
+            if k:
+                stack[-1] = (c, k)
+            else:
+                stack.pop()
+                live -= inc[i]
         else:
-            stack.append((c, sign))
+            stack.append((c, k))
             live += inc[i]
 
     top = 1 << (width - 1)
@@ -291,43 +354,51 @@ def normal_form(w: Word, g: SimpleGraph) -> NormalWord:
     # emitted so far, plus ``spent``
     gap = fill + sum((stack[-1][0] if stack else spent) << shift
                      for stack, shift in zip(stacks, shifts))
-    faces = [(Letter(x, 1), Letter(x, -1)) for x in occurring]
     out = []
+    length = 0
     for _ in range(sum(map(len, stacks))):
         least = high & ~gap
         # the top bit of field i is bit width * (i + 1) - 1
         i = (least & -least).bit_length() // width - 1
         stack = stacks[i]
-        c, sign = stack.pop()
+        c, k = stack.pop()
         after = stack[-1][0] if stack else spent
         gap += ((after - c) << shifts[i]) - inc[i]
-        out.append(faces[i][sign < 0])
-    return NormalWord._trusted(tuple(out))
+        out.append((occurring[i], k))
+        length += abs(k)
+    return NormalWord._trusted(tuple(out), length)
 
 
 def free_reduce(w: Word, alphabet: Collection[str]) -> Word:
     """Free reduction of ``w`` over the generators in ``alphabet``: the
     normal form in the free group, where no two generators commute.
 
+    One stack of syllables: a syllable over the top's generator lands on it,
+    so ``a^-k b a^k`` takes three steps.  Neighbours on the stack have
+    different generators.
+
     Raises ``InputError`` on a letter over a generator outside ``alphabet``.
     """
     out: list = []
-    for letter in w.letters:
-        gen, sign = letter
+    for gen, k in w.syllables:
         if gen not in alphabet:
             raise InputError(f"letter over unknown generator {gen!r}")
-        if out and out[-1] == (gen, -sign):
-            out.pop()
+        if out and out[-1][0] == gen:
+            k += out[-1][1]
+            if k:
+                out[-1] = (gen, k)
+            else:
+                out.pop()
         else:
-            out.append(letter)
-    return Word._trusted(tuple(out))
+            out.append((gen, k))
+    return Word._trusted(tuple(out), sum(abs(k) for _, k in out))
 
 
 def are_equal(u: Word, v: Word, g: SimpleGraph) -> bool:
     """Word problem: do ``u`` and ``v`` represent the same group element?"""
-    return normal_form(u, g).letters == normal_form(v, g).letters
+    return normal_form(u, g).syllables == normal_form(v, g).syllables
 
 
 def support(w: Word, g: SimpleGraph) -> frozenset[str]:
     """Generators that survive in the normal form of ``w``."""
-    return frozenset(gen for gen, _ in normal_form(w, g).letters)
+    return frozenset(gen for gen, _ in normal_form(w, g).syllables)

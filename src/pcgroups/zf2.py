@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 from .errors import InputError
 from .stallings import StallingsGraph, from_generators
-from .words import MAX_WORD_LETTERS, Letter, Word, format_word, free_reduce
+from .words import MAX_WORD_LETTERS, Word, format_word, free_reduce
 
 __all__ = [
     "FREE_ALPHABET",
@@ -35,14 +35,13 @@ FREE_ALPHABET = ("a", "b")
 
 
 def _a_power(n: int) -> Word:
-    return Word._trusted((Letter("a", 1 if n > 0 else -1),) * abs(n))
+    return Word._trusted((("a", n),) if n else (), abs(n))
 
 
 def _is_reduced(w: Word) -> bool:
-    return all(
-        not (x.gen == y.gen and x.sign == -y.sign)
-        for x, y in zip(w.letters, w.letters[1:])
-    )
+    # syllables are maximal, so neighbours over one generator differ in sign
+    syllables = w.syllables
+    return all(x[0] != y[0] for x, y in zip(syllables, syllables[1:]))
 
 
 @dataclass(frozen=True)
@@ -53,7 +52,7 @@ class ZF2Element:
     word: Word
 
     def __post_init__(self):
-        for gen, _ in self.word.letters:
+        for gen, _ in self.word.syllables:
             if gen not in FREE_ALPHABET:
                 raise InputError(f"free part uses unknown generator {gen!r}")
         if not _is_reduced(self.word):
@@ -70,7 +69,7 @@ def eval_k_word(w: Word) -> ZF2Element:
     """Image of a word under a -> ta, b -> b: since t is central, the
     t-exponent is the a-exponent sum of the word and the free part is its
     reduction."""
-    t_exp = sum(sign for gen, sign in w.letters if gen == "a")
+    t_exp = sum(k for gen, k in w.syllables if gen == "a")
     return ZF2Element(t_exp, free_reduce(w, FREE_ALPHABET))
 
 

@@ -92,6 +92,36 @@ class TestNormalForm:
         code, out, err = invoke("normal-form", xy_file, "x^3000000")
         assert code == 2 and out == ""
         assert err.count("\n") == 1 and "letters" in err
+        code, out, err = invoke("normal-form", xy_file, "x^1000000 y")
+        assert (code, out) == (2, "")
+        assert err == "error: word expands to more than 1000000 letters\n"
+
+
+# a and c do not commute on the path a - b - c, so no letter of this
+# 999,999-letter word moves or cancels: each answer is the word itself
+LONG_RUNS = "a^499999 c a^-499999"
+LONG_RUN_ANSWERS = {
+    ("normal-form", LONG_RUNS): {"normal_form": LONG_RUNS, "length": 999999, "support": ["a", "c"]},
+    ("equal", LONG_RUNS, "a^250000 a^249999 c a^-1 a^-499998"): True,
+    ("equal", LONG_RUNS, "a^499999 c a^-499998"): False,
+    ("member-visible", "a c", LONG_RUNS): {"member": True, "rewritten": LONG_RUNS},
+    ("member-visible", "a b", LONG_RUNS): {"member": False, "rewritten": None},
+}
+
+
+@pytest.mark.parametrize("args", list(LONG_RUN_ANSWERS), ids=lambda args: " ".join(args)[:40])
+def test_long_runs_cost_what_the_text_costs(args):
+    # words are kept as syllables x^k, never expanded into their letters
+    argv = (args[0], str(INPUTS / "p3.graph")) + args[1:]
+    invoke(*argv)  # the parser is built once per process
+    tracemalloc.start()
+    try:
+        code, out, err = invoke(*argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0 and err == "" and json.loads(out) == LONG_RUN_ANSWERS[args]
+    assert peak < 1_000_000
 
 
 class TestEqual:
@@ -254,6 +284,8 @@ CONTRACT_CASES = {
     "binary bytes": lambda tmp: ("classify", _write(tmp, "blob.graph", bytes(range(256)) * 4)),
     "directory path": lambda tmp: ("classify", str(tmp)),
     "huge exponent": lambda tmp: ("normal-form", str(INPUTS / "xy.graph"), "x^99999999999999999999"),
+    "underscore in exponent": lambda tmp: ("normal-form", str(INPUTS / "xy.graph"), "x^1_0"),
+    "non-ASCII digit in exponent": lambda tmp: ("normal-form", str(INPUTS / "xy.graph"), "x^\u0663"),
     "unwritable out": lambda tmp: (
         "intersect-free", "--alphabet", "a b", str(INPUTS / "h.words"), str(INPUTS / "k.words"),
         "--out", str(tmp / "missing" / "meet.stallings"),

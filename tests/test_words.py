@@ -73,6 +73,37 @@ class TestParsing:
         with pytest.raises(ParseError):
             w("^3")
 
+    def test_exponent_is_ascii_decimal(self):
+        # int() would read each of these as a number
+        for text in ("x^1_0", "x^\u0663", "x^+3", "x^-+3", "x^ 3", "x^\u00b2", "x^3.0", "x^", "x^-", "x^--3"):
+            with pytest.raises(ParseError, match="bad exponent"):
+                w(text)
+        assert w("x^007") == w("x^7") and w("x^-03") == w("x^-3")
+
+    def test_tokens_merge_into_syllables(self):
+        word = w("x x^2 y^-1 y^-1 x^-1 x y")
+        assert word.syllables == (("x", 3), ("y", -2), ("x", -1), ("x", 1), ("y", 1))
+        assert len(word) == 8
+        assert w("").syllables == ()
+
+    def test_letters_and_text_give_one_word(self):
+        rng = random.Random(5)
+        for _ in range(300):
+            letters = random_word_of_length(rng, "xyz", rng.randrange(12))
+            built = Word(letters)
+            tokens = []
+            for gen, sign in letters:  # runs split at random into tokens
+                if tokens and tokens[-1][0] == gen and tokens[-1][1] * sign > 0 and rng.random() < 0.5:
+                    tokens[-1][1] += sign
+                else:
+                    tokens.append([gen, sign])
+            parsed = w(" ".join(f"{gen}^{k}" for gen, k in tokens))
+            assert built == parsed and parsed == built
+            assert hash(built) == hash(parsed)
+            assert len(built) == len(parsed) == len(letters)
+            assert built.letters == parsed.letters == tuple(letters)
+            assert built.syllables == parsed.syllables
+
     def test_expansion_limit(self, monkeypatch):
         assert pcgroups.words.MAX_WORD_LETTERS == 10**6
         with pytest.raises(ParseError, match="more than 1000000 letters"):
@@ -247,12 +278,12 @@ class TestAgainstInsertionReferee:
 
     def test_long_words(self):
         rng = random.Random(47)
-        for case in range(2000):
+        for case in range(2800):
             names = [f"g{i:02d}" for i in range(rng.randint(1, 30))]
             p = rng.choice((0.0, 0.1, 0.3, 0.5, 0.7, 0.9, 1.0))
             g = SimpleGraph(names, (e for e in itertools.combinations(names, 2) if rng.random() < p))
             length = rng.choice(self.EDGE_LENGTHS) if case % 2 else rng.randrange(401)
-            kind = case // 2 % 4
+            kind = case // 2 % 7
             if kind == 0:  # letters over every generator
                 letters = random_word_of_length(rng, names, length)
             elif kind == 1:  # letters over two or three generators: many cancel
@@ -262,13 +293,51 @@ class TestAgainstInsertionReferee:
                 while len(letters) < length:
                     letters += [(rng.choice(names), rng.choice((1, -1)))] * rng.randint(1, length)
                 letters = tuple(letters[:length])
-            else:  # a word times its inverse, which cancels to nothing
+            elif kind == 3:  # a word times its inverse, which cancels to nothing
                 half = random_word_of_length(rng, names, length // 2)
                 letters = half + tuple((gen, -sign) for gen, sign in reversed(half))
+            else:
+                letters = self.syllable_word(rng, kind, names, g, length)
             nf = normal_form(Word(letters), g)
             assert tuple(nf.letters) == insertion_normal_form(letters, g.edges), (case, names, p)
+            assert nf == normal_form(parse_word(format_word(Word(letters))), g)
             if kind == 3:
                 assert nf.letters == ()
+
+    @staticmethod
+    def syllable_word(rng, kind, names, g, length):
+        """Runs that land on, cancel and overshoot each other's pieces."""
+        x = rng.choice(names)
+        others = [y for y in names if y != x] or [x]
+        commuting = sorted(g.neighbors(x)) or others
+        blocking = [y for y in others if y not in g.neighbors(x)] or others
+        syllables = []
+
+        def run(gen, most):
+            syllables.append((gen, rng.choice((1, -1)) * rng.randint(1, max(1, most))))
+
+        while sum(abs(k) for _, k in syllables) < length:
+            most = max(1, length // 8)
+            if kind == 4:  # x^3 y x^-5 with y commuting with x: overshoots
+                run(x, most)
+                run(rng.choice(commuting), 3)
+                run(x, 2 * most)
+            elif kind == 5:  # x's run split by z, cancelled later: x^a z ... z^-1 x^b
+                z = rng.choice(blocking)
+                s = rng.choice((1, -1)) * rng.randint(1, 3)
+                run(x, most)
+                syllables.append((z, s))
+                if rng.random() < 0.5:
+                    run(rng.choice(names), most)
+                syllables.append((z, -s))
+                run(x, most)
+            else:  # alternating-sign runs of x, now and then another letter
+                k = rng.randint(1, most)
+                sign = 1 if not syllables or syllables[-1][1] < 0 else -1
+                syllables.append((x, sign * k))
+                if rng.random() < 0.2:
+                    run(rng.choice(others), 2)
+        return tuple((gen, 1 if k > 0 else -1) for gen, k in syllables for _ in range(abs(k)))
 
 
 class TestAreEqual:
