@@ -5,11 +5,11 @@ A word is a sequence of letters ``x`` or ``x^-1`` whose generators are
 vertices of an ambient graph; adjacent vertices commute.  It is stored as its
 maximal syllables: pairs ``(x, k)`` with ``k != 0``, each a run of ``|k|``
 letters ``x`` (``k > 0``) or ``x^-1`` (``k < 0``), no two neighbours spelling
-the same letter.  ``Word.letters`` is derived from the syllables when first
-read and then kept; a word built from letters is run-length encoded when its
-syllables are first read.  Parsing, the normal form and formatting work on
-syllables only, so their cost follows the length of the text, not the number
-of letters it stands for.
+the same letter.  A word built from letters is run-length encoded as it is
+checked; ``Word.letters`` is derived from the syllables when first read and
+then kept.  Parsing, the normal form and formatting work on syllables only,
+so their cost follows the length of the text, not the number of letters it
+stands for.
 
 ``normal_form`` returns the canonical representative of the group element:
 fully reduced (no inverse pair can be brought together by commuting swaps)
@@ -37,7 +37,6 @@ identity.  A word may stand for at most ``MAX_WORD_LETTERS`` (10**6) letters;
 
 from __future__ import annotations
 
-from itertools import groupby
 from typing import Collection, Iterable, NamedTuple
 
 from .errors import InputError, ParseError
@@ -76,18 +75,20 @@ class Letter(NamedTuple):
 class Word:
     """An immutable word; not assumed reduced.
 
-    ``syllables`` are its maximal runs ``(gen, k)``, ``letters`` its
-    ``Letter``s; either is derived from the other when first read.
-    ``len`` is the number of letters.  A generator name may not contain
-    ``^`` or whitespace, so that the text ``format_word`` writes parses back
-    to the same word.
+    ``syllables`` are its maximal runs ``(gen, k)``; ``letters``, its
+    ``Letter``s, are derived from them when first read.  ``len`` is the
+    number of letters.  A generator name may not contain ``^`` or
+    whitespace, so that the text ``format_word`` writes parses back to the
+    same word.
     """
 
-    __slots__ = ("_syllables", "_letters", "_len")
+    __slots__ = ("syllables", "_letters", "_len")
 
     def __init__(self, letters: Iterable = ()):
-        out = []
+        out: list = []
         names: set[str] = set()
+        length = 0
+        last = ("", 0)  # no letter spells this
         for item in letters:
             gen, sign = item
             if sign not in (1, -1):
@@ -97,36 +98,32 @@ class Word:
                     raise InputError(f"letter generator must be a non-empty string "
                                      f"without '^' or whitespace, got {gen!r}")
                 names.add(gen)
-            out.append(Letter(gen, sign))
-        self._syllables = None
-        self._letters = tuple(out)
-        self._len = len(out)
+            length += 1
+            if gen == last[0] and (sign > 0) == (last[1] > 0):
+                last = out[-1] = (gen, last[1] + sign)
+            else:
+                last = (gen, sign)
+                out.append(last)
+        self.syllables = tuple(out)
+        self._letters = None
+        self._len = length
 
     @classmethod
     def _trusted(cls, syllables: tuple, length: int) -> "Word":
         """Wrap maximal syllables built by this library, and their letter
         count, unchecked."""
         word = object.__new__(cls)
-        word._syllables = syllables
+        word.syllables = syllables
         word._letters = None
         word._len = length
         return word
-
-    @property
-    def syllables(self) -> tuple:
-        syllables = self._syllables
-        if syllables is None:
-            syllables = self._syllables = tuple(
-                (gen, sign * len(list(run))) for (gen, sign), run in groupby(self._letters)
-            )
-        return syllables
 
     @property
     def letters(self) -> tuple:
         letters = self._letters
         if letters is None:
             out: list = []
-            for gen, k in self._syllables:
+            for gen, k in self.syllables:
                 out += (Letter(gen, 1),) * k if k > 0 else (Letter(gen, -1),) * -k
             letters = self._letters = tuple(out)
         return letters
@@ -137,12 +134,15 @@ class Word:
         library, with neighbours that spell the same letter merged."""
         out: list = []
         length = 0
-        for gen, k in syllables:
+        last = ("", 0)  # no syllable spells this
+        for syllable in syllables:
+            gen, k = syllable
             length += abs(k)
-            if out and out[-1][0] == gen and (out[-1][1] > 0) == (k > 0):
-                out[-1] = (gen, out[-1][1] + k)
+            if gen == last[0] and (k > 0) == (last[1] > 0):
+                last = out[-1] = (gen, last[1] + k)
             else:
-                out.append((gen, k))
+                out.append(syllable)
+                last = syllable
         return cls._trusted(tuple(out), length)
 
     @classmethod
@@ -219,22 +219,14 @@ def parse_word(text: str) -> Word:
     Raises ``ParseError`` when the word would pass ``MAX_WORD_LETTERS``
     letters.
     """
-    syllables: list = []
-    made: dict = {}  # token -> its syllable; a word repeats few tokens
-    last = ("", 0)  # no token spells this
-    for tok in text.split():
-        syllable = made.get(tok)
-        if syllable is None:
-            syllable = made[tok] = _syllable(tok)
-        if syllable[0] == last[0] and (syllable[1] > 0) == (last[1] > 0):
-            last = syllables[-1] = (last[0], last[1] + syllable[1])
-        else:
-            syllables.append(syllable)
-            last = syllable
-    length = sum(abs(k) for _, k in syllables)
-    if length > MAX_WORD_LETTERS:
+    tokens = text.split()
+    # one syllable per distinct token, made in text order so that the first
+    # bad token is the one reported; a word repeats few tokens
+    made = {tok: _syllable(tok) for tok in dict.fromkeys(tokens)}
+    word = Word._joined(map(made.__getitem__, tokens))
+    if word._len > MAX_WORD_LETTERS:  # len() refuses counts past sys.maxsize
         raise ParseError(f"word expands to more than {MAX_WORD_LETTERS} letters")
-    return Word._trusted(tuple(syllables), length)
+    return word
 
 
 def format_word(w: Word) -> str:

@@ -278,7 +278,7 @@ class TestAgainstInsertionReferee:
 
     def test_long_words(self):
         rng = random.Random(47)
-        for case in range(2800):
+        for case in range(3500):
             names = [f"g{i:02d}" for i in range(rng.randint(1, 30))]
             p = rng.choice((0.0, 0.1, 0.3, 0.5, 0.7, 0.9, 1.0))
             g = SimpleGraph(names, (e for e in itertools.combinations(names, 2) if rng.random() < p))
