@@ -1,23 +1,23 @@
 """Stallings automata for finitely generated subgroups of free groups.
 
 A subgroup generated by finitely many words is represented by a rooted,
-folded, core automaton over the positive generators.  A built automaton
-holds its arcs as per-generator state arrays: ``_fwd[i][s]`` is the target
-of the arc labelled ``alphabet[i]`` at state ``s`` and ``_bwd[i][s]`` the
-source of the one entering ``s``, or -1 where there is none.  Membership
-traces the free reduction of a word along these arrays from the base; the
-rank of the subgroup is ``edges - states + 1``.
+folded, core automaton over the positive generators.  It has one shape, from
+the first arc written to the finished automaton: per-generator state
+arrays, where ``fwd[i][s]`` is the target of the arc labelled
+``alphabet[i]`` at state ``s`` and ``bwd[i][s]`` the source of the one
+entering ``s``, or -1 where there is none.  Membership traces the free
+reduction of a word along these arrays from the base; the rank of the
+subgroup is ``edges - states + 1``.
 
-``from_generators`` builds on per-state label maps, ``out[s]`` from a
-generator to the target of the arc it labels at ``s`` and ``inc[s]`` from a
-generator to the source of the arc it labels into ``s``.  Each freely
-reduced generator is read from the base along these maps, from both ends,
-and only its unread middle is added as fresh arcs; where an arc's label is
-already taken at a state, the pair of states to identify is queued.  One
-fold then merges the queued pairs with union-find, folding the smaller maps
-into the larger, until no two equal labels leave or enter one state.  The
-core (no non-base state of degree one) is trimmed on the same maps, and the
-arrays are written as the states are numbered.
+``from_generators`` reads each freely reduced generator from the base along
+the arrays, from both ends, and adds only its unread middle; each fresh
+state appends one -1 to every array.  Where an arc's label is already taken
+at a state, the pair of states to identify is queued, and one union-find
+fold merges the queued pairs on the arrays.  The public constructor and
+``parse_stallings`` write their arrays once and check them in ``_checked``:
+folded as written, connected, and core, in the caller's own state ids.
+Every path cuts the trees off the core with one ``_trim`` and renames states
+with one ``_number``.
 
 States are numbered canonically: breadth-first from the base, generators in
 order, the forward arc before the backward one at each label.  So equal
@@ -39,7 +39,7 @@ from __future__ import annotations
 from typing import Iterable, Optional
 
 from .errors import InputError, ParseError
-from .words import Word, free_reduce
+from .words import Word, _is_generator_name, free_reduce
 
 __all__ = [
     "StallingsGraph",
@@ -59,7 +59,8 @@ class StallingsGraph:
     transition is implied.  The base state is 0.
 
     The constructor keeps the state numbers it is given.  It raises
-    ``InputError`` unless the alphabet repeats no label, every state lies in
+    ``InputError`` unless every label is a non-empty string without ``^``
+    or whitespace, the alphabet repeats no label, every state lies in
     ``range(num_states)``, every label is in the alphabet, no two arcs with
     one label enter one state, every state is connected to the base and
     every non-base state has degree at least two (a core automaton).
@@ -70,48 +71,38 @@ class StallingsGraph:
     base = 0
 
     def __init__(self, alphabet: Iterable[str], num_states: int, transitions: dict):
-        alphabet = tuple(alphabet)
-        if len(set(alphabet)) != len(alphabet):
+        alphabet = _labels(alphabet)
+        known = set(alphabet)
+        if len(known) != len(alphabet):
             raise InputError(f"alphabet {alphabet!r} repeats a label")
         if type(num_states) is not int or num_states < 1:
             raise InputError(f"num_states must be a positive int, got {num_states!r}")
-        transitions = dict(transitions)
-        known = set(alphabet)
-        out: dict = {s: {} for s in range(num_states)}
-        inc: dict = {s: {} for s in range(num_states)}
-        for (u, g), v in transitions.items():
+        arcs = []
+        for (u, g), v in dict(transitions).items():
             if g not in known:
                 raise InputError(f"transition label {g!r} is not in the alphabet")
             for s in (u, v):
                 if type(s) is not int or not 0 <= s < num_states:
                     raise InputError(f"state {s!r} is outside 0 .. {num_states - 1}")
-            if inc[v].setdefault(g, u) != u:
-                raise InputError(f"two {g!r} transitions enter state {v}: not folded")
-            out[u][g] = v
-        problem = _core_problem(out, inc, 0)
-        if problem:
-            raise InputError(problem)
-        fwd = [[-1] * num_states for _ in alphabet]
-        bwd = [[-1] * num_states for _ in alphabet]
-        column = {g: i for i, g in enumerate(alphabet)}
-        for (u, g), v in transitions.items():
-            fwd[column[g]][u] = v
-            bwd[column[g]][v] = u
-        self._set(alphabet, num_states, fwd, bwd, len(transitions))
+            arcs.append((u, g, v, None))
+        fwd, bwd, _ = _checked(
+            alphabet, range(num_states), arcs, lambda message, _: InputError(message)
+        )
+        self._set(alphabet, num_states, fwd, bwd)
 
     @classmethod
-    def _trusted(cls, alphabet: tuple[str, ...], num_states: int, fwd: list, bwd: list,
-                 num_edges: int) -> "StallingsGraph":
+    def _trusted(cls, alphabet: tuple[str, ...], num_states: int, fwd: list,
+                 bwd: list) -> "StallingsGraph":
         """Wrap arrays that the library built from a folded core automaton,
         unchecked and uncopied."""
         sg = object.__new__(cls)
-        sg._set(alphabet, num_states, fwd, bwd, num_edges)
+        sg._set(alphabet, num_states, fwd, bwd)
         return sg
 
-    def _set(self, alphabet, num_states, fwd, bwd, num_edges) -> None:
+    def _set(self, alphabet, num_states, fwd, bwd) -> None:
         self.alphabet = alphabet
         self.num_states = num_states
-        self.num_edges = num_edges
+        self.num_edges = sum(len(row) - row.count(-1) for row in fwd)
         self._fwd = fwd
         self._bwd = bwd
         self._transitions = None
@@ -205,29 +196,11 @@ class StallingsGraph:
                     seconds.append(t2)
                 add(t)
 
-        rows = fwd + bwd
-        degree = [len(arcs) - arcs.count(-1) for arcs in zip(*rows)]
-        trim = [s for s in range(1, n) if degree[s] <= 1]
-        if trim:
-            ends = list(zip(rows, bwd + fwd))
-            for s in trim:  # grows as trimming exposes new leaves
-                degree[s] = -1
-                for row, back in ends:
-                    t = row[s]
-                    if t >= 0:
-                        back[t] = -1
-                        degree[t] -= 1
-                        if t and degree[t] == 1:
-                            trim.append(t)
-            keep = [s for s in range(n) if degree[s] >= 0]
-            number = [-1] * (n + 1)  # number[-1] stays -1 for a missing arc
-            for new, s in enumerate(keep):
-                number[s] = new
-            fwd = [[number[row[s]] for s in keep] for row in fwd]
-            bwd = [[number[row[s]] for s in keep] for row in bwd]
+        keep = _trim(fwd, bwd, n)
+        if len(keep) < n:
+            fwd, bwd = _number(fwd, bwd, n, keep)
             n = len(keep)
-        num_edges = sum(len(row) - row.count(-1) for row in fwd)
-        return StallingsGraph._trusted(self.alphabet, n, fwd, bwd, num_edges)
+        return StallingsGraph._trusted(self.alphabet, n, fwd, bwd)
 
     def to_dot(self) -> str:
         """Plain DOT text; the base state is drawn as a double circle."""
@@ -258,38 +231,160 @@ class StallingsGraph:
         )
 
 
-def _core_problem(out: dict, inc: dict, base) -> Optional[str]:
-    """What keeps folded label maps from being a core automaton connected to
-    the base, or None.  ``out[s]`` and ``inc[s]`` map a generator to the
-    target and the source of the arcs it labels at ``s``; both are keyed by
-    every state."""
-    reach = {base}
-    stack = [base]
-    while stack:
-        s = stack.pop()
-        for t in (*out[s].values(), *inc[s].values()):
-            if t not in reach:
-                reach.add(t)
-                stack.append(t)
-    if len(reach) != len(out):
-        return f"states {sorted(set(out) - reach)} are not connected to the base"
-    bad = sorted(s for s in out if s != base and len(out[s]) + len(inc[s]) <= 1)
-    if bad:
-        return f"non-base states of degree <= 1: {bad} (not a core automaton)"
-    return None
+def _labels(alphabet: Iterable[str]) -> tuple[str, ...]:
+    """The alphabet as a tuple; raises ``InputError`` on a label that is not
+    a generator name, the rule ``Word`` applies to its letters."""
+    alphabet = tuple(alphabet)
+    for g in alphabet:
+        if not _is_generator_name(g):
+            raise InputError(f"alphabet label must be a non-empty string without '^' "
+                             f"or whitespace, got {g!r}")
+    return alphabet
 
 
-def _fold(out: dict, inc: dict, merges: list) -> int:
-    """Fold the label maps in place and return the base's state.
+def _search(fwd: list, bwd: list, n: int) -> list[int]:
+    """States reached from the base 0 in canonical order: breadth-first,
+    generators in order, the forward arc before the backward one."""
+    rows = [row for pair in zip(fwd, bwd) for row in pair]
+    seen = [False] * n
+    seen[0] = True
+    order = [0]
+    for s in order:  # grows while it is walked
+        for row in rows:
+            t = row[s]
+            if t >= 0 and not seen[t]:
+                seen[t] = True
+                order.append(t)
+    return order
 
-    ``out[s]`` maps a generator to the target of the arc it labels at ``s``
-    and ``inc[s]`` to the source of the arc it labels into ``s``; states are
-    ``0 .. len(out) - 1`` and 0 is the base.  ``merges`` lists pairs of states
-    to identify.  Union-find merges each pair, folding the smaller maps into
-    the larger; wherever both give one label, the two ends it leads to are
-    identified in turn.  Merged-away states leave the maps, and the targets
-    of the remaining ones are resolved to their roots."""
-    parent = list(range(len(out)))
+
+def _trim(fwd: list, bwd: list, n: int) -> list[int]:
+    """Cut the trees that hang off the core in place, and return the states
+    kept, in order: a non-base state of degree at most one goes, with the
+    arcs into it, until none is left."""
+    rows = fwd + bwd
+    degree = [len(arcs) - arcs.count(-1) for arcs in zip(*rows)] if rows else [0] * n
+    trim = [s for s in range(1, n) if degree[s] <= 1]
+    ends = list(zip(rows, bwd + fwd))
+    for s in trim:  # grows as trimming exposes new leaves
+        degree[s] = -1
+        for row, back in ends:
+            t = row[s]
+            if t >= 0:
+                back[t] = -1
+                degree[t] -= 1
+                if t and degree[t] == 1:
+                    trim.append(t)
+    return [s for s in range(n) if degree[s] >= 0]
+
+
+def _number(fwd: list, bwd: list, n: int, order: list[int]) -> tuple[list, list]:
+    """The arrays with state ``order[j]`` renamed ``j``.  States left out of
+    ``order`` are dropped; no kept state may have an arc to one of them."""
+    number = [-1] * (n + 1)  # number[-1] stays -1 for a missing arc
+    for new, s in enumerate(order):
+        number[s] = new
+    return (
+        [[number[row[s]] for s in order] for row in fwd],
+        [[number[row[s]] for s in order] for row in bwd],
+    )
+
+
+def _checked(alphabet: tuple[str, ...], ids, arcs: list, error) -> tuple[list, list, list]:
+    """The arrays of ``arcs``, each ``(u, g, v, line)`` between states
+    ``0 .. len(ids) - 1``, and the states in canonical order.  Raises
+    ``error(message, line)`` unless the arcs are folded, connected to the
+    base 0 and core; the message names state ``s`` by ``ids[s]``."""
+    n = len(ids)
+    arrays = {g: ([-1] * n, [-1] * n) for g in alphabet}
+    for u, g, v, line in arcs:
+        ahead, behind = arrays[g]
+        for row, s, t, way in ((ahead, u, v, "leave"), (behind, v, u, "enter")):
+            if row[s] not in (-1, t):
+                raise error(f"two {g!r} transitions {way} state {ids[s]}: not folded", line)
+            row[s] = t
+    fwd = [ahead for ahead, _ in arrays.values()]
+    bwd = [behind for _, behind in arrays.values()]
+    order = _search(fwd, bwd, n)
+    if len(order) < n:
+        lost = sorted(ids[s] for s in set(range(n)).difference(order))
+        raise error(f"states {lost} are not connected to the base", None)
+    kept = _trim(fwd, bwd, n)
+    if len(kept) < n:
+        gone = sorted(ids[s] for s in set(range(n)).difference(kept))
+        raise error(f"states {gone} hang off the core in trees (not a core automaton)", None)
+    return fwd, bwd, order
+
+
+def from_generators(ws: Iterable[Word], alphabet: Iterable[str]) -> StallingsGraph:
+    """Build the subgroup's automaton from generator words.
+
+    Each freely reduced word is read forward from the base along the
+    arcs added so far, for at most all but its last letter, then
+    backward from the base for its suffix, never past what the prefix read.
+    The unread middle, at least one letter, becomes a fresh path between the
+    two states reached.  A fresh path between existing states adds exactly
+    the loop spelling the word to the fundamental group, just as a bouquet
+    loop would, so the subgroup is the one the words generate.  One fold at
+    the end makes the automaton deterministic.
+
+    Words may be unreduced or trivial; the trivial subgroup comes out as a
+    single base state with no transitions.
+    """
+    alpha = tuple(sorted(set(_labels(alphabet))))
+    known = frozenset(alpha)
+    fwd: list = [[-1] for _ in alpha]
+    bwd: list = [[-1] for _ in alpha]
+    rows = fwd + bwd
+    # a letter's arrays: where it leads from a state, and where it comes from
+    step = {}
+    for g, ahead, behind in zip(alpha, fwd, bwd):
+        step[g, 1] = ahead, behind
+        step[g, -1] = behind, ahead
+    n = 1
+    # the first arc with a label at a state is the one words are read along;
+    # a later one with the same label asks for its other end to be merged
+    merges = []
+    for w in ws:
+        letters = free_reduce(w, known).letters
+        m = len(letters)
+        if not m:
+            continue
+        head, i = 0, 0
+        while i < m - 1:
+            nxt = step[letters[i]][0][head]
+            if nxt < 0:
+                break
+            head, i = nxt, i + 1
+        tail, j = 0, m
+        while j - 1 > i:
+            prev = step[letters[j - 1]][1][tail]
+            if prev < 0:
+                break
+            tail, j = prev, j - 1
+        state = head
+        for k in range(i, j):
+            if k == j - 1:
+                nxt = tail
+            else:
+                nxt = n
+                n += 1
+                for row in rows:
+                    row.append(-1)
+            ahead, behind = step[letters[k]]
+            for row, s, t in ((ahead, state, nxt), (behind, nxt, state)):
+                held = row[s]
+                if held < 0:
+                    row[s] = t
+                elif held != t:
+                    merges.append((held, t))
+            state = nxt
+
+    # Union-find fold: the larger number of a pair is merged into the
+    # smaller, so the base stays 0.  The merged state's arcs move to the kept
+    # one, and wherever both have an arc with one label the two far ends are
+    # queued to merge in turn.  Arcs are resolved to their roots at the end.
+    parent = list(range(n))
 
     def find(x: int) -> int:
         while parent[x] != x:
@@ -302,120 +397,26 @@ def _fold(out: dict, inc: dict, merges: list) -> int:
         a, b = find(a), find(b)
         if a == b:
             continue
-        if len(out[a]) + len(inc[a]) < len(out[b]) + len(inc[b]):
+        if a > b:
             a, b = b, a
         parent[b] = a
-        for kept, gone in ((out[a], out.pop(b)), (inc[a], inc.pop(b))):
-            for g, t in gone.items():
-                held = kept.setdefault(g, t)
-                if held != t:
+        for row in rows:
+            t = row[b]
+            if t >= 0:
+                row[b] = -1
+                held = row[a]
+                if held < 0:
+                    row[a] = t
+                elif held != t:
                     merges.append((held, t))
-    for maps in (out, inc):
-        for arcs in maps.values():
-            for g, t in arcs.items():
-                arcs[g] = find(t)
-    return find(0)
+    root = [find(s) for s in range(n)] + [-1]  # root[-1] is -1 for a missing arc
+    for row in rows:
+        row[:] = [root[t] for t in row]
 
-
-def _assemble(alphabet: tuple[str, ...], base, out: dict, inc: dict) -> StallingsGraph:
-    """Cored, canonically numbered automaton from folded label maps
-    (``out[s]``: generator -> target and ``inc[s]``: generator -> source,
-    both keyed by every state).  Every state must be connected to the
-    base: ``from_generators`` hangs each arc off a reached state (folding
-    keeps that) and ``parse_stallings`` rejects disconnected input.  The core
-    is trimmed on the maps themselves: a non-base state of degree
-    ``len(out[s]) + len(inc[s]) <= 1`` goes, with its one entry at its
-    neighbour, until none is left.  The state arrays are then written while
-    the states are numbered breadth-first from the base."""
-    trim = [s for s in out if s != base and len(out[s]) + len(inc[s]) <= 1]
-    while trim:
-        s = trim.pop()
-        for arcs, back in ((out, inc), (inc, out)):
-            for g, t in arcs.pop(s).items():
-                del back[t][g]
-                if t != base and len(out[t]) + len(inc[t]) == 1:
-                    trim.append(t)
-
-    n = len(out)
-    fwd = [[-1] * n for _ in alphabet]
-    bwd = [[-1] * n for _ in alphabet]
-    steps = [(g, fwd[i], bwd[i]) for i, g in enumerate(alphabet)]
-    order = {base: 0}
-    queue = [base]
-    for here, s in enumerate(queue):
-        forward, backward = out[s], inc[s]
-        for g, targets, sources in steps:
-            for arcs, row in ((forward, targets), (backward, sources)):
-                t = arcs.get(g)
-                if t is not None:
-                    there = order.get(t)
-                    if there is None:
-                        there = order[t] = len(queue)
-                        queue.append(t)
-                    row[here] = there
-    return StallingsGraph._trusted(alphabet, n, fwd, bwd, sum(map(len, out.values())))
-
-
-def from_generators(ws: Iterable[Word], alphabet: Iterable[str]) -> StallingsGraph:
-    """Build the subgroup's automaton from generator words.
-
-    Each freely reduced word is read forward from the base along the
-    transitions added so far, for at most all but its last letter, then
-    backward from the base for its suffix, never past what the prefix read.
-    The unread middle, at least one letter, becomes a fresh arc between the
-    two states reached.  A fresh arc between existing states adds exactly
-    the loop spelling the word to the fundamental group, just as a bouquet
-    loop would, so the subgroup is the one the words generate.  One fold at
-    the end makes the automaton deterministic.
-
-    Words may be unreduced or trivial; the trivial subgroup comes out as a
-    single base state with no transitions.
-    """
-    alpha = tuple(sorted(set(alphabet)))
-    known = frozenset(alpha)
-    # the first arc with a label at a state is the one words are read along;
-    # a later one with the same label asks for its other end to be merged
-    out: dict = {0: {}}
-    inc: dict = {0: {}}
-    merges = []
-    for w in ws:
-        letters = free_reduce(w, known).letters
-        n = len(letters)
-        if not n:
-            continue
-        head, i = 0, 0
-        while i < n - 1:
-            gen, sign = letters[i]
-            nxt = (out if sign > 0 else inc)[head].get(gen)
-            if nxt is None:
-                break
-            head, i = nxt, i + 1
-        tail, j = 0, n
-        while j - 1 > i:
-            gen, sign = letters[j - 1]
-            prev = (inc if sign > 0 else out)[tail].get(gen)
-            if prev is None:
-                break
-            tail, j = prev, j - 1
-        state = head
-        for k in range(i, j):
-            gen, sign = letters[k]
-            if k == j - 1:
-                nxt = tail
-            else:
-                nxt = len(out)
-                out[nxt] = {}
-                inc[nxt] = {}
-            u, v = (state, nxt) if sign > 0 else (nxt, state)
-            held = out[u].setdefault(gen, v)
-            if held != v:
-                merges.append((held, v))
-            held = inc[v].setdefault(gen, u)
-            if held != u:
-                merges.append((held, u))
-            state = nxt
-    base = _fold(out, inc, merges)
-    return _assemble(alpha, base, out, inc)
+    _trim(fwd, bwd, n)
+    order = _search(fwd, bwd, n)
+    fwd, bwd = _number(fwd, bwd, n, order)
+    return StallingsGraph._trusted(alpha, len(order), fwd, bwd)
 
 
 def format_stallings(sg: StallingsGraph) -> str:
@@ -426,59 +427,55 @@ def format_stallings(sg: StallingsGraph) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _state_id(tok: str, lineno: int) -> int:
+    """A state id: ASCII decimal digits after an optional ``-``."""
+    digits = tok[1:] if tok[:1] == "-" else tok
+    if digits.isascii() and digits.isdigit():
+        try:
+            return int(tok)
+        except ValueError:  # past the interpreter's cap on digits int() reads
+            pass
+    raise ParseError(f"state id {tok!r} is not an ASCII decimal integer", line=lineno)
+
+
+def _label(tok: str, lineno: int) -> str:
+    if "^" in tok:
+        raise ParseError(f"generator name {tok!r} may not contain '^'", line=lineno)
+    return tok
+
+
 def parse_stallings(text: str) -> StallingsGraph:
     """Parse and validate the text serialization.
 
     The input must already be deterministic (folded) and core; violations are
-    reported with their line number.  States are renumbered canonically, so
-    parse(format(sg)) == sg.
+    reported with their line number or the file's own state ids.  States are
+    renumbered canonically, so parse(format(sg)) == sg.
     """
-    base: Optional[int] = None
-    declared: tuple[str, ...] = ()
-    raw: list[tuple[int, str, int, int]] = []
+    index: dict = {}  # state id -> state, in order of first mention
+    declared: Optional[list] = None
+    arcs = []
     for lineno, line in enumerate(text.splitlines(), start=1):
-        stripped = line.split("#", 1)[0].strip()
-        if not stripped:
+        tokens = line.split("#", 1)[0].split()
+        if not tokens:
             continue
-        if base is None:
-            head = stripped.split()
-            try:
-                base = int(head[0])
-            except ValueError:
-                raise ParseError(f"expected the base state id, got {head[0]!r}", line=lineno) from None
-            declared = tuple(head[1:])
+        if declared is None:
+            index[_state_id(tokens[0], lineno)] = 0
+            declared = [_label(g, lineno) for g in tokens[1:]]
             continue
-        tokens = stripped.split()
         if len(tokens) != 3:
             raise ParseError("transition lines need 'state generator state'", line=lineno)
-        try:
-            u, v = int(tokens[0]), int(tokens[2])
-        except ValueError:
-            raise ParseError(f"state ids must be integers in {stripped!r}", line=lineno) from None
-        if "^" in tokens[1]:
-            raise ParseError(f"generator name {tokens[1]!r} may not contain '^'", line=lineno)
-        if declared and tokens[1] not in declared:
-            raise ParseError(
-                f"generator {tokens[1]!r} is not in the declared alphabet", line=lineno
-            )
-        raw.append((u, tokens[1], v, lineno))
-    if base is None:
+        u, g, v = tokens
+        u = index.setdefault(_state_id(u, lineno), len(index))
+        v = index.setdefault(_state_id(v, lineno), len(index))
+        _label(g, lineno)
+        if declared and g not in declared:
+            raise ParseError(f"generator {g!r} is not in the declared alphabet", line=lineno)
+        arcs.append((u, g, v, lineno))
+    if declared is None:
         raise ParseError("empty input: the first line must name the base state", line=1)
 
-    out: dict = {base: {}}
-    inc: dict = {base: {}}
-    for u, g, v, lineno in raw:
-        for s in (u, v):
-            if s not in out:
-                out[s] = {}
-                inc[s] = {}
-        if out[u].setdefault(g, v) != v:
-            raise ParseError(f"two '{g}' transitions leave state {u}: not folded", line=lineno)
-        if inc[v].setdefault(g, u) != u:
-            raise ParseError(f"two '{g}' transitions enter state {v}: not folded", line=lineno)
-    problem = _core_problem(out, inc, base)
-    if problem:
-        raise ParseError(problem)
-
-    alphabet = tuple(sorted(set(declared) | {g for arcs in out.values() for g in arcs}))
-    return _assemble(alphabet, base, out, inc)
+    alphabet = tuple(sorted(set(declared).union(g for _, g, _, _ in arcs)))
+    ids = list(index)
+    fwd, bwd, order = _checked(alphabet, ids, arcs, ParseError)
+    fwd, bwd = _number(fwd, bwd, len(ids), order)
+    return StallingsGraph._trusted(alphabet, len(ids), fwd, bwd)

@@ -61,6 +61,12 @@ __all__ = [
 MAX_WORD_LETTERS = 10**6
 
 
+def _is_generator_name(gen) -> bool:
+    """A generator name is a non-empty ``str`` without ``^`` or whitespace,
+    so that written words parse back."""
+    return isinstance(gen, str) and gen != "" and "^" not in gen and gen.split() == [gen]
+
+
 class Letter(NamedTuple):
     gen: str
     sign: int
@@ -94,7 +100,7 @@ class Word:
             if sign not in (1, -1):
                 raise InputError(f"letter sign must be +1 or -1, got {sign!r}")
             if not (isinstance(gen, str) and gen in names):
-                if not isinstance(gen, str) or not gen or "^" in gen or gen.split() != [gen]:
+                if not _is_generator_name(gen):
                     raise InputError(f"letter generator must be a non-empty string "
                                      f"without '^' or whitespace, got {gen!r}")
                 names.add(gen)

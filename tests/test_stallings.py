@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 
@@ -392,6 +393,42 @@ class TestSerialization:
         back = parse_stallings(format_stallings(sg))
         assert back.num_states == 1 and back.transitions == {}
 
+    @pytest.mark.parametrize("bad", ["\u0663", "+1", "1_0", "1\u00b2", "--1", "-", "0x1"])
+    def test_state_ids_are_ascii_decimal(self, bad):
+        with pytest.raises(ParseError, match=re.escape(f"line 1: state id {bad!r}")):
+            parse_stallings(f"{bad} a\n{bad} a {bad}\n")
+        with pytest.raises(ParseError, match="line 3"):
+            parse_stallings(f"0 a\n0 a 0\n0 b {bad}\n")
+
+    def test_negative_and_padded_state_ids(self):
+        # 10 and 010 are one state; -4 is a state like any other
+        back = parse_stallings("-4 a b\n-4 a 10\n010 b 010\n10 a -4\n")
+        assert back == from_generators([w("a^2"), w("a b a^-1")], AB)
+
+    def test_header_labels_may_not_contain_a_caret(self):
+        with pytest.raises(ParseError, match="line 2: generator name 'a\\^2'"):
+            parse_stallings("# comment\n0 a^2 b\n0 b 0\n")
+
+    def test_errors_name_the_files_state_ids(self):
+        # the base is 7 and the other ids are far from the internal numbers
+        # 0, 1, 2, ... that the parser gives the states
+        cases = [
+            ("7 a b\n7 b 7\n7 a 12\n12 b 12\n12 a 30\n12 a 31\n",
+             "line 6: two 'a' transitions leave state 12: not folded"),
+            ("7 a b\n7 b 7\n7 a 12\n30 a 12\n",
+             "line 4: two 'a' transitions enter state 12: not folded"),
+            ("7 a b\n7 a 7\n40 b 40\n-3 a -3\n",
+             "states [-3, 40] are not connected to the base"),
+            ("7 a b\n7 a 7\n7 b 12\n12 b 30\n30 a 30\n12 a 50\n",
+             "states [50] hang off the core in trees (not a core automaton)"),
+            ("7 a b\n7 a 7\n7 b 12\n12 b 30\n",
+             "states [12, 30] hang off the core in trees (not a core automaton)"),
+        ]
+        for text, message in cases:
+            with pytest.raises(ParseError) as caught:
+                parse_stallings(text)
+            assert str(caught.value) == message
+
 
 class TestConstructor:
     def test_accepts_a_folded_automaton(self):
@@ -430,6 +467,25 @@ class TestConstructor:
     def test_rejects_a_repeated_label(self):
         with pytest.raises(InputError, match="repeats"):
             StallingsGraph(("a", "a"), 1, {(0, "a"): 0})
+
+    def test_errors_name_the_given_states(self):
+        cases = [
+            ({(0, "a"): 3, (2, "a"): 3, (3, "b"): 0}, "two 'a' transitions enter state 3: not folded"),
+            ({(0, "a"): 0, (2, "b"): 3, (3, "b"): 2}, "states [1, 2, 3] are not connected to the base"),
+            ({(0, "a"): 0, (0, "b"): 3, (3, "b"): 2, (2, "a"): 2, (3, "a"): 1},
+             "states [1] hang off the core in trees (not a core automaton)"),
+        ]
+        for transitions, message in cases:
+            with pytest.raises(InputError) as caught:
+                StallingsGraph(AB, 4, transitions)
+            assert str(caught.value) == message
+
+    @pytest.mark.parametrize("label", [1, None, "", "a^2", "a b", " a", ("a",)])
+    def test_rejects_labels_that_are_not_generator_names(self, label):
+        with pytest.raises(InputError, match="alphabet label"):
+            StallingsGraph(("a", label), 1, {(0, "a"): 0})
+        with pytest.raises(InputError, match="alphabet label"):
+            from_generators([Word.gen("a")], ["a", label])
 
     def test_alphabet_is_kept_as_a_tuple(self):
         sg = StallingsGraph(["a", "b"], 1, {(0, "a"): 0})

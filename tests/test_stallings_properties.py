@@ -1,0 +1,100 @@
+"""Property tests for Stallings automata and the graph text format, with the
+bouquet-fold and product oracles as judges.
+
+The examples are fixed by the profile in ``conftest.py``."""
+
+import itertools
+
+from hypothesis import given
+from hypothesis import strategies as st
+
+from pcgroups import (
+    SimpleGraph,
+    Word,
+    format_graph,
+    format_stallings,
+    from_generators,
+    parse_graph,
+    parse_stallings,
+)
+from oracles import bouquet_automaton, intersection_automaton
+
+ALPHABETS = (("a",), ("a", "b"), ("a", "b", "c"))
+
+
+@st.composite
+def words(draw, alphabet, max_syllables=5):
+    """Letters in runs of up to three, unreduced on purpose."""
+    letters = []
+    for gen, k in draw(st.lists(st.tuples(st.sampled_from(alphabet), st.integers(-3, 3).filter(bool)),
+                                max_size=max_syllables)):
+        letters += [(gen, 1 if k > 0 else -1)] * abs(k)
+    return Word(letters)
+
+
+@st.composite
+def subgroup_pairs(draw):
+    """An alphabet and two lists of generator words over it."""
+    alphabet = draw(st.sampled_from(ALPHABETS))
+    gens = st.lists(words(alphabet), max_size=4)
+    return alphabet, draw(gens), draw(gens)
+
+
+@st.composite
+def automata(draw):
+    alphabet, gens, _ = draw(subgroup_pairs())
+    return from_generators(gens, alphabet)
+
+
+@given(subgroup_pairs())
+def test_intersect_matches_the_product_oracle(case):
+    alphabet, gens1, gens2 = case
+    meet = from_generators(gens1, alphabet).intersect(from_generators(gens2, alphabet))
+    expected = intersection_automaton(
+        bouquet_automaton(gens1, alphabet), bouquet_automaton(gens2, alphabet), alphabet
+    )
+    assert format_stallings(meet) == expected
+
+
+@given(subgroup_pairs(), st.data())
+def test_intersect_members_are_members_of_both(case, data):
+    alphabet, gens1, gens2 = case
+    sg1, sg2 = from_generators(gens1, alphabet), from_generators(gens2, alphabet)
+    meet = sg1.intersect(sg2)
+    # products of the generators reach members; random words mostly do not
+    candidates = [data.draw(words(alphabet, 8)) for _ in range(4)]
+    for u, v in itertools.product(gens1 + gens2, repeat=2):
+        candidates.append(u * v)
+    for w in candidates:
+        assert meet.member(w) == (sg1.member(w) and sg2.member(w))
+
+
+@given(automata())
+def test_stallings_format_parses_back(sg):
+    assert parse_stallings(format_stallings(sg)) == sg
+
+
+@given(automata(), st.data())
+def test_renamed_and_shuffled_serialization_parses_back(sg, data):
+    ids = data.draw(st.lists(st.integers(-10**6, 10**6), min_size=sg.num_states,
+                             max_size=sg.num_states, unique=True))
+    lines = [f"{ids[u]} {g} {ids[v]}" for u, g, v in sg.edges()]
+    lines = data.draw(st.permutations(lines))
+    text = "\n".join([" ".join((str(ids[0]),) + sg.alphabet)] + lines) + "\n"
+    assert parse_stallings(text) == sg
+
+
+NAMES = st.text(st.characters(categories=("L", "N"), include_characters="_'-"), min_size=1, max_size=3)
+
+
+@st.composite
+def graphs(draw):
+    names = draw(st.lists(NAMES, max_size=7, unique=True))
+    pairs = list(itertools.combinations(names, 2))
+    edges = [p for p in pairs if draw(st.booleans())]
+    return SimpleGraph(names, edges)
+
+
+@given(graphs())
+def test_graph_format_parses_back(g):
+    assert parse_graph(format_graph(g)) == g

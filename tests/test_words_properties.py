@@ -1,8 +1,10 @@
-"""Property tests for the words layer, with the insertion referee as judge."""
+"""Property tests for the words layer, with the insertion referee as judge.
+
+The examples are fixed by the profile in ``conftest.py``."""
 
 import itertools
 
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from pcgroups import SimpleGraph, Word, are_equal, format_word, normal_form, parse_word
@@ -10,9 +12,6 @@ from oracles import insertion_normal_form
 
 NAMES = ("a", "b", "c", "d", "e")
 PAIRS = list(itertools.combinations(NAMES, 2))
-
-# fixed examples, no example database: every run checks the same cases
-SETTINGS = settings(max_examples=200, deadline=None, derandomize=True, database=None)
 
 
 @st.composite
@@ -39,7 +38,6 @@ def graph_and_words(draw, count):
     return (g,) + tuple(draw(words(g)) for _ in range(count))
 
 
-@SETTINGS
 @given(graph_and_words(1))
 def test_normal_form_is_idempotent(case):
     g, letters = case
@@ -47,7 +45,6 @@ def test_normal_form_is_idempotent(case):
     assert normal_form(nf, g) == nf
 
 
-@SETTINGS
 @given(graph_and_words(1), st.data())
 def test_swapping_commuting_neighbours_keeps_the_normal_form(case, data):
     g, letters = case
@@ -59,7 +56,6 @@ def test_swapping_commuting_neighbours_keeps_the_normal_form(case, data):
     assert normal_form(Word(swapped), g) == normal_form(Word(letters), g)
 
 
-@SETTINGS
 @given(graph_and_words(2))
 def test_are_equal_agrees_with_the_referee(case):
     g, u, v = case
@@ -69,7 +65,6 @@ def test_are_equal_agrees_with_the_referee(case):
     assert are_equal(Word(u), Word(insertion_normal_form(u, g.edges)), g)
 
 
-@SETTINGS
 @given(graph_and_words(1))
 def test_format_parses_back(case):
     _, letters = case
