@@ -18,7 +18,7 @@ from .errors import InputError, ParseError
 from .graphs import SimpleGraph, complete_decomposition, parse_graph, reflexive_closure_is_transitive
 from .stallings import StallingsGraph, format_stallings, from_generators
 from .visible import VertexRestriction, rewrite_in_visible
-from .words import format_word, normal_form, parse_word
+from .words import _generators, are_equal, format_word, normal_form, parse_word
 from .zf2 import certify_not_fg
 
 __all__ = ["run", "main"]
@@ -77,9 +77,13 @@ def _cmd_normal_form(args, stdout) -> int:
 
 def _cmd_equal(args, stdout) -> int:
     g = _load_graph(args.graph)
-    left = normal_form(parse_word(args.word1), g)
-    right = normal_form(parse_word(args.word2), g)
-    verdict = left == right
+    u = parse_word(args.word1)
+    try:
+        v = parse_word(args.word2)
+    except ParseError:
+        _generators(u, g)  # an unknown generator in word1 is reported first
+        raise
+    verdict = are_equal(u, v, g)
     _emit(verdict, stdout)
     return 0 if verdict or not args.exit_status else 1
 

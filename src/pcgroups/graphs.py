@@ -23,7 +23,10 @@ has two co-components of two or more vertices, or when such a part has a
 non-adjacent pair whose common neighbourhood is not a clique.
 
 Vertex names are opaque strings ordered lexicographically; every "least
-witness" promise made by the search functions refers to that order.
+witness" promise made by the search functions refers to that order.  A name
+is non-empty and holds no whitespace, ``^`` or ``#``, so that every graph
+``format_graph`` writes parses back; generator names in words and automata
+follow the same rule.
 
 Text format (one graph per file): the first non-blank line lists the vertex
 names separated by whitespace; every following non-blank line contains
@@ -74,8 +77,9 @@ class SimpleGraph:
     __slots__ = ("vertices", "_adj", "_edges", "_masks")
 
     def __init__(self, vertices: Iterable[str], edges: Iterable = ()):
-        vs = tuple(sorted(set(vertices)))
-        _check_names(vs)
+        vs = tuple(vertices)
+        _check_names(vs)  # before sorting, which a name of another type breaks
+        vs = tuple(sorted(set(vs)))
         adj: dict[str, set[str]] = {v: set() for v in vs}
         for u, v in edges:
             if u == v:
@@ -144,10 +148,20 @@ class SimpleGraph:
         return f"SimpleGraph({list(self.vertices)!r}, {sorted(self.edges)!r})"
 
 
+def _is_name(name) -> bool:
+    """A vertex or generator name is a non-empty ``str`` without whitespace,
+    ``^`` or ``#``, so that the graph, word and automaton texts written with
+    it parse back: whitespace separates tokens, ``^`` starts an exponent and
+    ``#`` a comment."""
+    return (isinstance(name, str) and name != "" and "^" not in name
+            and "#" not in name and name.split() == [name])
+
+
 def _check_names(names: Iterable) -> None:
     for v in names:
-        if not isinstance(v, str) or not v:
-            raise InputError(f"vertex names must be non-empty strings, got {v!r}")
+        if not _is_name(v):
+            raise InputError(f"vertex names must be non-empty strings without "
+                             f"whitespace, '^' or '#', got {v!r}")
 
 
 def induced_subgraph(g: SimpleGraph, ys: Iterable[str]) -> SimpleGraph:
@@ -275,9 +289,9 @@ def relabel(g: SimpleGraph, mapping: dict) -> SimpleGraph:
     missing = [v for v in g.vertices if v not in mapping]
     if missing:
         raise InputError(f"mapping misses vertices: {missing}")
+    _check_names(mapping[v] for v in g.vertices)
     if len(set(mapping[v] for v in g.vertices)) != len(g.vertices):
         raise InputError("mapping is not injective on the vertex set")
-    _check_names(mapping[v] for v in g.vertices)
     adj = g._adj
     return SimpleGraph._trusted(
         {mapping[v]: frozenset(map(mapping.__getitem__, adj[v])) for v in g.vertices}

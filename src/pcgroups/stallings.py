@@ -39,7 +39,8 @@ from __future__ import annotations
 from typing import Iterable, Optional
 
 from .errors import InputError, ParseError
-from .words import Word, _is_generator_name, free_reduce
+from .graphs import _is_name
+from .words import Word, free_reduce
 
 __all__ = [
     "StallingsGraph",
@@ -59,11 +60,12 @@ class StallingsGraph:
     transition is implied.  The base state is 0.
 
     The constructor keeps the state numbers it is given.  It raises
-    ``InputError`` unless every label is a non-empty string without ``^``
-    or whitespace, the alphabet repeats no label, every state lies in
-    ``range(num_states)``, every label is in the alphabet, no two arcs with
-    one label enter one state, every state is connected to the base and
-    every non-base state has degree at least two (a core automaton).
+    ``InputError`` unless every label is a non-empty string without
+    whitespace, ``^`` or ``#``, the alphabet repeats no label, every state
+    lies in ``range(num_states)``, every label is in the alphabet, no two
+    arcs with one label enter one state, every state is connected to the
+    base and every non-base state has degree at least two (a core
+    automaton).
     """
 
     __slots__ = ("alphabet", "num_states", "num_edges", "_fwd", "_bwd", "_transitions")
@@ -236,9 +238,9 @@ def _labels(alphabet: Iterable[str]) -> tuple[str, ...]:
     a generator name, the rule ``Word`` applies to its letters."""
     alphabet = tuple(alphabet)
     for g in alphabet:
-        if not _is_generator_name(g):
-            raise InputError(f"alphabet label must be a non-empty string without '^' "
-                             f"or whitespace, got {g!r}")
+        if not _is_name(g):
+            raise InputError(f"alphabet label must be a non-empty string without "
+                             f"whitespace, '^' or '#', got {g!r}")
     return alphabet
 
 
@@ -439,8 +441,9 @@ def _state_id(tok: str, lineno: int) -> int:
 
 
 def _label(tok: str, lineno: int) -> str:
-    if "^" in tok:
-        raise ParseError(f"generator name {tok!r} may not contain '^'", line=lineno)
+    """A label token, held to the name rule that graphs and words share."""
+    if not _is_name(tok):
+        raise ParseError(f"generator name {tok!r} may not contain '^' or '#'", line=lineno)
     return tok
 
 

@@ -7,9 +7,11 @@ of the graph group of the induced subgraph on Y.
 
 Membership in the subgroup is decided by the support of the normal form: an
 element lies in the subgroup generated by Y iff its canonical word only uses
-generators from Y.  That canonical word is then already the normal form over
-the induced subgraph, because the induced adjacency among Y is the ambient
-one.
+generators from Y.  The support is taken from the word's heap (the piling
+phase of ``normal_form``): the generators whose stack is not empty.  So a
+non-member is rejected before the normal form is read off.  A member's canonical word is
+then already the normal form over the induced subgraph, because the induced
+adjacency among Y is the ambient one.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from typing import Optional
 
 from .errors import InputError
 from .graphs import SimpleGraph, induced_subgraph
-from .words import NormalWord, Word, normal_form, support
+from .words import NormalWord, Word, _pile, _read_off, support
 
 __all__ = [
     "VertexRestriction",
@@ -78,9 +80,10 @@ def rewrite_in_visible(w: Word, r: VertexRestriction) -> Optional[NormalWord]:
     when the element lies outside the subgroup.
 
     Split off from is_in_visible so that the identity element (whose
-    canonical word is empty) is not conflated with non-membership.
+    canonical word is empty) is not conflated with non-membership.  Only a
+    member's heap is read off.
     """
-    ambient_nf = normal_form(w, r.ambient)
-    if any(gen not in r.ys for gen, _ in ambient_nf.syllables):
+    heap = _pile(r.ambient, w)
+    if any(stack and x not in r.ys for x, stack in zip(heap.occurring, heap.stacks)):
         return None
-    return ambient_nf
+    return _read_off(heap)

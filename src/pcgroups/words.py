@@ -11,36 +11,47 @@ then kept.  Parsing, the normal form and formatting work on syllables only,
 so their cost follows the length of the text, not the number of letters it
 stands for.
 
-``normal_form`` returns the canonical representative of the group element:
-fully reduced (no inverse pair can be brought together by commuting swaps)
-and lexicographically least among its shuffles.  It piles the syllables as a
-heap of pieces, one stack per generator.  A piece of ``x`` is a run ``(c, k)``
-stored with ``c``, the number of live pieces that do not commute with ``x``
-when it lands.  A syllable ``x^k`` that meets ``x``'s top piece with the same
-count lands on it: the exponents add, which merges the two when the signs
-agree and cancels when they differ.  A cancellation that reaches zero pops the
-piece; one that overshoots leaves the remainder in its place, with count
-``c``.  Any other syllable becomes a new piece.  The counts of all generators
-are fields of ``W = (number of syllables).bit_length() + 1`` bits in one
-integer, so each syllable costs a constant number of integer operations.
-The read-off emits a whole piece at a time.
+The word problem is decided in two phases.  The pile (``_pile``) lays the
+syllables, left to right, into a heap of pieces, one stack per generator.  A
+piece of ``x`` is a run ``(c, k)`` stored with ``c``, the number of live
+pieces that do not commute with ``x`` when it lands.  A syllable ``x^k``
+that meets ``x``'s top piece with the same count lands on it: the exponents
+add, which merges the two when the signs agree and cancels when they differ.
+A cancellation that reaches zero pops the piece; one that overshoots leaves
+the remainder in its place, with count ``c``.  Any other syllable becomes a
+new piece.  The counts of all generators are fields of
+``W = (number of syllables).bit_length() + 1`` bits in one integer, so each
+syllable costs a constant number of integer operations.  The read-off
+(``_read_off``) then writes the heap as the canonical representative of the
+group element, a whole piece at a time: fully reduced (no inverse pair can
+be brought together by commuting swaps) and lexicographically least among
+its shuffles.
 
-``free_reduce`` is the same for a free group (no two generators commute):
-one stack pass over syllables.
+The heap alone answers every yes/no or set-valued question, because the
+read-off emits every stored piece: an element is trivial exactly when its
+heap is empty, and its normal form's generators are those whose stack is
+not.  So ``are_equal`` piles ``u v^-1`` once and checks that every stack
+ends empty, and ``support`` reads the non-empty stacks; only
+``normal_form``, whose word gets printed, runs the read-off.
 
-Word text syntax: whitespace-separated tokens, each a vertex name optionally
-suffixed ``^k`` for a nonzero integer ``k`` written as ASCII decimal digits
-after an optional ``-``; ``x^-1`` is the inverse and the empty string is the
-identity.  A word may stand for at most ``MAX_WORD_LETTERS`` (10**6) letters;
-``parse_word`` refuses a longer one.
+``free_reduce`` is the normal form in a free group (no two generators
+commute): one stack pass over syllables.
+
+Word text syntax: whitespace-separated tokens, each a vertex name (no
+whitespace, ``^`` or ``#``) optionally suffixed ``^k`` for a nonzero
+integer ``k`` written as ASCII decimal digits after an optional ``-``;
+``x^-1`` is the inverse and the empty string is the identity.  A word may
+stand for at most ``MAX_WORD_LETTERS`` (10**6) letters; ``parse_word``
+refuses a longer one.
 """
 
 from __future__ import annotations
 
-from typing import Collection, Iterable, NamedTuple
+from itertools import chain
+from typing import Collection, Iterable, NamedTuple, Optional
 
 from .errors import InputError, ParseError
-from .graphs import SimpleGraph
+from .graphs import SimpleGraph, _is_name
 
 __all__ = [
     "MAX_WORD_LETTERS",
@@ -61,12 +72,6 @@ __all__ = [
 MAX_WORD_LETTERS = 10**6
 
 
-def _is_generator_name(gen) -> bool:
-    """A generator name is a non-empty ``str`` without ``^`` or whitespace,
-    so that written words parse back."""
-    return isinstance(gen, str) and gen != "" and "^" not in gen and gen.split() == [gen]
-
-
 class Letter(NamedTuple):
     gen: str
     sign: int
@@ -83,9 +88,9 @@ class Word:
 
     ``syllables`` are its maximal runs ``(gen, k)``; ``letters``, its
     ``Letter``s, are derived from them when first read.  ``len`` is the
-    number of letters.  A generator name may not contain ``^`` or
-    whitespace, so that the text ``format_word`` writes parses back to the
-    same word.
+    number of letters.  A generator name follows the vertex name rule: it
+    may not contain whitespace, ``^`` or ``#``, so that the text
+    ``format_word`` writes parses back to the same word.
     """
 
     __slots__ = ("syllables", "_letters", "_len")
@@ -100,9 +105,9 @@ class Word:
             if sign not in (1, -1):
                 raise InputError(f"letter sign must be +1 or -1, got {sign!r}")
             if not (isinstance(gen, str) and gen in names):
-                if not _is_generator_name(gen):
-                    raise InputError(f"letter generator must be a non-empty string "
-                                     f"without '^' or whitespace, got {gen!r}")
+                if not _is_name(gen):
+                    raise InputError(f"letter generator must be a non-empty string without "
+                                     f"whitespace, '^' or '#', got {gen!r}")
                 names.add(gen)
             length += 1
             if gen == last[0] and (sign > 0) == (last[1] > 0):
@@ -191,19 +196,21 @@ class Word:
 
 
 class NormalWord(Word):
-    """A word already in canonical form; only ``normal_form`` builds these."""
+    """A word already in canonical form; only the read-off builds these."""
 
     __slots__ = ()
 
 
 def _syllable(tok: str) -> tuple:
     """The syllable ``(name, k)`` one token spells."""
-    # a name cut from a whitespace-split token before its first '^' is
-    # non-empty once checked, and holds no '^' or whitespace: a valid
-    # generator name, so the syllables need no second check in ``Word``
+    # a name cut from a whitespace-split token before its first '^' holds
+    # no '^' or whitespace; once checked non-empty and free of '#' it is a
+    # valid generator name, so the syllables need no second check in ``Word``
     name, caret, exp = tok.partition("^")
     if not name:
         raise ParseError(f"bad token {tok!r}")
+    if "#" in name:
+        raise ParseError(f"bad token {tok!r}: a generator name may not contain '#'")
     if not caret:
         return name, 1
     digits = exp[1:] if exp[:1] == "-" else exp
@@ -260,13 +267,51 @@ def commutator(u, v) -> Word:
 def normal_form(w: Word, g: SimpleGraph) -> NormalWord:
     """Canonical representative of the element of the graph group of ``g``.
 
-    Syllables are piled left to right into a heap of pieces, one stack per
-    generator: a syllable of ``x`` lands on ``x``'s top piece unless some
-    non-commuting piece arrived in between, in which case it is stacked.  The
-    surviving heap is then read off greedily by least generator, a whole
-    piece at a time.  The result is idempotent, never longer than the input,
-    and equal for two words exactly when they represent the same group
-    element.
+    ``_read_off(_pile(g, w))``: the syllables are piled left to right into a
+    heap of pieces, one stack per generator, and the heap is read off
+    greedily by least generator, a whole piece at a time.  The result is
+    idempotent, never longer than the input, and equal for two words exactly
+    when they represent the same group element.
+
+    Raises ``InputError`` for the first syllable, in word order, over a
+    generator that is not a vertex of ``g``.
+    """
+    return _read_off(_pile(g, w))
+
+
+class _Heap(NamedTuple):
+    """A piling: the occurring generators in sorted order, the width of
+    each one's count field, each one's ``inc`` row, and its stack of pieces
+    ``(c, k)`` from bottom to top."""
+
+    occurring: list
+    width: int
+    inc: list
+    stacks: list
+
+
+def _generators(w: Word, g: SimpleGraph) -> set:
+    """The generators of ``w``; raises ``InputError`` for the first
+    syllable, in word order, over a generator that is not a vertex of
+    ``g``."""
+    syllables = w.syllables
+    gens = {gen for gen, _ in syllables}
+    if not all(map(g.__contains__, gens)):
+        unknown = next(gen for gen, _ in syllables if gen not in g)
+        raise InputError(f"letter over unknown generator {unknown!r}")
+    return gens
+
+
+def _pile(g: SimpleGraph, w: Word, divisor: Optional[Word] = None) -> _Heap:
+    """The heap of pieces of ``w``, or of ``w divisor^-1``.
+
+    The heap decides the element: it is trivial exactly when every stack
+    ends empty, and the generators of its normal form are those whose stack
+    does not, since the read-off emits every stored piece whole.
+    ``divisor^-1`` is piled as ``divisor``'s syllables in reverse with
+    negated exponents; no inverse word is built.  The generators of ``w``
+    and then of ``divisor`` are checked, each in word order, before any
+    syllable is piled.
 
     Counts live in packed ints: each occurring generator, in sorted order,
     owns a field of ``W = m.bit_length() + 1`` bits, ``m`` the number of
@@ -281,36 +326,17 @@ def normal_form(w: Word, g: SimpleGraph) -> NormalWord:
     cancellation leaves the remainder with the count ``c`` it lands with.
     Only a new or a popped piece moves the counts.  So a stack's counts rise
     strictly from bottom to top, and no count exceeds ``m``.
-
-    Read off letter by letter, a piece would still come out whole.  Each of
-    its letters has the count ``c``, and emitting ``x`` changes only the
-    fields of generators that do not commute with ``x``, so ``x`` stays
-    ready.  Such a generator ``y`` is not waiting on only part of the piece:
-    if ``y``'s front piece lies above it, it counted the whole piece; if
-    below, ``x`` could not have been emitted before it.  So ``x`` stays the
-    least ready generator, and the read-off emits the whole piece at once.
-    It may emit the front piece of ``x`` once all ``c`` pieces below it are
-    out, that is when the field of ``x`` in (front counts - emitted counts)
-    is zero.  An emptied stack's front count is ``2**(W-1) - 1``, above any
-    emitted count, which is at most ``m - 1``.  So each field of that
-    difference lies in ``[0, 2**(W-1))``, adding ``2**(W-1) - 1`` to it
-    never carries out of the field, and the sum's top bit is clear exactly
-    when the field was zero.  The lowest such bit names the least generator
-    that may be emitted.  Two pieces of one generator never come out next to
-    each other, since the next piece's count is higher, so the output
-    syllables are maximal.
-
-    Raises ``InputError`` for the first syllable, in word order, over a
-    generator that is not a vertex of ``g``.
     """
     syllables = w.syllables
-    gens = {gen for gen, _ in syllables}
-    if not all(map(g.__contains__, gens)):
-        unknown = next(gen for gen, _ in syllables if gen not in g)
-        raise InputError(f"letter over unknown generator {unknown!r}")
+    gens = _generators(w, g)
+    m = len(syllables)
+    if divisor is not None:
+        gens |= _generators(divisor, g)
+        m += len(divisor.syllables)
+        syllables = chain(syllables, [(gen, -k) for gen, k in reversed(divisor.syllables)])
     occurring = sorted(gens)
     index = {x: i for i, x in enumerate(occurring)}
-    width = len(syllables).bit_length() + 1
+    width = m.bit_length() + 1
     mask = (1 << width) - 1
     shifts = [width * i for i in range(len(occurring))]
     # inc[i] has a 1 in the field of each occurring generator that does not
@@ -341,7 +367,32 @@ def normal_form(w: Word, g: SimpleGraph) -> NormalWord:
         else:
             stack.append((c, k))
             live += inc[i]
+    return _Heap(occurring, width, inc, stacks)
 
+
+def _read_off(heap: _Heap) -> NormalWord:
+    """The lexicographically least word of a heap; empties its stacks.
+
+    Read off letter by letter, a piece would still come out whole.  Each of
+    its letters has the count ``c``, and emitting ``x`` changes only the
+    fields of generators that do not commute with ``x``, so ``x`` stays
+    ready.  Such a generator ``y`` is not waiting on only part of the piece:
+    if ``y``'s front piece lies above it, it counted the whole piece; if
+    below, ``x`` could not have been emitted before it.  So ``x`` stays the
+    least ready generator, and the read-off emits the whole piece at once.
+    It may emit the front piece of ``x`` once all ``c`` pieces below it are
+    out, that is when the field of ``x`` in (front counts - emitted counts)
+    is zero.  An emptied stack's front count is ``2**(W-1) - 1``, above any
+    emitted count, which is at most ``m - 1``.  So each field of that
+    difference lies in ``[0, 2**(W-1))``, adding ``2**(W-1) - 1`` to it
+    never carries out of the field, and the sum's top bit is clear exactly
+    when the field was zero.  The lowest such bit names the least generator
+    that may be emitted.  Two pieces of one generator never come out next to
+    each other, since the next piece's count is higher, so the output
+    syllables are maximal.
+    """
+    occurring, width, inc, stacks = heap
+    shifts = [width * i for i in range(len(occurring))]
     top = 1 << (width - 1)
     spent = top - 1
     fill = sum(spent << shift for shift in shifts)
@@ -349,15 +400,16 @@ def normal_form(w: Word, g: SimpleGraph) -> NormalWord:
     for stack in stacks:
         stack.reverse()
     # per field: the front piece's count, minus the non-commuting pieces
-    # emitted so far, plus ``spent``
+    # emitted so far, plus ``spent``; never negative, so the bit tricks
+    # below stay on non-negative ints
     gap = fill + sum((stack[-1][0] if stack else spent) << shift
                      for stack, shift in zip(stacks, shifts))
     out = []
     length = 0
     for _ in range(sum(map(len, stacks))):
-        least = high & ~gap
-        # the top bit of field i is bit width * (i + 1) - 1
-        i = (least & -least).bit_length() // width - 1
+        # the clear top bits of ``gap``; the lowest is bit width * (i + 1) - 1
+        least = high - (gap & high)
+        i = (least ^ (least - 1)).bit_length() // width - 1
         stack = stacks[i]
         c, k = stack.pop()
         after = stack[-1][0] if stack else spent
@@ -393,10 +445,16 @@ def free_reduce(w: Word, alphabet: Collection[str]) -> Word:
 
 
 def are_equal(u: Word, v: Word, g: SimpleGraph) -> bool:
-    """Word problem: do ``u`` and ``v`` represent the same group element?"""
-    return normal_form(u, g).syllables == normal_form(v, g).syllables
+    """Word problem: do ``u`` and ``v`` represent the same group element?
+
+    They do exactly when ``u v^-1`` is trivial, that is when its one heap
+    ends with every stack empty; nothing is read off.
+    """
+    return not any(_pile(g, u, v).stacks)
 
 
 def support(w: Word, g: SimpleGraph) -> frozenset[str]:
-    """Generators that survive in the normal form of ``w``."""
-    return frozenset(gen for gen, _ in normal_form(w, g).syllables)
+    """Generators that survive in the normal form of ``w``: those whose
+    stack in the heap of ``w`` is not empty.  Nothing is read off."""
+    heap = _pile(g, w)
+    return frozenset(x for x, stack in zip(heap.occurring, heap.stacks) if stack)

@@ -137,6 +137,20 @@ class TestEqual:
         code, _, _ = invoke("equal", p3_file, "a c", "c a", "--exit-status")
         assert code == 1
 
+    @pytest.mark.parametrize("word1, word2, message", [
+        # word1's syntax, then word1's generators, then word2's syntax, then
+        # word2's generators
+        ("x^0 q", "y^0", "zero exponent in token 'x^0'"),
+        ("q x", "y^0", "letter over unknown generator 'q'"),
+        ("q x", "r y", "letter over unknown generator 'q'"),
+        ("x y", "y^a", "bad exponent in token 'y^a'"),
+        ("x y", "y r q", "letter over unknown generator 'r'"),
+        ("x", "y a#", "bad token 'a#': a generator name may not contain '#'"),
+    ])
+    def test_errors_in_input_order(self, xy_file, word1, word2, message):
+        code, out, err = invoke("equal", xy_file, word1, word2)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
 
 class TestMemberVisible:
     def test_member_with_rewrite(self, p3_file):
@@ -299,6 +313,10 @@ CONTRACT_CASES = {
     "leading zero in K_n": lambda tmp: ("embed", "K_05", str(INPUTS / "p3.graph")),
     "signed K_n": lambda tmp: ("embed", "K_+5", str(INPUTS / "p3.graph")),
     "huge m": lambda tmp: ("demo-nonhowson", "--m", "100000000"),
+    "hash in alphabet label": lambda tmp: (
+        "intersect-free", "--alphabet", "a a#",
+        _write(tmp, "h.words", b"a^2\n"), _write(tmp, "k.words", b"a^3\n"),
+    ),
 }
 
 
@@ -360,3 +378,14 @@ def test_runs_as_a_module():
     )
     assert done.returncode == 0 and done.stderr == ""
     assert done.stdout == (GOLDEN / "classify.json").read_text()
+
+
+def test_runs_as_a_package():
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    done = subprocess.run(
+        [sys.executable, "-m", "pcgroups", *GOLDEN_INVOCATIONS["self-check"]],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 0 and done.stderr == ""
+    assert done.stdout == (GOLDEN / "self-check.json").read_text()

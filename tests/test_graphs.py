@@ -112,6 +112,22 @@ class TestDerivedEdges:
             self.check(join(g, h), names + rnames, pairs + renamed + across)
             self.check(join(h, g), names + rnames, pairs + renamed + across)
 
+    def test_names_the_text_format_cannot_hold(self):
+        # format_graph would write each of these as text that parse_graph
+        # refuses or reads as other vertices
+        for name in ("a b", "a#", "x^2", "a\nb", ""):
+            with pytest.raises(InputError, match="non-empty strings without"):
+                SimpleGraph([name, "c"], [(name, "c")])
+            with pytest.raises(InputError, match="non-empty strings without"):
+                relabel(complete_graph(("a", "c")), {"a": name, "c": "c"})
+        # a name that is not a string is refused before names are sorted or
+        # hashed
+        for name in (3, ("a",), ["a"]):
+            with pytest.raises(InputError, match="non-empty strings without"):
+                SimpleGraph(["c", name])
+            with pytest.raises(InputError, match="non-empty strings without"):
+                relabel(complete_graph(("a", "c")), {"a": name, "c": "c"})
+
     def test_relabel_checks_new_names(self):
         g = complete_graph(("a", "b"))
         with pytest.raises(InputError, match="non-empty strings"):

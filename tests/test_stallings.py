@@ -480,12 +480,18 @@ class TestConstructor:
                 StallingsGraph(AB, 4, transitions)
             assert str(caught.value) == message
 
-    @pytest.mark.parametrize("label", [1, None, "", "a^2", "a b", " a", ("a",)])
+    @pytest.mark.parametrize("label", [1, None, "", "a^2", "a b", " a", ("a",), "a#"])
     def test_rejects_labels_that_are_not_generator_names(self, label):
         with pytest.raises(InputError, match="alphabet label"):
             StallingsGraph(("a", label), 1, {(0, "a"): 0})
         with pytest.raises(InputError, match="alphabet label"):
             from_generators([Word.gen("a")], ["a", label])
+
+    def test_a_hash_label_is_refused_before_it_is_written(self):
+        # written out, the label 'a#' would be cut at the comment sign and
+        # the file would not parse back
+        with pytest.raises(InputError, match="without whitespace, '\\^' or '#'"):
+            format_stallings(StallingsGraph(("a#",), 1, {(0, "a#"): 0}))
 
     def test_alphabet_is_kept_as_a_tuple(self):
         sg = StallingsGraph(["a", "b"], 1, {(0, "a"): 0})

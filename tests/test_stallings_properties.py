@@ -5,10 +5,12 @@ The examples are fixed by the profile in ``conftest.py``."""
 
 import itertools
 
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from pcgroups import (
+    InputError,
     SimpleGraph,
     Word,
     format_graph,
@@ -16,6 +18,7 @@ from pcgroups import (
     from_generators,
     parse_graph,
     parse_stallings,
+    relabel,
 )
 from oracles import bouquet_automaton, intersection_automaton
 
@@ -85,6 +88,14 @@ def test_renamed_and_shuffled_serialization_parses_back(sg, data):
 
 
 NAMES = st.text(st.characters(categories=("L", "N"), include_characters="_'-"), min_size=1, max_size=3)
+# names the text format cannot hold: empty, or with whitespace (including
+# line breaks), '^' or '#' somewhere
+REFUSED = st.one_of(
+    st.just(""),
+    st.tuples(st.text(st.characters(categories=("L", "N")), max_size=2),
+              st.sampled_from(" \t\n\r\x0b\x0c\x1c\x85\u2028\u3000^#"),
+              st.text(st.characters(categories=("L", "N")), max_size=2)).map("".join),
+)
 
 
 @st.composite
@@ -95,6 +106,13 @@ def graphs(draw):
     return SimpleGraph(names, edges)
 
 
-@given(graphs())
-def test_graph_format_parses_back(g):
+@given(graphs(), REFUSED, st.data())
+def test_graph_format_parses_back(g, refused, data):
     assert parse_graph(format_graph(g)) == g
+    # a name the format cannot hold is refused, as a vertex or as a new name
+    with pytest.raises(InputError, match="non-empty strings without"):
+        SimpleGraph(g.vertices + (refused,), g.edges)
+    if g.vertices:
+        renamed = data.draw(st.sampled_from(g.vertices))
+        with pytest.raises(InputError, match="non-empty strings without"):
+            relabel(g, {v: refused if v == renamed else v for v in g.vertices})

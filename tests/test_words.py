@@ -127,7 +127,7 @@ class TestParsing:
     def test_generator_names_that_would_not_round_trip_rejected(self):
         # format_word would write these as text that parses to other letters;
         # the last two are not names at all
-        for name in ("x^2", "x y", "x\ty", " x", "x\n", "^", "", 3):
+        for name in ("x^2", "x y", "x\ty", " x", "x\n", "^", "x#", "#", "", 3):
             with pytest.raises(InputError, match="non-empty string without"):
                 Word([(name, 1)])
             with pytest.raises(InputError, match="non-empty string without"):
@@ -137,6 +137,13 @@ class TestParsing:
             Letter("x", -1),
             Letter("x_2", 1),
         )
+
+
+    def test_hash_is_not_part_of_a_generator_name(self):
+        # '#' starts a comment in words files, so 'a#' would be written as 'a'
+        for text in ("a#", "x a#b^3", "#", "x #^-2"):
+            with pytest.raises(ParseError, match="may not contain '#'"):
+                parse_word(text)
 
 
 class TestAlgebra:
@@ -347,6 +354,19 @@ class TestAreEqual:
 
     def test_word_times_inverse(self):
         assert are_equal(w("x y z") * ~w("x y z"), w(""), PATH_XYZ)
+
+    def test_unknown_generators_named_in_word_order(self):
+        # u's first unknown letter, then v's, each in its own word order
+        for u, v, first in (("x q", "r y", "q"), ("x y", "y r q", "r"), ("", "s^2 x q", "s")):
+            with pytest.raises(InputError, match=f"^letter over unknown generator '{first}'$"):
+                are_equal(w(u), w(v), XY_EDGE)
+
+    def test_cancels_only_partway(self):
+        # u v^-1 is piled as one heap; what survives keeps them apart
+        assert not are_equal(w("x^5 y"), w("x^3 y"), XY_FREE)
+        assert are_equal(w("x^5 y x^-2"), w("x^3 y"), XY_EDGE)
+        assert not are_equal(w("x^5 y x^-2"), w("x^3 y"), XY_FREE)
+        assert are_equal(w("y^-2 x^4"), w("x^4 y^-2"), XY_EDGE)
 
     def test_congruence(self):
         rng = random.Random(29)
