@@ -20,7 +20,6 @@ from .classify import (
 )
 from .errors import InputError, ParseError
 from .graphs import (
-    InducedEmbedding,
     SimpleGraph,
     clique_number,
     complete_decomposition,
@@ -29,7 +28,6 @@ from .graphs import (
     cycle_graph,
     disjoint_union,
     edgeless_graph,
-    find_induced_embedding,
     find_induced_p3,
     format_graph,
     induced_subgraph,
@@ -48,6 +46,7 @@ from .visible import (
     rho_retract,
 )
 from .words import (
+    MAX_WORD_LETTERS,
     Letter,
     NormalWord,
     Word,
@@ -64,11 +63,8 @@ from .words import (
 from .zf2 import (
     FREE_ALPHABET,
     NonFgCertificate,
-    ZF2Element,
     certify_not_fg,
     conjugate_generators,
-    eval_k_word,
-    intersection_ball,
 )
 
 __version__ = "0.1.0"
@@ -77,9 +73,9 @@ __all__ = [
     "ClassificationReport",
     "ExplicitCatalogEntry",
     "FREE_ALPHABET",
-    "InducedEmbedding",
     "InputError",
     "Letter",
+    "MAX_WORD_LETTERS",
     "NonFgCertificate",
     "NormalWord",
     "ParseError",
@@ -87,7 +83,6 @@ __all__ = [
     "StallingsGraph",
     "VertexRestriction",
     "Word",
-    "ZF2Element",
     "alpha_include",
     "are_equal",
     "catalog_entry",
@@ -103,9 +98,7 @@ __all__ = [
     "disjoint_union",
     "edgeless_graph",
     "embeds_in",
-    "eval_k_word",
     "explicit_catalog",
-    "find_induced_embedding",
     "find_induced_p3",
     "format_graph",
     "format_stallings",
@@ -113,7 +106,6 @@ __all__ = [
     "free_reduce",
     "from_generators",
     "induced_subgraph",
-    "intersection_ball",
     "invert",
     "is_in_visible",
     "join",

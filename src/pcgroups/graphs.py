@@ -3,9 +3,8 @@
 Everywhere else in the package a graph doubles as a group presentation:
 vertices are generators and an edge means the two generators commute.  This
 module is purely combinatorial: induced subgraphs, connectivity, the
-path-on-three-vertices search, joins and disjoint unions, induced-pattern
-matching by backtracking, the exact clique number, and polynomial tests for
-an induced P4 or C4.
+path-on-three-vertices search, joins and disjoint unions, the exact clique
+number, and polynomial tests for an induced P4 or C4.
 
 A graph stores its adjacency: each vertex name maps to the frozenset of its
 neighbours.  Parsing, induced subgraphs, joins, unions and relabelling write
@@ -36,7 +35,6 @@ edge line is harmless, and a loop ``u u`` is an error.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Optional
 
@@ -44,7 +42,6 @@ from .errors import InputError, ParseError
 
 __all__ = [
     "SimpleGraph",
-    "InducedEmbedding",
     "induced_subgraph",
     "connected_components",
     "find_induced_p3",
@@ -53,7 +50,6 @@ __all__ = [
     "disjoint_union",
     "join",
     "relabel",
-    "find_induced_embedding",
     "clique_number",
     "complete_graph",
     "edgeless_graph",
@@ -81,12 +77,17 @@ class SimpleGraph:
         _check_names(vs)  # before sorting, which a name of another type breaks
         vs = tuple(sorted(set(vs)))
         adj: dict[str, set[str]] = {v: set() for v in vs}
-        for u, v in edges:
+        for edge in edges:
+            try:
+                u, v = edge
+                u_known, v_known = u in adj, v in adj
+            except (TypeError, ValueError):  # not a pair, or an unhashable endpoint
+                raise InputError(f"edge {edge!r} is not a pair of vertex names") from None
             if u == v:
                 raise InputError(f"loop edge at {u!r} is not allowed")
-            if u not in adj:
+            if not u_known:
                 raise InputError(f"edge endpoint {u!r} is not a vertex")
-            if v not in adj:
+            if not v_known:
                 raise InputError(f"edge endpoint {v!r} is not a vertex")
             adj[u].add(v)
             adj[v].add(u)
@@ -164,14 +165,21 @@ def _check_names(names: Iterable) -> None:
                              f"whitespace, '^' or '#', got {v!r}")
 
 
+def _subset(g: SimpleGraph, ys: Iterable[str]) -> frozenset[str]:
+    """The vertex subset ``ys`` of ``g``; raises ``InputError`` naming the
+    least item that is not a vertex."""
+    ys = tuple(ys)
+    unknown = [y for y in ys if not (isinstance(y, str) and y in g._adj)]
+    if unknown:
+        raise InputError(f"unknown vertex {min(unknown, key=str)!r}")
+    return frozenset(ys)
+
+
 def induced_subgraph(g: SimpleGraph, ys: Iterable[str]) -> SimpleGraph:
     """The full subgraph of ``g`` spanned by ``ys``: those vertices and every
     edge of ``g`` with both ends among them."""
-    keep = set(ys)
+    keep = _subset(g, ys)
     adj = g._adj
-    for y in sorted(keep):
-        if y not in adj:
-            raise InputError(f"unknown vertex {y!r}")
     return SimpleGraph._trusted({v: adj[v] & keep for v in keep})
 
 
@@ -296,62 +304,6 @@ def relabel(g: SimpleGraph, mapping: dict) -> SimpleGraph:
     return SimpleGraph._trusted(
         {mapping[v]: frozenset(map(mapping.__getitem__, adj[v])) for v in g.vertices}
     )
-
-
-@dataclass(frozen=True)
-class InducedEmbedding:
-    """An injective map pattern-vertex -> host-vertex preserving both edges
-    and non-edges, stored as pairs sorted by pattern vertex."""
-
-    pairs: tuple[tuple[str, str], ...]
-
-    def as_dict(self) -> dict[str, str]:
-        return dict(self.pairs)
-
-    def image(self) -> tuple[str, ...]:
-        return tuple(sorted(h for _, h in self.pairs))
-
-
-def find_induced_embedding(
-    pattern: SimpleGraph, host: SimpleGraph
-) -> Optional[InducedEmbedding]:
-    """First injective edge-and-non-edge-preserving map found by backtracking.
-
-    Pattern vertices are assigned in sorted order and host candidates tried in
-    sorted order, so the returned witness is deterministic.  Candidates of too
-    small degree are pruned.
-    """
-    pverts = pattern.vertices
-    hverts = host.vertices
-    if len(pverts) > len(hverts):
-        return None
-    padj = pattern._adj
-    hadj = host._adj
-    assigned: dict[str, str] = {}
-    used: set[str] = set()
-
-    def place(i: int) -> bool:
-        if i == len(pverts):
-            return True
-        p = pverts[i]
-        pn = padj[p]
-        pdeg = len(pn)
-        for h in hverts:
-            if h in used or len(hadj[h]) < pdeg:
-                continue
-            hn = hadj[h]
-            if all((q in pn) == (assigned[q] in hn) for q in assigned):
-                assigned[p] = h
-                used.add(h)
-                if place(i + 1):
-                    return True
-                del assigned[p]
-                used.discard(h)
-        return False
-
-    if not place(0):
-        return None
-    return InducedEmbedding(tuple((p, assigned[p]) for p in pverts))
 
 
 def _bitsets(g: SimpleGraph) -> list[int]:

@@ -55,20 +55,18 @@ class StallingsGraph:
 
     ``_fwd[i][s]`` is the target of the arc labelled ``alphabet[i]`` at state
     ``s`` and ``_bwd[i][s]`` the source of the one entering ``s``, or -1.
-    ``transitions`` is the same automaton as a ``(state, generator) -> state``
-    dict over the positive direction, derived when first read; the inverse
-    transition is implied.  The base state is 0.
+    The base state is 0.
 
     The constructor keeps the state numbers it is given.  It raises
-    ``InputError`` unless every label is a non-empty string without
-    whitespace, ``^`` or ``#``, the alphabet repeats no label, every state
-    lies in ``range(num_states)``, every label is in the alphabet, no two
-    arcs with one label enter one state, every state is connected to the
-    base and every non-base state has degree at least two (a core
-    automaton).
+    ``InputError`` unless ``transitions`` maps ``(state, label)`` pairs to
+    states, every label is a non-empty string without whitespace, ``^`` or
+    ``#``, the alphabet repeats no label, every state lies in
+    ``range(num_states)``, every label is in the alphabet, no two arcs with
+    one label enter one state, every state is connected to the base and
+    every non-base state has degree at least two (a core automaton).
     """
 
-    __slots__ = ("alphabet", "num_states", "num_edges", "_fwd", "_bwd", "_transitions")
+    __slots__ = ("alphabet", "num_states", "num_edges", "_fwd", "_bwd")
 
     base = 0
 
@@ -79,8 +77,17 @@ class StallingsGraph:
             raise InputError(f"alphabet {alphabet!r} repeats a label")
         if type(num_states) is not int or num_states < 1:
             raise InputError(f"num_states must be a positive int, got {num_states!r}")
+        try:
+            items = dict(transitions).items()
+        except (TypeError, ValueError):
+            raise InputError(f"transitions must map (state, label) pairs to states, "
+                             f"got {transitions!r}") from None
         arcs = []
-        for (u, g), v in dict(transitions).items():
+        for key, v in items:
+            try:
+                u, g = key
+            except (TypeError, ValueError):
+                raise InputError(f"transition key {key!r} is not a (state, label) pair") from None
             if g not in known:
                 raise InputError(f"transition label {g!r} is not in the alphabet")
             for s in (u, v):
@@ -107,23 +114,6 @@ class StallingsGraph:
         self.num_edges = sum(len(row) - row.count(-1) for row in fwd)
         self._fwd = fwd
         self._bwd = bwd
-        self._transitions = None
-
-    @property
-    def transitions(self) -> dict:
-        """``(state, generator) -> state`` over the positive arcs, built from
-        the arrays on first read and kept."""
-        if self._transitions is None:
-            self._transitions = {
-                (u, g): v
-                for g, targets in zip(self.alphabet, self._fwd)
-                for u, v in enumerate(targets)
-                if v >= 0
-            }
-        return self._transitions
-
-    def states(self) -> range:
-        return range(self.num_states)
 
     def edges(self) -> list[tuple[int, str, int]]:
         """Every arc as ``(source, generator, target)``, in sorted order."""

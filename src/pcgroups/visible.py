@@ -16,11 +16,11 @@ adjacency among Y is the ambient one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from .errors import InputError
-from .graphs import SimpleGraph, induced_subgraph
+from .graphs import SimpleGraph, _subset
 from .words import NormalWord, Word, _pile, _read_off, support
 
 __all__ = [
@@ -34,17 +34,14 @@ __all__ = [
 
 @dataclass(frozen=True)
 class VertexRestriction:
-    """An ambient graph together with a vertex subset and its induced graph."""
+    """An ambient graph together with a subset of its vertices."""
 
     ambient: SimpleGraph
     ys: frozenset[str]
-    induced: SimpleGraph = field(init=False, compare=False)
 
     def __init__(self, ambient: SimpleGraph, ys):
-        sub = frozenset(ys)
         object.__setattr__(self, "ambient", ambient)
-        object.__setattr__(self, "ys", sub)
-        object.__setattr__(self, "induced", induced_subgraph(ambient, sub))
+        object.__setattr__(self, "ys", _subset(ambient, ys))
 
 
 def alpha_include(w: Word, r: VertexRestriction) -> Word:

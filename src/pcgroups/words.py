@@ -88,8 +88,9 @@ class Word:
 
     ``syllables`` are its maximal runs ``(gen, k)``; ``letters``, its
     ``Letter``s, are derived from them when first read.  ``len`` is the
-    number of letters.  A generator name follows the vertex name rule: it
-    may not contain whitespace, ``^`` or ``#``, so that the text
+    number of letters.  ``Word(letters)`` takes ``(gen, sign)`` pairs whose
+    sign is the int 1 or -1.  A generator name follows the vertex name rule:
+    it may not contain whitespace, ``^`` or ``#``, so that the text
     ``format_word`` writes parses back to the same word.
     """
 
@@ -101,9 +102,12 @@ class Word:
         length = 0
         last = ("", 0)  # no letter spells this
         for item in letters:
-            gen, sign = item
-            if sign not in (1, -1):
-                raise InputError(f"letter sign must be +1 or -1, got {sign!r}")
+            try:
+                gen, sign = item
+            except (TypeError, ValueError):
+                raise InputError(f"letter must be a (generator, sign) pair, got {item!r}") from None
+            if type(sign) is not int or sign not in (1, -1):
+                raise InputError(f"letter sign must be the int 1 or -1, got {sign!r}")
             if not (isinstance(gen, str) and gen in names):
                 if not _is_name(gen):
                     raise InputError(f"letter generator must be a non-empty string without "

@@ -19,14 +19,11 @@ from dataclasses import dataclass
 
 from .errors import InputError
 from .stallings import StallingsGraph, from_generators
-from .words import MAX_WORD_LETTERS, Word, format_word, free_reduce
+from .words import MAX_WORD_LETTERS, Word, format_word
 
 __all__ = [
     "FREE_ALPHABET",
-    "ZF2Element",
     "NonFgCertificate",
-    "eval_k_word",
-    "intersection_ball",
     "conjugate_generators",
     "certify_not_fg",
 ]
@@ -36,67 +33,6 @@ FREE_ALPHABET = ("a", "b")
 
 def _a_power(n: int) -> Word:
     return Word._trusted((("a", n),) if n else (), abs(n))
-
-
-def _is_reduced(w: Word) -> bool:
-    # syllables are maximal, so neighbours over one generator differ in sign
-    syllables = w.syllables
-    return all(x[0] != y[0] for x, y in zip(syllables, syllables[1:]))
-
-
-@dataclass(frozen=True)
-class ZF2Element:
-    """An element of Z x F2: the t-exponent and a reduced word over a, b."""
-
-    t_exp: int
-    word: Word
-
-    def __post_init__(self):
-        for gen, _ in self.word.syllables:
-            if gen not in FREE_ALPHABET:
-                raise InputError(f"free part uses unknown generator {gen!r}")
-        if not _is_reduced(self.word):
-            raise InputError("free part must be freely reduced")
-
-    def __mul__(self, other: "ZF2Element") -> "ZF2Element":
-        return ZF2Element(
-            self.t_exp + other.t_exp,
-            free_reduce(self.word * other.word, FREE_ALPHABET),
-        )
-
-
-def eval_k_word(w: Word) -> ZF2Element:
-    """Image of a word under a -> ta, b -> b: since t is central, the
-    t-exponent is the a-exponent sum of the word and the free part is its
-    reduction."""
-    t_exp = sum(k for gen, k in w.syllables if gen == "a")
-    return ZF2Element(t_exp, free_reduce(w, FREE_ALPHABET))
-
-
-def intersection_ball(L: int) -> set[Word]:
-    """Every nontrivial reduced word of length at most L lying in both
-    subgroups, i.e. with zero a-exponent sum."""
-    if L < 1:
-        raise InputError("ball radius must be >= 1")
-    out: set[Word] = set()
-    letters = [("a", 1), ("a", -1), ("b", 1), ("b", -1)]
-
-    def grow(seq: list, a_sum: int) -> None:
-        if seq and a_sum == 0:
-            w = Word(seq)
-            assert eval_k_word(w).t_exp == 0
-            out.add(w)
-        if len(seq) == L:
-            return
-        for gen, sign in letters:
-            if seq and seq[-1] == (gen, -sign):
-                continue
-            seq.append((gen, sign))
-            grow(seq, a_sum + (sign if gen == "a" else 0))
-            seq.pop()
-
-    grow([], 0)
-    return out
 
 
 def conjugate_generators(m: int) -> tuple[Word, ...]:

@@ -14,7 +14,6 @@ from pcgroups import (
     cycle_graph,
     disjoint_union,
     edgeless_graph,
-    find_induced_embedding,
     find_induced_p3,
     format_graph,
     induced_subgraph,
@@ -24,11 +23,7 @@ from pcgroups import (
     reflexive_closure_is_transitive,
     relabel,
 )
-from oracles import (
-    all_labeled_graphs,
-    brute_induced_embedding_exists,
-    clique_oracle,
-)
+from oracles import all_labeled_graphs, clique_oracle
 
 
 def P3():
@@ -53,6 +48,12 @@ class TestSimpleGraph:
     def test_unknown_endpoint_rejected(self):
         with pytest.raises(InputError, match="'c'"):
             SimpleGraph(("a", "b"), [("a", "c")])
+
+    def test_malformed_edge_named(self):
+        for edge in ((["a"], "b"), "ab c", ("a",), None):
+            with pytest.raises(InputError, match="is not a pair of vertex names") as err:
+                SimpleGraph(("a", "b"), [edge])
+            assert repr(edge) in str(err.value)
 
     def test_adjacency(self):
         g = P3()
@@ -151,6 +152,8 @@ class TestInducedSubgraph:
     def test_unknown_vertex_named(self):
         with pytest.raises(InputError, match="'z'"):
             induced_subgraph(P3(), {"a", "z"})
+        with pytest.raises(InputError, match=r"unknown vertex \['a'\]"):
+            induced_subgraph(P3(), [["a"]])
 
 
 class TestConnectedComponents:
@@ -332,45 +335,6 @@ class TestUnionAndJoin:
             relabel(g, {"a": "x"})
         with pytest.raises(InputError):
             relabel(g, {"a": "x", "b": "x"})
-
-
-class TestInducedEmbedding:
-    def test_p3_into_c4(self):
-        emb = find_induced_embedding(path_graph(3, prefix="p"), C4())
-        assert emb is not None
-        # frozen from the deterministic backtracking order
-        assert emb.pairs == (("p1", "a"), ("p2", "b"), ("p3", "c"))
-
-    def test_k3_into_c4_absent(self):
-        assert find_induced_embedding(complete_graph(3, prefix="k"), C4()) is None
-
-    def test_identity_embedding(self):
-        g = C4()
-        emb = find_induced_embedding(g, g)
-        assert emb is not None
-        assert emb.as_dict() == {v: v for v in g.vertices}
-
-    def test_empty_pattern(self):
-        emb = find_induced_embedding(edgeless_graph(0), C4())
-        assert emb is not None and emb.pairs == ()
-
-    def test_found_embeddings_are_induced(self):
-        rng = random.Random(5)
-        patterns = list(all_labeled_graphs(3))
-        count = 0
-        for _ in range(200):
-            pairs = list(itertools.combinations("pqrst", 2))
-            host = SimpleGraph("pqrst", (p for p in pairs if rng.random() < 0.5))
-            pattern = rng.choice(patterns)
-            emb = find_induced_embedding(pattern, host)
-            assert (emb is not None) == brute_induced_embedding_exists(pattern, host)
-            if emb is not None:
-                count += 1
-                mapping = emb.as_dict()
-                assert len(set(mapping.values())) == len(mapping)
-                for u, v in itertools.combinations(pattern.vertices, 2):
-                    assert pattern.adjacent(u, v) == host.adjacent(mapping[u], mapping[v])
-        assert count > 20  # sanity: the random hosts were not all misses
 
 
 class TestCliqueNumber:

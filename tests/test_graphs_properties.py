@@ -1,0 +1,35 @@
+"""Property tests for the graph searches, with the brute-force oracles as
+judges.
+
+The examples are fixed by the profile in ``conftest.py``."""
+
+import itertools
+
+from hypothesis import given
+from hypothesis import strategies as st
+
+from pcgroups import SimpleGraph, catalog_entry, clique_number, embeds_in, explicit_catalog
+from oracles import brute_induced_embedding_exists, clique_oracle
+
+NAMES = ("a", "b", "c", "d", "e", "f", "g")
+PAIRS = list(itertools.combinations(NAMES, 2))
+ENTRIES = list(explicit_catalog()) + [catalog_entry(f"K_{n}") for n in range(1, 6)]
+
+
+@st.composite
+def graphs(draw):
+    """A graph on at most seven vertices, each possible edge drawn."""
+    n = draw(st.integers(0, len(NAMES)))
+    names = NAMES[:n]
+    return SimpleGraph(names, [p for p in PAIRS if p[1] in names and draw(st.booleans())])
+
+
+@given(graphs())
+def test_clique_number_matches_the_subset_oracle(g):
+    assert clique_number(g) == clique_oracle(g)
+
+
+@given(graphs())
+def test_embeds_in_matches_the_brute_search(host):
+    for entry in ENTRIES:
+        assert embeds_in(entry, host) == brute_induced_embedding_exists(entry.pattern, host), entry.name

@@ -29,6 +29,12 @@ def w(text):
     return parse_word(text)
 
 
+def transition_map(sg):
+    """The automaton as a ``(state, generator) -> state`` dict over its
+    positive arcs."""
+    return {(u, g): v for u, g, v in sg.edges()}
+
+
 # How a generator relates to the ones drawn before it; the read-along
 # construction takes a different path for each.
 GENERATOR_KINDS = (
@@ -74,7 +80,7 @@ def product_size(sg1, sg2):
     before any core trimming."""
     arcs = {}
     for sg in (sg1, sg2):
-        for (u, g), v in sg.transitions.items():
+        for (u, g), v in transition_map(sg).items():
             arcs.setdefault((sg, u), []).append(((g, 1), v))
             arcs.setdefault((sg, v), []).append(((g, -1), u))
     seen = {(0, 0)}
@@ -100,13 +106,13 @@ class TestFromGenerators:
     def test_whole_f2(self):
         sg = from_generators([w("a"), w("b")], AB)
         assert sg.num_states == 1
-        assert sg.transitions == {(0, "a"): 0, (0, "b"): 0}
+        assert transition_map(sg) == {(0, "a"): 0, (0, "b"): 0}
         assert sg.rank() == 2
 
     def test_trivial_subgroup(self):
         sg = from_generators([], AB)
         assert sg.num_states == 1
-        assert sg.transitions == {}
+        assert transition_map(sg) == {}
         assert sg.rank() == 0
         assert sg.member(w(""))
         assert not sg.member(w("a"))
@@ -121,8 +127,8 @@ class TestFromGenerators:
             gens = [w(f"a^{-k} b a^{k}") if k else w("b") for k in range(-m, m + 1)]
             sg = from_generators(gens, AB)
             assert sg.num_states == 2 * m + 1
-            b_loops = [(u, v) for (u, g), v in sg.transitions.items() if g == "b"]
-            a_edges = [(u, v) for (u, g), v in sg.transitions.items() if g == "a"]
+            b_loops = [(u, v) for (u, g), v in transition_map(sg).items() if g == "b"]
+            a_edges = [(u, v) for (u, g), v in transition_map(sg).items() if g == "a"]
             assert len(b_loops) == 2 * m + 1 and all(u == v for u, v in b_loops)
             assert len(a_edges) == 2 * m and all(u != v for u, v in a_edges)
             assert sg.rank() == 2 * m + 1
@@ -315,8 +321,8 @@ class TestIntersect:
                 format_stallings(sg1), format_stallings(sg2), alphabet
             )
             assert text == expected, (gens1, gens2)
-            assert StallingsGraph(meet.alphabet, meet.num_states, meet.transitions) == meet
-            assert len(meet.transitions) == meet.num_edges
+            assert StallingsGraph(meet.alphabet, meet.num_states, transition_map(meet)) == meet
+            assert len(transition_map(meet)) == meet.num_edges
             assert meet.rank() == meet.num_edges - meet.num_states + 1
         assert trimmed >= 100
 
@@ -358,7 +364,7 @@ class TestSerialization:
         sg = from_generators([w("a^2")], AB)
         lines = format_stallings(sg).splitlines()
         assert lines[0] == "0 a b"
-        assert len(lines) == 1 + len(sg.transitions)
+        assert len(lines) == 1 + len(transition_map(sg))
 
     def test_bare_base_line_still_parses(self):
         back = parse_stallings("0\n0 a 0\n")
@@ -391,7 +397,7 @@ class TestSerialization:
     def test_trivial_roundtrip(self):
         sg = from_generators([], AB)
         back = parse_stallings(format_stallings(sg))
-        assert back.num_states == 1 and back.transitions == {}
+        assert back.num_states == 1 and transition_map(back) == {}
 
     @pytest.mark.parametrize("bad", ["\u0663", "+1", "1_0", "1\u00b2", "--1", "-", "0x1"])
     def test_state_ids_are_ascii_decimal(self, bad):
@@ -433,7 +439,7 @@ class TestSerialization:
 class TestConstructor:
     def test_accepts_a_folded_automaton(self):
         sg = from_generators([w("a^2"), w("b a b^-1")], AB)
-        rebuilt = StallingsGraph(sg.alphabet, sg.num_states, sg.transitions)
+        rebuilt = StallingsGraph(sg.alphabet, sg.num_states, transition_map(sg))
         assert rebuilt == sg
         assert rebuilt.member(w("b a^4 b^-1")) and not rebuilt.member(w("a"))
 
@@ -463,6 +469,13 @@ class TestConstructor:
             StallingsGraph(("a",), 2, {(0, "a"): 1})
         with pytest.raises(InputError, match="core"):
             StallingsGraph(("a", "b"), 2, {(0, "a"): 0, (0, "b"): 1})
+
+    def test_rejects_keys_that_are_not_state_label_pairs(self):
+        for key in ((0,), (0, "a", 1)):
+            with pytest.raises(InputError, match=r"is not a \(state, label\) pair"):
+                StallingsGraph(("a",), 1, {key: 0})
+        with pytest.raises(InputError, match=r"must map \(state, label\) pairs to states"):
+            StallingsGraph(("a",), 1, [1])
 
     def test_rejects_a_repeated_label(self):
         with pytest.raises(InputError, match="repeats"):
@@ -504,7 +517,7 @@ class TestConstructor:
         # off the canonical order, and the constructor leaves it so
         transitions = {(0, "a"): 2, (2, "a"): 1, (1, "a"): 0, (0, "b"): 0}
         sg = StallingsGraph(AB, 3, transitions)
-        assert sg.transitions == transitions
+        assert transition_map(sg) == transitions
         assert sg.num_edges == 4 and sg.rank() == 2
         assert sg.member(w("a^3")) and not sg.member(w("a"))
         assert sg != parse_stallings(format_stallings(sg))
@@ -512,8 +525,9 @@ class TestConstructor:
 
 
 def test_edges_sorted_whatever_the_alphabet_order():
-    sg = StallingsGraph(("b", "a"), 3, {(0, "a"): 2, (2, "a"): 1, (1, "a"): 0, (0, "b"): 0, (1, "b"): 2})
-    assert sg.edges() == sorted((u, g, v) for (u, g), v in sg.transitions.items())
+    given = {(0, "a"): 2, (2, "a"): 1, (1, "a"): 0, (0, "b"): 0, (1, "b"): 2}
+    sg = StallingsGraph(("b", "a"), 3, given)
+    assert sg.edges() == sorted((u, g, v) for (u, g), v in given.items())
     assert format_stallings(sg).splitlines()[1:] == ["0 a 2", "0 b 0", "1 a 0", "1 b 2", "2 a 1"]
 
 

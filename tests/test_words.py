@@ -139,6 +139,21 @@ class TestParsing:
         )
 
 
+    def test_sign_is_the_int_one_or_minus_one(self):
+        # a float sign would sum to ("a", 2.0), written as 'a^2.0', which
+        # does not parse back
+        with pytest.raises(InputError, match="sign must be the int 1 or -1, got 1.0"):
+            Word([("a", 1.0), ("a", 1.0)])
+        for sign in (-1.0, True, False, 2, 0, "1", None):
+            with pytest.raises(InputError, match="sign must be the int 1 or -1"):
+                Word([("a", 1), ("a", sign)])
+        assert format_word(Word([("a", 1), ("a", 1)])) == "a^2"
+
+    def test_letters_that_are_not_pairs_rejected(self):
+        for letter in (1, ("a",), ("a", 1, 1), None):
+            with pytest.raises(InputError, match=r"letter must be a \(generator, sign\) pair"):
+                Word([letter])
+
     def test_hash_is_not_part_of_a_generator_name(self):
         # '#' starts a comment in words files, so 'a#' would be written as 'a'
         for text in ("a#", "x a#b^3", "#", "x #^-2"):
