@@ -134,8 +134,6 @@ def _cmd_intersect_free(args, stdout) -> int:
 
 
 def _cmd_demo_nonhowson(args, stdout) -> int:
-    if args.m < 0:
-        raise InputError("--m must be >= 0")
     _emit(certify_not_fg(args.m).to_json_dict(), stdout)
     return 0
 

@@ -476,6 +476,21 @@ def _has_clique(g: SimpleGraph, n: int) -> bool:
     return _clique_value(_bitsets(g), n - 1, n) >= n
 
 
+def _split_nodes(masks: list[int]):
+    """Each vertex set of four or more vertices that the split reaches, as
+    ``(s, join, parts)`` from ``_split``: the whole vertex set first, then the
+    parts of every set that splits, on an explicit stack.  A set that splits
+    neither way (one part) is not split further."""
+    stack = [(1 << len(masks)) - 1]
+    while stack:
+        s = stack.pop()
+        if s.bit_count() >= 4:
+            join, parts = _split(masks, s)
+            yield s, join, parts
+            if len(parts) > 1:
+                stack.extend(parts)
+
+
 def _has_induced_p4(g: SimpleGraph) -> bool:
     """Does ``g`` contain an induced path on four vertices?
 
@@ -484,19 +499,9 @@ def _has_induced_p4(g: SimpleGraph) -> bool:
     B 1974; Corneil, Lerchs & Stewart Burlingham, DAM 1981).  P4 is connected
     and self-complementary, so it lies in a graph iff it lies in one of its
     components, or in one of its co-components when the graph is connected.
-    The split runs on an explicit stack of vertex sets; sets of at most
-    three vertices cannot hold a P4 and are dropped."""
-    masks = _bitsets(g)
-    stack = [(1 << len(masks)) - 1]
-    while stack:
-        s = stack.pop()
-        if s.bit_count() < 4:
-            continue
-        _, parts = _split(masks, s)
-        if len(parts) == 1:
-            return True
-        stack.extend(parts)
-    return False
+    Sets of at most three vertices cannot hold a P4, and ``_split_nodes``
+    skips them; the first set that splits neither way answers yes."""
+    return any(len(parts) == 1 for _, _, parts in _split_nodes(_bitsets(g)))
 
 
 def _has_induced_c4(g: SimpleGraph) -> bool:
@@ -510,20 +515,11 @@ def _has_induced_c4(g: SimpleGraph) -> bool:
     neither way, a square is a non-adjacent pair u, v with two non-adjacent
     common neighbours, i.e. a common neighbourhood that is not a clique."""
     masks = _bitsets(g)
-    stack = [(1 << len(masks)) - 1]
-    while stack:
-        s = stack.pop()
-        if s.bit_count() < 4:
-            continue
-        join, parts = _split(masks, s)
-        if len(parts) == 1:
-            if _pair_has_c4(masks, s):
-                return True
-        elif join and sum(p & (p - 1) != 0 for p in parts) >= 2:
-            return True
-        else:
-            stack.extend(parts)
-    return False
+    return any(
+        _pair_has_c4(masks, s) if len(parts) == 1
+        else join and sum(p & (p - 1) != 0 for p in parts) >= 2
+        for s, join, parts in _split_nodes(masks)
+    )
 
 
 def _pair_has_c4(masks: list[int], s: int) -> bool:

@@ -16,12 +16,16 @@ at a state, the pair of states to identify is queued, and one union-find
 fold merges the queued pairs on the arrays.  The public constructor and
 ``parse_stallings`` write their arrays once and check them in ``_checked``:
 folded as written, connected, and core, in the caller's own state ids.
-Every path cuts the trees off the core with one ``_trim`` and renames states
-with one ``_number``.
+Every path renames states with one ``_number``.
 
-States are numbered canonically: breadth-first from the base, generators in
-order, the forward arc before the backward one at each label.  So equal
-automata compare equal and isomorphism checks in tests are plain ``==``.
+Every automaton is canonical, whichever way it was built: the alphabet is
+sorted, and states are numbered breadth-first from the base, generators in
+order, the forward arc before the backward one at each label.  The
+constructor canonicalises what it is given as ``parse_stallings`` does.  A
+core automaton is unique up to isomorphism of based graphs (Kapovich &
+Myasnikov 2002), so two automata compare equal exactly when they represent
+the same subgroup over the same alphabet, and isomorphism checks in tests
+are plain ``==``.
 ``intersect`` searches the product automaton based at the pair of bases in
 exactly that order, keying each pair of states by one int, and appends
 every product arc to the arrays as it goes.  A tree that hangs off the core
@@ -57,7 +61,8 @@ class StallingsGraph:
     ``s`` and ``_bwd[i][s]`` the source of the one entering ``s``, or -1.
     The base state is 0.
 
-    The constructor keeps the state numbers it is given.  It raises
+    The constructor sorts the alphabet and numbers the states canonically,
+    so the automaton equals any other of the same subgroup.  It raises
     ``InputError`` unless ``transitions`` maps ``(state, label)`` pairs to
     states, every label is a non-empty string without whitespace, ``^`` or
     ``#``, the alphabet repeats no label, every state lies in
@@ -75,6 +80,7 @@ class StallingsGraph:
         known = set(alphabet)
         if len(known) != len(alphabet):
             raise InputError(f"alphabet {alphabet!r} repeats a label")
+        alphabet = tuple(sorted(alphabet))
         if type(num_states) is not int or num_states < 1:
             raise InputError(f"num_states must be a positive int, got {num_states!r}")
         try:
@@ -94,7 +100,7 @@ class StallingsGraph:
                 if type(s) is not int or not 0 <= s < num_states:
                     raise InputError(f"state {s!r} is outside 0 .. {num_states - 1}")
             arcs.append((u, g, v, None))
-        fwd, bwd, _ = _checked(
+        fwd, bwd = _checked(
             alphabet, range(num_states), arcs, lambda message, _: InputError(message)
         )
         self._set(alphabet, num_states, fwd, bwd)
@@ -117,7 +123,7 @@ class StallingsGraph:
 
     def edges(self) -> list[tuple[int, str, int]]:
         """Every arc as ``(source, generator, target)``, in sorted order."""
-        rows = sorted(zip(self.alphabet, self._fwd))
+        rows = list(zip(self.alphabet, self._fwd))
         return [
             (u, g, v) for u in range(self.num_states) for g, targets in rows if (v := targets[u]) >= 0
         ]
@@ -282,11 +288,12 @@ def _number(fwd: list, bwd: list, n: int, order: list[int]) -> tuple[list, list]
     )
 
 
-def _checked(alphabet: tuple[str, ...], ids, arcs: list, error) -> tuple[list, list, list]:
+def _checked(alphabet: tuple[str, ...], ids, arcs: list, error) -> tuple[list, list]:
     """The arrays of ``arcs``, each ``(u, g, v, line)`` between states
-    ``0 .. len(ids) - 1``, and the states in canonical order.  Raises
-    ``error(message, line)`` unless the arcs are folded, connected to the
-    base 0 and core; the message names state ``s`` by ``ids[s]``."""
+    ``0 .. len(ids) - 1`` over the sorted ``alphabet``, with the states
+    numbered canonically.  Raises ``error(message, line)`` unless the arcs
+    are folded, connected to the base 0 and core; the message names state
+    ``s`` by ``ids[s]``."""
     n = len(ids)
     arrays = {g: ([-1] * n, [-1] * n) for g in alphabet}
     for u, g, v, line in arcs:
@@ -305,7 +312,7 @@ def _checked(alphabet: tuple[str, ...], ids, arcs: list, error) -> tuple[list, l
     if len(kept) < n:
         gone = sorted(ids[s] for s in set(range(n)).difference(kept))
         raise error(f"states {gone} hang off the core in trees (not a core automaton)", None)
-    return fwd, bwd, order
+    return _number(fwd, bwd, n, order)
 
 
 def from_generators(ws: Iterable[Word], alphabet: Iterable[str]) -> StallingsGraph:
@@ -405,7 +412,8 @@ def from_generators(ws: Iterable[Word], alphabet: Iterable[str]) -> StallingsGra
     for row in rows:
         row[:] = [root[t] for t in row]
 
-    _trim(fwd, bwd, n)
+    # nothing to trim: a fresh state lies on its word's reduced loop at the base,
+    # so it keeps two distinct arcs, and a state merged away has none to search
     order = _search(fwd, bwd, n)
     fwd, bwd = _number(fwd, bwd, n, order)
     return StallingsGraph._trusted(alpha, len(order), fwd, bwd)
@@ -469,6 +477,5 @@ def parse_stallings(text: str) -> StallingsGraph:
 
     alphabet = tuple(sorted(set(declared).union(g for _, g, _, _ in arcs)))
     ids = list(index)
-    fwd, bwd, order = _checked(alphabet, ids, arcs, ParseError)
-    fwd, bwd = _number(fwd, bwd, len(ids), order)
+    fwd, bwd = _checked(alphabet, ids, arcs, ParseError)
     return StallingsGraph._trusted(alphabet, len(ids), fwd, bwd)

@@ -21,7 +21,7 @@ from typing import Optional
 
 from .errors import InputError
 from .graphs import SimpleGraph, _subset
-from .words import NormalWord, Word, _pile, _read_off, support
+from .words import NormalWord, Word, _generators, _pile, _read_off, _word, support
 
 __all__ = [
     "VertexRestriction",
@@ -48,7 +48,7 @@ def alpha_include(w: Word, r: VertexRestriction) -> Word:
     """Reinterpret a word over the induced subgraph as a word over the
     ambient graph.  The letters are unchanged; the map is injective on group
     elements because the retraction undoes it."""
-    for gen, _ in w.syllables:
+    for gen, _ in _word(w).syllables:
         if gen not in r.ys:
             raise InputError(f"letter over generator {gen!r} outside the subset")
     return Word._trusted(w.syllables, len(w))
@@ -60,9 +60,7 @@ def rho_retract(w: Word, r: VertexRestriction) -> Word:
     This is a homomorphism onto the subgroup: each defining commutation
     relation is either kept intact or killed entirely.
     """
-    for gen, _ in w.syllables:
-        if gen not in r.ambient:
-            raise InputError(f"letter over unknown generator {gen!r}")
+    _generators(w, r.ambient)
     return Word._joined(s for s in w.syllables if s[0] in r.ys)
 
 

@@ -97,31 +97,10 @@ class Word:
     __slots__ = ("syllables", "_letters", "_len")
 
     def __init__(self, letters: Iterable = ()):
-        out: list = []
-        names: set[str] = set()
-        length = 0
-        last = ("", 0)  # no letter spells this
-        for item in letters:
-            try:
-                gen, sign = item
-            except (TypeError, ValueError):
-                raise InputError(f"letter must be a (generator, sign) pair, got {item!r}") from None
-            if type(sign) is not int or sign not in (1, -1):
-                raise InputError(f"letter sign must be the int 1 or -1, got {sign!r}")
-            if not (isinstance(gen, str) and gen in names):
-                if not _is_name(gen):
-                    raise InputError(f"letter generator must be a non-empty string without "
-                                     f"whitespace, '^' or '#', got {gen!r}")
-                names.add(gen)
-            length += 1
-            if gen == last[0] and (sign > 0) == (last[1] > 0):
-                last = out[-1] = (gen, last[1] + sign)
-            else:
-                last = (gen, sign)
-                out.append(last)
-        self.syllables = tuple(out)
+        word = Word._joined(_checked_letters(letters))
+        self.syllables = word.syllables
         self._letters = None
-        self._len = length
+        self._len = word._len
 
     @classmethod
     def _trusted(cls, syllables: tuple, length: int) -> "Word":
@@ -145,8 +124,8 @@ class Word:
 
     @classmethod
     def _joined(cls, syllables: Iterable) -> "Word":
-        """The word spelled by syllables ``(gen, k != 0)`` built by this
-        library, with neighbours that spell the same letter merged."""
+        """The word spelled by checked syllables ``(gen, k != 0)``, with
+        neighbours that spell the same letter merged."""
         out: list = []
         length = 0
         last = ("", 0)  # no syllable spells this
@@ -174,6 +153,8 @@ class Word:
         return multiply(self, other)
 
     def __pow__(self, n: int) -> "Word":
+        if type(n) is not int:
+            raise InputError(f"exponent must be an int, got {n!r}")
         if n < 0:
             return self.inverse() ** (-n)
         return Word._joined(self.syllables * n)
@@ -197,6 +178,32 @@ class Word:
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}({format_word(self)!r})"
+
+
+def _checked_letters(letters: Iterable):
+    """Each letter as a ``(generator, sign)`` pair, checked as it is read;
+    a generator name is checked once."""
+    names: set[str] = set()
+    for item in letters:
+        try:
+            gen, sign = item
+        except (TypeError, ValueError):
+            raise InputError(f"letter must be a (generator, sign) pair, got {item!r}") from None
+        if type(sign) is not int or sign not in (1, -1):
+            raise InputError(f"letter sign must be the int 1 or -1, got {sign!r}")
+        if not (isinstance(gen, str) and gen in names):
+            if not _is_name(gen):
+                raise InputError(f"letter generator must be a non-empty string without "
+                                 f"whitespace, '^' or '#', got {gen!r}")
+            names.add(gen)
+        yield gen, sign
+
+
+def _word(w) -> Word:
+    """``w`` itself; raises ``InputError`` unless it is a ``Word``."""
+    if not isinstance(w, Word):
+        raise InputError(f"expected a Word, got {type(w).__name__}")
+    return w
 
 
 class NormalWord(Word):
@@ -297,8 +304,8 @@ class _Heap(NamedTuple):
 def _generators(w: Word, g: SimpleGraph) -> set:
     """The generators of ``w``; raises ``InputError`` for the first
     syllable, in word order, over a generator that is not a vertex of
-    ``g``."""
-    syllables = w.syllables
+    ``g``; and ``InputError`` unless ``w`` is a ``Word``."""
+    syllables = _word(w).syllables
     gens = {gen for gen, _ in syllables}
     if not all(map(g.__contains__, gens)):
         unknown = next(gen for gen, _ in syllables if gen not in g)
@@ -331,8 +338,8 @@ def _pile(g: SimpleGraph, w: Word, divisor: Optional[Word] = None) -> _Heap:
     Only a new or a popped piece moves the counts.  So a stack's counts rise
     strictly from bottom to top, and no count exceeds ``m``.
     """
-    syllables = w.syllables
     gens = _generators(w, g)
+    syllables = w.syllables
     m = len(syllables)
     if divisor is not None:
         gens |= _generators(divisor, g)
@@ -431,10 +438,11 @@ def free_reduce(w: Word, alphabet: Collection[str]) -> Word:
     so ``a^-k b a^k`` takes three steps.  Neighbours on the stack have
     different generators.
 
-    Raises ``InputError`` on a letter over a generator outside ``alphabet``.
+    Raises ``InputError`` unless ``w`` is a ``Word``, and on a letter over a
+    generator outside ``alphabet``.
     """
     out: list = []
-    for gen, k in w.syllables:
+    for gen, k in _word(w).syllables:
         if gen not in alphabet:
             raise InputError(f"letter over unknown generator {gen!r}")
         if out and out[-1][0] == gen:
@@ -454,7 +462,7 @@ def are_equal(u: Word, v: Word, g: SimpleGraph) -> bool:
     They do exactly when ``u v^-1`` is trivial, that is when its one heap
     ends with every stack empty; nothing is read off.
     """
-    return not any(_pile(g, u, v).stacks)
+    return not any(_pile(g, u, _word(v)).stacks)  # None would pile u alone
 
 
 def support(w: Word, g: SimpleGraph) -> frozenset[str]:

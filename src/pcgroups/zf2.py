@@ -39,7 +39,10 @@ def conjugate_generators(m: int) -> tuple[Word, ...]:
     """The words a^-k b a^k for k = -m..m.
 
     They total 2m^2 + 4m + 1 letters; raises ``InputError`` when that passes
-    ``MAX_WORD_LETTERS``, the cap on one parsed word (so m <= 706)."""
+    ``MAX_WORD_LETTERS``, the cap on one parsed word (so m <= 706), and
+    unless m is an int >= 0."""
+    if type(m) is not int:
+        raise InputError(f"m must be an int, got {m!r}")
     if m < 0:
         raise InputError("m must be >= 0")
     letters = 2 * m * m + 4 * m + 1
@@ -77,7 +80,8 @@ class NonFgCertificate:
 def certify_not_fg(m: int) -> NonFgCertificate:
     """Build and check the stage-m certificate.
 
-    Raises RuntimeError if the automaton unexpectedly accepts the excluded
+    Raises ``InputError`` on an m that ``conjugate_generators`` refuses, and
+    RuntimeError if the automaton unexpectedly accepts the excluded
     conjugate; that would mean a bug in the construction, not new mathematics.
     """
     gens = conjugate_generators(m)

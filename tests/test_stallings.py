@@ -185,6 +185,15 @@ class TestFromGenerators:
                 assert from_generators(gens, AB) == reference
 
 
+def test_entry_points_refuse_what_is_not_a_word():
+    sg = from_generators([w("a b")], AB)
+    for thing in ("a b", ["a"], [("a", 1)]):
+        with pytest.raises(InputError, match="^expected a Word, got "):
+            from_generators([thing], AB)
+        with pytest.raises(InputError, match="^expected a Word, got "):
+            sg.member(thing)
+
+
 class TestMember:
     def test_empty_word_always(self):
         rng = random.Random(71)
@@ -512,23 +521,33 @@ class TestConstructor:
         assert hash(sg) == hash(StallingsGraph(("a", "b"), 1, {(0, "a"): 0}))
         assert sg == from_generators([w("a")], AB)
 
-    def test_keeps_the_given_numbering(self):
-        # the base has a b-loop; the a-cycle 0 -> 2 -> 1 -> 0 is numbered
-        # off the canonical order, and the constructor leaves it so
+    def test_renumbers_canonically(self):
+        # the base has a b-loop; the a-cycle 0 -> 2 -> 1 -> 0 is given off
+        # the canonical order, and the constructor renumbers it breadth-first
         transitions = {(0, "a"): 2, (2, "a"): 1, (1, "a"): 0, (0, "b"): 0}
         sg = StallingsGraph(AB, 3, transitions)
-        assert transition_map(sg) == transitions
+        assert transition_map(sg) == {(0, "a"): 1, (1, "a"): 2, (2, "a"): 0, (0, "b"): 0}
         assert sg.num_edges == 4 and sg.rank() == 2
         assert sg.member(w("a^3")) and not sg.member(w("a"))
-        assert sg != parse_stallings(format_stallings(sg))
-        assert parse_stallings(format_stallings(sg)) == from_generators([w("a^3"), w("b")], AB)
+        assert sg == parse_stallings(format_stallings(sg))
+        assert sg == from_generators([w("a^3"), w("b")], AB)
+
+    def test_equals_the_automaton_of_its_subgroup(self):
+        sg = StallingsGraph(("b", "a"), 2, {(0, "a"): 1, (1, "b"): 0})
+        built = from_generators([w("a b")], AB)
+        assert sg == built and hash(sg) == hash(built)
+        assert sg.alphabet == AB
+        assert parse_stallings(format_stallings(sg)) == sg
+        assert sg.intersect(built) == built and built.intersect(sg) == built
 
 
 def test_edges_sorted_whatever_the_alphabet_order():
+    # the alphabet is sorted and the states renumbered: given 2 is 1, given 1 is 2
     given = {(0, "a"): 2, (2, "a"): 1, (1, "a"): 0, (0, "b"): 0, (1, "b"): 2}
     sg = StallingsGraph(("b", "a"), 3, given)
-    assert sg.edges() == sorted((u, g, v) for (u, g), v in given.items())
-    assert format_stallings(sg).splitlines()[1:] == ["0 a 2", "0 b 0", "1 a 0", "1 b 2", "2 a 1"]
+    assert sg.alphabet == AB
+    assert sg.edges() == [(0, "a", 1), (0, "b", 0), (1, "a", 2), (2, "a", 0), (2, "b", 1)]
+    assert format_stallings(sg).splitlines() == ["0 a b", "0 a 1", "0 b 0", "1 a 2", "2 a 0", "2 b 1"]
 
 
 def test_to_dot_mentions_every_edge():

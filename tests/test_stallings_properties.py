@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from pcgroups import (
     InputError,
     SimpleGraph,
+    StallingsGraph,
     Word,
     format_graph,
     format_stallings,
@@ -85,6 +86,19 @@ def test_renamed_and_shuffled_serialization_parses_back(sg, data):
     lines = data.draw(st.permutations(lines))
     text = "\n".join([" ".join((str(ids[0]),) + sg.alphabet)] + lines) + "\n"
     assert parse_stallings(text) == sg
+
+
+@given(automata(), st.data())
+def test_constructor_canonicalises_any_numbering(sg, data):
+    # the same automaton with its non-base states renamed, its alphabet
+    # reordered and its arcs listed in any order
+    rename = [0] + data.draw(st.permutations(range(1, sg.num_states)))
+    alphabet = data.draw(st.permutations(sg.alphabet))
+    arcs = data.draw(st.permutations(sg.edges()))
+    rebuilt = StallingsGraph(alphabet, sg.num_states, {(rename[u], g): rename[v] for u, g, v in arcs})
+    assert rebuilt == sg and hash(rebuilt) == hash(sg)
+    assert parse_stallings(format_stallings(rebuilt)) == rebuilt
+    assert rebuilt.intersect(sg) == sg
 
 
 NAMES = st.text(st.characters(categories=("L", "N"), include_characters="_'-"), min_size=1, max_size=3)

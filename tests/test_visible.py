@@ -64,6 +64,14 @@ class TestAlpha:
                 )
 
 
+def test_entry_points_refuse_what_is_not_a_word():
+    r = VertexRestriction(PATH, {"x", "y"})
+    for call in (alpha_include, rho_retract, is_in_visible, rewrite_in_visible):
+        for thing in ("x", ["x"], [("x", 1)]):
+            with pytest.raises(InputError, match="^expected a Word, got "):
+                call(thing, r)
+
+
 class TestRho:
     def test_deletes_outside(self):
         r = VertexRestriction(PATH, {"y"})

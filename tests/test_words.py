@@ -192,6 +192,25 @@ class TestAlgebra:
         assert commutator("x", "y") == w("x y x^-1 y^-1")
         assert commutator(w("x"), w("y z")) == w("x y z x^-1 z^-1 y^-1")
 
+    def test_pow_needs_an_int(self):
+        for n in (1.5, 2.0, True, "2", None):
+            with pytest.raises(InputError, match="exponent must be an int"):
+                Word.gen("x") ** n
+
+
+def test_entry_points_refuse_what_is_not_a_word():
+    # text or a list of letters where a Word belongs
+    for thing in ("x", "x y", ["x"], [("x", 1)], None):
+        for call in (
+            lambda: normal_form(thing, XY_EDGE),
+            lambda: are_equal(thing, w("x"), XY_EDGE),
+            lambda: are_equal(w("x"), thing, XY_EDGE),
+            lambda: support(thing, XY_EDGE),
+            lambda: free_reduce(thing, ("x", "y")),
+        ):
+            with pytest.raises(InputError, match="^expected a Word, got "):
+                call()
+
 
 class TestFreeReduce:
     def test_against_oracle(self):

@@ -21,6 +21,13 @@ class TestConjugateGenerators:
         with pytest.raises(InputError):
             conjugate_generators(-1)
 
+    def test_stage_must_be_an_int(self):
+        for m in (1.5, "3", True, 2.0, None):
+            with pytest.raises(InputError, match="m must be an int"):
+                conjugate_generators(m)
+            with pytest.raises(InputError, match="m must be an int"):
+                certify_not_fg(m)
+
     def test_letter_count(self):
         for m in range(6):
             assert sum(map(len, conjugate_generators(m))) == 2 * m * m + 4 * m + 1
