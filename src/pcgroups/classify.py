@@ -17,6 +17,13 @@ general (F3 embeds in F2 while a 3-vertex edgeless graph never embeds in a
 entry is decided by a direct test on the host graph rather than by a search
 for the pattern: a count, the component decomposition, the clique search,
 the cograph split or common neighbourhoods.
+
+The catalog is one table, ``_CATALOG``: each of the six fixed names maps to
+its pattern, the decision on the host and the provenance, in the
+order ``explicit_catalog`` lists them.  ``catalog_entry``, the shape check
+and ``embeds_in`` read the same rows.  ``K_<n>`` is the one parametric
+entry: its pattern is built only when read, and it is decided from n by the
+clique search.
 """
 
 from __future__ import annotations
@@ -68,18 +75,8 @@ class ClassificationReport:
     max_abelian_rank: int
 
     def to_json_dict(self) -> dict:
-        return {
-            "p3_free": self.p3_free,
-            "fully_residually_free": self.fully_residually_free,
-            "howson": self.howson,
-            "contains_z_cross_f2": self.contains_z_cross_f2,
-            "free_product_of_free_abelian": self.free_product_of_free_abelian,
-            "factor_ranks": list(self.factor_ranks) if self.factor_ranks is not None else None,
-            "p3_witness": list(self.p3_witness) if self.p3_witness is not None else None,
-            "fix_points_fg": self.fix_points_fg,
-            "per_points_fg": self.per_points_fg,
-            "max_abelian_rank": self.max_abelian_rank,
-        }
+        """The fields in order, each tuple written as a list."""
+        return {k: list(v) if isinstance(v, tuple) else v for k, v in vars(self).items()}
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_dict())
@@ -149,14 +146,43 @@ class ExplicitCatalogEntry:
     provenance: str
 
 
-_PROVENANCE = {
-    "K": "complete graphs: the maximal free-abelian rank equals the clique number (Kim-Koberda 2013, Lemma 18)",
-    "edgeless_0": "the trivial group embeds everywhere and only the empty graph presents it",
-    "edgeless_1": "Z embeds exactly in the nontrivial graph groups",
-    "edgeless_2": "F2 embeds unless the group is abelian, i.e. unless the graph is complete",
-    "P3": "consequence of the Howson classification: Z x F2 embeds iff an induced P3 exists",
-    "P4": "Kim-Koberda 2013: embedding of the P4 group forces an induced P4",
-    "C4": "Kambites 2009: commuting non-cyclic centralizers force an induced square",
+_COMPLETE_PROVENANCE = "complete graphs: the maximal free-abelian rank equals the clique number (Kim-Koberda 2013, Lemma 18)"
+
+# name -> (pattern, decision on the host, provenance).  The patterns are
+# built once and shared by every entry, as graphs are immutable.  Decisions
+# look the graph functions up in this module's globals at call time, so a
+# wrapper installed on those names (as bench/tracer.py installs) sees them.
+_CATALOG = {
+    "edgeless_0": (
+        edgeless_graph(0, prefix="e"),
+        lambda host: True,
+        "the trivial group embeds everywhere and only the empty graph presents it",
+    ),
+    "edgeless_1": (
+        edgeless_graph(1, prefix="e"),
+        lambda host: len(host.vertices) > 0,
+        "Z embeds exactly in the nontrivial graph groups",
+    ),
+    "edgeless_2": (
+        edgeless_graph(2, prefix="e"),
+        lambda host: any(len(ns) < len(host.vertices) - 1 for ns in host._adj.values()),
+        "F2 embeds unless the group is abelian, i.e. unless the graph is complete",
+    ),
+    "P3": (
+        path_graph(3, prefix="p"),
+        lambda host: complete_decomposition(host) is None,
+        "consequence of the Howson classification: Z x F2 embeds iff an induced P3 exists",
+    ),
+    "P4": (
+        path_graph(4, prefix="p"),
+        lambda host: _has_induced_p4(host),
+        "Kim-Koberda 2013: embedding of the P4 group forces an induced P4",
+    ),
+    "C4": (
+        cycle_graph(4, prefix="c"),
+        lambda host: _has_induced_c4(host),
+        "Kambites 2009: commuting non-cyclic centralizers force an induced square",
+    ),
 }
 
 
@@ -182,21 +208,15 @@ def catalog_entry(name: str) -> ExplicitCatalogEntry:
     when the entry's ``pattern`` is read."""
     if name.startswith("K_"):
         _complete_order(name)
-        return ExplicitCatalogEntry(name, None, _PROVENANCE["K"])
+        return ExplicitCatalogEntry(name, None, _COMPLETE_PROVENANCE)
+    if name in _CATALOG:
+        pattern, _, provenance = _CATALOG[name]
+        return ExplicitCatalogEntry(name, pattern, provenance)
     if name.startswith("edgeless_"):
-        if name not in ("edgeless_0", "edgeless_1", "edgeless_2"):
-            raise InputError(
-                f"{name!r} is not explicit: edgeless graphs with 3+ vertices are "
-                "not, since F3 embeds in F2"
-            )
-        n = int(name[len("edgeless_") :])
-        return ExplicitCatalogEntry(name, edgeless_graph(n, prefix="e"), _PROVENANCE[name])
-    if name == "P3":
-        return ExplicitCatalogEntry(name, path_graph(3, prefix="p"), _PROVENANCE["P3"])
-    if name == "P4":
-        return ExplicitCatalogEntry(name, path_graph(4, prefix="p"), _PROVENANCE["P4"])
-    if name == "C4":
-        return ExplicitCatalogEntry(name, cycle_graph(4, prefix="c"), _PROVENANCE["C4"])
+        raise InputError(
+            f"{name!r} is not explicit: edgeless graphs with 3+ vertices are "
+            "not, since F3 embeds in F2"
+        )
     raise InputError(
         f"{name!r} is not in the explicit catalog; subgroup embedding between "
         "graph groups is not detectable from induced subgraphs in general"
@@ -204,33 +224,26 @@ def catalog_entry(name: str) -> ExplicitCatalogEntry:
 
 
 def explicit_catalog() -> tuple[ExplicitCatalogEntry, ...]:
-    """The non-parametric catalog members (complete graphs come from
-    catalog_entry('K_n'))."""
-    return tuple(
-        catalog_entry(n)
-        for n in ("edgeless_0", "edgeless_1", "edgeless_2", "P3", "P4", "C4")
-    )
+    """The non-parametric catalog members, in the table's order (complete
+    graphs come from catalog_entry('K_n'))."""
+    return tuple(map(catalog_entry, _CATALOG))
 
 
 def _entry_shape_ok(entry: ExplicitCatalogEntry) -> bool:
+    """Does the entry's pattern have the shape its name names?  Each table
+    pattern is the only graph with its sorted degree sequence, so the
+    sequences are compared; K_1 and edgeless_1 are the same graph.  A K_<n>
+    name is matched against the pattern's own order first, so nothing is
+    sized by the n the name claims."""
     name = entry.name
     g = entry._pattern  # None while a K_n pattern is unbuilt
     if g is None:
         return name.startswith("K_") and name == f"K_{_complete_order(name)}"
-    n = len(g.vertices)
     degrees = sorted(map(len, g._adj.values()))
-    e = sum(degrees) // 2
-    if name == f"K_{n}" and name.startswith("K_"):
-        return n >= 1 and e == n * (n - 1) // 2
-    if name == f"edgeless_{n}":
-        return n <= 2 and e == 0
-    if name == "P3":
-        return degrees == [1, 1, 2]
-    if name == "P4":
-        return degrees == [1, 1, 2, 2]
-    if name == "C4":
-        return degrees == [2, 2, 2, 2]
-    return False
+    n = len(degrees)
+    if name == f"K_{n}":
+        return n >= 1 and degrees == [n - 1] * n
+    return name in _CATALOG and degrees == sorted(map(len, _CATALOG[name][0]._adj.values()))
 
 
 def embeds_in(pattern_entry: ExplicitCatalogEntry, host: SimpleGraph) -> bool:
@@ -251,17 +264,6 @@ def embeds_in(pattern_entry: ExplicitCatalogEntry, host: SimpleGraph) -> bool:
             "group embedding is not detectable from induced subgraphs in general"
         )
     name = pattern_entry.name
-    n = len(host.vertices)
     if name.startswith("K_"):
         return _has_clique(host, int(name[2:]))
-    if name == "edgeless_0":
-        return True
-    if name == "edgeless_1":
-        return n > 0
-    if name == "edgeless_2":
-        return sum(map(len, host._adj.values())) < n * (n - 1)
-    if name == "P3":
-        return complete_decomposition(host) is None
-    if name == "P4":
-        return _has_induced_p4(host)
-    return _has_induced_c4(host)
+    return _CATALOG[name][1](host)

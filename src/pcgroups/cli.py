@@ -3,7 +3,12 @@
 Results go to stdout as JSON with stable key order; diagnostics go to stderr.
 Exit codes: 0 success, 2 malformed input.  Yes/no commands report their
 verdict inside the JSON; with ``--exit-status`` they additionally exit 1 on a
-negative verdict.
+negative verdict.  ``self-check`` always exits 1 when it finds a
+disagreement.
+
+Each ``_cmd_*`` handler returns its JSON value and its verdict (True for a
+command with no yes/no answer).  ``run`` is the one place that writes stdout
+and picks the exit code.
 """
 
 from __future__ import annotations
@@ -18,7 +23,7 @@ from .errors import InputError, ParseError
 from .graphs import SimpleGraph, complete_decomposition, parse_graph, reflexive_closure_is_transitive
 from .stallings import StallingsGraph, format_stallings, from_generators
 from .visible import VertexRestriction, rewrite_in_visible
-from .words import _generators, are_equal, format_word, normal_form, parse_word
+from .words import _decimal, _generators, are_equal, format_word, normal_form, parse_word
 from .zf2 import certify_not_fg
 
 __all__ = ["run", "main"]
@@ -51,31 +56,19 @@ def _load_words(path: str):
     return words
 
 
-def _emit(obj, stdout) -> None:
-    stdout.write(json.dumps(obj) + "\n")
-
-
-def _cmd_classify(args, stdout) -> int:
+def _cmd_classify(args):
     report = classify(_load_graph(args.graph))
-    _emit(report.to_json_dict(), stdout)
-    return 0 if report.howson or not args.exit_status else 1
+    return report.to_json_dict(), report.howson
 
 
-def _cmd_normal_form(args, stdout) -> int:
+def _cmd_normal_form(args):
     g = _load_graph(args.graph)
     nf = normal_form(parse_word(args.word), g)
-    _emit(
-        {
-            "normal_form": format_word(nf),
-            "length": len(nf),
-            "support": sorted({gen for gen, _ in nf.syllables}),
-        },
-        stdout,
-    )
-    return 0
+    support = sorted({gen for gen, _ in nf.syllables})
+    return {"normal_form": format_word(nf), "length": len(nf), "support": support}, True
 
 
-def _cmd_equal(args, stdout) -> int:
+def _cmd_equal(args):
     g = _load_graph(args.graph)
     u = parse_word(args.word1)
     try:
@@ -84,34 +77,23 @@ def _cmd_equal(args, stdout) -> int:
         _generators(u, g)  # an unknown generator in word1 is reported first
         raise
     verdict = are_equal(u, v, g)
-    _emit(verdict, stdout)
-    return 0 if verdict or not args.exit_status else 1
+    return verdict, verdict
 
 
-def _cmd_member_visible(args, stdout) -> int:
-    g = _load_graph(args.graph)
-    r = VertexRestriction(g, args.subset.split())
-    w = parse_word(args.word)
-    rewritten = rewrite_in_visible(w, r)
+def _cmd_member_visible(args):
+    r = VertexRestriction(_load_graph(args.graph), args.subset.split())
+    rewritten = rewrite_in_visible(parse_word(args.word), r)
     member = rewritten is not None
-    _emit(
-        {
-            "member": member,
-            "rewritten": format_word(rewritten) if member else None,
-        },
-        stdout,
-    )
-    return 0 if member or not args.exit_status else 1
+    return {"member": member, "rewritten": format_word(rewritten) if member else None}, member
 
 
-def _cmd_embed(args, stdout) -> int:
+def _cmd_embed(args):
     entry = catalog_entry(args.pattern)
     verdict = embeds_in(entry, _load_graph(args.graph))
-    _emit({"pattern": entry.name, "embeds": verdict}, stdout)
-    return 0 if verdict or not args.exit_status else 1
+    return {"pattern": entry.name, "embeds": verdict}, verdict
 
 
-def _cmd_intersect_free(args, stdout) -> int:
+def _cmd_intersect_free(args):
     alphabet = args.alphabet.split()
     if not alphabet:
         raise InputError("--alphabet must list at least one generator")
@@ -126,19 +108,17 @@ def _cmd_intersect_free(args, stdout) -> int:
                 handle.write(render(meet))
         except OSError as exc:
             raise InputError(f"cannot write {path}: {exc.strerror}") from None
-    _emit(
-        {"rank": meet.rank(), "states": meet.num_states, "edges": meet.num_edges},
-        stdout,
-    )
-    return 0
+    return {"rank": meet.rank(), "states": meet.num_states, "edges": meet.num_edges}, True
 
 
-def _cmd_demo_nonhowson(args, stdout) -> int:
-    _emit(certify_not_fg(args.m).to_json_dict(), stdout)
-    return 0
+def _cmd_demo_nonhowson(args):
+    m = _decimal(args.m)
+    if m is None:
+        raise InputError(f"--m must be ASCII decimal digits after an optional '-', got {args.m!r}")
+    return certify_not_fg(m).to_json_dict(), True
 
 
-def _cmd_self_check(args, stdout) -> int:
+def _cmd_self_check(args):
     from itertools import combinations
 
     names = ("a", "b", "c", "d", "e")
@@ -166,11 +146,8 @@ def _cmd_self_check(args, stdout) -> int:
             # reflexive closure is the independent referee
             if (complete_decomposition(g) is not None) != reflexive_closure_is_transitive(g):
                 disagreements += 1
-    _emit(
-        {"graphs_checked": checked, "disagreements": disagreements, "ok": disagreements == 0},
-        stdout,
-    )
-    return 0 if disagreements == 0 else 1
+    ok = disagreements == 0
+    return {"graphs_checked": checked, "disagreements": disagreements, "ok": ok}, ok
 
 
 @functools.cache
@@ -181,6 +158,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "free-abelian for the group presented by a graph, and work with the "
         "supporting machinery.",
     )
+    parser.set_defaults(exit_status=False)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("classify", help="full classification report for a graph file")
@@ -230,13 +208,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "demo-nonhowson", help="stage-m certificate that Z x F2 is not Howson"
     )
-    p.add_argument("--m", type=int, required=True)
+    p.add_argument("--m", required=True)
     p.set_defaults(handler=_cmd_demo_nonhowson)
 
     p = sub.add_parser(
         "self-check", help="sweep all graphs on <= 5 vertices for classifier agreement"
     )
-    p.set_defaults(handler=_cmd_self_check)
+    # a disagreement always exits 1; the command has no --exit-status flag
+    p.set_defaults(handler=_cmd_self_check, exit_status=True)
 
     return parser
 
@@ -250,10 +229,12 @@ def run(argv=None, stdout=None, stderr=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
-        return args.handler(args, stdout)
+        value, verdict = args.handler(args)
     except InputError as exc:
         stderr.write(f"error: {exc}\n")
         return 2
+    stdout.write(json.dumps(value) + "\n")
+    return 0 if verdict or not args.exit_status else 1
 
 
 def main() -> int:

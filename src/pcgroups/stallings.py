@@ -44,7 +44,7 @@ from typing import Iterable, Optional
 
 from .errors import InputError, ParseError
 from .graphs import _is_name
-from .words import Word, free_reduce
+from .words import Word, _decimal, free_reduce
 
 __all__ = [
     "StallingsGraph",
@@ -167,7 +167,7 @@ class StallingsGraph:
         canonical.  Trimming the trees leaf by leaf then only closes up the
         survivors' numbers in order; no renumbering search is needed.
         """
-        if self.alphabet != other.alphabet:
+        if self.alphabet != _automaton(other).alphabet:
             raise InputError("cannot intersect subgroups over different alphabets")
         width = other.num_states
         fwd: list = [[] for _ in self.alphabet]
@@ -227,6 +227,13 @@ class StallingsGraph:
             f"StallingsGraph(alphabet={self.alphabet!r}, states={self.num_states}, "
             f"edges={self.edges()!r})"
         )
+
+
+def _automaton(sg) -> StallingsGraph:
+    """``sg`` itself; raises ``InputError`` unless it is a ``StallingsGraph``."""
+    if not isinstance(sg, StallingsGraph):
+        raise InputError(f"expected a StallingsGraph, got {type(sg).__name__}")
+    return sg
 
 
 def _labels(alphabet: Iterable[str]) -> tuple[str, ...]:
@@ -422,20 +429,17 @@ def from_generators(ws: Iterable[Word], alphabet: Iterable[str]) -> StallingsGra
 def format_stallings(sg: StallingsGraph) -> str:
     """Serialize: base state (and the alphabet, so a trivial subgroup keeps
     its generators) on line 1, then sorted transition lines."""
-    lines = [" ".join((str(sg.base),) + sg.alphabet)]
+    lines = [" ".join((str(_automaton(sg).base),) + sg.alphabet)]
     lines.extend(f"{u} {g} {v}" for u, g, v in sg.edges())
     return "\n".join(lines) + "\n"
 
 
 def _state_id(tok: str, lineno: int) -> int:
     """A state id: ASCII decimal digits after an optional ``-``."""
-    digits = tok[1:] if tok[:1] == "-" else tok
-    if digits.isascii() and digits.isdigit():
-        try:
-            return int(tok)
-        except ValueError:  # past the interpreter's cap on digits int() reads
-            pass
-    raise ParseError(f"state id {tok!r} is not an ASCII decimal integer", line=lineno)
+    state = _decimal(tok)
+    if state is None:
+        raise ParseError(f"state id {tok!r} is not an ASCII decimal integer", line=lineno)
+    return state
 
 
 def _label(tok: str, lineno: int) -> str:

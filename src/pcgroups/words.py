@@ -212,6 +212,18 @@ class NormalWord(Word):
     __slots__ = ()
 
 
+def _decimal(text: str) -> Optional[int]:
+    """The int that ``text`` writes as ASCII decimal digits after an optional
+    ``-``; None for any other spelling."""
+    digits = text[1:] if text[:1] == "-" else text
+    if digits.isascii() and digits.isdigit():
+        try:
+            return int(text)
+        except ValueError:  # past the interpreter's cap on digits int() reads
+            pass
+    return None
+
+
 def _syllable(tok: str) -> tuple:
     """The syllable ``(name, k)`` one token spells."""
     # a name cut from a whitespace-split token before its first '^' holds
@@ -224,13 +236,9 @@ def _syllable(tok: str) -> tuple:
         raise ParseError(f"bad token {tok!r}: a generator name may not contain '#'")
     if not caret:
         return name, 1
-    digits = exp[1:] if exp[:1] == "-" else exp
-    if not (digits.isascii() and digits.isdigit()):
+    k = _decimal(exp)
+    if k is None:
         raise ParseError(f"bad exponent in token {tok!r}")
-    try:
-        k = int(exp)
-    except ValueError:  # past the interpreter's cap on digits int() reads
-        raise ParseError(f"bad exponent in token {tok!r}") from None
     if k == 0:
         raise ParseError(f"zero exponent in token {tok!r}")
     return name, k
@@ -255,15 +263,15 @@ def parse_word(text: str) -> Word:
 
 def format_word(w: Word) -> str:
     """One token per syllable, e.g. ``a^-2 b a^3``; identity -> ''."""
-    return " ".join(gen if k == 1 else f"{gen}^{k}" for gen, k in w.syllables)
+    return " ".join(gen if k == 1 else f"{gen}^{k}" for gen, k in _word(w).syllables)
 
 
 def multiply(*words: Word) -> Word:
-    return Word._joined(s for w in words for s in w.syllables)
+    return Word._joined(s for w in words for s in _word(w).syllables)
 
 
 def invert(w: Word) -> Word:
-    return w.inverse()
+    return _word(w).inverse()
 
 
 def commutator(u, v) -> Word:

@@ -23,6 +23,7 @@ from pcgroups import (
     max_abelian_rank,
     path_graph,
 )
+from pcgroups.classify import _entry_shape_ok
 from oracles import all_labeled_graphs, brute_induced_embedding_exists, clique_oracle, iso_representatives
 
 
@@ -156,6 +157,30 @@ class TestCatalog:
         assert dataclasses.replace(lazy, provenance="p").pattern == complete_graph(3, prefix="k")
         assert dataclasses.asdict(catalog_entry("P3"))["name"] == "P3"
 
+    def test_names_in_table_order(self):
+        assert [entry.name for entry in explicit_catalog()] == [
+            "edgeless_0", "edgeless_1", "edgeless_2", "P3", "P4", "C4",
+        ]
+
+    def test_shape_check_cross_table(self):
+        # every name against every pattern, relabelled in a shuffled order:
+        # a name accepts exactly the patterns of its own shape
+        patterns = {entry.name: entry.pattern for entry in explicit_catalog()}
+        patterns.update((f"K_{n}", complete_graph(n)) for n in range(1, 5))
+        rng = random.Random(5)
+        for shape, g in patterns.items():
+            names = {v: f"r{i}" for i, v in enumerate(rng.sample(g.vertices, len(g.vertices)))}
+            relabelled = SimpleGraph(sorted(names.values()), [(names[u], names[v]) for u, v in g.edges])
+            for name in patterns:
+                entry = ExplicitCatalogEntry(name, relabelled, "made up")
+                same = name == shape or {name, shape} == {"K_1", "edgeless_1"}
+                assert _entry_shape_ok(entry) == same, (name, shape)
+                if same:
+                    assert embeds_in(entry, P3()) == embeds_in(catalog_entry(name), P3())
+                else:
+                    with pytest.raises(InputError, match="does not match"):
+                        embeds_in(entry, P3())
+
     def test_unknown_names_rejected(self):
         with pytest.raises(InputError):
             catalog_entry("Q7")
@@ -233,6 +258,12 @@ class TestEmbedsIn:
         bogus2 = ExplicitCatalogEntry("pentagon", cycle_graph(5), "made up")
         with pytest.raises(InputError):
             embeds_in(bogus2, cycle_graph(5))
+
+    def test_claimed_order_is_never_built(self):
+        # the name claims a 10^12-vertex clique; the pattern has 3 vertices
+        entry = ExplicitCatalogEntry("K_" + "9" * 12, path_graph(3), "made up")
+        with pytest.raises(InputError, match="does not match"):
+            embeds_in(entry, cycle_graph(4))
 
     def test_agrees_with_induced_search(self):
         # the brute-force search is the referee for every direct decision

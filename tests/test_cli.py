@@ -279,6 +279,56 @@ def test_self_check():
     assert json.loads(out) == {"graphs_checked": 1100, "disagreements": 0, "ok": True}
 
 
+def test_self_check_disagreement_exits_1(monkeypatch):
+    from pcgroups import cli
+
+    monkeypatch.setattr(cli, "reflexive_closure_is_transitive", lambda g: False)
+    code, out, err = invoke("self-check")
+    report = json.loads(out)
+    assert (code, err) == (1, "")
+    assert report["ok"] is False and report["disagreements"] > 0
+
+
+P3_GRAPH, XY_GRAPH, C4_GRAPH = (str(INPUTS / name) for name in ("p3.graph", "xy.graph", "c4.graph"))
+WORDS = (str(INPUTS / "h.words"), str(INPUTS / "k.words"))
+
+# argv, then the exit code without and with --exit-status; None where the
+# command has no such flag
+EXIT_CODES = [
+    (("classify", XY_GRAPH), 0, 0),
+    (("classify", P3_GRAPH), 0, 1),
+    (("equal", XY_GRAPH, "x y", "y x"), 0, 0),
+    (("equal", P3_GRAPH, "a c", "c a"), 0, 1),
+    (("member-visible", P3_GRAPH, "b", "a b a^-1"), 0, 0),
+    (("member-visible", P3_GRAPH, "b", "c"), 0, 1),
+    (("embed", "P3", C4_GRAPH), 0, 0),
+    (("embed", "K_3", P3_GRAPH), 0, 1),
+    (("normal-form", XY_GRAPH, "y x"), 0, None),
+    (("intersect-free", "--alphabet", "a b") + WORDS, 0, None),
+    (("demo-nonhowson", "--m", "3"), 0, None),
+    (("self-check",), 0, None),
+]
+
+
+@pytest.mark.parametrize("argv, plain, flagged", EXIT_CODES)
+def test_exit_codes(argv, plain, flagged, capsys):
+    code, out, err = invoke(*argv)
+    assert (code, err) == (plain, "") and out.count("\n") == 1
+    code, out, err = invoke(*argv, "--exit-status")
+    if flagged is None:
+        assert (code, out, err) == (2, "", "")  # argparse refuses the flag
+        assert "unrecognized arguments: --exit-status" in capsys.readouterr().err
+    else:
+        assert (code, err) == (flagged, "") and out.count("\n") == 1
+
+
+def test_m_spelling():
+    assert invoke("demo-nonhowson", "--m", "-1") == (2, "", "error: m must be >= 0\n")
+    code, out, err = invoke("demo-nonhowson", "--m", "1_0")
+    assert (code, out) == (2, "")
+    assert err == "error: --m must be ASCII decimal digits after an optional '-', got '1_0'\n"
+
+
 def _write(tmp_path, name, data):
     path = tmp_path / name
     path.write_bytes(data)
@@ -313,6 +363,10 @@ CONTRACT_CASES = {
     "leading zero in K_n": lambda tmp: ("embed", "K_05", str(INPUTS / "p3.graph")),
     "signed K_n": lambda tmp: ("embed", "K_+5", str(INPUTS / "p3.graph")),
     "huge m": lambda tmp: ("demo-nonhowson", "--m", "100000000"),
+    "underscore in m": lambda tmp: ("demo-nonhowson", "--m", "1_0"),
+    "non-ASCII digit in m": lambda tmp: ("demo-nonhowson", "--m", "\u0663"),
+    "signed m": lambda tmp: ("demo-nonhowson", "--m", "+1"),
+    "non-numeric m": lambda tmp: ("demo-nonhowson", "--m", "abc"),
     "hash in alphabet label": lambda tmp: (
         "intersect-free", "--alphabet", "a a#",
         _write(tmp, "h.words", b"a^2\n"), _write(tmp, "k.words", b"a^3\n"),

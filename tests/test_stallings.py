@@ -186,12 +186,17 @@ class TestFromGenerators:
 
 
 def test_entry_points_refuse_what_is_not_a_word():
+    # and what is not an automaton where one belongs
     sg = from_generators([w("a b")], AB)
     for thing in ("a b", ["a"], [("a", 1)]):
         with pytest.raises(InputError, match="^expected a Word, got "):
             from_generators([thing], AB)
         with pytest.raises(InputError, match="^expected a Word, got "):
             sg.member(thing)
+        with pytest.raises(InputError, match="^expected a StallingsGraph, got "):
+            sg.intersect(thing)
+        with pytest.raises(InputError, match="^expected a StallingsGraph, got "):
+            format_stallings(thing)
 
 
 class TestMember:

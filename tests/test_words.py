@@ -1,5 +1,6 @@
 import itertools
 import random
+import sys
 
 import pytest
 
@@ -207,9 +208,26 @@ def test_entry_points_refuse_what_is_not_a_word():
             lambda: are_equal(w("x"), thing, XY_EDGE),
             lambda: support(thing, XY_EDGE),
             lambda: free_reduce(thing, ("x", "y")),
+            lambda: format_word(thing),
+            lambda: w("x") * thing,
+            lambda: multiply(w("x"), thing),
+            lambda: invert(thing),
         ):
             with pytest.raises(InputError, match="^expected a Word, got "):
                 call()
+
+
+def test_decimal_reads_ascii_digits_after_an_optional_minus():
+    read = pcgroups.words._decimal
+    for text, value in (("0", 0), ("-0", 0), ("7", 7), ("-12", -12), ("0012", 12)):
+        assert read(text) == value
+    for text in ("", "-", "--1", "+1", "1_0", " 1", "1 ", "\u0663", "\uff11", "\u00b2", "1.0", "0x1"):
+        assert read(text) is None
+    cap = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no cap
+    if cap:
+        assert read("1" * cap) == int("1" * cap)
+        assert read("1" * (cap + 1)) is None
+        assert read("-" + "1" * (cap + 1)) is None
 
 
 class TestFreeReduce:
