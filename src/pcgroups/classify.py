@@ -32,7 +32,7 @@ import json
 from dataclasses import dataclass
 from typing import Optional
 
-from .errors import InputError
+from .errors import InputError, _instance
 from .graphs import (
     SimpleGraph,
     _has_clique,
@@ -206,7 +206,7 @@ def catalog_entry(name: str) -> ExplicitCatalogEntry:
     edgeless_1, edgeless_2.  In K_<n>, n >= 1 is written in ASCII decimal
     digits with no leading zero.  The complete graph of K_<n> is built only
     when the entry's ``pattern`` is read."""
-    if name.startswith("K_"):
+    if _instance(name, str).startswith("K_"):
         _complete_order(name)
         return ExplicitCatalogEntry(name, None, _COMPLETE_PROVENANCE)
     if name in _CATALOG:
@@ -235,7 +235,7 @@ def _entry_shape_ok(entry: ExplicitCatalogEntry) -> bool:
     sequences are compared; K_1 and edgeless_1 are the same graph.  A K_<n>
     name is matched against the pattern's own order first, so nothing is
     sized by the n the name claims."""
-    name = entry.name
+    name = _instance(entry, ExplicitCatalogEntry).name
     g = entry._pattern  # None while a K_n pattern is unbuilt
     if g is None:
         return name.startswith("K_") and name == f"K_{_complete_order(name)}"
@@ -266,4 +266,4 @@ def embeds_in(pattern_entry: ExplicitCatalogEntry, host: SimpleGraph) -> bool:
     name = pattern_entry.name
     if name.startswith("K_"):
         return _has_clique(host, int(name[2:]))
-    return _CATALOG[name][1](host)
+    return _CATALOG[name][1](_instance(host, SimpleGraph))

@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the one type guard that
+public entry points put on their arguments."""
+
+__all__ = ["InputError", "ParseError"]
 
 
 class InputError(ValueError):
@@ -13,3 +16,10 @@ class ParseError(InputError):
             message = f"line {line}: {message}"
         super().__init__(message)
         self.line = line
+
+
+def _instance(value, cls):
+    """``value`` itself; raises ``InputError`` unless it is a ``cls``."""
+    if not isinstance(value, cls):
+        raise InputError(f"expected a {cls.__name__}, got {type(value).__name__}")
+    return value

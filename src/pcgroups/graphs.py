@@ -38,7 +38,7 @@ from __future__ import annotations
 from itertools import combinations
 from typing import Iterable, Optional
 
-from .errors import InputError, ParseError
+from .errors import InputError, ParseError, _instance
 
 __all__ = [
     "SimpleGraph",
@@ -168,8 +168,9 @@ def _check_names(names: Iterable) -> None:
 def _subset(g: SimpleGraph, ys: Iterable[str]) -> frozenset[str]:
     """The vertex subset ``ys`` of ``g``; raises ``InputError`` naming the
     least item that is not a vertex."""
+    adj = _instance(g, SimpleGraph)._adj
     ys = tuple(ys)
-    unknown = [y for y in ys if not (isinstance(y, str) and y in g._adj)]
+    unknown = [y for y in ys if not (isinstance(y, str) and y in adj)]
     if unknown:
         raise InputError(f"unknown vertex {min(unknown, key=str)!r}")
     return frozenset(ys)
@@ -191,7 +192,7 @@ def connected_components(g: SimpleGraph) -> tuple[tuple[str, ...], ...]:
     """
     seen: set[str] = set()
     blocks = []
-    adj = g._adj
+    adj = _instance(g, SimpleGraph)._adj
     for start in g.vertices:
         if start in seen:
             continue
@@ -216,7 +217,7 @@ def find_induced_p3(g: SimpleGraph) -> Optional[tuple[str, str, str]]:
     neighbourhood N[x] misses part of its (connected) component; y is x's
     least neighbour with a neighbour outside N[x]; z is y's least such one.
     """
-    adj = g._adj
+    adj = _instance(g, SimpleGraph)._adj
     x = min(
         (v for block in connected_components(g) for v in block if len(adj[v]) < len(block) - 1),
         default=None,
@@ -230,7 +231,7 @@ def find_induced_p3(g: SimpleGraph) -> Optional[tuple[str, str, str]]:
 
 def reflexive_closure_is_transitive(g: SimpleGraph) -> bool:
     """True iff adjacency-or-equality is a transitive relation on the vertices."""
-    adj = g._adj
+    adj = _instance(g, SimpleGraph)._adj
     for y in g.vertices:
         for x, z in combinations(adj[y], 2):
             if z not in adj[x]:
@@ -248,7 +249,7 @@ def complete_decomposition(g: SimpleGraph) -> Optional[tuple[int, ...]]:
     neighbours as v and all of them in N[v] (then N[u] = N[v]).  Otherwise
     the component of v is not complete.
     """
-    adj = g._adj
+    adj = _instance(g, SimpleGraph)._adj
     placed: set[str] = set()
     sizes = []
     for v in g.vertices:
@@ -268,7 +269,7 @@ def complete_decomposition(g: SimpleGraph) -> Optional[tuple[int, ...]]:
 
 
 def _check_disjoint(g1: SimpleGraph, g2: SimpleGraph) -> None:
-    clash = set(g1.vertices) & set(g2.vertices)
+    clash = set(_instance(g1, SimpleGraph).vertices) & set(_instance(g2, SimpleGraph).vertices)
     if clash:
         raise InputError(
             "vertex names appear on both sides: "
@@ -294,7 +295,7 @@ def join(g1: SimpleGraph, g2: SimpleGraph) -> SimpleGraph:
 
 def relabel(g: SimpleGraph, mapping: dict) -> SimpleGraph:
     """Copy of ``g`` with vertices renamed through an injective mapping."""
-    missing = [v for v in g.vertices if v not in mapping]
+    missing = [v for v in _instance(g, SimpleGraph).vertices if v not in mapping]
     if missing:
         raise InputError(f"mapping misses vertices: {missing}")
     _check_names(mapping[v] for v in g.vertices)
@@ -313,7 +314,7 @@ def _bitsets(g: SimpleGraph) -> list[int]:
     first (ties by name), and the vertex of rank r is bit ``n - 1 - r``, so
     taking a set's highest bit first visits it in rank order.  ``masks[b]``
     is the set of neighbours of the vertex at bit ``b``."""
-    masks = g._masks
+    masks = _instance(g, SimpleGraph)._masks
     if masks is None:
         adj = g._adj
         by_bit = sorted(g.vertices, key=lambda v: (-len(adj[v]), v), reverse=True)
@@ -544,10 +545,15 @@ def _pair_has_c4(masks: list[int], s: int) -> bool:
 
 
 def _names(n_or_names, prefix: str) -> tuple[str, ...]:
-    if isinstance(n_or_names, int):
+    """The names a builder is given, or ``prefix1 .. prefixn`` for a count
+    ``n``: an int, and not a bool."""
+    if type(n_or_names) is int:
         if n_or_names < 0:
             raise InputError("vertex count must be >= 0")
         return tuple(f"{prefix}{i}" for i in range(1, n_or_names + 1))
+    if not isinstance(n_or_names, Iterable):
+        raise InputError(f"expected an int vertex count or vertex names, "
+                         f"got {type(n_or_names).__name__}")
     return tuple(n_or_names)
 
 
@@ -578,7 +584,7 @@ def parse_graph(text: str) -> SimpleGraph:
 
     Each name and edge line is checked once, with its line number, and each
     edge is written straight into both endpoints' neighbour sets."""
-    lines = [raw.split("#", 1)[0] for raw in text.splitlines()]
+    lines = [raw.split("#", 1)[0] for raw in _instance(text, str).splitlines()]
     numbered = enumerate(map(str.split, lines), start=1)
     adj: dict[str, set[str]] = {}
     for lineno, tokens in numbered:
@@ -614,6 +620,6 @@ def parse_graph(text: str) -> SimpleGraph:
 
 def format_graph(g: SimpleGraph) -> str:
     """Inverse of parse_graph, with edges listed in sorted order."""
-    lines = [" ".join(g.vertices)]
+    lines = [" ".join(_instance(g, SimpleGraph).vertices)]
     lines.extend(f"{u} {v}" for u, v in sorted(g.edges))
     return "\n".join(lines) + "\n"

@@ -42,7 +42,7 @@ from __future__ import annotations
 
 from typing import Iterable, Optional
 
-from .errors import InputError, ParseError
+from .errors import InputError, ParseError, _instance
 from .graphs import _is_name
 from .words import Word, _decimal, free_reduce
 
@@ -167,7 +167,7 @@ class StallingsGraph:
         canonical.  Trimming the trees leaf by leaf then only closes up the
         survivors' numbers in order; no renumbering search is needed.
         """
-        if self.alphabet != _automaton(other).alphabet:
+        if self.alphabet != _instance(other, StallingsGraph).alphabet:
             raise InputError("cannot intersect subgroups over different alphabets")
         width = other.num_states
         fwd: list = [[] for _ in self.alphabet]
@@ -227,13 +227,6 @@ class StallingsGraph:
             f"StallingsGraph(alphabet={self.alphabet!r}, states={self.num_states}, "
             f"edges={self.edges()!r})"
         )
-
-
-def _automaton(sg) -> StallingsGraph:
-    """``sg`` itself; raises ``InputError`` unless it is a ``StallingsGraph``."""
-    if not isinstance(sg, StallingsGraph):
-        raise InputError(f"expected a StallingsGraph, got {type(sg).__name__}")
-    return sg
 
 
 def _labels(alphabet: Iterable[str]) -> tuple[str, ...]:
@@ -429,7 +422,7 @@ def from_generators(ws: Iterable[Word], alphabet: Iterable[str]) -> StallingsGra
 def format_stallings(sg: StallingsGraph) -> str:
     """Serialize: base state (and the alphabet, so a trivial subgroup keeps
     its generators) on line 1, then sorted transition lines."""
-    lines = [" ".join((str(_automaton(sg).base),) + sg.alphabet)]
+    lines = [" ".join((str(_instance(sg, StallingsGraph).base),) + sg.alphabet)]
     lines.extend(f"{u} {g} {v}" for u, g, v in sg.edges())
     return "\n".join(lines) + "\n"
 
@@ -459,7 +452,7 @@ def parse_stallings(text: str) -> StallingsGraph:
     index: dict = {}  # state id -> state, in order of first mention
     declared: Optional[list] = None
     arcs = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    for lineno, line in enumerate(_instance(text, str).splitlines(), start=1):
         tokens = line.split("#", 1)[0].split()
         if not tokens:
             continue

@@ -19,9 +19,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .errors import InputError
+from .errors import InputError, _instance
 from .graphs import SimpleGraph, _subset
-from .words import NormalWord, Word, _generators, _pile, _read_off, _word, support
+from .words import NormalWord, Word, _generators, _pile, _read_off, support
 
 __all__ = [
     "VertexRestriction",
@@ -48,8 +48,9 @@ def alpha_include(w: Word, r: VertexRestriction) -> Word:
     """Reinterpret a word over the induced subgraph as a word over the
     ambient graph.  The letters are unchanged; the map is injective on group
     elements because the retraction undoes it."""
-    for gen, _ in _word(w).syllables:
-        if gen not in r.ys:
+    ys = _instance(r, VertexRestriction).ys
+    for gen, _ in _instance(w, Word).syllables:
+        if gen not in ys:
             raise InputError(f"letter over generator {gen!r} outside the subset")
     return Word._trusted(w.syllables, len(w))
 
@@ -60,14 +61,14 @@ def rho_retract(w: Word, r: VertexRestriction) -> Word:
     This is a homomorphism onto the subgroup: each defining commutation
     relation is either kept intact or killed entirely.
     """
-    _generators(w, r.ambient)
+    _generators(w, _instance(r, VertexRestriction).ambient)
     return Word._joined(s for s in w.syllables if s[0] in r.ys)
 
 
 def is_in_visible(w: Word, r: VertexRestriction) -> bool:
     """True iff ``w`` represents an element of the subgroup generated by the
     subset."""
-    return support(w, r.ambient) <= r.ys
+    return support(w, _instance(r, VertexRestriction).ambient) <= r.ys
 
 
 def rewrite_in_visible(w: Word, r: VertexRestriction) -> Optional[NormalWord]:
@@ -78,7 +79,7 @@ def rewrite_in_visible(w: Word, r: VertexRestriction) -> Optional[NormalWord]:
     canonical word is empty) is not conflated with non-membership.  Only a
     member's heap is read off.
     """
-    heap = _pile(r.ambient, w)
+    heap = _pile(_instance(r, VertexRestriction).ambient, w)
     if any(stack and x not in r.ys for x, stack in zip(heap.occurring, heap.stacks)):
         return None
     return _read_off(heap)

@@ -50,7 +50,7 @@ from __future__ import annotations
 from itertools import chain
 from typing import Collection, Iterable, NamedTuple, Optional
 
-from .errors import InputError, ParseError
+from .errors import InputError, ParseError, _instance
 from .graphs import SimpleGraph, _is_name
 
 __all__ = [
@@ -75,12 +75,6 @@ MAX_WORD_LETTERS = 10**6
 class Letter(NamedTuple):
     gen: str
     sign: int
-
-    def inverse(self) -> "Letter":
-        return Letter(self.gen, -self.sign)
-
-    def __str__(self) -> str:
-        return self.gen if self.sign > 0 else f"{self.gen}^-1"
 
 
 class Word:
@@ -199,13 +193,6 @@ def _checked_letters(letters: Iterable):
         yield gen, sign
 
 
-def _word(w) -> Word:
-    """``w`` itself; raises ``InputError`` unless it is a ``Word``."""
-    if not isinstance(w, Word):
-        raise InputError(f"expected a Word, got {type(w).__name__}")
-    return w
-
-
 class NormalWord(Word):
     """A word already in canonical form; only the read-off builds these."""
 
@@ -251,7 +238,7 @@ def parse_word(text: str) -> Word:
     Raises ``ParseError`` when the word would pass ``MAX_WORD_LETTERS``
     letters.
     """
-    tokens = text.split()
+    tokens = _instance(text, str).split()
     # one syllable per distinct token, made in text order so that the first
     # bad token is the one reported; a word repeats few tokens
     made = {tok: _syllable(tok) for tok in dict.fromkeys(tokens)}
@@ -263,23 +250,23 @@ def parse_word(text: str) -> Word:
 
 def format_word(w: Word) -> str:
     """One token per syllable, e.g. ``a^-2 b a^3``; identity -> ''."""
-    return " ".join(gen if k == 1 else f"{gen}^{k}" for gen, k in _word(w).syllables)
+    return " ".join(gen if k == 1 else f"{gen}^{k}" for gen, k in _instance(w, Word).syllables)
 
 
 def multiply(*words: Word) -> Word:
-    return Word._joined(s for w in words for s in _word(w).syllables)
+    return Word._joined(s for w in words for s in _instance(w, Word).syllables)
 
 
 def invert(w: Word) -> Word:
-    return _word(w).inverse()
+    return _instance(w, Word).inverse()
 
 
 def commutator(u, v) -> Word:
-    """The word u v u^-1 v^-1; bare strings are taken as single generators."""
-    if isinstance(u, str):
-        u = Word.gen(u)
-    if isinstance(v, str):
-        v = Word.gen(v)
+    """The word u v u^-1 v^-1; bare strings are taken as single generators.
+    Raises ``InputError`` unless each of ``u`` and ``v`` is a ``str`` or a
+    ``Word``."""
+    u = Word.gen(u) if isinstance(u, str) else _instance(u, Word)
+    v = Word.gen(v) if isinstance(v, str) else _instance(v, Word)
     return u * v * u.inverse() * v.inverse()
 
 
@@ -312,10 +299,11 @@ class _Heap(NamedTuple):
 def _generators(w: Word, g: SimpleGraph) -> set:
     """The generators of ``w``; raises ``InputError`` for the first
     syllable, in word order, over a generator that is not a vertex of
-    ``g``; and ``InputError`` unless ``w`` is a ``Word``."""
-    syllables = _word(w).syllables
+    ``g``; and ``InputError`` unless ``w`` is a ``Word`` and ``g`` a
+    ``SimpleGraph``."""
+    syllables = _instance(w, Word).syllables
     gens = {gen for gen, _ in syllables}
-    if not all(map(g.__contains__, gens)):
+    if not all(map(_instance(g, SimpleGraph).__contains__, gens)):
         unknown = next(gen for gen, _ in syllables if gen not in g)
         raise InputError(f"letter over unknown generator {unknown!r}")
     return gens
@@ -450,7 +438,7 @@ def free_reduce(w: Word, alphabet: Collection[str]) -> Word:
     generator outside ``alphabet``.
     """
     out: list = []
-    for gen, k in _word(w).syllables:
+    for gen, k in _instance(w, Word).syllables:
         if gen not in alphabet:
             raise InputError(f"letter over unknown generator {gen!r}")
         if out and out[-1][0] == gen:
@@ -470,7 +458,7 @@ def are_equal(u: Word, v: Word, g: SimpleGraph) -> bool:
     They do exactly when ``u v^-1`` is trivial, that is when its one heap
     ends with every stack empty; nothing is read off.
     """
-    return not any(_pile(g, u, _word(v)).stacks)  # None would pile u alone
+    return not any(_pile(g, u, _instance(v, Word)).stacks)  # None would pile u alone
 
 
 def support(w: Word, g: SimpleGraph) -> frozenset[str]:

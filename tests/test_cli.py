@@ -367,6 +367,9 @@ CONTRACT_CASES = {
     "non-ASCII digit in m": lambda tmp: ("demo-nonhowson", "--m", "\u0663"),
     "signed m": lambda tmp: ("demo-nonhowson", "--m", "+1"),
     "non-numeric m": lambda tmp: ("demo-nonhowson", "--m", "abc"),
+    "empty alphabet": lambda tmp: (
+        "intersect-free", "--alphabet", "", str(INPUTS / "h.words"), str(INPUTS / "k.words"),
+    ),
     "hash in alphabet label": lambda tmp: (
         "intersect-free", "--alphabet", "a a#",
         _write(tmp, "h.words", b"a^2\n"), _write(tmp, "k.words", b"a^3\n"),

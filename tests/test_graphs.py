@@ -48,6 +48,8 @@ class TestSimpleGraph:
     def test_unknown_endpoint_rejected(self):
         with pytest.raises(InputError, match="'c'"):
             SimpleGraph(("a", "b"), [("a", "c")])
+        with pytest.raises(InputError, match="^edge endpoint 'z' is not a vertex$"):
+            SimpleGraph(["a"], [("a", "z")])
 
     def test_malformed_edge_named(self):
         for edge in ((["a"], "b"), "ab c", ("a",), None):
@@ -62,6 +64,9 @@ class TestSimpleGraph:
         assert g.neighbors("b") == frozenset({"a", "c"})
         with pytest.raises(InputError):
             g.adjacent("a", "z")
+        for call in (lambda: g.adjacent("q", "a"), lambda: g.neighbors("q")):
+            with pytest.raises(InputError, match="^unknown vertex 'q'$"):
+                call()
 
     def test_empty_graph(self):
         g = SimpleGraph(())
@@ -406,6 +411,10 @@ class TestFactories:
     def test_cycle_needs_three(self):
         with pytest.raises(InputError):
             cycle_graph(2)
+
+    def test_count_not_negative(self):
+        with pytest.raises(InputError, match="^vertex count must be >= 0$"):
+            complete_graph(-1)
 
 
 class TestTextFormat:

@@ -408,6 +408,10 @@ class TestSerialization:
         with pytest.raises(ParseError):
             parse_stallings("")
 
+    def test_parse_rejects_undeclared_generator(self):
+        with pytest.raises(ParseError, match="^line 2: generator 'b' is not in the declared alphabet$"):
+            parse_stallings("0 a\n0 b 0\n")
+
     def test_trivial_roundtrip(self):
         sg = from_generators([], AB)
         back = parse_stallings(format_stallings(sg))
