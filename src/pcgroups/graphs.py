@@ -36,7 +36,7 @@ edge line is harmless, and a loop ``u u`` is an error.
 from __future__ import annotations
 
 from itertools import combinations
-from typing import Iterable, Optional
+from typing import Iterable, Mapping, Optional
 
 from .errors import InputError, ParseError, _instance
 
@@ -73,11 +73,11 @@ class SimpleGraph:
     __slots__ = ("vertices", "_adj", "_edges", "_masks")
 
     def __init__(self, vertices: Iterable[str], edges: Iterable = ()):
-        vs = tuple(vertices)
+        vs = tuple(_instance(vertices, Iterable))
         _check_names(vs)  # before sorting, which a name of another type breaks
         vs = tuple(sorted(set(vs)))
         adj: dict[str, set[str]] = {v: set() for v in vs}
-        for edge in edges:
+        for edge in _instance(edges, Iterable):
             try:
                 u, v = edge
                 u_known, v_known = u in adj, v in adj
@@ -169,7 +169,7 @@ def _subset(g: SimpleGraph, ys: Iterable[str]) -> frozenset[str]:
     """The vertex subset ``ys`` of ``g``; raises ``InputError`` naming the
     least item that is not a vertex."""
     adj = _instance(g, SimpleGraph)._adj
-    ys = tuple(ys)
+    ys = tuple(_instance(ys, Iterable))
     unknown = [y for y in ys if not (isinstance(y, str) and y in adj)]
     if unknown:
         raise InputError(f"unknown vertex {min(unknown, key=str)!r}")
@@ -295,7 +295,8 @@ def join(g1: SimpleGraph, g2: SimpleGraph) -> SimpleGraph:
 
 def relabel(g: SimpleGraph, mapping: dict) -> SimpleGraph:
     """Copy of ``g`` with vertices renamed through an injective mapping."""
-    missing = [v for v in _instance(g, SimpleGraph).vertices if v not in mapping]
+    g, mapping = _instance(g, SimpleGraph), _instance(mapping, Mapping)
+    missing = [v for v in g.vertices if v not in mapping]
     if missing:
         raise InputError(f"mapping misses vertices: {missing}")
     _check_names(mapping[v] for v in g.vertices)

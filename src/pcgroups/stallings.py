@@ -130,11 +130,10 @@ class StallingsGraph:
 
     def member(self, w: Word) -> bool:
         """Does the free reduction of ``w`` trace a closed path at the base?"""
-        reduced = free_reduce(w, self.alphabet)
         forward = dict(zip(self.alphabet, self._fwd))
         backward = dict(zip(self.alphabet, self._bwd))
         state = 0
-        for gen, k in reduced.syllables:
+        for gen, k in free_reduce(w, forward).syllables:
             row = (forward if k > 0 else backward)[gen]
             for _ in range(abs(k)):
                 state = row[state]
@@ -232,7 +231,7 @@ class StallingsGraph:
 def _labels(alphabet: Iterable[str]) -> tuple[str, ...]:
     """The alphabet as a tuple; raises ``InputError`` on a label that is not
     a generator name, the rule ``Word`` applies to its letters."""
-    alphabet = tuple(alphabet)
+    alphabet = tuple(_instance(alphabet, Iterable))
     for g in alphabet:
         if not _is_name(g):
             raise InputError(f"alphabet label must be a non-empty string without "
@@ -335,29 +334,32 @@ def from_generators(ws: Iterable[Word], alphabet: Iterable[str]) -> StallingsGra
     fwd: list = [[-1] for _ in alpha]
     bwd: list = [[-1] for _ in alpha]
     rows = fwd + bwd
-    # a letter's arrays: where it leads from a state, and where it comes from
+    # a letter's arrays, keyed by (generator, positive): where it leads from
+    # a state, and where it comes from
     step = {}
     for g, ahead, behind in zip(alpha, fwd, bwd):
-        step[g, 1] = ahead, behind
-        step[g, -1] = behind, ahead
+        step[g, True] = ahead, behind
+        step[g, False] = behind, ahead
     n = 1
     # the first arc with a label at a state is the one words are read along;
     # a later one with the same label asks for its other end to be merged
     merges = []
-    for w in ws:
-        letters = free_reduce(w, known).letters
-        m = len(letters)
+    for w in _instance(ws, Iterable):
+        walk: list = []  # per letter of the reduced word, its two arrays
+        for g, k in free_reduce(w, known).syllables:
+            walk += [step[g, k > 0]] * abs(k)
+        m = len(walk)
         if not m:
             continue
         head, i = 0, 0
         while i < m - 1:
-            nxt = step[letters[i]][0][head]
+            nxt = walk[i][0][head]
             if nxt < 0:
                 break
             head, i = nxt, i + 1
         tail, j = 0, m
         while j - 1 > i:
-            prev = step[letters[j - 1]][1][tail]
+            prev = walk[j - 1][1][tail]
             if prev < 0:
                 break
             tail, j = prev, j - 1
@@ -370,7 +372,7 @@ def from_generators(ws: Iterable[Word], alphabet: Iterable[str]) -> StallingsGra
                 n += 1
                 for row in rows:
                     row.append(-1)
-            ahead, behind = step[letters[k]]
+            ahead, behind = walk[k]
             for row, s, t in ((ahead, state, nxt), (behind, nxt, state)):
                 held = row[s]
                 if held < 0:

@@ -6,10 +6,9 @@ vertices of an ambient graph; adjacent vertices commute.  It is stored as its
 maximal syllables: pairs ``(x, k)`` with ``k != 0``, each a run of ``|k|``
 letters ``x`` (``k > 0``) or ``x^-1`` (``k < 0``), no two neighbours spelling
 the same letter.  A word built from letters is run-length encoded as it is
-checked; ``Word.letters`` is derived from the syllables when first read and
-then kept.  Parsing, the normal form and formatting work on syllables only,
-so their cost follows the length of the text, not the number of letters it
-stands for.
+checked, and the syllables are the only form it keeps.  Parsing, the normal
+form and formatting work on syllables only, so their cost follows the length
+of the text, not the number of letters it stands for.
 
 The word problem is decided in two phases.  The pile (``_pile``) lays the
 syllables, left to right, into a heap of pieces, one stack per generator.  A
@@ -55,7 +54,6 @@ from .graphs import SimpleGraph, _is_name
 
 __all__ = [
     "MAX_WORD_LETTERS",
-    "Letter",
     "Word",
     "NormalWord",
     "parse_word",
@@ -72,28 +70,22 @@ __all__ = [
 MAX_WORD_LETTERS = 10**6
 
 
-class Letter(NamedTuple):
-    gen: str
-    sign: int
-
-
 class Word:
     """An immutable word; not assumed reduced.
 
-    ``syllables`` are its maximal runs ``(gen, k)``; ``letters``, its
-    ``Letter``s, are derived from them when first read.  ``len`` is the
-    number of letters.  ``Word(letters)`` takes ``(gen, sign)`` pairs whose
-    sign is the int 1 or -1.  A generator name follows the vertex name rule:
-    it may not contain whitespace, ``^`` or ``#``, so that the text
-    ``format_word`` writes parses back to the same word.
+    ``syllables`` are its maximal runs ``(gen, k)``, the only form it
+    keeps, and ``len`` is the number of letters.  ``Word(letters)`` takes an
+    iterable of ``(gen, sign)`` pairs whose sign is the int 1 or -1.  A
+    generator name follows the vertex name rule: it may not contain
+    whitespace, ``^`` or ``#``, so that the text ``format_word`` writes
+    parses back to the same word.
     """
 
-    __slots__ = ("syllables", "_letters", "_len")
+    __slots__ = ("syllables", "_len")
 
     def __init__(self, letters: Iterable = ()):
-        word = Word._joined(_checked_letters(letters))
+        word = Word._joined(_checked_letters(_instance(letters, Iterable)))
         self.syllables = word.syllables
-        self._letters = None
         self._len = word._len
 
     @classmethod
@@ -102,19 +94,8 @@ class Word:
         count, unchecked."""
         word = object.__new__(cls)
         word.syllables = syllables
-        word._letters = None
         word._len = length
         return word
-
-    @property
-    def letters(self) -> tuple:
-        letters = self._letters
-        if letters is None:
-            out: list = []
-            for gen, k in self.syllables:
-                out += (Letter(gen, 1),) * k if k > 0 else (Letter(gen, -1),) * -k
-            letters = self._letters = tuple(out)
-        return letters
 
     @classmethod
     def _joined(cls, syllables: Iterable) -> "Word":
@@ -155,12 +136,6 @@ class Word:
 
     def __len__(self) -> int:
         return self._len
-
-    def __iter__(self):
-        return iter(self.letters)
-
-    def __getitem__(self, i):
-        return self.letters[i]
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Word):
@@ -434,9 +409,10 @@ def free_reduce(w: Word, alphabet: Collection[str]) -> Word:
     so ``a^-k b a^k`` takes three steps.  Neighbours on the stack have
     different generators.
 
-    Raises ``InputError`` unless ``w`` is a ``Word``, and on a letter over a
-    generator outside ``alphabet``.
+    Raises ``InputError`` unless ``w`` is a ``Word`` and ``alphabet`` a
+    collection, and on a letter over a generator outside ``alphabet``.
     """
+    alphabet = _instance(alphabet, Collection)
     out: list = []
     for gen, k in _instance(w, Word).syllables:
         if gen not in alphabet:

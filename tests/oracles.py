@@ -11,6 +11,11 @@ from functools import lru_cache
 from pcgroups import SimpleGraph
 
 
+def letters_of(word):
+    """The ``(gen, sign)`` pairs a ``Word`` spells, one per letter."""
+    return tuple((gen, 1 if k > 0 else -1) for gen, k in word.syllables for _ in range(abs(k)))
+
+
 def letter_key(letter):
     gen, sign = letter
     return (gen, 0 if sign > 0 else 1)

@@ -21,7 +21,7 @@ from pcgroups import (
     parse_stallings,
     relabel,
 )
-from oracles import bouquet_automaton, intersection_automaton
+from oracles import bouquet_automaton, intersection_automaton, letters_of
 
 ALPHABETS = (("a",), ("a", "b"), ("a", "b", "c"))
 
@@ -55,7 +55,9 @@ def test_intersect_matches_the_product_oracle(case):
     alphabet, gens1, gens2 = case
     meet = from_generators(gens1, alphabet).intersect(from_generators(gens2, alphabet))
     expected = intersection_automaton(
-        bouquet_automaton(gens1, alphabet), bouquet_automaton(gens2, alphabet), alphabet
+        bouquet_automaton(map(letters_of, gens1), alphabet),
+        bouquet_automaton(map(letters_of, gens2), alphabet),
+        alphabet,
     )
     assert format_stallings(meet) == expected
 

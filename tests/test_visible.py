@@ -17,7 +17,7 @@ from pcgroups import (
     rewrite_in_visible,
     rho_retract,
 )
-from oracles import all_labeled_graphs, random_word
+from oracles import all_labeled_graphs, letters_of, random_word
 
 PATH = SimpleGraph(("x", "y", "z"), [("x", "y"), ("y", "z")])
 
@@ -117,8 +117,8 @@ def test_retraction_is_identity():
 def test_alpha_rho_not_identity_other_way():
     r = VertexRestriction(PATH, {"y"})
     word = w("x")
-    assert rho_retract(word, r).letters == ()
-    assert normal_form(word, PATH).letters != ()
+    assert rho_retract(word, r).syllables == ()
+    assert normal_form(word, PATH).syllables != ()
 
 
 class TestMembership:
@@ -140,7 +140,7 @@ class TestMembership:
         r = VertexRestriction(PATH, {"y"})
         assert is_in_visible(w("x x^-1"), r)
         rewritten = rewrite_in_visible(w("x x^-1"), r)
-        assert rewritten is not None and rewritten.letters == ()
+        assert rewritten is not None and rewritten.syllables == ()
 
     def test_non_member_has_no_rewrite(self):
         r = VertexRestriction(PATH, {"y"})
@@ -184,14 +184,14 @@ def test_membership_agrees_with_enumeration():
             new = []
             for el in frontier:
                 for letter in letters:
-                    nf = tuple(normal_form(Word(el + (letter,)), g).letters)
+                    nf = letters_of(normal_form(Word(el + (letter,)), g))
                     if nf not in ball:
                         ball.add(nf)
                         new.append(nf)
             frontier = new
         for _ in range(30):
             word = Word(random_word(rng, g.vertices, 5))
-            nf = tuple(normal_form(word, g).letters)
+            nf = letters_of(normal_form(word, g))
             if len(nf) > depth // 2:
                 continue
             assert is_in_visible(word, r) == (nf in ball)

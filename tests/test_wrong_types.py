@@ -7,7 +7,10 @@ import pytest
 
 from pcgroups import (
     InputError,
+    SimpleGraph,
+    StallingsGraph,
     VertexRestriction,
+    Word,
     alpha_include,
     catalog_entry,
     classify,
@@ -22,6 +25,8 @@ from pcgroups import (
     embeds_in,
     find_induced_p3,
     format_graph,
+    free_reduce,
+    from_generators,
     induced_subgraph,
     is_in_visible,
     join,
@@ -32,6 +37,7 @@ from pcgroups import (
     parse_word,
     path_graph,
     reflexive_closure_is_transitive,
+    relabel,
     rewrite_in_visible,
     rho_retract,
 )
@@ -53,6 +59,10 @@ CALLS = {
     "reflexive_closure_is_transitive(None)": (
         lambda: reflexive_closure_is_transitive(None), "a SimpleGraph, got NoneType"),
     'induced_subgraph("x", [])': (lambda: induced_subgraph("x", []), "a SimpleGraph, got str"),
+    "induced_subgraph(g, None)": (lambda: induced_subgraph(G, None), "a Iterable, got NoneType"),
+    "SimpleGraph(None)": (lambda: SimpleGraph(None), "a Iterable, got NoneType"),
+    'SimpleGraph("ab", None)': (lambda: SimpleGraph("ab", None), "a Iterable, got NoneType"),
+    "relabel(g, None)": (lambda: relabel(G, None), "a Mapping, got NoneType"),
     'join("x", g)': (lambda: join("x", G), "a SimpleGraph, got str"),
     "disjoint_union(g, None)": (lambda: disjoint_union(G, None), "a SimpleGraph, got NoneType"),
     "format_graph(None)": (lambda: format_graph(None), "a SimpleGraph, got NoneType"),
@@ -63,6 +73,7 @@ CALLS = {
     'embeds_in(K_3, "x")': (lambda: embeds_in(catalog_entry("K_3"), "x"), "a SimpleGraph, got str"),
     'embeds_in("P3", g)': (lambda: embeds_in("P3", G), "a ExplicitCatalogEntry, got str"),
     'VertexRestriction("x", [])': (lambda: VertexRestriction("x", []), "a SimpleGraph, got str"),
+    "VertexRestriction(g, None)": (lambda: VertexRestriction(G, None), "a Iterable, got NoneType"),
     'alpha_include(w, "x")': (lambda: alpha_include(WORD, "x"), "a VertexRestriction, got str"),
     "rho_retract(w, None)": (lambda: rho_retract(WORD, None), "a VertexRestriction, got NoneType"),
     "is_in_visible(w, g)": (lambda: is_in_visible(WORD, G), "a VertexRestriction, got SimpleGraph"),
@@ -73,6 +84,14 @@ CALLS = {
     "parse_word(None)": (lambda: parse_word(None), "a str, got NoneType"),
     'parse_word(b"a")': (lambda: parse_word(b"a"), "a str, got bytes"),
     "parse_stallings(None)": (lambda: parse_stallings(None), "a str, got NoneType"),
+    "Word(None)": (lambda: Word(None), "a Iterable, got NoneType"),
+    "Word(5)": (lambda: Word(5), "a Iterable, got int"),
+    "Word(w)": (lambda: Word(WORD), "a Iterable, got Word"),
+    "free_reduce(w, None)": (lambda: free_reduce(WORD, None), "a Collection, got NoneType"),
+    'from_generators(None, "ab")': (lambda: from_generators(None, "ab"), "a Iterable, got NoneType"),
+    "from_generators([], None)": (lambda: from_generators([], None), "a Iterable, got NoneType"),
+    "StallingsGraph(None, 1, {})": (
+        lambda: StallingsGraph(None, 1, {}), "a Iterable, got NoneType"),
     'commutator(["a"], "b")': (lambda: commutator(["a"], "b"), "a Word, got list"),
     'commutator(None, "b")': (lambda: commutator(None, "b"), "a Word, got NoneType"),
     'commutator("a", 3)': (lambda: commutator("a", 3), "a Word, got int"),
