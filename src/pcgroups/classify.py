@@ -18,12 +18,13 @@ entry is decided by a direct test on the host graph rather than by a search
 for the pattern: a count, the component decomposition, the clique search,
 the cograph split or common neighbourhoods.
 
-The catalog is one table, ``_CATALOG``: each of the six fixed names maps to
-its pattern, the decision on the host and the provenance, in the
-order ``explicit_catalog`` lists them.  ``catalog_entry``, the shape check
-and ``embeds_in`` read the same rows.  ``K_<n>`` is the one parametric
-entry: its pattern is built only when read, and it is decided from n by the
-clique search.
+A pattern is named, never handed over as a graph: ``embeds_in`` takes the
+name.  The catalog is one table, ``_CATALOG``: each of the six fixed names
+maps to its pattern, the decision on the host and the provenance, in the
+order ``explicit_catalog`` lists them.  ``K_<n>`` is the one parametric
+name, decided from n by the clique search; no graph is ever sized by n.
+One resolver turns a name into its decision and provenance, for
+``catalog_entry``, ``embeds_in`` and the CLI alike.
 """
 
 from __future__ import annotations
@@ -40,7 +41,6 @@ from .graphs import (
     _has_induced_p4,
     clique_number,
     complete_decomposition,
-    complete_graph,
     cycle_graph,
     edgeless_graph,
     find_induced_p3,
@@ -115,34 +115,14 @@ def max_abelian_rank(g: SimpleGraph) -> int:
     return clique_number(g)
 
 
-class _BuiltOnRead:
-    """The ``pattern`` field of ``ExplicitCatalogEntry``.  A pattern given as
-    None is the complete graph that the entry's ``K_<n>`` name names, built
-    and kept the first time the field is read: ``embeds_in`` decides K_n from
-    n alone, so ``catalog_entry`` leaves it unbuilt."""
-
-    def __get__(self, entry, owner=None):
-        if entry is None:
-            raise AttributeError("pattern")  # no class default: the field stays required
-        g = entry.__dict__["_pattern"]
-        if g is None:
-            g = complete_graph(_complete_order(entry.name), prefix="k")
-            entry.__dict__["_pattern"] = g
-        return g
-
-    def __set__(self, entry, pattern):
-        entry.__dict__["_pattern"] = pattern
-
-
 @dataclass(frozen=True)
 class ExplicitCatalogEntry:
     """A pattern whose group embeds in another graph group exactly when the
-    pattern appears as an induced subgraph, with a provenance note.  For a
-    ``K_<n>`` name the pattern may be given as None; it is then built when
-    first read.  Entries compare and hash by value, as any frozen dataclass."""
+    pattern appears as an induced subgraph, with a provenance note.  A
+    ``K_<n>`` entry has no pattern graph (None): its name alone decides it."""
 
     name: str
-    pattern: SimpleGraph = _BuiltOnRead()  # type: ignore[assignment]
+    pattern: Optional[SimpleGraph]
     provenance: str
 
 
@@ -186,32 +166,24 @@ _CATALOG = {
 }
 
 
-def _complete_order(name: str) -> int:
-    """n for a name ``K_<n>``, where n >= 1 is written in ASCII decimal
-    digits with no leading zero; any other spelling raises ``InputError``."""
-    digits = name[2:]
-    if name.startswith("K_") and digits.isascii() and digits.isdigit() and digits[0] != "0":
+def _resolve(name: str):
+    """(decision on the host, provenance) for a catalog name; raises
+    ``InputError`` for any other name, and for a ``K_<n>`` spelled otherwise
+    than with n >= 1 in ASCII decimal digits and no leading zero."""
+    if _instance(name, str).startswith("K_"):
+        digits = name[2:]
+        if not (digits.isascii() and digits.isdigit() and digits[0] != "0"):
+            raise InputError(
+                f"bad complete-graph name {name!r}: write K_<n> with n >= 1 in decimal "
+                "digits, with no sign, space, underscore or leading zero"
+            )
         try:
-            return int(digits)
+            n = int(digits)
         except ValueError:  # past the interpreter's cap on digits int() reads
             raise InputError(f"K_<n>: n has {len(digits)} digits, too many to read") from None
-    raise InputError(
-        f"bad complete-graph name {name!r}: write K_<n> with n >= 1 in decimal "
-        "digits, with no sign, space, underscore or leading zero"
-    )
-
-
-def catalog_entry(name: str) -> ExplicitCatalogEntry:
-    """Build the catalog entry for one of: K_<n>, P3, P4, C4, edgeless_0,
-    edgeless_1, edgeless_2.  In K_<n>, n >= 1 is written in ASCII decimal
-    digits with no leading zero.  The complete graph of K_<n> is built only
-    when the entry's ``pattern`` is read."""
-    if _instance(name, str).startswith("K_"):
-        _complete_order(name)
-        return ExplicitCatalogEntry(name, None, _COMPLETE_PROVENANCE)
+        return (lambda host: _has_clique(host, n)), _COMPLETE_PROVENANCE
     if name in _CATALOG:
-        pattern, _, provenance = _CATALOG[name]
-        return ExplicitCatalogEntry(name, pattern, provenance)
+        return _CATALOG[name][1:]
     if name.startswith("edgeless_"):
         raise InputError(
             f"{name!r} is not explicit: edgeless graphs with 3+ vertices are "
@@ -223,47 +195,32 @@ def catalog_entry(name: str) -> ExplicitCatalogEntry:
     )
 
 
+def catalog_entry(name: str) -> ExplicitCatalogEntry:
+    """The catalog entry for one of: K_<n>, P3, P4, C4, edgeless_0,
+    edgeless_1, edgeless_2.  In K_<n>, n >= 1 is written in ASCII decimal
+    digits with no leading zero, and the entry's pattern is None."""
+    _, provenance = _resolve(name)
+    return ExplicitCatalogEntry(name, _CATALOG[name][0] if name in _CATALOG else None, provenance)
+
+
 def explicit_catalog() -> tuple[ExplicitCatalogEntry, ...]:
     """The non-parametric catalog members, in the table's order (complete
     graphs come from catalog_entry('K_n'))."""
     return tuple(map(catalog_entry, _CATALOG))
 
 
-def _entry_shape_ok(entry: ExplicitCatalogEntry) -> bool:
-    """Does the entry's pattern have the shape its name names?  Each table
-    pattern is the only graph with its sorted degree sequence, so the
-    sequences are compared; K_1 and edgeless_1 are the same graph.  A K_<n>
-    name is matched against the pattern's own order first, so nothing is
-    sized by the n the name claims."""
-    name = _instance(entry, ExplicitCatalogEntry).name
-    g = entry._pattern  # None while a K_n pattern is unbuilt
-    if g is None:
-        return name.startswith("K_") and name == f"K_{_complete_order(name)}"
-    degrees = sorted(map(len, g._adj.values()))
-    n = len(degrees)
-    if name == f"K_{n}":
-        return n >= 1 and degrees == [n - 1] * n
-    return name in _CATALOG and degrees == sorted(map(len, _CATALOG[name][0]._adj.values()))
+def embeds_in(pattern: str, host: SimpleGraph) -> bool:
+    """True iff the group of the catalog pattern named ``pattern`` embeds in
+    the host's group.
 
-
-def embeds_in(pattern_entry: ExplicitCatalogEntry, host: SimpleGraph) -> bool:
-    """True iff the pattern's group embeds in the host's group.
-
-    Only valid for catalog entries; anything else raises, because for general
+    Only valid for catalog names; anything else raises, because for general
     graphs subgroup embedding does not reduce to the induced-subgraph
-    question.  Each entry is decided directly, in polynomial time except for
+    question.  Each name is decided directly, in polynomial time except for
     K_n: the trivial group embeds everywhere, Z in any non-empty graph's
     group and F2 when two vertices are not adjacent; K_n by a clique search
     that stops at the first n-clique; P3 when some component is not
     complete; P4 when the host is not a cograph; C4 when two non-adjacent
     vertices have two non-adjacent common neighbours.
     """
-    if not _entry_shape_ok(pattern_entry):
-        raise InputError(
-            f"pattern {pattern_entry.name!r} does not match the explicit catalog; "
-            "group embedding is not detectable from induced subgraphs in general"
-        )
-    name = pattern_entry.name
-    if name.startswith("K_"):
-        return _has_clique(host, int(name[2:]))
-    return _CATALOG[name][1](_instance(host, SimpleGraph))
+    decide, _ = _resolve(pattern)
+    return decide(_instance(host, SimpleGraph))

@@ -18,7 +18,7 @@ import functools
 import json
 import sys
 
-from .classify import catalog_entry, classify, embeds_in
+from .classify import _resolve, classify, embeds_in
 from .errors import InputError, ParseError
 from .graphs import SimpleGraph, complete_decomposition, parse_graph, reflexive_closure_is_transitive
 from .stallings import StallingsGraph, format_stallings, from_generators
@@ -88,9 +88,9 @@ def _cmd_member_visible(args):
 
 
 def _cmd_embed(args):
-    entry = catalog_entry(args.pattern)
-    verdict = embeds_in(entry, _load_graph(args.graph))
-    return {"pattern": entry.name, "embeds": verdict}, verdict
+    _resolve(args.pattern)  # a bad name is reported before the graph is read
+    verdict = embeds_in(args.pattern, _load_graph(args.graph))
+    return {"pattern": args.pattern, "embeds": verdict}, verdict
 
 
 def _cmd_intersect_free(args):
@@ -150,9 +150,17 @@ def _cmd_self_check(args):
     return {"graphs_checked": checked, "disagreements": disagreements, "ok": ok}, ok
 
 
+class _Parser(argparse.ArgumentParser):
+    """Refuses a bad command line with ``InputError``, so that ``run`` reports
+    it as it reports any other bad input; subcommand parsers share the class."""
+
+    def error(self, message):
+        raise InputError(message)
+
+
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="pcgroups",
         description="Decide Howson / fully residually free / free product of "
         "free-abelian for the group presented by a graph, and work with the "
@@ -223,13 +231,11 @@ def _build_parser() -> argparse.ArgumentParser:
 def run(argv=None, stdout=None, stderr=None) -> int:
     stdout = stdout if stdout is not None else sys.stdout
     stderr = stderr if stderr is not None else sys.stderr
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else 2
-    try:
+        args = _build_parser().parse_args(argv)
         value, verdict = args.handler(args)
+    except SystemExit as exc:  # --help
+        return exc.code
     except InputError as exc:
         stderr.write(f"error: {exc}\n")
         return 2

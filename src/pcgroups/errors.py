@@ -21,5 +21,6 @@ class ParseError(InputError):
 def _instance(value, cls):
     """``value`` itself; raises ``InputError`` unless it is a ``cls``."""
     if not isinstance(value, cls):
-        raise InputError(f"expected a {cls.__name__}, got {type(value).__name__}")
+        article = "an" if cls.__name__[0] in "AEIOUaeiou" else "a"
+        raise InputError(f"expected {article} {cls.__name__}, got {type(value).__name__}")
     return value

@@ -40,8 +40,10 @@ Word text syntax: whitespace-separated tokens, each a vertex name (no
 whitespace, ``^`` or ``#``) optionally suffixed ``^k`` for a nonzero
 integer ``k`` written as ASCII decimal digits after an optional ``-``;
 ``x^-1`` is the inverse and the empty string is the identity.  A word may
-stand for at most ``MAX_WORD_LETTERS`` (10**6) letters; ``parse_word``
-refuses a longer one.
+stand for at most ``MAX_WORD_LETTERS`` (10**6) letters.  ``parse_word``
+refuses a longer one with ``ParseError``; ``Word``, ``*``, ``**`` and
+``multiply`` refuse one with ``InputError``, and ``**`` does so before it
+builds anything.
 """
 
 from __future__ import annotations
@@ -98,9 +100,10 @@ class Word:
         return word
 
     @classmethod
-    def _joined(cls, syllables: Iterable) -> "Word":
+    def _joined(cls, syllables: Iterable, too_long=InputError) -> "Word":
         """The word spelled by checked syllables ``(gen, k != 0)``, with
-        neighbours that spell the same letter merged."""
+        neighbours that spell the same letter merged; raises ``too_long``
+        when it passes ``MAX_WORD_LETTERS`` letters."""
         out: list = []
         length = 0
         last = ("", 0)  # no syllable spells this
@@ -112,6 +115,8 @@ class Word:
             else:
                 out.append(syllable)
                 last = syllable
+        if length > MAX_WORD_LETTERS:
+            raise too_long(f"word expands to more than {MAX_WORD_LETTERS} letters")
         return cls._trusted(tuple(out), length)
 
     @classmethod
@@ -130,6 +135,8 @@ class Word:
     def __pow__(self, n: int) -> "Word":
         if type(n) is not int:
             raise InputError(f"exponent must be an int, got {n!r}")
+        if self._len * abs(n) > MAX_WORD_LETTERS:  # refused before anything is built
+            raise InputError(f"word expands to more than {MAX_WORD_LETTERS} letters")
         if n < 0:
             return self.inverse() ** (-n)
         return Word._joined(self.syllables * n)
@@ -217,10 +224,7 @@ def parse_word(text: str) -> Word:
     # one syllable per distinct token, made in text order so that the first
     # bad token is the one reported; a word repeats few tokens
     made = {tok: _syllable(tok) for tok in dict.fromkeys(tokens)}
-    word = Word._joined(map(made.__getitem__, tokens))
-    if word._len > MAX_WORD_LETTERS:  # len() refuses counts past sys.maxsize
-        raise ParseError(f"word expands to more than {MAX_WORD_LETTERS} letters")
-    return word
+    return Word._joined(map(made.__getitem__, tokens), ParseError)
 
 
 def format_word(w: Word) -> str:
@@ -409,10 +413,13 @@ def free_reduce(w: Word, alphabet: Collection[str]) -> Word:
     so ``a^-k b a^k`` takes three steps.  Neighbours on the stack have
     different generators.
 
-    Raises ``InputError`` unless ``w`` is a ``Word`` and ``alphabet`` a
-    collection, and on a letter over a generator outside ``alphabet``.
+    A ``str`` alphabet names one generator per character, as
+    ``SimpleGraph("abc")`` does.  Raises ``InputError`` unless ``w`` is a
+    ``Word`` and ``alphabet`` a collection, and on a letter over a generator
+    outside ``alphabet``.
     """
-    alphabet = _instance(alphabet, Collection)
+    if isinstance(_instance(alphabet, Collection), str):
+        alphabet = frozenset(alphabet)  # not substrings: "ab" is not in "xaby"
     out: list = []
     for gen, k in _instance(w, Word).syllables:
         if gen not in alphabet:

@@ -311,13 +311,12 @@ EXIT_CODES = [
 
 
 @pytest.mark.parametrize("argv, plain, flagged", EXIT_CODES)
-def test_exit_codes(argv, plain, flagged, capsys):
+def test_exit_codes(argv, plain, flagged):
     code, out, err = invoke(*argv)
     assert (code, err) == (plain, "") and out.count("\n") == 1
     code, out, err = invoke(*argv, "--exit-status")
-    if flagged is None:
-        assert (code, out, err) == (2, "", "")  # argparse refuses the flag
-        assert "unrecognized arguments: --exit-status" in capsys.readouterr().err
+    if flagged is None:  # argparse refuses the flag, on run's stderr
+        assert (code, out, err) == (2, "", "error: unrecognized arguments: --exit-status\n")
     else:
         assert (code, err) == (flagged, "") and out.count("\n") == 1
 
@@ -374,6 +373,9 @@ CONTRACT_CASES = {
         "intersect-free", "--alphabet", "a a#",
         _write(tmp, "h.words", b"a^2\n"), _write(tmp, "k.words", b"a^3\n"),
     ),
+    "missing argument": lambda tmp: ("normal-form", str(INPUTS / "xy.graph")),
+    # a word may start with '-' only after '--'; argparse reads it as an option
+    "word starting with -": lambda tmp: ("normal-form", str(INPUTS / "xy.graph"), "-x"),
 }
 
 
@@ -385,18 +387,22 @@ def test_bad_input_exits_2_with_one_error_line(case, tmp_path):
     assert "Traceback" not in err
 
 
-def test_unknown_command_exits_2(capsys):
-    assert run(["frobnicate"]) == 2
-    capsys.readouterr()  # swallow argparse noise
+def test_unknown_command_exits_2():
+    code, out, err = invoke("frobnicate")
+    assert (code, out) == (2, "") and err.startswith("error: argument command: invalid choice")
     # the parser is built once and reused; a failed parse leaves it usable
     code, out, err = invoke(*GOLDEN_INVOCATIONS["classify"])
     assert code == 0 and err == ""
     assert out == (GOLDEN / "classify.json").read_text()
 
 
-def test_no_command_exits_2(capsys):
-    assert run([]) == 2
-    capsys.readouterr()
+def test_no_command_exits_2():
+    assert invoke() == (2, "", "error: the following arguments are required: command\n")
+
+
+def test_help_exits_0(capsys):
+    assert run(["--help"]) == 0
+    assert capsys.readouterr().out.startswith("usage: pcgroups")
 
 
 def test_deterministic_output_bytes(p3_file):

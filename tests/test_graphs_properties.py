@@ -8,12 +8,13 @@ import itertools
 from hypothesis import given
 from hypothesis import strategies as st
 
-from pcgroups import SimpleGraph, catalog_entry, clique_number, embeds_in, explicit_catalog
+from pcgroups import SimpleGraph, clique_number, complete_graph, embeds_in, explicit_catalog
 from oracles import brute_induced_embedding_exists, clique_oracle
 
 NAMES = ("a", "b", "c", "d", "e", "f", "g")
 PAIRS = list(itertools.combinations(NAMES, 2))
-ENTRIES = list(explicit_catalog()) + [catalog_entry(f"K_{n}") for n in range(1, 6)]
+PATTERNS = {entry.name: entry.pattern for entry in explicit_catalog()}
+PATTERNS.update((f"K_{n}", complete_graph(n, prefix="k")) for n in range(1, 7))
 
 
 @st.composite
@@ -31,5 +32,5 @@ def test_clique_number_matches_the_subset_oracle(g):
 
 @given(graphs())
 def test_embeds_in_matches_the_brute_search(host):
-    for entry in ENTRIES:
-        assert embeds_in(entry, host) == brute_induced_embedding_exists(entry.pattern, host), entry.name
+    for name, pattern in PATTERNS.items():
+        assert embeds_in(name, host) == brute_induced_embedding_exists(pattern, host), name

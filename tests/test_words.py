@@ -1,6 +1,7 @@
 import itertools
 import random
 import sys
+import time
 
 import pytest
 
@@ -108,6 +109,11 @@ class TestParsing:
         for text in ("x^6", "x^-6", "x^3 y^-2 z", "x y z u v w"):
             with pytest.raises(ParseError, match="more than 5 letters"):
                 w(text)
+        # a word built from letters or other words is held to the same cap
+        for build in (lambda: Word([("x", 1)] * 6), lambda: w("x^3") * w("y^-3"),
+                      lambda: multiply(w("x"), w("y^4"), w("z")), lambda: w("x y") ** -3):
+            with pytest.raises(InputError, match="more than 5 letters"):
+                build()
 
     def test_format_compresses_runs(self):
         assert format_word(w("x x x y^-1 y^-1 x")) == "x^3 y^-2 x"
@@ -185,6 +191,17 @@ class TestAlgebra:
         assert commutator("x", "y") == w("x y x^-1 y^-1")
         assert commutator(w("x"), w("y z")) == w("x y z x^-1 z^-1 y^-1")
 
+    def test_products_and_powers_keep_the_letter_cap(self):
+        # refused at once: ``**`` before it builds anything
+        big = w("a^999999")
+        assert len(big * w("b")) == len(w("a") ** 10**6) == 10**6
+        for build in (lambda: big ** 1000, lambda: w("a") ** -10**9, lambda: big ** 2,
+                      lambda: big * w("b^2"), lambda: multiply(big, big, big)):
+            start = time.perf_counter()
+            with pytest.raises(InputError, match="^word expands to more than 1000000 letters$"):
+                build()
+            assert time.perf_counter() - start < 0.05
+
     def test_pow_needs_an_int(self):
         for n in (1.5, 2.0, True, "2", None):
             with pytest.raises(InputError, match="exponent must be an int"):
@@ -239,6 +256,10 @@ class TestFreeReduce:
     def test_unknown_generator(self):
         with pytest.raises(InputError, match="'q'"):
             free_reduce(w("x q q^-1"), ("x", "y"))
+        # a str alphabet names one generator per character, not substrings
+        with pytest.raises(InputError, match="'ab'"):
+            free_reduce(w("ab ab^-1 xa"), "xaby")
+        assert free_reduce(w("a b b^-1 x"), "xaby") == w("a x")
 
 
 class TestNormalForm:
