@@ -14,6 +14,7 @@ and picks the exit code.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import sys
@@ -33,10 +34,10 @@ def _read(path: str) -> str:
     try:
         with open(path, "r", encoding="utf-8") as handle:
             return handle.read()
-    except OSError as exc:
-        raise InputError(f"cannot read {path}: {exc.strerror}") from None
     except UnicodeDecodeError as exc:
         raise InputError(f"cannot read {path}: not UTF-8 text (byte {exc.start})") from None
+    except (OSError, ValueError) as exc:  # ValueError: a NUL or a lone surrogate in the path
+        raise InputError(f"cannot read {path}: {getattr(exc, 'strerror', exc)}") from None
 
 
 def _load_graph(path: str) -> SimpleGraph:
@@ -106,8 +107,8 @@ def _cmd_intersect_free(args):
         try:
             with open(path, "w", encoding="utf-8") as handle:
                 handle.write(render(meet))
-        except OSError as exc:
-            raise InputError(f"cannot write {path}: {exc.strerror}") from None
+        except (OSError, ValueError) as exc:  # ValueError: a bad path, or a label UTF-8 cannot spell
+            raise InputError(f"cannot write {path}: {getattr(exc, 'strerror', exc)}") from None
     return {"rank": meet.rank(), "states": meet.num_states, "edges": meet.num_edges}, True
 
 
@@ -232,7 +233,8 @@ def run(argv=None, stdout=None, stderr=None) -> int:
     stdout = stdout if stdout is not None else sys.stdout
     stderr = stderr if stderr is not None else sys.stderr
     try:
-        args = _build_parser().parse_args(argv)
+        with contextlib.redirect_stdout(stdout):  # argparse prints help to sys.stdout
+            args = _build_parser().parse_args(argv)
         value, verdict = args.handler(args)
     except SystemExit as exc:  # --help
         return exc.code

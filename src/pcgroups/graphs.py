@@ -13,7 +13,7 @@ decomposition into complete components reads closed neighbourhoods and
 needs no search.
 
 The clique number and the P4 and C4 tests work on adjacency bitmasks, one
-Python int per vertex, which a graph builds on first use and keeps.  All
+Python int per vertex, which each of them builds from the adjacency.  All
 three split the graph into components and co-components.  The clique number
 runs a branch and bound cut by greedy colourings (Tomita & Seki's MCQ) on
 each part that splits neither way; a P4 shows up when such a part has two or
@@ -65,12 +65,12 @@ class SimpleGraph:
 
     ``vertices`` is a sorted tuple of names.  The stored shape is adjacency:
     each name maps to the frozenset of its neighbours.  ``edges``, the
-    frozenset of pairs ``(u, v)`` with ``u < v``, is derived from it on first
-    access and kept; an edge given as ``(v, u)`` comes out as ``(u, v)``, so
-    equality and hashing behave as expected.
+    frozenset of pairs ``(u, v)`` with ``u < v``, is derived from it on every
+    read; an edge given as ``(v, u)`` comes out as ``(u, v)``, so equality
+    and hashing behave as expected.
     """
 
-    __slots__ = ("vertices", "_adj", "_edges", "_masks")
+    __slots__ = ("vertices", "_adj")
 
     def __init__(self, vertices: Iterable[str], edges: Iterable = ()):
         vs = tuple(_instance(vertices, Iterable))
@@ -93,8 +93,6 @@ class SimpleGraph:
             adj[v].add(u)
         self.vertices = vs
         self._adj = {v: frozenset(ns) for v, ns in adj.items()}
-        self._edges = None
-        self._masks = None
 
     @classmethod
     def _trusted(cls, adj: dict) -> "SimpleGraph":
@@ -104,19 +102,11 @@ class SimpleGraph:
         g = object.__new__(cls)
         g.vertices = tuple(sorted(adj))
         g._adj = adj
-        g._edges = None
-        g._masks = None
         return g
 
     @property
     def edges(self) -> frozenset:
-        edges = self._edges
-        if edges is None:
-            adj = self._adj
-            edges = self._edges = frozenset(
-                (u, v) for u in self.vertices for v in adj[u] if u < v
-            )
-        return edges
+        return frozenset((u, v) for u in self.vertices for v in self._adj[u] if u < v)
 
     def adjacent(self, u: str, v: str) -> bool:
         if u not in self._adj:
@@ -309,19 +299,16 @@ def relabel(g: SimpleGraph, mapping: dict) -> SimpleGraph:
 
 
 def _bitsets(g: SimpleGraph) -> list[int]:
-    """Adjacency bitmasks, built on first use and kept on the graph.
+    """Adjacency bitmasks, built from the adjacency on every call.
 
     Vertex sets are Python ints.  Vertices are ranked by degree, highest
     first (ties by name), and the vertex of rank r is bit ``n - 1 - r``, so
     taking a set's highest bit first visits it in rank order.  ``masks[b]``
     is the set of neighbours of the vertex at bit ``b``."""
-    masks = _instance(g, SimpleGraph)._masks
-    if masks is None:
-        adj = g._adj
-        by_bit = sorted(g.vertices, key=lambda v: (-len(adj[v]), v), reverse=True)
-        bit = {v: 1 << b for b, v in enumerate(by_bit)}
-        masks = g._masks = [sum(map(bit.__getitem__, adj[v])) for v in by_bit]
-    return masks
+    adj = _instance(g, SimpleGraph)._adj
+    by_bit = sorted(g.vertices, key=lambda v: (-len(adj[v]), v), reverse=True)
+    bit = {v: 1 << b for b, v in enumerate(by_bit)}
+    return [sum(map(bit.__getitem__, adj[v])) for v in by_bit]
 
 
 def _components(masks: list[int], s: int, co: bool) -> list[int]:

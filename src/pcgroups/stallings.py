@@ -71,7 +71,7 @@ class StallingsGraph:
     every non-base state has degree at least two (a core automaton).
     """
 
-    __slots__ = ("alphabet", "num_states", "num_edges", "_fwd", "_bwd")
+    __slots__ = ("alphabet", "num_states", "_fwd", "_bwd")
 
     base = 0
 
@@ -100,10 +100,11 @@ class StallingsGraph:
                 if type(s) is not int or not 0 <= s < num_states:
                     raise InputError(f"state {s!r} is outside 0 .. {num_states - 1}")
             arcs.append((u, g, v, None))
-        fwd, bwd = _checked(
+        self.alphabet = alphabet
+        self.num_states = num_states
+        self._fwd, self._bwd = _checked(
             alphabet, range(num_states), arcs, lambda message, _: InputError(message)
         )
-        self._set(alphabet, num_states, fwd, bwd)
 
     @classmethod
     def _trusted(cls, alphabet: tuple[str, ...], num_states: int, fwd: list,
@@ -111,15 +112,14 @@ class StallingsGraph:
         """Wrap arrays that the library built from a folded core automaton,
         unchecked and uncopied."""
         sg = object.__new__(cls)
-        sg._set(alphabet, num_states, fwd, bwd)
+        sg.alphabet = alphabet
+        sg.num_states = num_states
+        sg._fwd, sg._bwd = fwd, bwd
         return sg
 
-    def _set(self, alphabet, num_states, fwd, bwd) -> None:
-        self.alphabet = alphabet
-        self.num_states = num_states
-        self.num_edges = sum(len(row) - row.count(-1) for row in fwd)
-        self._fwd = fwd
-        self._bwd = bwd
+    @property
+    def num_edges(self) -> int:
+        return sum(len(row) - row.count(-1) for row in self._fwd)
 
     def edges(self) -> list[tuple[int, str, int]]:
         """Every arc as ``(source, generator, target)``, in sorted order."""
@@ -129,16 +129,24 @@ class StallingsGraph:
         ]
 
     def member(self, w: Word) -> bool:
-        """Does the free reduction of ``w`` trace a closed path at the base?"""
+        """Does the free reduction of ``w`` trace a closed path at the base?
+
+        Folded, each label's arcs are a partial injection, so a walk along one
+        label either leaves the automaton or returns to its start; a syllable
+        ``x^k`` whose walk returns after L steps walks only ``|k| mod L`` more."""
         forward = dict(zip(self.alphabet, self._fwd))
         backward = dict(zip(self.alphabet, self._bwd))
         state = 0
         for gen, k in free_reduce(w, forward).syllables:
             row = (forward if k > 0 else backward)[gen]
-            for _ in range(abs(k)):
+            start, left = state, abs(k)
+            while left:
                 state = row[state]
                 if state < 0:
                     return False
+                left -= 1
+                if state == start:  # one lap done: skip the whole laps left
+                    left %= abs(k) - left
         return state == 0
 
     def rank(self) -> int:

@@ -52,7 +52,7 @@ def alpha_include(w: Word, r: VertexRestriction) -> Word:
     for gen, _ in _instance(w, Word).syllables:
         if gen not in ys:
             raise InputError(f"letter over generator {gen!r} outside the subset")
-    return Word._trusted(w.syllables, len(w))
+    return Word._trusted(w.syllables)
 
 
 def rho_retract(w: Word, r: VertexRestriction) -> Word:

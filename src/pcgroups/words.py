@@ -83,20 +83,16 @@ class Word:
     parses back to the same word.
     """
 
-    __slots__ = ("syllables", "_len")
+    __slots__ = ("syllables",)
 
     def __init__(self, letters: Iterable = ()):
-        word = Word._joined(_checked_letters(_instance(letters, Iterable)))
-        self.syllables = word.syllables
-        self._len = word._len
+        self.syllables = Word._joined(_checked_letters(_instance(letters, Iterable))).syllables
 
     @classmethod
-    def _trusted(cls, syllables: tuple, length: int) -> "Word":
-        """Wrap maximal syllables built by this library, and their letter
-        count, unchecked."""
+    def _trusted(cls, syllables: tuple) -> "Word":
+        """Wrap maximal syllables built by this library, unchecked."""
         word = object.__new__(cls)
         word.syllables = syllables
-        word._len = length
         return word
 
     @classmethod
@@ -117,14 +113,14 @@ class Word:
                 last = syllable
         if length > MAX_WORD_LETTERS:
             raise too_long(f"word expands to more than {MAX_WORD_LETTERS} letters")
-        return cls._trusted(tuple(out), length)
+        return cls._trusted(tuple(out))
 
     @classmethod
     def gen(cls, name: str, sign: int = 1) -> "Word":
         return cls(((name, sign),))
 
     def inverse(self) -> "Word":
-        return Word._trusted(tuple((g, -k) for g, k in reversed(self.syllables)), self._len)
+        return Word._trusted(tuple((g, -k) for g, k in reversed(self.syllables)))
 
     def __invert__(self) -> "Word":
         return self.inverse()
@@ -135,19 +131,19 @@ class Word:
     def __pow__(self, n: int) -> "Word":
         if type(n) is not int:
             raise InputError(f"exponent must be an int, got {n!r}")
-        if self._len * abs(n) > MAX_WORD_LETTERS:  # refused before anything is built
+        if len(self) * abs(n) > MAX_WORD_LETTERS:  # refused before anything is built
             raise InputError(f"word expands to more than {MAX_WORD_LETTERS} letters")
-        if n < 0:
-            return self.inverse() ** (-n)
-        return Word._joined(self.syllables * n)
+        if n and len(self.syllables) == 1:  # stays one syllable; no n copies are made
+            return Word._trusted(tuple((gen, k * n) for gen, k in self.syllables))
+        return Word._joined((self if n > 0 else self.inverse()).syllables * abs(n))
 
     def __len__(self) -> int:
-        return self._len
+        return sum(abs(k) for _, k in self.syllables)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Word):
             return NotImplemented
-        return self._len == other._len and self.syllables == other.syllables
+        return self.syllables == other.syllables
 
     def __hash__(self) -> int:
         return hash(self.syllables)
@@ -391,7 +387,6 @@ def _read_off(heap: _Heap) -> NormalWord:
     gap = fill + sum((stack[-1][0] if stack else spent) << shift
                      for stack, shift in zip(stacks, shifts))
     out = []
-    length = 0
     for _ in range(sum(map(len, stacks))):
         # the clear top bits of ``gap``; the lowest is bit width * (i + 1) - 1
         least = high - (gap & high)
@@ -401,8 +396,7 @@ def _read_off(heap: _Heap) -> NormalWord:
         after = stack[-1][0] if stack else spent
         gap += ((after - c) << shifts[i]) - inc[i]
         out.append((occurring[i], k))
-        length += abs(k)
-    return NormalWord._trusted(tuple(out), length)
+    return NormalWord._trusted(tuple(out))
 
 
 def free_reduce(w: Word, alphabet: Collection[str]) -> Word:
@@ -432,7 +426,7 @@ def free_reduce(w: Word, alphabet: Collection[str]) -> Word:
                 out.pop()
         else:
             out.append((gen, k))
-    return Word._trusted(tuple(out), sum(abs(k) for _, k in out))
+    return Word._trusted(tuple(out))
 
 
 def are_equal(u: Word, v: Word, g: SimpleGraph) -> bool:

@@ -31,8 +31,9 @@ __all__ = [
 FREE_ALPHABET = ("a", "b")
 
 
-def _a_power(n: int) -> Word:
-    return Word._trusted((("a", n),) if n else (), abs(n))
+def _conjugate(k: int) -> Word:
+    """The word a^-k b a^k."""
+    return Word._trusted((("a", -k), ("b", 1), ("a", k)) if k else (("b", 1),))
 
 
 def conjugate_generators(m: int) -> tuple[Word, ...]:
@@ -51,10 +52,7 @@ def conjugate_generators(m: int) -> tuple[Word, ...]:
             f"the {2 * m + 1} conjugates for m = {m} total {letters} letters, "
             f"more than {MAX_WORD_LETTERS}"
         )
-    return tuple(
-        _a_power(-k) * Word.gen("b") * _a_power(k) if k else Word.gen("b")
-        for k in range(-m, m + 1)
-    )
+    return tuple(map(_conjugate, range(-m, m + 1)))
 
 
 @dataclass(frozen=True)
@@ -86,7 +84,7 @@ def certify_not_fg(m: int) -> NonFgCertificate:
     """
     gens = conjugate_generators(m)
     sg: StallingsGraph = from_generators(gens, FREE_ALPHABET)
-    element = _a_power(-(m + 1)) * Word.gen("b") * _a_power(m + 1)
+    element = _conjugate(m + 1)
     if sg.member(element):
         raise RuntimeError(
             f"stage {m}: the automaton accepted {format_word(element)}; "

@@ -7,6 +7,8 @@ import tracemalloc
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from pcgroups.cli import run
 
@@ -353,6 +355,17 @@ CONTRACT_CASES = {
         "intersect-free", "--alphabet", "a b", str(INPUTS / "h.words"), str(INPUTS / "k.words"),
         "--out", str(tmp / "missing" / "meet.stallings"),
     ),
+    "NUL in path": lambda tmp: ("classify", str(tmp / "a\x00b")),
+    "lone surrogate in path": lambda tmp: ("classify", str(tmp / "\ud800")),
+    "NUL in out path": lambda tmp: (
+        "intersect-free", "--alphabet", "a b", str(INPUTS / "h.words"), str(INPUTS / "k.words"),
+        "--dot", str(tmp / "a\x00b"),
+    ),
+    # sys.argv decodes a byte that is not UTF-8 to a lone surrogate
+    "label UTF-8 cannot write": lambda tmp: (
+        "intersect-free", "--alphabet", "a \udcff",
+        _write(tmp, "h.words", b"a^2\n"), _write(tmp, "k.words", b"a^3\n"), "--out", str(tmp / "meet"),
+    ),
     "duplicate name": lambda tmp: ("classify", _write(tmp, "bad.graph", b"a b a\n")),
     "caret in name": lambda tmp: ("classify", _write(tmp, "bad.graph", b"a x^2\n")),
     "three tokens": _bad_graph(b"a b c"),
@@ -401,8 +414,10 @@ def test_no_command_exits_2():
 
 
 def test_help_exits_0(capsys):
-    assert run(["--help"]) == 0
-    assert capsys.readouterr().out.startswith("usage: pcgroups")
+    for argv in (["--help"], ["classify", "-h"], ["intersect-free", "--help"]):
+        code, out, err = invoke(*argv)
+        assert (code, err) == (0, "") and out.startswith("usage: pcgroups")
+    assert capsys.readouterr() == ("", "")  # nothing reached the process's own streams
 
 
 def test_deterministic_output_bytes(p3_file):
@@ -452,3 +467,52 @@ def test_runs_as_a_package():
     )
     assert done.returncode == 0 and done.stderr == ""
     assert done.stdout == (GOLDEN / "self-check.json").read_text()
+
+
+FUZZ_COMMANDS = ("classify", "normal-form", "equal", "member-visible", "embed",
+                 "intersect-free", "demo-nonhowson", "self-check")
+FUZZ_FILES = ("g.graph", "h.words", "k.words")
+# a NUL and a lone surrogate reach run only from a caller, not from a shell;
+# sys.argv spells a byte that is not UTF-8 as a surrogate such as '\udcff'
+FUZZ_TOKENS = ("a", "b", "a b", "x y", "a^2 b^-1", "a^99999999999", "K_3", "P3", "C4",
+               "edgeless_2", "-x", "--", "-h", "--exit-status", "\x00", "\udcff")
+FUZZ_ALPHABETS = ("a b", "a", "", "a a#", "a \udcff")
+FUZZ_LINES = (b"a b c", b"a b", b"b c", b"a^2 b", b"a^-1 b^3", b"a a", b"x^0", b"# c", b"", b"\xff")
+
+
+@st.composite
+def fuzz_argv(draw, tmp):
+    """A command, then chunks of tokens.  A free token never starts with
+    '--', so ``--out`` and ``--dot`` come only with a path under ``tmp``,
+    and ``--m`` only with a small value."""
+    argv = [draw(st.sampled_from(FUZZ_COMMANDS))]
+    for chunk in draw(st.lists(st.one_of(
+        st.sampled_from(FUZZ_FILES).map(lambda name: [str(tmp / name)]),
+        st.sampled_from(FUZZ_TOKENS).map(lambda token: [token]),
+        st.text(max_size=8).filter(lambda text: not text.startswith("--")).map(lambda text: [text]),
+        st.sampled_from(("--out", "--dot")).map(lambda flag: [flag, str(tmp / "written")]),
+        st.sampled_from(FUZZ_ALPHABETS).map(lambda alphabet: ["--alphabet", alphabet]),
+        st.integers(-2, 9).map(lambda m: ["--m", str(m)]),
+    ), max_size=6)):
+        argv += chunk
+    return argv
+
+
+FILE_BYTES = st.one_of(
+    st.binary(max_size=48),
+    st.lists(st.sampled_from(FUZZ_LINES), max_size=6).map(b"\n".join),
+)
+
+
+# the files under tmp_path are written afresh for every example
+@settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.data())
+def test_any_command_line_keeps_the_exit_contract(tmp_path, data):
+    for name in FUZZ_FILES:
+        (tmp_path / name).write_bytes(data.draw(FILE_BYTES, label=name))
+    code, out, err = invoke(*data.draw(fuzz_argv(tmp_path), label="argv"))
+    assert code in (0, 1, 2)
+    if code == 2:
+        assert out == "" and err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")
+    else:
+        assert err == "" and out.endswith("\n")

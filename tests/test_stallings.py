@@ -219,6 +219,16 @@ class TestMember:
         assert sg.member(word)
         assert time.perf_counter() - start < 0.3
 
+    def test_a_long_syllable_walks_at_most_one_lap(self):
+        # a walk along one label returns to its start after L steps, and then
+        # only |k| mod L steps are left; the last case starts off the base
+        for gens, word, member in (("a^2", "a^999998", True), ("a^999", "a^1000000", False),
+                                   ("a^999", "a^-999999", True), ("b a^3 b^-1", "b a^999000 b^-1", True)):
+            sg, word = from_generators([w(gens)], AB), w(word)
+            start = time.perf_counter()
+            assert sg.member(word) is member
+            assert time.perf_counter() - start < 0.01
+
     def test_a_squared(self):
         sg = from_generators([w("a^2")], AB)
         assert sg.member(w("a^2")) and sg.member(w("a^-4"))

@@ -202,6 +202,13 @@ class TestAlgebra:
                 build()
             assert time.perf_counter() - start < 0.05
 
+    def test_pow_of_one_syllable_is_one_syllable(self):
+        for word, n, syllables in ((w("a"), 10**6, (("a", 10**6),)), (w("a"), -10**6, (("a", -10**6),)),
+                                   (w("a^-2"), -500000, (("a", 10**6),))):
+            start = time.perf_counter()
+            assert (word ** n).syllables == syllables
+            assert time.perf_counter() - start < 0.01
+
     def test_pow_needs_an_int(self):
         for n in (1.5, 2.0, True, "2", None):
             with pytest.raises(InputError, match="exponent must be an int"):
