@@ -2,25 +2,25 @@
 
 A subgroup generated by finitely many words is represented by a rooted,
 folded, core automaton over the positive generators.  It has one shape, from
-the first arc written to the finished automaton: per-generator state
-arrays, where ``fwd[i][s]`` is the target of the arc labelled
-``alphabet[i]`` at state ``s`` and ``bwd[i][s]`` the source of the one
-entering ``s``, or -1 where there is none.  Membership traces the free
-reduction of a word along these arrays from the base; the rank of the
-subgroup is ``edges - states + 1``.
+the first arc written to the finished automaton: one state array, a row,
+per signed letter.  ``rows[2i][s]`` is the target of the arc labelled
+``alphabet[i]`` at state ``s`` and ``rows[2i + 1][s]`` the source of the one
+entering ``s``, or -1 where there is none, so row ``r ^ 1`` is always row
+``r`` read backwards.  Membership traces the free reduction of a word along
+the rows from the base; the rank of the subgroup is ``edges - states + 1``.
 
 ``from_generators`` reads each freely reduced generator from the base along
-the arrays, from both ends, and adds only its unread middle; each fresh
-state appends one -1 to every array.  Where an arc's label is already taken
-at a state, the pair of states to identify is queued, and one union-find
-fold merges the queued pairs on the arrays.  The public constructor and
-``parse_stallings`` write their arrays once and check them in ``_checked``:
+the rows, from both ends, and adds only its unread middle; each fresh state
+appends one -1 to every row.  Where an arc's label is already taken at a
+state, the pair of states to identify is queued, and one union-find fold
+merges the queued pairs on the rows.  The public constructor and
+``parse_stallings`` write their rows once and check them in ``_checked``:
 folded as written, connected, and core, in the caller's own state ids.
 Every path renames states with one ``_number``.
 
 Every automaton is canonical, whichever way it was built: the alphabet is
-sorted, and states are numbered breadth-first from the base, generators in
-order, the forward arc before the backward one at each label.  The
+sorted, and states are numbered breadth-first from the base along the rows
+in their own order: generators in order, forward before backward.  The
 constructor canonicalises what it is given as ``parse_stallings`` does.  A
 core automaton is unique up to isomorphism of based graphs (Kapovich &
 Myasnikov 2002), so two automata compare equal exactly when they represent
@@ -28,7 +28,7 @@ the same subgroup over the same alphabet, and isomorphism checks in tests
 are plain ``==``.
 ``intersect`` searches the product automaton based at the pair of bases in
 exactly that order, keying each pair of states by one int, and appends
-every product arc to the arrays as it goes.  A tree that hangs off the core
+every product arc to the rows as it goes.  A tree that hangs off the core
 is entered only through its root, so it never precedes that root and never
 discovers a core state: the search's numbering, restricted to the core, is
 already canonical, and trimming the trees only closes the gaps they leave.
@@ -57,9 +57,9 @@ __all__ = [
 class StallingsGraph:
     """Folded core automaton; instances are immutable once built.
 
-    ``_fwd[i][s]`` is the target of the arc labelled ``alphabet[i]`` at state
-    ``s`` and ``_bwd[i][s]`` the source of the one entering ``s``, or -1.
-    The base state is 0.
+    ``_rows[2i][s]`` is the target of the arc labelled ``alphabet[i]`` at
+    state ``s`` and ``_rows[2i + 1][s]`` the source of the one entering ``s``,
+    or -1.  The base state is 0.
 
     The constructor sorts the alphabet and numbers the states canonically,
     so the automaton equals any other of the same subgroup.  It raises
@@ -71,7 +71,7 @@ class StallingsGraph:
     every non-base state has degree at least two (a core automaton).
     """
 
-    __slots__ = ("alphabet", "num_states", "_fwd", "_bwd")
+    __slots__ = ("alphabet", "num_states", "_rows")
 
     base = 0
 
@@ -100,32 +100,33 @@ class StallingsGraph:
                 if type(s) is not int or not 0 <= s < num_states:
                     raise InputError(f"state {s!r} is outside 0 .. {num_states - 1}")
             arcs.append((u, g, v, None))
+        if num_states > len(arcs) + 1:  # connected needs n - 1 arcs; refused before allocating
+            raise InputError(f"{num_states} states are not connected to the base by "
+                             f"{len(arcs)} transitions; that needs at least {num_states - 1}")
         self.alphabet = alphabet
         self.num_states = num_states
-        self._fwd, self._bwd = _checked(
-            alphabet, range(num_states), arcs, lambda message, _: InputError(message)
-        )
+        self._rows = _checked(alphabet, range(num_states), arcs,
+                              lambda message, _: InputError(message))
 
     @classmethod
-    def _trusted(cls, alphabet: tuple[str, ...], num_states: int, fwd: list,
-                 bwd: list) -> "StallingsGraph":
-        """Wrap arrays that the library built from a folded core automaton,
+    def _trusted(cls, alphabet: tuple[str, ...], num_states: int, rows: list) -> "StallingsGraph":
+        """Wrap rows that the library built from a folded core automaton,
         unchecked and uncopied."""
         sg = object.__new__(cls)
         sg.alphabet = alphabet
         sg.num_states = num_states
-        sg._fwd, sg._bwd = fwd, bwd
+        sg._rows = rows
         return sg
 
     @property
     def num_edges(self) -> int:
-        return sum(len(row) - row.count(-1) for row in self._fwd)
+        return sum(len(row) - row.count(-1) for row in self._rows[::2])
 
     def edges(self) -> list[tuple[int, str, int]]:
         """Every arc as ``(source, generator, target)``, in sorted order."""
-        rows = list(zip(self.alphabet, self._fwd))
+        labelled = list(zip(self.alphabet, self._rows[::2]))
         return [
-            (u, g, v) for u in range(self.num_states) for g, targets in rows if (v := targets[u]) >= 0
+            (u, g, v) for u in range(self.num_states) for g, targets in labelled if (v := targets[u]) >= 0
         ]
 
     def member(self, w: Word) -> bool:
@@ -134,11 +135,10 @@ class StallingsGraph:
         Folded, each label's arcs are a partial injection, so a walk along one
         label either leaves the automaton or returns to its start; a syllable
         ``x^k`` whose walk returns after L steps walks only ``|k| mod L`` more."""
-        forward = dict(zip(self.alphabet, self._fwd))
-        backward = dict(zip(self.alphabet, self._bwd))
+        index = {g: 2 * i for i, g in enumerate(self.alphabet)}
         state = 0
-        for gen, k in free_reduce(w, forward).syllables:
-            row = (forward if k > 0 else backward)[gen]
+        for gen, k in free_reduce(w, index).syllables:
+            row = self._rows[index[gen] + (k < 0)]
             start, left = state, abs(k)
             while left:
                 state = row[state]
@@ -159,11 +159,11 @@ class StallingsGraph:
 
         The product is searched breadth-first from the pair of bases; a pair
         ``(s1, s2)`` is keyed by the int ``s1 * other.num_states + s2`` and
-        numbered when first reached.  Each visited state appends, per
-        generator in order, its forward and then its backward product target
-        (or -1) to that generator's arrays, so the arrays are complete when
-        the search ends.  That is the canonical order: breadth-first from the
-        base, generators in order, forward before backward.
+        numbered when first reached.  Each visited state appends its product
+        target (or -1) to every row, in the rows' order, so the rows are
+        complete when the search ends.  That is the canonical order:
+        breadth-first from the base, generators in order, forward before
+        backward.
 
         The core drops the trees hanging off it.  Such a tree meets the rest
         only in its root, a core state, so the search enters it only through
@@ -177,12 +177,8 @@ class StallingsGraph:
         if self.alphabet != _instance(other, StallingsGraph).alphabet:
             raise InputError("cannot intersect subgroups over different alphabets")
         width = other.num_states
-        fwd: list = [[] for _ in self.alphabet]
-        bwd: list = [[] for _ in self.alphabet]
-        steps = []
-        for i in range(len(self.alphabet)):
-            steps.append((self._fwd[i], other._fwd[i], fwd[i].append))
-            steps.append((self._bwd[i], other._bwd[i], bwd[i].append))
+        rows: list = [[] for _ in self._rows]
+        steps = list(zip(self._rows, other._rows, [row.append for row in rows]))
         firsts, seconds = [0], [0]
         claim = {0: 0}.setdefault
         n = 1
@@ -201,19 +197,21 @@ class StallingsGraph:
                     seconds.append(t2)
                 add(t)
 
-        keep = _trim(fwd, bwd, n)
+        keep = _trim(rows, n)
         if len(keep) < n:
-            fwd, bwd = _number(fwd, bwd, n, keep)
+            rows = _number(rows, n, keep)
             n = len(keep)
-        return StallingsGraph._trusted(self.alphabet, n, fwd, bwd)
+        return StallingsGraph._trusted(self.alphabet, n, rows)
 
     def to_dot(self) -> str:
-        """Plain DOT text; the base state is drawn as a double circle."""
+        """Plain DOT text; the base state is drawn as a double circle.  A
+        backslash or a double quote in a label is escaped with a backslash."""
         lines = ["digraph stallings {", "  rankdir=LR;", '  0 [shape=doublecircle, label="0"];']
         for s in range(1, self.num_states):
             lines.append(f'  {s} [shape=circle, label="{s}"];')
         for u, g, v in self.edges():
-            lines.append(f'  {u} -> {v} [label="{g}"];')
+            label = g.replace("\\", "\\\\").replace('"', '\\"')
+            lines.append(f'  {u} -> {v} [label="{label}"];')
         lines.append("}")
         return "\n".join(lines) + "\n"
 
@@ -223,11 +221,11 @@ class StallingsGraph:
         return (
             self.alphabet == other.alphabet
             and self.num_states == other.num_states
-            and self._fwd == other._fwd
+            and self._rows == other._rows
         )
 
     def __hash__(self) -> int:
-        return hash((self.alphabet, self.num_states, tuple(map(tuple, self._fwd))))
+        return hash((self.alphabet, self.num_states, tuple(map(tuple, self._rows))))
 
     def __repr__(self) -> str:
         return (
@@ -247,10 +245,9 @@ def _labels(alphabet: Iterable[str]) -> tuple[str, ...]:
     return alphabet
 
 
-def _search(fwd: list, bwd: list, n: int) -> list[int]:
+def _search(rows: list, n: int) -> list[int]:
     """States reached from the base 0 in canonical order: breadth-first,
-    generators in order, the forward arc before the backward one."""
-    rows = [row for pair in zip(fwd, bwd) for row in pair]
+    along the rows in their order."""
     seen = [False] * n
     seen[0] = True
     order = [0]
@@ -263,14 +260,13 @@ def _search(fwd: list, bwd: list, n: int) -> list[int]:
     return order
 
 
-def _trim(fwd: list, bwd: list, n: int) -> list[int]:
+def _trim(rows: list, n: int) -> list[int]:
     """Cut the trees that hang off the core in place, and return the states
     kept, in order: a non-base state of degree at most one goes, with the
     arcs into it, until none is left."""
-    rows = fwd + bwd
     degree = [len(arcs) - arcs.count(-1) for arcs in zip(*rows)] if rows else [0] * n
     trim = [s for s in range(1, n) if degree[s] <= 1]
-    ends = list(zip(rows, bwd + fwd))
+    ends = [(row, rows[r ^ 1]) for r, row in enumerate(rows)]
     for s in trim:  # grows as trimming exposes new leaves
         degree[s] = -1
         for row, back in ends:
@@ -283,43 +279,39 @@ def _trim(fwd: list, bwd: list, n: int) -> list[int]:
     return [s for s in range(n) if degree[s] >= 0]
 
 
-def _number(fwd: list, bwd: list, n: int, order: list[int]) -> tuple[list, list]:
-    """The arrays with state ``order[j]`` renamed ``j``.  States left out of
+def _number(rows: list, n: int, order: list[int]) -> list:
+    """The rows with state ``order[j]`` renamed ``j``.  States left out of
     ``order`` are dropped; no kept state may have an arc to one of them."""
     number = [-1] * (n + 1)  # number[-1] stays -1 for a missing arc
     for new, s in enumerate(order):
         number[s] = new
-    return (
-        [[number[row[s]] for s in order] for row in fwd],
-        [[number[row[s]] for s in order] for row in bwd],
-    )
+    return [[number[row[s]] for s in order] for row in rows]
 
 
-def _checked(alphabet: tuple[str, ...], ids, arcs: list, error) -> tuple[list, list]:
-    """The arrays of ``arcs``, each ``(u, g, v, line)`` between states
+def _checked(alphabet: tuple[str, ...], ids, arcs: list, error) -> list:
+    """The rows of ``arcs``, each ``(u, g, v, line)`` between states
     ``0 .. len(ids) - 1`` over the sorted ``alphabet``, with the states
     numbered canonically.  Raises ``error(message, line)`` unless the arcs
     are folded, connected to the base 0 and core; the message names state
     ``s`` by ``ids[s]``."""
     n = len(ids)
-    arrays = {g: ([-1] * n, [-1] * n) for g in alphabet}
+    index = {g: 2 * i for i, g in enumerate(alphabet)}
+    rows = [[-1] * n for _ in range(2 * len(alphabet))]
     for u, g, v, line in arcs:
-        ahead, behind = arrays[g]
-        for row, s, t, way in ((ahead, u, v, "leave"), (behind, v, u, "enter")):
+        r = index[g]
+        for row, s, t, way in ((rows[r], u, v, "leave"), (rows[r + 1], v, u, "enter")):
             if row[s] not in (-1, t):
                 raise error(f"two {g!r} transitions {way} state {ids[s]}: not folded", line)
             row[s] = t
-    fwd = [ahead for ahead, _ in arrays.values()]
-    bwd = [behind for _, behind in arrays.values()]
-    order = _search(fwd, bwd, n)
+    order = _search(rows, n)
     if len(order) < n:
         lost = sorted(ids[s] for s in set(range(n)).difference(order))
         raise error(f"states {lost} are not connected to the base", None)
-    kept = _trim(fwd, bwd, n)
+    kept = _trim(rows, n)
     if len(kept) < n:
         gone = sorted(ids[s] for s in set(range(n)).difference(kept))
         raise error(f"states {gone} hang off the core in trees (not a core automaton)", None)
-    return _number(fwd, bwd, n, order)
+    return _number(rows, n, order)
 
 
 def from_generators(ws: Iterable[Word], alphabet: Iterable[str]) -> StallingsGraph:
@@ -338,36 +330,28 @@ def from_generators(ws: Iterable[Word], alphabet: Iterable[str]) -> StallingsGra
     single base state with no transitions.
     """
     alpha = tuple(sorted(set(_labels(alphabet))))
-    known = frozenset(alpha)
-    fwd: list = [[-1] for _ in alpha]
-    bwd: list = [[-1] for _ in alpha]
-    rows = fwd + bwd
-    # a letter's arrays, keyed by (generator, positive): where it leads from
-    # a state, and where it comes from
-    step = {}
-    for g, ahead, behind in zip(alpha, fwd, bwd):
-        step[g, True] = ahead, behind
-        step[g, False] = behind, ahead
+    index = {g: 2 * i for i, g in enumerate(alpha)}
+    rows: list = [[-1] for _ in range(2 * len(alpha))]
     n = 1
     # the first arc with a label at a state is the one words are read along;
     # a later one with the same label asks for its other end to be merged
     merges = []
     for w in _instance(ws, Iterable):
-        walk: list = []  # per letter of the reduced word, its two arrays
-        for g, k in free_reduce(w, known).syllables:
-            walk += [step[g, k > 0]] * abs(k)
+        walk: list = []  # per letter of the reduced word, its row
+        for g, k in free_reduce(w, index).syllables:
+            walk += [index[g] + (k < 0)] * abs(k)
         m = len(walk)
         if not m:
             continue
         head, i = 0, 0
         while i < m - 1:
-            nxt = walk[i][0][head]
+            nxt = rows[walk[i]][head]
             if nxt < 0:
                 break
             head, i = nxt, i + 1
         tail, j = 0, m
         while j - 1 > i:
-            prev = walk[j - 1][1][tail]
+            prev = rows[walk[j - 1] ^ 1][tail]
             if prev < 0:
                 break
             tail, j = prev, j - 1
@@ -380,8 +364,8 @@ def from_generators(ws: Iterable[Word], alphabet: Iterable[str]) -> StallingsGra
                 n += 1
                 for row in rows:
                     row.append(-1)
-            ahead, behind = walk[k]
-            for row, s, t in ((ahead, state, nxt), (behind, nxt, state)):
+            r = walk[k]
+            for row, s, t in ((rows[r], state, nxt), (rows[r ^ 1], nxt, state)):
                 held = row[s]
                 if held < 0:
                     row[s] = t
@@ -424,9 +408,8 @@ def from_generators(ws: Iterable[Word], alphabet: Iterable[str]) -> StallingsGra
 
     # nothing to trim: a fresh state lies on its word's reduced loop at the base,
     # so it keeps two distinct arcs, and a state merged away has none to search
-    order = _search(fwd, bwd, n)
-    fwd, bwd = _number(fwd, bwd, n, order)
-    return StallingsGraph._trusted(alpha, len(order), fwd, bwd)
+    order = _search(rows, n)
+    return StallingsGraph._trusted(alpha, len(order), _number(rows, n, order))
 
 
 def format_stallings(sg: StallingsGraph) -> str:
@@ -484,5 +467,4 @@ def parse_stallings(text: str) -> StallingsGraph:
 
     alphabet = tuple(sorted(set(declared).union(g for _, g, _, _ in arcs)))
     ids = list(index)
-    fwd, bwd = _checked(alphabet, ids, arcs, ParseError)
-    return StallingsGraph._trusted(alphabet, len(ids), fwd, bwd)
+    return StallingsGraph._trusted(alphabet, len(ids), _checked(alphabet, ids, arcs, ParseError))

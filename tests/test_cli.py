@@ -447,6 +447,15 @@ def test_golden_outputs(command):
     assert out == (GOLDEN / f"{command}.json").read_text()
 
 
+def test_golden_automaton_files(tmp_path):
+    # --out and --dot of the intersect-free golden invocation, byte for byte
+    out, dot = tmp_path / "meet.stallings", tmp_path / "meet.dot"
+    code, _, err = invoke(*GOLDEN_INVOCATIONS["intersect-free"], "--out", str(out), "--dot", str(dot))
+    assert code == 0 and err == ""
+    assert out.read_bytes() == (GOLDEN / "intersect-free.stallings").read_bytes()
+    assert dot.read_bytes() == (GOLDEN / "intersect-free.dot").read_bytes()
+
+
 def test_runs_as_a_module():
     src = Path(__file__).resolve().parent.parent / "src"
     env = dict(os.environ, PYTHONPATH=str(src))

@@ -507,6 +507,14 @@ class TestConstructor:
         with pytest.raises(InputError, match="not connected"):
             StallingsGraph(("a",), 2, {(1, "a"): 1})
 
+    def test_too_few_transitions_are_refused_before_states_are_allocated(self):
+        # a connected automaton on n states has at least n - 1 arcs
+        start = time.perf_counter()
+        with pytest.raises(InputError, match="not connected") as caught:
+            StallingsGraph(("a",), 10**9, {})
+        assert time.perf_counter() - start < 0.01
+        assert len(str(caught.value)) < 200
+
     def test_rejects_non_core(self):
         with pytest.raises(InputError, match="core"):
             StallingsGraph(("a",), 2, {(0, "a"): 1})
@@ -591,3 +599,9 @@ def test_to_dot_mentions_every_edge():
     assert "doublecircle" in dot
     for u, g, v in sg.edges():
         assert f'{u} -> {v} [label="{g}"];' in dot
+
+
+def test_to_dot_escapes_quotes_and_backslashes_in_labels():
+    sg = StallingsGraph(('a"', "b\\"), 1, {(0, 'a"'): 0, (0, "b\\"): 0})
+    edges = [line for line in sg.to_dot().splitlines() if "->" in line]
+    assert edges == ['  0 -> 0 [label="a\\""];', '  0 -> 0 [label="b\\\\"];']

@@ -103,6 +103,20 @@ def test_constructor_canonicalises_any_numbering(sg, data):
     assert rebuilt.intersect(sg) == sg
 
 
+@given(subgroup_pairs())
+def test_row_r_xor_1_reads_row_r_backwards(case):
+    # the arcs read off the rows, (row, source, target), are closed under
+    # reading them backwards: rows[r][s] == t >= 0 exactly when rows[r ^ 1][t] == s
+    alphabet, gens1, gens2 = case
+    sg1, sg2 = from_generators(gens1, alphabet), from_generators(gens2, alphabet)
+    built = StallingsGraph(alphabet, sg2.num_states, {(u, g): v for u, g, v in sg2.edges()})
+    for sg in (sg1, sg1.intersect(sg2), parse_stallings(format_stallings(sg1)), built):
+        assert len(sg._rows) == 2 * len(sg.alphabet)
+        assert all(len(row) == sg.num_states for row in sg._rows)
+        arcs = {(r, s, t) for r, row in enumerate(sg._rows) for s, t in enumerate(row) if t >= 0}
+        assert arcs == {(r ^ 1, t, s) for r, s, t in arcs}
+
+
 NAMES = st.text(st.characters(categories=("L", "N"), include_characters="_'-"), min_size=1, max_size=3)
 # names the text format cannot hold: empty, or with whitespace (including
 # line breaks), '^' or '#' somewhere
