@@ -129,9 +129,10 @@ class ExplicitCatalogEntry:
 _COMPLETE_PROVENANCE = "complete graphs: the maximal free-abelian rank equals the clique number (Kim-Koberda 2013, Lemma 18)"
 
 # name -> (pattern, decision on the host, provenance).  The patterns are
-# built once and shared by every entry, as graphs are immutable.  Decisions
-# look the graph functions up in this module's globals at call time, so a
-# wrapper installed on those names (as bench/tracer.py installs) sees them.
+# built once and shared by every entry, as graphs are immutable.  The P3
+# decision looks the public ``complete_decomposition`` up in this module's
+# globals at call time, so a wrapper installed on that name (as
+# bench/tracer.py installs) sees the call.
 _CATALOG = {
     "edgeless_0": (
         edgeless_graph(0, prefix="e"),
@@ -155,12 +156,12 @@ _CATALOG = {
     ),
     "P4": (
         path_graph(4, prefix="p"),
-        lambda host: _has_induced_p4(host),
+        _has_induced_p4,
         "Kim-Koberda 2013: embedding of the P4 group forces an induced P4",
     ),
     "C4": (
         cycle_graph(4, prefix="c"),
-        lambda host: _has_induced_c4(host),
+        _has_induced_c4,
         "Kambites 2009: commuting non-cyclic centralizers force an induced square",
     ),
 }

@@ -3,12 +3,15 @@
 Results go to stdout as JSON with stable key order; diagnostics go to stderr.
 Exit codes: 0 success, 2 malformed input.  Yes/no commands report their
 verdict inside the JSON; with ``--exit-status`` they additionally exit 1 on a
-negative verdict.  ``self-check`` always exits 1 when it finds a
-disagreement.
+negative verdict.
 
-Each ``_cmd_*`` handler returns its JSON value and its verdict (True for a
-command with no yes/no answer).  ``run`` is the one place that writes stdout
-and picks the exit code.
+The commands are one table, ``_COMMANDS``: each name maps to its handler,
+its help line, its arguments and the help of its ``--exit-status`` flag
+(None when it has none).  Each ``_cmd_*`` handler returns its JSON value and
+its verdict (True for a command with no yes/no answer).  ``run`` is the one
+place that writes stdout and picks the exit code: 1 on a false verdict when
+the flag was given or the command has no flag, which only ``self-check``
+(on a disagreement) can return.
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ import contextlib
 import functools
 import json
 import sys
+from itertools import combinations
 
 from .classify import _resolve, classify, embeds_in
 from .errors import InputError, ParseError
@@ -120,28 +124,19 @@ def _cmd_demo_nonhowson(args):
 
 
 def _cmd_self_check(args):
-    from itertools import combinations
-
-    names = ("a", "b", "c", "d", "e")
     checked = 0
     disagreements = 0
     for n in range(6):
-        verts = names[:n]
+        verts = ("a", "b", "c", "d", "e")[:n]
         pairs = list(combinations(verts, 2))
-        # pair i is bit i of the mask.  Each vertex keeps the bits of its own
-        # pairs and its neighbour set under every choice of them, so a
-        # graph's neighbour sets are read straight off its mask.
-        near = []
-        for v in verts:
-            at = [(1 << i, u if w == v else w) for i, (u, w) in enumerate(pairs) if v in (u, w)]
-            table = {
-                sum(bit for bit, _ in chosen): frozenset(w for _, w in chosen)
-                for r in range(len(at) + 1)
-                for chosen in combinations(at, r)
-            }
-            near.append((v, sum(bit for bit, _ in at), table))
-        for mask in range(1 << len(pairs)):
-            g = SimpleGraph._trusted({v: table[mask & bits] for v, bits, table in near})
+        adj = {v: frozenset() for v in verts}
+        # reflected Gray code: graph i is graph i - 1 with one pair flipped,
+        # the pair at the index of i's lowest set bit
+        for i in range(1 << len(pairs)):
+            if i:
+                u, w = pairs[(i & -i).bit_length() - 1]
+                adj = {**adj, u: adj[u] ^ {w}, w: adj[w] ^ {u}}
+            g = SimpleGraph._trusted(adj)
             checked += 1
             # classify decides by complete components; transitivity of the
             # reflexive closure is the independent referee
@@ -149,6 +144,37 @@ def _cmd_self_check(args):
                 disagreements += 1
     ok = disagreements == 0
     return {"graphs_checked": checked, "disagreements": disagreements, "ok": ok}, ok
+
+
+_WORDS_FILE = {"help": "file with one generator word per line"}
+
+# name -> (handler, help line, arguments, --exit-status help or None).  An
+# argument is a name, or a (name, argparse keywords) pair.
+_COMMANDS = {
+    "classify": (_cmd_classify, "full classification report for a graph file",
+                 ("graph",), "exit 1 when not Howson"),
+    "normal-form": (_cmd_normal_form, "canonical form of a word over a graph",
+                    ("graph", "word"), None),
+    "equal": (_cmd_equal, "do two words represent the same element?",
+              ("graph", "word1", "word2"), "exit 1 when unequal"),
+    "member-visible": (_cmd_member_visible, "membership in the subgroup generated by a vertex subset",
+                       ("graph", ("subset", {"help": "whitespace-separated vertex names"}), "word"),
+                       "exit 1 when not a member"),
+    "embed": (_cmd_embed, "does the catalog pattern's group embed in the graph's group?",
+              (("pattern", {"help": "K_<n>, P3, P4, C4, edgeless_0, edgeless_1 or edgeless_2"}),
+               "graph"),
+              "exit 1 when it does not embed"),
+    "intersect-free": (_cmd_intersect_free, "intersect two subgroups of a free group",
+                       (("--alphabet", {"required": True, "help": "whitespace-separated generators"}),
+                        ("generators1", _WORDS_FILE), ("generators2", _WORDS_FILE),
+                        ("--out", {"help": "write the intersection automaton (text serialization)"}),
+                        ("--dot", {"help": "write the intersection automaton as DOT"})),
+                       None),
+    "demo-nonhowson": (_cmd_demo_nonhowson, "stage-m certificate that Z x F2 is not Howson",
+                       (("--m", {"required": True}),), None),
+    "self-check": (_cmd_self_check, "sweep all graphs on <= 5 vertices for classifier agreement",
+                   (), None),
+}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -167,65 +193,14 @@ def _build_parser() -> argparse.ArgumentParser:
         "free-abelian for the group presented by a graph, and work with the "
         "supporting machinery.",
     )
-    parser.set_defaults(exit_status=False)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("classify", help="full classification report for a graph file")
-    p.add_argument("graph")
-    p.add_argument("--exit-status", action="store_true", help="exit 1 when not Howson")
-    p.set_defaults(handler=_cmd_classify)
-
-    p = sub.add_parser("normal-form", help="canonical form of a word over a graph")
-    p.add_argument("graph")
-    p.add_argument("word")
-    p.set_defaults(handler=_cmd_normal_form)
-
-    p = sub.add_parser("equal", help="do two words represent the same element?")
-    p.add_argument("graph")
-    p.add_argument("word1")
-    p.add_argument("word2")
-    p.add_argument("--exit-status", action="store_true", help="exit 1 when unequal")
-    p.set_defaults(handler=_cmd_equal)
-
-    p = sub.add_parser(
-        "member-visible", help="membership in the subgroup generated by a vertex subset"
-    )
-    p.add_argument("graph")
-    p.add_argument("subset", help="whitespace-separated vertex names")
-    p.add_argument("word")
-    p.add_argument("--exit-status", action="store_true", help="exit 1 when not a member")
-    p.set_defaults(handler=_cmd_member_visible)
-
-    p = sub.add_parser(
-        "embed", help="does the catalog pattern's group embed in the graph's group?"
-    )
-    p.add_argument("pattern", help="K_<n>, P3, P4, C4, edgeless_0, edgeless_1 or edgeless_2")
-    p.add_argument("graph")
-    p.add_argument("--exit-status", action="store_true", help="exit 1 when it does not embed")
-    p.set_defaults(handler=_cmd_embed)
-
-    p = sub.add_parser(
-        "intersect-free", help="intersect two subgroups of a free group"
-    )
-    p.add_argument("--alphabet", required=True, help="whitespace-separated generators")
-    p.add_argument("generators1", help="file with one generator word per line")
-    p.add_argument("generators2", help="file with one generator word per line")
-    p.add_argument("--out", help="write the intersection automaton (text serialization)")
-    p.add_argument("--dot", help="write the intersection automaton as DOT")
-    p.set_defaults(handler=_cmd_intersect_free)
-
-    p = sub.add_parser(
-        "demo-nonhowson", help="stage-m certificate that Z x F2 is not Howson"
-    )
-    p.add_argument("--m", required=True)
-    p.set_defaults(handler=_cmd_demo_nonhowson)
-
-    p = sub.add_parser(
-        "self-check", help="sweep all graphs on <= 5 vertices for classifier agreement"
-    )
-    # a disagreement always exits 1; the command has no --exit-status flag
-    p.set_defaults(handler=_cmd_self_check, exit_status=True)
-
+    for name, (_, summary, arguments, exit_help) in _COMMANDS.items():
+        p = sub.add_parser(name, help=summary)
+        for argument in arguments:
+            arg, keywords = (argument, {}) if isinstance(argument, str) else argument
+            p.add_argument(arg, **keywords)
+        if exit_help is not None:
+            p.add_argument("--exit-status", action="store_true", help=exit_help)
     return parser
 
 
@@ -235,14 +210,15 @@ def run(argv=None, stdout=None, stderr=None) -> int:
     try:
         with contextlib.redirect_stdout(stdout):  # argparse prints help to sys.stdout
             args = _build_parser().parse_args(argv)
-        value, verdict = args.handler(args)
+        value, verdict = _COMMANDS[args.command][0](args)
     except SystemExit as exc:  # --help
         return exc.code
     except InputError as exc:
         stderr.write(f"error: {exc}\n")
         return 2
     stdout.write(json.dumps(value) + "\n")
-    return 0 if verdict or not args.exit_status else 1
+    # a command with no --exit-status flag exits as if it had been given
+    return 0 if verdict or not getattr(args, "exit_status", True) else 1
 
 
 def main() -> int:

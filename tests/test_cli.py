@@ -11,6 +11,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from pcgroups.cli import run
+from oracles import all_labeled_graphs
 
 GOLDEN = Path(__file__).resolve().parent.parent / "docs" / "golden"
 INPUTS = GOLDEN / "inputs"
@@ -291,6 +292,27 @@ def test_self_check_disagreement_exits_1(monkeypatch):
     assert report["ok"] is False and report["disagreements"] > 0
 
 
+def test_self_check_sweeps_each_small_graph_once(monkeypatch):
+    from pcgroups import cli
+
+    seen = []
+    decide = cli.complete_decomposition
+
+    def recorder(g):
+        seen.append(g)
+        return decide(g)
+
+    monkeypatch.setattr(cli, "complete_decomposition", recorder)
+    monkeypatch.setattr(cli, "reflexive_closure_is_transitive", lambda g: False)
+    code, out, err = invoke("self-check")
+    assert (code, err) == (1, "")
+    # with the referee always false, the disagreements are the P3-free graphs
+    # on 0-5 labeled vertices: the Bell numbers 1 + 1 + 2 + 5 + 15 + 52
+    assert json.loads(out) == {"graphs_checked": 1100, "disagreements": 76, "ok": False}
+    assert len(seen) == len(set(seen)) == 1100
+    assert set(seen) == {g for n in range(6) for g in all_labeled_graphs(n)}
+
+
 P3_GRAPH, XY_GRAPH, C4_GRAPH = (str(INPUTS / name) for name in ("p3.graph", "xy.graph", "c4.graph"))
 WORDS = (str(INPUTS / "h.words"), str(INPUTS / "k.words"))
 
@@ -445,6 +467,14 @@ def test_golden_outputs(command):
     code, out, err = invoke(*GOLDEN_INVOCATIONS[command])
     assert code == 0 and err == ""
     assert out == (GOLDEN / f"{command}.json").read_text()
+
+
+def test_command_set_and_exit_status_flags():
+    code, out, _ = invoke("--help")
+    assert code == 0
+    assert "{classify,normal-form,equal,member-visible,embed,intersect-free,demo-nonhowson,self-check}" in out
+    flagged = {command for command in GOLDEN_INVOCATIONS if "--exit-status" in invoke(command, "-h")[1]}
+    assert flagged == {"classify", "equal", "member-visible", "embed"}
 
 
 def test_golden_automaton_files(tmp_path):
