@@ -7,22 +7,56 @@ machinery behind the verdict: canonical normal forms for group elements,
 inclusion and retraction onto the subgroup generated by a vertex subset,
 Stallings automata for subgroups of free groups, and a per-stage certificate
 that Z x F2 fails the Howson property.
+
+Importing the package loads three layers: ``errors``, ``graphs`` and
+``classify``, which is all that the verdict needs.  The public names of
+``words``, ``visible``, ``stallings`` and ``zf2`` are served by the module
+``__getattr__`` (PEP 562): the first read of one imports the layers in that
+order until one lists the name, and binds it here.  Reading ``__all__``
+(as ``from pcgroups import *`` does) loads every layer.
+
+The name ``classify`` is the function, not the layer of the same name:
+``pcgroups.classify`` and even ``import pcgroups.classify as m`` give the
+function.  Reach the layer with ``importlib.import_module("pcgroups.classify")``
+or ``sys.modules["pcgroups.classify"]``.
+
+The value classes ``ClassificationReport``, ``ExplicitCatalogEntry``,
+``NonFgCertificate`` and ``VertexRestriction`` are ``typing.NamedTuple``
+classes, not dataclasses, so no layer imports ``dataclasses``.
 """
 
-from . import classify, errors, graphs, stallings, visible, words, zf2
+import importlib
 
-# Each layer lists its public names once, in its own ``__all__``.
-__all__ = (errors.__all__ + graphs.__all__ + words.__all__ + visible.__all__
-           + classify.__all__ + stallings.__all__ + zf2.__all__)
+from .classify import *  # noqa: F403  (binds ``classify`` to the function)
+from .errors import *  # noqa: F403
+from .graphs import *  # noqa: F403
 
-# After ``__all__`` is read: this star import rebinds ``classify`` from the
-# layer to its function.
-from .classify import *  # noqa: E402,F403
-from .errors import *  # noqa: E402,F403
-from .graphs import *  # noqa: E402,F403
-from .stallings import *  # noqa: E402,F403
-from .visible import *  # noqa: E402,F403
-from .words import *  # noqa: E402,F403
-from .zf2 import *  # noqa: E402,F403
+_LAZY = ("words", "visible", "stallings", "zf2")
+
+
+def _layer(name):
+    return importlib.import_module(f"{__name__}.{name}")
+
+
+def __getattr__(name):
+    if name == "__all__":
+        # each layer lists its public names once, in its own ``__all__``
+        value = [n for layer in ("errors", "graphs", "classify") + _LAZY for n in _layer(layer).__all__]
+    elif name in _LAZY:
+        return _layer(name)  # the import binds the layer here
+    else:
+        for layer in map(_layer, _LAZY):
+            if name in layer.__all__:
+                value = getattr(layer, name)
+                break
+        else:
+            raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__getattr__("__all__")})
+
 
 __version__ = "0.1.0"

@@ -30,8 +30,7 @@ One resolver turns a name into its decision and provenance, for
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .errors import InputError, _instance
 from .graphs import (
@@ -58,8 +57,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class ClassificationReport:
+class ClassificationReport(NamedTuple):
     """Full verdict for one graph; the five booleans always agree (the last
     one negated) and exactly one witness field is populated."""
 
@@ -76,7 +74,7 @@ class ClassificationReport:
 
     def to_json_dict(self) -> dict:
         """The fields in order, each tuple written as a list."""
-        return {k: list(v) if isinstance(v, tuple) else v for k, v in vars(self).items()}
+        return {k: list(v) if isinstance(v, tuple) else v for k, v in self._asdict().items()}
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_dict())
@@ -115,8 +113,7 @@ def max_abelian_rank(g: SimpleGraph) -> int:
     return clique_number(g)
 
 
-@dataclass(frozen=True)
-class ExplicitCatalogEntry:
+class ExplicitCatalogEntry(NamedTuple):
     """A pattern whose group embeds in another graph group exactly when the
     pattern appears as an induced subgraph, with a provenance note.  A
     ``K_<n>`` entry has no pattern graph (None): its name alone decides it."""

@@ -12,6 +12,13 @@ its verdict (True for a command with no yes/no answer).  ``run`` is the one
 place that writes stdout and picks the exit code: 1 on a false verdict when
 the flag was given or the command has no flag, which only ``self-check``
 (on a disagreement) can return.
+
+A command loads only the layers it runs.  This module imports ``errors``,
+``graphs`` and ``classify``, which is all that ``classify``, ``embed`` and
+``self-check`` need.  Every other handler imports its layers when it is
+called: ``words`` for ``normal-form`` and ``equal``; ``words`` and
+``visible`` for ``member-visible``; ``words`` and ``stallings`` for
+``intersect-free``; and those two with ``zf2`` for ``demo-nonhowson``.
 """
 
 from __future__ import annotations
@@ -26,10 +33,6 @@ from itertools import combinations
 from .classify import _resolve, classify, embeds_in
 from .errors import InputError, ParseError
 from .graphs import SimpleGraph, complete_decomposition, parse_graph, reflexive_closure_is_transitive
-from .stallings import StallingsGraph, format_stallings, from_generators
-from .visible import VertexRestriction, rewrite_in_visible
-from .words import _decimal, _generators, are_equal, format_word, normal_form, parse_word
-from .zf2 import certify_not_fg
 
 __all__ = ["run", "main"]
 
@@ -49,6 +52,8 @@ def _load_graph(path: str) -> SimpleGraph:
 
 
 def _load_words(path: str):
+    from .words import parse_word
+
     words = []
     for lineno, line in enumerate(_read(path).splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
@@ -67,6 +72,8 @@ def _cmd_classify(args):
 
 
 def _cmd_normal_form(args):
+    from .words import format_word, normal_form, parse_word
+
     g = _load_graph(args.graph)
     nf = normal_form(parse_word(args.word), g)
     support = sorted({gen for gen, _ in nf.syllables})
@@ -74,6 +81,8 @@ def _cmd_normal_form(args):
 
 
 def _cmd_equal(args):
+    from .words import _generators, are_equal, parse_word
+
     g = _load_graph(args.graph)
     u = parse_word(args.word1)
     try:
@@ -86,6 +95,9 @@ def _cmd_equal(args):
 
 
 def _cmd_member_visible(args):
+    from .visible import VertexRestriction, rewrite_in_visible
+    from .words import format_word, parse_word
+
     r = VertexRestriction(_load_graph(args.graph), args.subset.split())
     rewritten = rewrite_in_visible(parse_word(args.word), r)
     member = rewritten is not None
@@ -99,6 +111,8 @@ def _cmd_embed(args):
 
 
 def _cmd_intersect_free(args):
+    from .stallings import StallingsGraph, format_stallings, from_generators
+
     alphabet = args.alphabet.split()
     if not alphabet:
         raise InputError("--alphabet must list at least one generator")
@@ -117,6 +131,9 @@ def _cmd_intersect_free(args):
 
 
 def _cmd_demo_nonhowson(args):
+    from .words import _decimal
+    from .zf2 import certify_not_fg
+
     m = _decimal(args.m)
     if m is None:
         raise InputError(f"--m must be ASCII decimal digits after an optional '-', got {args.m!r}")

@@ -16,8 +16,7 @@ adjacency among Y is the ambient one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .errors import InputError, _instance
 from .graphs import SimpleGraph, _subset
@@ -32,16 +31,27 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class VertexRestriction:
-    """An ambient graph together with a subset of its vertices."""
-
+class _Restriction(NamedTuple):
     ambient: SimpleGraph
     ys: frozenset[str]
 
-    def __init__(self, ambient: SimpleGraph, ys):
-        object.__setattr__(self, "ambient", ambient)
-        object.__setattr__(self, "ys", _subset(ambient, ys))
+
+class VertexRestriction(_Restriction):
+    """An ambient graph together with a subset of its vertices.
+
+    A named pair whose ``ys`` is always a frozenset of vertices of
+    ``ambient``: every way to build one (the constructor, ``_make``,
+    ``_replace``, copying and unpickling) goes through ``__new__``, which
+    checks the subset."""
+
+    __slots__ = ()
+
+    def __new__(cls, ambient: SimpleGraph, ys):
+        return super().__new__(cls, ambient, _subset(ambient, ys))
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
 
 
 def alpha_include(w: Word, r: VertexRestriction) -> Word:

@@ -409,10 +409,13 @@ def free_reduce(w: Word, alphabet: Collection[str]) -> Word:
 
     A ``str`` alphabet names one generator per character, as
     ``SimpleGraph("abc")`` does.  Raises ``InputError`` unless ``w`` is a
-    ``Word`` and ``alphabet`` a collection, and on a letter over a generator
+    ``Word`` and ``alphabet`` a collection other than ``bytes`` or
+    ``bytearray`` (neither can hold a name), and on a letter over a generator
     outside ``alphabet``.
     """
-    if isinstance(_instance(alphabet, Collection), str):
+    if isinstance(_instance(alphabet, Collection), (bytes, bytearray)):
+        raise InputError(f"expected a Collection of str, got {type(alphabet).__name__}")
+    if isinstance(alphabet, str):
         alphabet = frozenset(alphabet)  # not substrings: "ab" is not in "xaby"
     out: list = []
     for gen, k in _instance(w, Word).syllables:

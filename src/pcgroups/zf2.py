@@ -15,7 +15,7 @@ defeated at some stage.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import InputError
 from .stallings import StallingsGraph, from_generators
@@ -55,8 +55,7 @@ def conjugate_generators(m: int) -> tuple[Word, ...]:
     return tuple(map(_conjugate, range(-m, m + 1)))
 
 
-@dataclass(frozen=True)
-class NonFgCertificate:
+class NonFgCertificate(NamedTuple):
     """Stage-m evidence that the intersection is not finitely generated:
     the 2m+1 conjugates miss the next one."""
 

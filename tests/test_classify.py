@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 import json
 import random
@@ -155,12 +154,12 @@ class TestCatalog:
         assert catalog_entry("K_3") != catalog_entry("K_4")
         assert catalog_entry("P3") != catalog_entry("P4")
         entry = catalog_entry("K_3")
-        with pytest.raises(dataclasses.FrozenInstanceError):
+        with pytest.raises(AttributeError):
             entry.name = "K_4"
-        with pytest.raises(dataclasses.FrozenInstanceError):
+        with pytest.raises(AttributeError):
             entry.pattern = path_graph(3)
-        assert [f.name for f in dataclasses.fields(entry)] == ["name", "pattern", "provenance"]
-        assert dataclasses.asdict(catalog_entry("P3"))["name"] == "P3"
+        assert entry._fields == ("name", "pattern", "provenance")
+        assert catalog_entry("P3")._asdict()["name"] == "P3"
 
     def test_names_in_table_order(self):
         assert [entry.name for entry in explicit_catalog()] == [

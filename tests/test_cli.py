@@ -235,14 +235,14 @@ class TestIntersectFree:
         assert dot_path.read_text().startswith("digraph")
 
     def test_renders_only_what_is_asked(self, tmp_path, monkeypatch):
-        from pcgroups import StallingsGraph, cli
+        from pcgroups import StallingsGraph, stallings
 
         def refuse(*_):
             raise AssertionError("rendered without its flag")
 
         h = tmp_path / "h.words"
         h.write_text("a^2\nb\n")
-        monkeypatch.setattr(cli, "format_stallings", refuse)
+        monkeypatch.setattr(stallings, "format_stallings", refuse)
         monkeypatch.setattr(StallingsGraph, "to_dot", refuse)
         argv = ["intersect-free", "--alphabet", "a b", str(h), str(h)]
         assert invoke(*argv)[0] == 0
@@ -250,7 +250,7 @@ class TestIntersectFree:
         monkeypatch.setattr(StallingsGraph, "to_dot", refuse)
         assert invoke(*argv, "--out", str(tmp_path / "meet.stallings"))[0] == 0
         monkeypatch.undo()
-        monkeypatch.setattr(cli, "format_stallings", refuse)
+        monkeypatch.setattr(stallings, "format_stallings", refuse)
         assert invoke(*argv, "--dot", str(tmp_path / "meet.dot"))[0] == 0
 
     def test_bad_word_file_line_numbered(self, tmp_path):

@@ -31,6 +31,15 @@ def test_restriction_validates_subset():
         VertexRestriction(PATH, {"x", "r", "q"})
     with pytest.raises(InputError, match=r"^unknown vertex \['a'\]$"):
         VertexRestriction(PATH, [["a"]])
+    # the named tuple's other ways to build one check the subset too
+    r = VertexRestriction(PATH, ["y"])
+    assert r._replace(ys=["z"]).ys == frozenset({"z"}) and r._make((PATH, ("x",))).ys == {"x"}
+    with pytest.raises(InputError, match="^unknown vertex 'q'$"):
+        r._replace(ys=["q"])
+    with pytest.raises(InputError, match="^unknown vertex 'q'$"):
+        VertexRestriction._make((PATH, "q"))
+    with pytest.raises(AttributeError):
+        r.ys = frozenset({"q"})
 
 
 class TestAlpha:

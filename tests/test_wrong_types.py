@@ -87,6 +87,7 @@ CALLS = {
     "Word(5)": (lambda: Word(5), "an Iterable, got int"),
     "Word(w)": (lambda: Word(WORD), "an Iterable, got Word"),
     "free_reduce(w, None)": (lambda: free_reduce(WORD, None), "a Collection, got NoneType"),
+    'free_reduce(w, b"ab")': (lambda: free_reduce(WORD, b"ab"), "a Collection of str, got bytes"),
     'from_generators(None, "ab")': (lambda: from_generators(None, "ab"), "an Iterable, got NoneType"),
     "from_generators([], None)": (lambda: from_generators([], None), "an Iterable, got NoneType"),
     "StallingsGraph(None, 1, {})": (
