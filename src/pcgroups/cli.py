@@ -13,12 +13,9 @@ place that writes stdout and picks the exit code: 1 on a false verdict when
 the flag was given or the command has no flag, which only ``self-check``
 (on a disagreement) can return.
 
-A command loads only the layers it runs.  This module imports ``errors``,
-``graphs`` and ``classify``, which is all that ``classify``, ``embed`` and
-``self-check`` need.  Every other handler imports its layers when it is
-called: ``words`` for ``normal-form`` and ``equal``; ``words`` and
-``visible`` for ``member-visible``; ``words`` and ``stallings`` for
-``intersect-free``; and those two with ``zf2`` for ``demo-nonhowson``.
+A command loads only the layers it runs: this module imports ``errors``,
+``graphs`` and ``classify``, and a handler that needs another layer imports
+it when called (``tests/test_startup.py::LAYERS_RUN`` pins which).
 """
 
 from __future__ import annotations

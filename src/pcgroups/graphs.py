@@ -27,6 +27,12 @@ is non-empty and holds no whitespace, ``^`` or ``#``, so that every graph
 ``format_graph`` writes parses back; generator names in words and automata
 follow the same rule.
 
+The builders ``complete_graph``, ``edgeless_graph``, ``path_graph`` and
+``cycle_graph`` make at most ``MAX_GRAPH_SIZE`` (10**6) vertices plus
+edges, so ``complete_graph(1413)`` is the largest complete graph they
+build; a larger count or name list raises ``InputError`` before any name
+is made.
+
 Text format (one graph per file): the first non-blank line lists the vertex
 names separated by whitespace; every following non-blank line contains
 exactly two names and declares an edge.  ``#`` starts a comment, repeating an
@@ -35,12 +41,13 @@ edge line is harmless, and a loop ``u u`` is an error.
 
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import combinations, islice
 from typing import Iterable, Mapping, Optional
 
 from .errors import InputError, ParseError, _instance
 
 __all__ = [
+    "MAX_GRAPH_SIZE",
     "SimpleGraph",
     "induced_subgraph",
     "connected_components",
@@ -58,6 +65,8 @@ __all__ = [
     "parse_graph",
     "format_graph",
 ]
+
+MAX_GRAPH_SIZE = 10**6
 
 
 class SimpleGraph:
@@ -532,36 +541,51 @@ def _pair_has_c4(masks: list[int], s: int) -> bool:
     return False
 
 
-def _names(n_or_names, prefix: str) -> tuple[str, ...]:
+def _names(n_or_names, prefix: str, edges) -> tuple[str, ...]:
     """The names a builder is given, or ``prefix1 .. prefixn`` for a count
-    ``n``: an int, and not a bool."""
+    ``n``: an int, and not a bool.  ``edges(n)`` is the edge count of the
+    builder's graph on n vertices; raises ``InputError``, before any name is
+    made, when n + edges(n) passes ``MAX_GRAPH_SIZE``."""
     if type(n_or_names) is int:
         if n_or_names < 0:
             raise InputError("vertex count must be >= 0")
-        return tuple(f"{prefix}{i}" for i in range(1, n_or_names + 1))
-    if not isinstance(n_or_names, Iterable):
+        n = n_or_names
+        names = (f"{prefix}{i}" for i in range(1, n + 1))  # made after the check below
+    elif isinstance(n_or_names, Iterable):
+        # one name past the limit already passes it
+        names = tuple(islice(n_or_names, MAX_GRAPH_SIZE + 1))
+        n = len(names)
+    else:
         raise InputError(f"expected an int vertex count or vertex names, "
                          f"got {type(n_or_names).__name__}")
-    return tuple(n_or_names)
+    if n + edges(n) > MAX_GRAPH_SIZE:
+        raise InputError(f"the graph would have more than {MAX_GRAPH_SIZE} vertices and edges")
+    return tuple(names)
 
 
 def complete_graph(n_or_names, prefix: str = "v") -> SimpleGraph:
-    names = _names(n_or_names, prefix)
+    """Every pair adjacent; at most ``MAX_GRAPH_SIZE`` vertices plus edges
+    (n <= 1413)."""
+    names = _names(n_or_names, prefix, lambda n: n * (n - 1) // 2)
     return SimpleGraph(names, combinations(names, 2))
 
 
 def edgeless_graph(n_or_names, prefix: str = "v") -> SimpleGraph:
-    return SimpleGraph(_names(n_or_names, prefix))
+    """No pair adjacent; at most ``MAX_GRAPH_SIZE`` vertices."""
+    return SimpleGraph(_names(n_or_names, prefix, lambda n: 0))
 
 
 def path_graph(n_or_names, prefix: str = "v") -> SimpleGraph:
-    """Path along the names in the order given (v1 - v2 - ... for counts)."""
-    names = _names(n_or_names, prefix)
+    """Path along the names in the order given (v1 - v2 - ... for counts);
+    at most ``MAX_GRAPH_SIZE`` vertices plus edges."""
+    names = _names(n_or_names, prefix, lambda n: max(n - 1, 0))
     return SimpleGraph(names, zip(names, names[1:]))
 
 
 def cycle_graph(n_or_names, prefix: str = "v") -> SimpleGraph:
-    names = _names(n_or_names, prefix)
+    """Cycle along the names in the order given, n >= 3; at most
+    ``MAX_GRAPH_SIZE`` vertices plus edges."""
+    names = _names(n_or_names, prefix, lambda n: n)
     if len(names) < 3:
         raise InputError("a cycle needs at least 3 vertices")
     return SimpleGraph(names, list(zip(names, names[1:])) + [(names[-1], names[0])])

@@ -218,7 +218,8 @@ def parse_word(text: str) -> Word:
     """
     tokens = _instance(text, str).split()
     # one syllable per distinct token, made in text order so that the first
-    # bad token is the one reported; a word repeats few tokens
+    # bad token is the one reported; words repeat their tokens, so each
+    # distinct one is parsed once
     made = {tok: _syllable(tok) for tok in dict.fromkeys(tokens)}
     return Word._joined(map(made.__getitem__, tokens), ParseError)
 

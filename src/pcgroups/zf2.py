@@ -79,7 +79,8 @@ def certify_not_fg(m: int) -> NonFgCertificate:
 
     Raises ``InputError`` on an m that ``conjugate_generators`` refuses, and
     RuntimeError if the automaton unexpectedly accepts the excluded
-    conjugate; that would mean a bug in the construction, not new mathematics.
+    conjugate or has a rank other than 2m+1; that would mean a bug in the
+    construction, not new mathematics.
     """
     gens = conjugate_generators(m)
     sg: StallingsGraph = from_generators(gens, FREE_ALPHABET)
@@ -89,9 +90,15 @@ def certify_not_fg(m: int) -> NonFgCertificate:
             f"stage {m}: the automaton accepted {format_word(element)}; "
             "the folding or membership code is broken"
         )
+    rank = sg.rank()
+    if rank != 2 * m + 1:
+        raise RuntimeError(
+            f"stage {m}: the automaton has rank {rank}, not {2 * m + 1}; "
+            "the folding code is broken"
+        )
     return NonFgCertificate(
         m=m,
-        rank=sg.rank(),
+        rank=rank,
         element=element,
         generators=gens,
         verdict=True,

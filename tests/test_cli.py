@@ -1,8 +1,11 @@
+import importlib.metadata
 import io
 import json
 import os
+import shutil
 import subprocess
 import sys
+import sysconfig
 import tracemalloc
 from pathlib import Path
 
@@ -447,6 +450,7 @@ def test_deterministic_output_bytes(p3_file):
     assert len(runs) == 1
 
 
+# the one list of golden invocations: each entry point runs each of them
 GOLDEN_INVOCATIONS = {
     "classify": ["classify", str(INPUTS / "p3.graph")],
     "normal-form": ["normal-form", str(INPUTS / "xy.graph"), "y x"],
@@ -461,12 +465,59 @@ GOLDEN_INVOCATIONS = {
     "self-check": ["self-check"],
 }
 
+# command -> (flag, golden file) for each file its golden invocation writes
+GOLDEN_FILES = {
+    "intersect-free": (("--out", "intersect-free.stallings"), ("--dot", "intersect-free.dot")),
+}
 
-@pytest.mark.parametrize("command", sorted(GOLDEN_INVOCATIONS))
-def test_golden_outputs(command):
-    code, out, err = invoke(*GOLDEN_INVOCATIONS[command])
-    assert code == 0 and err == ""
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def spawn(*command):
+    done = subprocess.run(
+        list(command), env=dict(os.environ, PYTHONPATH=str(SRC)),
+        capture_output=True, text=True, timeout=60,
+    )
+    return done.returncode, done.stdout, done.stderr
+
+
+def console_script():
+    """The installed ``pcgroups`` script: in this interpreter's scripts
+    directory, or else on PATH.  Skips when the distribution is not
+    installed, as in a run from a checkout; fails when it is installed
+    without its script."""
+    try:
+        importlib.metadata.distribution("pcgroups")
+    except importlib.metadata.PackageNotFoundError:
+        pytest.skip("the pcgroups distribution is not installed")
+    search = os.pathsep.join([sysconfig.get_path("scripts"), os.environ.get("PATH", "")])
+    script = shutil.which("pcgroups", path=search)
+    assert script is not None, "pcgroups is installed, but its console script is missing"
+    return script
+
+
+ENTRY_POINTS = {
+    "run": invoke,
+    "-m pcgroups": lambda *argv: spawn(sys.executable, "-m", "pcgroups", *argv),
+    "-m pcgroups.cli": lambda *argv: spawn(sys.executable, "-m", "pcgroups.cli", *argv),
+    "script": lambda *argv: spawn(console_script(), *argv),
+}
+
+
+# the in-process case keeps the bare command as its id
+@pytest.mark.parametrize("entry, command", [
+    pytest.param(entry, command, id=command if entry == "run" else f"{command} via {entry}")
+    for entry in ENTRY_POINTS for command in sorted(GOLDEN_INVOCATIONS)
+])
+def test_golden_outputs(entry, command, tmp_path):
+    argv = list(GOLDEN_INVOCATIONS[command])
+    for flag, name in GOLDEN_FILES.get(command, ()):
+        argv += [flag, str(tmp_path / name)]
+    code, out, err = ENTRY_POINTS[entry](*argv)
+    assert (code, err) == (0, "")
     assert out == (GOLDEN / f"{command}.json").read_text()
+    for _, name in GOLDEN_FILES.get(command, ()):
+        assert (tmp_path / name).read_bytes() == (GOLDEN / name).read_bytes()
 
 
 def test_command_set_and_exit_status_flags():
@@ -475,37 +526,6 @@ def test_command_set_and_exit_status_flags():
     assert "{classify,normal-form,equal,member-visible,embed,intersect-free,demo-nonhowson,self-check}" in out
     flagged = {command for command in GOLDEN_INVOCATIONS if "--exit-status" in invoke(command, "-h")[1]}
     assert flagged == {"classify", "equal", "member-visible", "embed"}
-
-
-def test_golden_automaton_files(tmp_path):
-    # --out and --dot of the intersect-free golden invocation, byte for byte
-    out, dot = tmp_path / "meet.stallings", tmp_path / "meet.dot"
-    code, _, err = invoke(*GOLDEN_INVOCATIONS["intersect-free"], "--out", str(out), "--dot", str(dot))
-    assert code == 0 and err == ""
-    assert out.read_bytes() == (GOLDEN / "intersect-free.stallings").read_bytes()
-    assert dot.read_bytes() == (GOLDEN / "intersect-free.dot").read_bytes()
-
-
-def test_runs_as_a_module():
-    src = Path(__file__).resolve().parent.parent / "src"
-    env = dict(os.environ, PYTHONPATH=str(src))
-    done = subprocess.run(
-        [sys.executable, "-m", "pcgroups.cli", *GOLDEN_INVOCATIONS["classify"]],
-        env=env, capture_output=True, text=True, timeout=60,
-    )
-    assert done.returncode == 0 and done.stderr == ""
-    assert done.stdout == (GOLDEN / "classify.json").read_text()
-
-
-def test_runs_as_a_package():
-    src = Path(__file__).resolve().parent.parent / "src"
-    env = dict(os.environ, PYTHONPATH=str(src))
-    done = subprocess.run(
-        [sys.executable, "-m", "pcgroups", *GOLDEN_INVOCATIONS["self-check"]],
-        env=env, capture_output=True, text=True, timeout=60,
-    )
-    assert done.returncode == 0 and done.stderr == ""
-    assert done.stdout == (GOLDEN / "self-check.json").read_text()
 
 
 FUZZ_COMMANDS = ("classify", "normal-form", "equal", "member-visible", "embed",

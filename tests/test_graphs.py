@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 
 import pytest
 
@@ -16,6 +17,7 @@ from pcgroups import (
     edgeless_graph,
     find_induced_p3,
     format_graph,
+    graphs,
     induced_subgraph,
     join,
     parse_graph,
@@ -414,6 +416,23 @@ class TestFactories:
     def test_count_not_negative(self):
         with pytest.raises(InputError, match="^vertex count must be >= 0$"):
             complete_graph(-1)
+
+    @pytest.mark.parametrize("build", [complete_graph, path_graph, cycle_graph, edgeless_graph])
+    def test_huge_count_refused_at_once(self, build):
+        start = time.perf_counter()
+        with pytest.raises(InputError, match="^the graph would have more than 1000000 vertices and edges$"):
+            build(10**30)
+        assert time.perf_counter() - start < 0.01
+
+    def test_size_limit_counts_vertices_and_edges(self, monkeypatch):
+        monkeypatch.setattr(graphs, "MAX_GRAPH_SIZE", 10)
+        # the most vertices each builder may make when vertices + edges <= 10
+        for build, largest in ((complete_graph, 4), (path_graph, 5), (cycle_graph, 5), (edgeless_graph, 10)):
+            for given in (largest, [f"n{i}" for i in range(largest)]):
+                assert len(build(given).vertices) == largest
+            for given in (largest + 1, [f"n{i}" for i in range(largest + 1)], itertools.count()):
+                with pytest.raises(InputError, match="more than 10 vertices and edges"):
+                    build(given)
 
 
 class TestTextFormat:

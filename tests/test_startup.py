@@ -50,6 +50,29 @@ def test_importing_the_cli_loads_only_the_verdict_layers():
     assert set(fresh("import pcgroups.cli; " + LOADED)) == EAGER
 
 
+VERDICT = EAGER - {"pcgroups.cli"}
+
+# code run after ``import pcgroups`` -> the layers it leaves loaded
+NAMESPACE_READS = {
+    "from pcgroups import cli": EAGER,
+    "from pcgroups import words": VERDICT | {"pcgroups.words"},
+    # a dunder probe or a private name loads nothing to look for it
+    "assert not hasattr(pcgroups, '__wrapped__')": VERDICT,
+    "assert not hasattr(pcgroups, '_x')": VERDICT,
+}
+
+
+@pytest.mark.parametrize("code", sorted(NAMESPACE_READS))
+def test_a_package_name_loads_only_its_module(code):
+    assert set(fresh(f"import pcgroups; {code}; " + LOADED)) == NAMESPACE_READS[code]
+
+
+def test_dir_lists_every_public_name():
+    # dir is read first, while no layer but the verdict's is loaded
+    code = "import json, pcgroups; names = dir(pcgroups); print(json.dumps(sorted(set(pcgroups.__all__) - set(names))))"
+    assert fresh(code) == []
+
+
 @pytest.mark.parametrize("command", sorted(LAYERS_RUN))
 def test_a_command_loads_only_its_layers(command):
     loaded = fresh(RUN + LOADED, *GOLDEN_INVOCATIONS[command])

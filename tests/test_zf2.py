@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 import pcgroups.zf2
@@ -82,3 +84,14 @@ class TestCertificates:
     def test_negative_stage_rejected(self):
         with pytest.raises(InputError):
             certify_not_fg(-1)
+
+    # each RuntimeError guards the construction; break it to see them fire
+    @pytest.mark.parametrize("tamper, message", [
+        (lambda gens: gens[1:], "stage 3: the automaton has rank 6, not 7"),
+        (lambda gens: gens + (pcgroups.zf2._conjugate(4),), "stage 3: the automaton accepted a^-4 b a^4"),
+    ], ids=["one conjugate dropped", "the excluded conjugate added"])
+    def test_a_broken_construction_is_caught(self, monkeypatch, tamper, message):
+        build = pcgroups.zf2.from_generators
+        monkeypatch.setattr(pcgroups.zf2, "from_generators", lambda gens, alphabet: build(tamper(gens), alphabet))
+        with pytest.raises(RuntimeError, match=f"^{re.escape(message)}; "):
+            certify_not_fg(3)
