@@ -520,6 +520,18 @@ def test_golden_outputs(entry, command, tmp_path):
         assert (tmp_path / name).read_bytes() == (GOLDEN / name).read_bytes()
 
 
+def test_golden_automaton_files(tmp_path):
+    # the table passes the file flags together; each alone writes only its own file
+    for flag, name in GOLDEN_FILES["intersect-free"]:
+        target = tmp_path / flag.strip("-") / name
+        target.parent.mkdir()
+        code, out, err = invoke(*GOLDEN_INVOCATIONS["intersect-free"], flag, str(target))
+        assert (code, err) == (0, "")
+        assert out == (GOLDEN / "intersect-free.json").read_text()
+        assert [p.name for p in target.parent.iterdir()] == [name]
+        assert target.read_bytes() == (GOLDEN / name).read_bytes()
+
+
 def test_command_set_and_exit_status_flags():
     code, out, _ = invoke("--help")
     assert code == 0
