@@ -545,7 +545,9 @@ def _names(n_or_names, prefix: str, edges) -> tuple[str, ...]:
     """The names a builder is given, or ``prefix1 .. prefixn`` for a count
     ``n``: an int, and not a bool.  ``edges(n)`` is the edge count of the
     builder's graph on n vertices; raises ``InputError``, before any name is
-    made, when n + edges(n) passes ``MAX_GRAPH_SIZE``."""
+    made, unless ``prefix`` is a ``str``, and when n + edges(n) passes
+    ``MAX_GRAPH_SIZE``."""
+    _instance(prefix, str)
     if type(n_or_names) is int:
         if n_or_names < 0:
             raise InputError("vertex count must be >= 0")

@@ -5,18 +5,25 @@ folded, core automaton over the positive generators.  It has one shape, from
 the first arc written to the finished automaton: one state array, a row,
 per signed letter.  ``rows[2i][s]`` is the target of the arc labelled
 ``alphabet[i]`` at state ``s`` and ``rows[2i + 1][s]`` the source of the one
-entering ``s``, or -1 where there is none, so row ``r ^ 1`` is always row
-``r`` read backwards.  Membership traces the free reduction of a word along
+entering ``s``, or -1 where there is none, so in a folded automaton row
+``r ^ 1`` is row ``r`` read backwards.  Membership traces the free reduction of a word along
 the rows from the base; the rank of the subgroup is ``edges - states + 1``.
 
 ``from_generators`` reads each freely reduced generator from the base along
 the rows, from both ends, and adds only its unread middle; each fresh state
 appends one -1 to every row.  Where an arc's label is already taken at a
 state, the pair of states to identify is queued, and one union-find fold
-merges the queued pairs on the rows.  The public constructor and
-``parse_stallings`` write their rows once and check them in ``_checked``:
-folded as written, connected, and core, in the caller's own state ids.
-Every path renames states with one ``_number``.
+merges the queued pairs on the rows.  Until that fold a row only gains
+arcs: an arc is written only where its row holds -1.  So a walk once
+followed along a row stays a walk of that row, and the reads keep, per row
+and start state, the states such a walk has met: a syllable ``x^k`` jumps
+to the k-th of them and steps only past the end of what was walked before.
+Reading costs a step per syllable plus one per state first met, and the
+2m+1 conjugates ``a^-k b a^k`` are read in O(m) steps, not O(m^2).
+
+The public constructor and ``parse_stallings`` write their rows once and
+check them in ``_checked``: folded as written, connected, and core, in the
+caller's own state ids.  Every path renames states with one ``_number``.
 
 Every automaton is canonical, whichever way it was built: the alphabet is
 sorted, and states are numbered breadth-first from the base along the rows
@@ -44,7 +51,7 @@ from typing import Iterable, Optional
 
 from .errors import InputError, ParseError, _instance
 from .graphs import _is_name
-from .words import Word, _decimal, free_reduce
+from .words import Word, _decimal, _free_reduced
 
 __all__ = [
     "StallingsGraph",
@@ -137,7 +144,7 @@ class StallingsGraph:
         ``x^k`` whose walk returns after L steps walks only ``|k| mod L`` more."""
         index = {g: 2 * i for i, g in enumerate(self.alphabet)}
         state = 0
-        for gen, k in free_reduce(w, index).syllables:
+        for gen, k in _free_reduced(_instance(w, Word).syllables, index):
             row = self._rows[index[gen] + (k < 0)]
             start, left = state, abs(k)
             while left:
@@ -314,6 +321,29 @@ def _checked(alphabet: tuple[str, ...], ids, arcs: list, error) -> list:
     return _number(rows, n, order)
 
 
+def _walk(row: list, walked: dict, s: int, k: int) -> tuple[int, int]:
+    """The state ``k`` steps along ``row`` from ``s``, or the last one before
+    the row runs out, and the number of steps taken.
+
+    ``walked[s]`` lists the states met so far on the walk from ``s``, ``s``
+    first; a call only extends it past its end.  The row is a function, so a
+    walk that returns to ``s`` repeats from there: it is not extended again,
+    and ``k`` steps end where ``k`` mod its length do.  So a walk holds no
+    more states than the steps asked of it."""
+    met = walked.get(s)
+    if met is None:
+        met = walked[s] = [s]
+    t = met[-1]
+    while len(met) <= k:
+        if t == s and len(met) > 1:  # one lap closed
+            return met[k % (len(met) - 1)], k
+        t = row[t]
+        if t < 0:
+            return met[-1], len(met) - 1
+        met.append(t)
+    return met[k], k
+
+
 def from_generators(ws: Iterable[Word], alphabet: Iterable[str]) -> StallingsGraph:
     """Build the subgroup's automaton from generator words.
 
@@ -326,52 +356,104 @@ def from_generators(ws: Iterable[Word], alphabet: Iterable[str]) -> StallingsGra
     loop would, so the subgroup is the one the words generate.  One fold at
     the end makes the automaton deterministic.
 
+    A word is read a syllable ``x^k`` at a time.  A single letter steps
+    along its row; a longer syllable jumps along the walk already followed
+    on its row from the same state (``_walk``), and extends that walk only
+    past its end.  The remembered walks stay true while words are
+    read: an arc is written only where its row holds -1, and a clash queues
+    a merge instead, so a row only gains arcs until the fold.  Only the
+    unread middle is spelled out letter by letter, so the 2m+1 conjugates
+    ``a^-k b a^k`` take O(m) steps, not O(m^2).
+
     Words may be unreduced or trivial; the trivial subgroup comes out as a
     single base state with no transitions.
     """
     alpha = tuple(sorted(set(_labels(alphabet))))
     index = {g: 2 * i for i, g in enumerate(alpha)}
     rows: list = [[-1] for _ in range(2 * len(alpha))]
+    walked = [{} for _ in rows]  # per row: start state -> the walk's states
     n = 1
     # the first arc with a label at a state is the one words are read along;
     # a later one with the same label asks for its other end to be merged
     merges = []
     for w in _instance(ws, Iterable):
-        walk: list = []  # per letter of the reduced word, its row
-        for g, k in free_reduce(w, index).syllables:
-            walk += [index[g] + (k < 0)] * abs(k)
-        m = len(walk)
-        if not m:
+        # the reduced syllables as (row, letters)
+        reduced = _free_reduced(_instance(w, Word).syllables, index)
+        word = [(index[g] + (k < 0), abs(k)) for g, k in reduced]
+        if not word:
             continue
-        head, i = 0, 0
-        while i < m - 1:
-            nxt = rows[walk[i]][head]
-            if nxt < 0:
-                break
-            head, i = nxt, i + 1
-        tail, j = 0, m
-        while j - 1 > i:
-            prev = rows[walk[j - 1] ^ 1][tail]
-            if prev < 0:
-                break
-            tail, j = prev, j - 1
-        state = head
-        for k in range(i, j):
-            if k == j - 1:
-                nxt = tail
+        # forward: word[:p] whole and a letters of word[p], never the last letter
+        last = len(word) - 1
+        head = a = 0
+        for p, (r, c) in enumerate(word):
+            if p == last:
+                c -= 1
+            if c == 1:
+                t = rows[r][head]
+                if t < 0:
+                    a = 0
+                    break
+                head = t
+            elif c:
+                head, a = _walk(rows[r], walked[r], head, c)
+                if a < c:
+                    break
+        else:  # read up to the last letter
+            a = c
+        # backward: word[q + 1:] whole and b letters off the end of word[q],
+        # leaving at least one letter after the forward read
+        tail, q, b = 0, last, 0
+        while q > p:
+            r, c = word[q]
+            r ^= 1
+            if c == 1:
+                t = rows[r][tail]
+                if t < 0:
+                    break
+                tail = t
             else:
-                nxt = n
-                n += 1
-                for row in rows:
-                    row.append(-1)
-            r = walk[k]
-            for row, s, t in ((rows[r], state, nxt), (rows[r ^ 1], nxt, state)):
-                held = row[s]
-                if held < 0:
-                    row[s] = t
-                elif held != t:
-                    merges.append((held, t))
-            state = nxt
+                tail, b = _walk(rows[r], walked[r], tail, c)
+                if b < c:
+                    break
+                b = 0
+            q -= 1
+        else:  # at the syllable the forward read stopped in: all it left but a letter
+            r, c = word[p]
+            c -= a + 1
+            if c:
+                r ^= 1
+                tail, b = _walk(rows[r], walked[r], tail, c)
+        # the unread middle, letter by letter
+        r, c = word[p]
+        if p == q:
+            middle = [r] * (c - a - b)
+        else:
+            middle = [r] * (c - a)
+            for r, c in word[p + 1:q]:
+                middle += [r] * c
+            r, c = word[q]
+            middle += [r] * (c - b)
+        fresh = len(middle) - 1
+        if fresh:
+            pad = [-1] * fresh
+            for row in rows:
+                row += pad
+        state = head
+        for r, t in zip(middle, [*range(n, n + fresh), tail]):
+            row = rows[r]
+            held = row[state]
+            if held < 0:
+                row[state] = t
+            elif held != t:
+                merges.append((held, t))
+            row = rows[r ^ 1]
+            held = row[t]
+            if held < 0:
+                row[t] = state
+            elif held != state:
+                merges.append((held, state))
+            state = t
+        n += fresh
 
     # Union-find fold: the larger number of a pair is merged into the
     # smaller, so the base stays 0.  The merged state's arcs move to the kept

@@ -34,7 +34,8 @@ ends empty, and ``support`` reads the non-empty stacks; only
 ``normal_form``, whose word gets printed, runs the read-off.
 
 ``free_reduce`` is the normal form in a free group (no two generators
-commute): one stack pass over syllables.
+commute): one stack pass over syllables, which ``stallings`` also runs on
+the words it builds from and traces.
 
 Word text syntax: whitespace-separated tokens, each a vertex name (no
 whitespace, ``^`` or ``#``) optionally suffixed ``^k`` for a nonzero
@@ -418,8 +419,17 @@ def free_reduce(w: Word, alphabet: Collection[str]) -> Word:
         raise InputError(f"expected a Collection of str, got {type(alphabet).__name__}")
     if isinstance(alphabet, str):
         alphabet = frozenset(alphabet)  # not substrings: "ab" is not in "xaby"
+    return Word._trusted(tuple(_free_reduced(_instance(w, Word).syllables, alphabet)))
+
+
+def _free_reduced(syllables: tuple, alphabet) -> list:
+    """The syllables of the free reduction of ``syllables`` as a stack;
+    raises ``InputError`` on a letter over a generator that is not ``in``
+    ``alphabet``.  The alphabet is not checked here: ``free_reduce``
+    checks the one it is given, and ``stallings`` passes its own index
+    dict."""
     out: list = []
-    for gen, k in _instance(w, Word).syllables:
+    for gen, k in syllables:
         if gen not in alphabet:
             raise InputError(f"letter over unknown generator {gen!r}")
         if out and out[-1][0] == gen:
@@ -430,7 +440,7 @@ def free_reduce(w: Word, alphabet: Collection[str]) -> Word:
                 out.pop()
         else:
             out.append((gen, k))
-    return Word._trusted(tuple(out))
+    return out
 
 
 def are_equal(u: Word, v: Word, g: SimpleGraph) -> bool:

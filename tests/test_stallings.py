@@ -1,5 +1,7 @@
+import gc
 import random
 import re
+import statistics
 import time
 
 import pytest
@@ -14,6 +16,7 @@ from pcgroups import (
     parse_stallings,
     parse_word,
 )
+from pcgroups.zf2 import conjugate_generators
 from oracles import (
     bouquet_automaton,
     free_reduce,
@@ -97,6 +100,73 @@ def product_size(sg1, sg2):
     return len(seen)
 
 
+def syllables(*pairs):
+    """The word of the ``(gen, k)`` syllables; a zero k is left out."""
+    return w(" ".join(f"{g}^{k}" for g, k in pairs if k))
+
+
+def conjugates(rng):
+    """A shuffled handful of the conjugates a^-k b a^k with |k| <= 40."""
+    ks = rng.sample(range(-40, 41), rng.randrange(2, 7))
+    return [syllables(("a", -k), ("b", 1), ("a", k)) for k in ks]
+
+
+def extended_walks(rng):
+    """a^k t for growing k, each t a short word that starts with b: every
+    word walks past the end of the a-walk the words before it made.  Some
+    are inverted, so that the walk is also read backward."""
+    ks = sorted(rng.sample(range(2, 25), rng.randrange(2, 5)))
+    gens = [syllables(("a", k), ("b", rng.choice((1, -1, 2))), ("a", rng.randrange(-3, 4)))
+            for k in ks]
+    return [~g if rng.random() < 0.5 else g for g in gens]
+
+
+def mid_syllable_stops(rng):
+    """Words of long syllables and prefixes of them cut inside a syllable,
+    so that reads stop part of the way along a syllable, from either end."""
+    gens = []
+    for _ in range(rng.randrange(2, 5)):
+        if gens and rng.random() < 0.5:
+            earlier = rng.choice(gens).syllables
+            cut = rng.randrange(len(earlier))
+            g, k = earlier[cut]
+            part = rng.randrange(1, abs(k)) if abs(k) > 1 else 1
+            head = earlier[:cut] + ((g, part if k > 0 else -part),)
+            tail_gen = "b" if g == "a" else "a"
+            gens.append(syllables(*head, (tail_gen, rng.choice((1, -1, 3, -3)))))
+        else:
+            first = rng.choice(AB)
+            gens.append(syllables(*(
+                (first if i % 2 == 0 else ("b" if first == "a" else "a"),
+                 rng.choice((1, -1)) * rng.randrange(1, 13))
+                for i in range(rng.randrange(1, 5)))))
+    return [~g if rng.random() < 0.3 else g for g in gens]
+
+
+def wrapped_walks(rng):
+    """An a-cycle of length L at the base or at the far end of a b, then
+    words that walk past it: a^5, then a^12 b a^-12, say."""
+    lap = rng.randrange(2, 8)
+    at = rng.choice((0, 1, -1))
+    gens = [syllables(("b", at), ("a", lap), ("b", -at))]
+    for _ in range(rng.randrange(1, 4)):
+        k, j = rng.randrange(lap, 4 * lap), rng.randrange(lap, 4 * lap)
+        gens.append(syllables(("b", at), ("a", rng.choice((k, -k))), ("b", rng.choice((1, -1))),
+                              ("a", rng.choice((j, -j))), ("b", -at)))
+    rng.shuffle(gens)
+    return gens
+
+
+# Families of generators whose syllables are long, for the reads that jump
+# along remembered walks.
+LONG_SYLLABLE_FAMILIES = {
+    "conjugates": conjugates,
+    "extended-walks": extended_walks,
+    "mid-syllable-stops": mid_syllable_stops,
+    "wrapped-walks": wrapped_walks,
+}
+
+
 def random_subgroup(rng, max_gens=3, max_len=5):
     gens = []
     for _ in range(rng.randrange(1, max_gens + 1)):
@@ -125,7 +195,7 @@ class TestFromGenerators:
         assert sg1 == sg2
 
     def test_conjugate_family_is_a_line_of_loops(self):
-        for m in (0, 1, 2, 5):
+        for m in (0, 1, 2, 5, 100, 706):
             gens = [w(f"a^{-k} b a^{k}") if k else w("b") for k in range(-m, m + 1)]
             sg = from_generators(gens, AB)
             assert sg.num_states == 2 * m + 1
@@ -153,6 +223,34 @@ class TestFromGenerators:
             expected = bouquet_automaton(map(letters_of, gens), alphabet)
             assert format_stallings(sg) == expected, gens
             assert parse_stallings(format_stallings(sg)) == parse_stallings(expected) == sg
+
+    @pytest.mark.parametrize("family", sorted(LONG_SYLLABLE_FAMILIES))
+    def test_long_syllable_reads_match_bouquet_fold_oracle(self, family):
+        rng = random.Random(f"long-syllables/{family}")
+        for _ in range(25):
+            gens = LONG_SYLLABLE_FAMILIES[family](rng)
+            sg = from_generators(gens, AB)
+            assert format_stallings(sg) == bouquet_automaton(map(letters_of, gens), AB), gens
+
+    def test_conjugate_family_builds_in_linear_time(self):
+        # reads jump along remembered walks, so twice the conjugates take
+        # about twice the time; read letter by letter they took 3.5 times.
+        # Each ratio compares two builds run back to back, with the
+        # collector paused, and the median of five ratios is kept, because
+        # the host's speed drifts between and during builds.
+        small, large = conjugate_generators(350), conjugate_generators(700)
+
+        def build_time(gens):
+            start = time.perf_counter()
+            from_generators(gens, "ab")
+            return time.perf_counter() - start
+
+        gc.disable()
+        try:
+            ratios = [build_time(large) / build_time(small) for _ in range(5)]
+        finally:
+            gc.enable()
+        assert statistics.median(ratios) < 2.6, ratios
 
     def test_oracle_kinds_reach_their_cases(self):
         rng = random.Random(62)

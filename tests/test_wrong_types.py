@@ -100,6 +100,11 @@ CALLS = {
     "path_graph(True)": (lambda: path_graph(True), f"{COUNT}, got bool"),
     "edgeless_graph(None)": (lambda: edgeless_graph(None), f"{COUNT}, got NoneType"),
     "cycle_graph(4.0)": (lambda: cycle_graph(4.0), f"{COUNT}, got float"),
+    "complete_graph(2, None)": (lambda: complete_graph(2, None), "a str, got NoneType"),
+    "edgeless_graph(2, 1)": (lambda: edgeless_graph(2, 1), "a str, got int"),
+    "path_graph(2, 10**9)": (lambda: path_graph(2, 10**9), "a str, got int"),
+    'cycle_graph(["x", "y", "z"], b"v")': (
+        lambda: cycle_graph(["x", "y", "z"], b"v"), "a str, got bytes"),
 }
 
 
