@@ -1,52 +1,76 @@
 """Stallings automata for finitely generated subgroups of free groups.
 
 A subgroup generated by finitely many words is represented by a rooted,
-folded, core automaton over the positive generators.  It has one shape, from
-the first arc written to the finished automaton: one state array, a row,
-per signed letter.  ``rows[2i][s]`` is the target of the arc labelled
-``alphabet[i]`` at state ``s`` and ``rows[2i + 1][s]`` the source of the one
-entering ``s``, or -1 where there is none, so in a folded automaton row
-``r ^ 1`` is row ``r`` read backwards.  Membership traces the free reduction of a word along
-the rows from the base; the rank of the subgroup is ``edges - states + 1``.
+folded, core automaton over the positive generators.  It is stored with its
+branch states only.  A chain interior is a non-base state whose only two
+arcs carry one letter x, one entering and one leaving, and which is not a
+loop; a chain of such states between two branch states is stored as one arc
+labelled x^L.  The stored shape is one state array, a row, per signed
+letter, over the branch states.  ``rows[2i][s]`` is the target of the arc
+labelled a power of ``alphabet[i]`` at state ``s`` and ``rows[2i + 1][s]``
+the source of the one entering ``s``, or -1 where there is none.  A unit
+arc (L = 1) is stored as its target ``t``; a long arc (L >= 2) as
+``-2 - t``, with L in ``lengths[r][s]``, so that every test for a missing
+arc, ``t < 0``, also catches a long one and a unit step reads exactly as it
+would with one state per letter.  In a folded automaton row ``r ^ 1`` is
+row ``r`` read backwards, and a long arc's reverse has the same length.
+The automaton has the branch states plus L - 1 states per long arc, and L
+arcs per long arc; the rank of the subgroup is ``edges - states + 1``.
+Membership traces the free reduction of a word from the base, a whole arc
+at a time.
 
 ``from_generators`` reads each freely reduced generator from the base along
-the rows, from both ends, and adds only its unread middle; each fresh state
-appends one -1 to every row.  Where an arc's label is already taken at a
-state, the pair of states to identify is queued, and one union-find fold
-merges the queued pairs on the rows.  Until that fold a row only gains
-arcs: an arc is written only where its row holds -1.  So a walk once
-followed along a row stays a walk of that row, and the reads keep, per row
-and start state, the states such a walk has met: a syllable ``x^k`` jumps
-to the k-th of them and steps only past the end of what was walked before.
-Reading costs a step per syllable plus one per state first met, and the
-2m+1 conjugates ``a^-k b a^k`` are read in O(m) steps, not O(m^2).
+per-letter rows, one state per letter, from both ends, and adds only its
+unread middle; each fresh state appends one -1 to every row.  Where an
+arc's label is already taken at a state, the pair of states to identify is
+queued, and one union-find fold merges the queued pairs on the rows.  Until
+that fold a row only gains arcs: an arc is written only where its row holds
+-1.  So a walk once followed along a row stays a walk of that row, and the
+reads keep, per row and start state, the states such a walk has met: a
+syllable ``x^k`` jumps to the k-th of them and steps only past the end of
+what was walked before.  Reading costs a step per syllable plus one per
+state first met, and the 2m+1 conjugates ``a^-k b a^k`` are read in O(m)
+steps, not O(m^2).  One pass at the end contracts the chains (``_stored``).
 
-The public constructor and ``parse_stallings`` write their rows once and
-check them in ``_checked``: folded as written, connected, and core, in the
-caller's own state ids.  Every path renames states with one ``_number``.
+The public constructor and ``parse_stallings`` write per-letter rows once
+and check them in ``_checked``: folded as written, connected, and core, in
+the caller's own state ids; then they contract the chains in the same pass.
 
 Every automaton is canonical, whichever way it was built: the alphabet is
-sorted, and states are numbered breadth-first from the base along the rows
-in their own order: generators in order, forward before backward.  The
-constructor canonicalises what it is given as ``parse_stallings`` does.  A
-core automaton is unique up to isomorphism of based graphs (Kapovich &
-Myasnikov 2002), so two automata compare equal exactly when they represent
-the same subgroup over the same alphabet, and isomorphism checks in tests
-are plain ``==``.
+sorted, and states are numbered breadth-first from the base along the
+per-letter rows in their own order: generators in order, forward before
+backward.  The constructor canonicalises what it is given as
+``parse_stallings`` does.  A core automaton is unique up to isomorphism of
+based graphs (Kapovich & Myasnikov 2002), so two automata compare equal
+exactly when they represent the same subgroup over the same alphabet, and
+isomorphism checks in tests are plain ``==``.  The per-letter rows are
+derived only where they are read (``_expanded``: ``edges``, the text and
+DOT forms, ``==``, ``hash`` and ``repr``), and renumbered breadth-first
+there.  An automaton with no long arc stores its branch states in that
+canonical order, so its rows are its own per-letter rows.
+
 ``intersect`` searches the product automaton based at the pair of bases in
-exactly that order, keying each pair of states by one int, and appends
-every product arc to the rows as it goes.  A tree that hangs off the core
-is entered only through its root, so it never precedes that root and never
-discovers a core state: the search's numbering, restricted to the core, is
-already canonical, and trimming the trees only closes the gaps they leave.
+exactly that order, keying each pair of stored states by one int, and
+appends every product arc to the rows as it goes.  Two unit arcs make a
+unit product arc, in one step.  Where either arc is long, the two walks go
+on along the row from stored state to stored state until both stand on one
+at once (folding with arcs labelled by group elements, Kapovich, Weidmann &
+Miasnikov 2005), so ``<a^p> ∩ <a^q>`` takes p + q steps, not lcm(p, q); a
+walk that runs out first leads into a tree, and no arc is written.  A tree
+that hangs off the core is entered only through its root, so it never
+precedes that root and never discovers a core state: when the product has
+no long arc, the search's numbering, restricted to the core, is already
+canonical, and trimming the trees only closes the gaps they leave.
 
 Text serialization: the base state (always 0) followed by the alphabet on
 the first line, then one line ``state_from generator state_to`` per
-positively-labeled transition.
+positively-labeled transition, one state per letter.
 """
 
 from __future__ import annotations
 
+from itertools import compress, filterfalse, repeat
+from operator import eq, itemgetter
 from typing import Iterable, Optional
 
 from .errors import InputError, ParseError, _instance
@@ -64,9 +88,12 @@ __all__ = [
 class StallingsGraph:
     """Folded core automaton; instances are immutable once built.
 
-    ``_rows[2i][s]`` is the target of the arc labelled ``alphabet[i]`` at
-    state ``s`` and ``_rows[2i + 1][s]`` the source of the one entering ``s``,
-    or -1.  The base state is 0.
+    ``_rows[2i][s]`` is the target of the arc labelled a power of
+    ``alphabet[i]`` at stored state ``s`` and ``_rows[2i + 1][s]`` the
+    source of the one entering ``s``, or -1.  A long arc to ``t`` is stored
+    as ``-2 - t`` and its length in ``_lengths[r][s]``.  The stored states
+    are the base 0 and the branch states; ``num_states`` also counts the
+    chain interiors.
 
     The constructor sorts the alphabet and numbers the states canonically,
     so the automaton equals any other of the same subgroup.  It raises
@@ -78,7 +105,7 @@ class StallingsGraph:
     every non-base state has degree at least two (a core automaton).
     """
 
-    __slots__ = ("alphabet", "num_states", "_rows")
+    __slots__ = ("alphabet", "num_states", "_rows", "_lengths")
 
     base = 0
 
@@ -111,46 +138,78 @@ class StallingsGraph:
             raise InputError(f"{num_states} states are not connected to the base by "
                              f"{len(arcs)} transitions; that needs at least {num_states - 1}")
         self.alphabet = alphabet
-        self.num_states = num_states
-        self._rows = _checked(alphabet, range(num_states), arcs,
-                              lambda message, _: InputError(message))
+        self._rows, self._lengths, self.num_states = _checked(
+            alphabet, range(num_states), arcs, lambda message, _: InputError(message))
 
     @classmethod
-    def _trusted(cls, alphabet: tuple[str, ...], num_states: int, rows: list) -> "StallingsGraph":
-        """Wrap rows that the library built from a folded core automaton,
-        unchecked and uncopied."""
+    def _trusted(cls, alphabet: tuple[str, ...], rows: list, lengths: list,
+                 num_states: int) -> "StallingsGraph":
+        """Wrap the stored shape of a folded core automaton that the library
+        built, unchecked and uncopied."""
         sg = object.__new__(cls)
         sg.alphabet = alphabet
-        sg.num_states = num_states
         sg._rows = rows
+        sg._lengths = lengths
+        sg.num_states = num_states
         return sg
 
     @property
     def num_edges(self) -> int:
-        return sum(len(row) - row.count(-1) for row in self._rows[::2])
+        return (sum(len(row) - row.count(-1) for row in self._rows[::2])
+                + sum(length - 1 for lengths in self._lengths[::2] for length in lengths.values()))
 
     def edges(self) -> list[tuple[int, str, int]]:
-        """Every arc as ``(source, generator, target)``, in sorted order."""
-        labelled = list(zip(self.alphabet, self._rows[::2]))
+        """Every arc, one per letter, as ``(source, generator, target)``, in
+        sorted order."""
+        labelled = list(zip(self.alphabet, self._expanded()[::2]))
         return [
             (u, g, v) for u in range(self.num_states) for g, targets in labelled if (v := targets[u]) >= 0
         ]
+
+    def _expanded(self) -> list:
+        """The rows with one state per letter, numbered canonically: each
+        long arc is spelled out by fresh states, then the states are
+        renumbered breadth-first.  Without a long arc they are ``_rows``."""
+        if not any(self._lengths):
+            return self._rows
+        n = _stored_count(self._rows)
+        pad = [-1] * (self.num_states - n)
+        rows = [row + pad for row in self._rows]
+        fresh = n
+        for r in range(0, len(rows), 2):
+            row, back = rows[r], rows[r + 1]
+            for s, length in self._lengths[r].items():
+                path = [s, *range(fresh, fresh + length - 1), -2 - row[s]]
+                fresh += length - 1
+                for u, v in zip(path, path[1:]):
+                    row[u] = v
+                    back[v] = u
+        return _number(rows, fresh, _search(rows, fresh))[1]
 
     def member(self, w: Word) -> bool:
         """Does the free reduction of ``w`` trace a closed path at the base?
 
         Folded, each label's arcs are a partial injection, so a walk along one
         label either leaves the automaton or returns to its start; a syllable
-        ``x^k`` whose walk returns after L steps walks only ``|k| mod L`` more."""
+        ``x^k`` whose walk returns after L letters walks only ``|k| mod L``
+        more.  A syllable that ends inside a long arc ends at a chain
+        interior, where only its own letter goes on: the next syllable, or
+        the end of the word, finds no way."""
         index = {g: 2 * i for i, g in enumerate(self.alphabet)}
+        rows, lengths = self._rows, self._lengths
         state = 0
         for gen, k in _free_reduced(_instance(w, Word).syllables, index):
-            row = self._rows[index[gen] + (k < 0)]
+            r = index[gen] + (k < 0)
+            row = rows[r]
             start, left = state, abs(k)
             while left:
-                state = row[state]
-                if state < 0:
-                    return False
+                t = row[state]
+                if t < 0:  # no arc, or a long one
+                    if t == -1 or lengths[r][state] > left:
+                        return False
+                    left -= lengths[r][state] - 1
+                    t = -2 - t
+                state = t
                 left -= 1
                 if state == start:  # one lap done: skip the whole laps left
                     left %= abs(k) - left
@@ -164,38 +223,56 @@ class StallingsGraph:
         """Automaton of the subgroup intersection: the core of the product
         automaton based at the pair of bases.
 
-        The product is searched breadth-first from the pair of bases; a pair
-        ``(s1, s2)`` is keyed by the int ``s1 * other.num_states + s2`` and
+        The product is searched breadth-first from the pair of bases over
+        the stored states; a pair ``(s1, s2)`` is keyed by the int
+        ``s1 * width + s2``, ``width`` being the other's stored states, and
         numbered when first reached.  Each visited state appends its product
         target (or -1) to every row, in the rows' order, so the rows are
-        complete when the search ends.  That is the canonical order:
-        breadth-first from the base, generators in order, forward before
-        backward.
+        complete when the search ends.  Two unit arcs give a unit arc in one
+        step, as with one state per letter.  Where either arc is long,
+        ``_walk_pair`` goes on to the first pair of stored states, and the
+        product arc is long; if one walk runs out first, the product walks
+        into a tree and gets no arc.
 
         The core drops the trees hanging off it.  Such a tree meets the rest
         only in its root, a core state, so the search enters it only through
         that root: every tree state is numbered after its root, and no tree
         state is the first to reach a core state.  Core states are therefore
         reached by core states alone, in the order a search of the core alone
-        would reach them, and the product numbering restricted to the core is
-        canonical.  Trimming the trees leaf by leaf then only closes up the
-        survivors' numbers in order; no renumbering search is needed.
+        would reach them.  With unit arcs only, the product numbering
+        restricted to the core is canonical, and trimming the trees leaf by
+        leaf then only closes up the survivors' numbers in order.  The
+        product's own chains, pairs of branch states left with two arcs of
+        one letter, are contracted in the same renaming (``_stored``).
         """
         if self.alphabet != _instance(other, StallingsGraph).alphabet:
             raise InputError("cannot intersect subgroups over different alphabets")
-        width = other.num_states
+        width = _stored_count(other._rows)
         rows: list = [[] for _ in self._rows]
-        steps = list(zip(self._rows, other._rows, [row.append for row in rows]))
+        lengths: list = [{} for _ in self._rows]
+        steps = list(zip(self._rows, other._rows, [row.append for row in rows],
+                         zip(self._lengths, other._lengths, lengths, rows)))
         firsts, seconds = [0], [0]
         claim = {0: 0}.setdefault
         n = 1
         # the lists grow while zip walks them: each state is visited once
         for s1, s2 in zip(firsts, seconds):
-            for row1, row2, add in steps:
+            for row1, row2, add, long in steps:
                 t1 = row1[s1]
                 t2 = row2[s2]
                 if t1 < 0 or t2 < 0:
-                    add(-1)
+                    walk = t1 != -1 and t2 != -1 and _walk_pair(row1, row2, long, s1, s2, t1, t2)
+                    if not walk:
+                        add(-1)
+                        continue
+                    t1, t2, length = walk
+                    t = claim(t1 * width + t2, n)
+                    if t == n:
+                        n += 1
+                        firsts.append(t1)
+                        seconds.append(t2)
+                    long[2][len(long[3])] = length
+                    add(-2 - t)
                     continue
                 t = claim(t1 * width + t2, n)
                 if t == n:
@@ -204,11 +281,13 @@ class StallingsGraph:
                     seconds.append(t2)
                 add(t)
 
-        keep = _trim(rows, n)
-        if len(keep) < n:
-            rows = _number(rows, n, keep)
-            n = len(keep)
-        return StallingsGraph._trusted(self.alphabet, n, rows)
+        degree = _trim(rows, lengths, n)
+        interiors = _interiors(rows, n, degree) if 2 in degree else []
+        if interiors or -1 in degree:  # chains to contract, or trees cut
+            kept = [s for s in range(n) if degree[s] >= 0]
+            return StallingsGraph._trusted(self.alphabet, *_stored(rows, lengths, n, kept, interiors))
+        states = n + sum(length - 1 for arcs in lengths[::2] for length in arcs.values())
+        return StallingsGraph._trusted(self.alphabet, rows, lengths, states)
 
     def to_dot(self) -> str:
         """Plain DOT text; the base state is drawn as a double circle.  A
@@ -228,11 +307,11 @@ class StallingsGraph:
         return (
             self.alphabet == other.alphabet
             and self.num_states == other.num_states
-            and self._rows == other._rows
+            and self._expanded() == other._expanded()
         )
 
     def __hash__(self) -> int:
-        return hash((self.alphabet, self.num_states, tuple(map(tuple, self._rows))))
+        return hash((self.alphabet, self.num_states, tuple(map(tuple, self._expanded()))))
 
     def __repr__(self) -> str:
         return (
@@ -252,9 +331,50 @@ def _labels(alphabet: Iterable[str]) -> tuple[str, ...]:
     return alphabet
 
 
+def _stored_count(rows: list) -> int:
+    """The number of stored states; an automaton over no letters has one."""
+    return len(rows[0]) if rows else 1
+
+
+def _walk_pair(row1: list, row2: list, long: tuple, s1: int, s2: int, t1: int, t2: int):
+    """The first pair of stored states that walks along ``row1`` from
+    ``s1`` and ``row2`` from ``s2`` reach together, and the letters walked;
+    ``t1``, ``t2`` are the stored arcs at ``s1``, ``s2``, and one of them is
+    long.  None when one walk runs out first.
+
+    Each walk is a partial injection, so the product walk either runs out
+    or comes back to ``(s1, s2)``, a pair of stored states: it ends.  It
+    steps once per stored state either walk passes, so two cycles of
+    lengths p and q meet in p + q steps."""
+    lengths1, lengths2 = long[0], long[1]
+    l1 = 1 if t1 >= 0 else lengths1[s1]
+    l2 = 1 if t2 >= 0 else lengths2[s2]
+    t1 = t1 if t1 >= 0 else -2 - t1
+    t2 = t2 if t2 >= 0 else -2 - t2
+    walked = 0
+    while l1 != l2:
+        if l1 < l2:  # the first walk stands on t1, the second is inside its arc
+            walked += l1
+            l2 -= l1
+            t = row1[t1]
+            if t == -1:
+                return None
+            l1 = 1 if t >= 0 else lengths1[t1]
+            t1 = t if t >= 0 else -2 - t
+        else:
+            walked += l2
+            l1 -= l2
+            t = row2[t2]
+            if t == -1:
+                return None
+            l2 = 1 if t >= 0 else lengths2[t2]
+            t2 = t if t >= 0 else -2 - t
+    return t1, t2, walked + l1
+
+
 def _search(rows: list, n: int) -> list[int]:
     """States reached from the base 0 in canonical order: breadth-first,
-    along the rows in their order."""
+    along per-letter rows in their order."""
     seen = [False] * n
     seen[0] = True
     order = [0]
@@ -267,40 +387,104 @@ def _search(rows: list, n: int) -> list[int]:
     return order
 
 
-def _trim(rows: list, n: int) -> list[int]:
-    """Cut the trees that hang off the core in place, and return the states
-    kept, in order: a non-base state of degree at most one goes, with the
-    arcs into it, until none is left."""
+def _trim(rows: list, lengths: list, n: int) -> list[int]:
+    """Cut the trees that hang off the core in place, and return each
+    state's degree, -1 for a state cut: a non-base state of degree at most
+    one goes, with the arcs into it, until none is left."""
     degree = [len(arcs) - arcs.count(-1) for arcs in zip(*rows)] if rows else [0] * n
     trim = [s for s in range(1, n) if degree[s] <= 1]
-    ends = [(row, rows[r ^ 1]) for r, row in enumerate(rows)]
+    ends = [(row, rows[r ^ 1], lengths[r ^ 1]) for r, row in enumerate(rows)]
     for s in trim:  # grows as trimming exposes new leaves
         degree[s] = -1
-        for row, back in ends:
+        for row, back, back_lengths in ends:
             t = row[s]
+            if t < -1:  # a long arc: its reverse has a length too
+                t = -2 - t
+                del back_lengths[t]
             if t >= 0:
                 back[t] = -1
                 degree[t] -= 1
                 if t and degree[t] == 1:
                     trim.append(t)
-    return [s for s in range(n) if degree[s] >= 0]
+    return degree
 
 
-def _number(rows: list, n: int, order: list[int]) -> list:
-    """The rows with state ``order[j]`` renamed ``j``.  States left out of
-    ``order`` are dropped; no kept state may have an arc to one of them."""
+def _number(rows: list, n: int, order: list[int]) -> tuple[list, list]:
+    """The renaming of state ``order[j]`` to ``j``, as a list that also
+    maps -1 to -1, and the rows renamed by it.  States left out of
+    ``order`` are dropped; no kept state may have an arc to one of them.
+    A long arc's entry comes out wrong, and is the caller's to rewrite."""
     number = [-1] * (n + 1)  # number[-1] stays -1 for a missing arc
     for new, s in enumerate(order):
         number[s] = new
-    return [[number[row[s]] for s in order] for row in rows]
+    return number, [[number[row[s]] for s in order] for row in rows]
 
 
-def _checked(alphabet: tuple[str, ...], ids, arcs: list, error) -> list:
-    """The rows of ``arcs``, each ``(u, g, v, line)`` between states
+def _interiors(rows: list, n: int, degree: list[int]) -> list[tuple[int, int]]:
+    """The chain interiors, each with the row its arcs leave along: the
+    non-base states whose two arcs are a leaving and an entering one of one
+    letter.  That is all there is to check: a non-base state whose two arcs
+    are one loop is not connected to the base."""
+    found = []
+    for s in [s for s in range(1, n) if degree[s] == 2]:
+        for r in range(0, len(rows), 2):
+            if rows[r][s] != -1:
+                break
+        if rows[r][s] != -1 and rows[r + 1][s] != -1:
+            found.append((s, r))
+    return found
+
+
+def _stored(rows: list, lengths: list, n: int, order: list[int], interiors: list) -> tuple:
+    """The stored shape of the automaton on ``rows`` and ``lengths`` over
+    states ``0 .. n - 1``: the states of ``order`` but the chain
+    ``interiors``, each given with a row of its letter, renamed in that
+    order, and each chain one arc.  Returns the rows, the lengths and the
+    number of states."""
+    inner = [False] * n
+    for s, _ in interiors:
+        inner[s] = True
+    chains = []
+    for c, r in interiors:
+        r &= -2  # the row its arcs leave along
+        p = rows[r + 1][c]
+        if p < -1:
+            p = -2 - p
+        if inner[p]:  # not the first interior of its chain
+            continue
+        row, arcs = rows[r], lengths[r]
+        length, t = arcs.get(p, 1), c
+        while inner[t]:
+            length += arcs.get(t, 1)
+            t = row[t]
+            if t < -1:
+                t = -2 - t
+        chains.append((r, p, t, length))
+    if chains:
+        order = list(filterfalse(inner.__getitem__, order))
+    number, renamed = _number(rows, n, order)
+    kept = [{} for _ in rows]
+    for r, arcs in enumerate(lengths):
+        for s, length in arcs.items():
+            i = number[s]
+            if i >= 0:
+                renamed[r][i] = -2 - number[-2 - rows[r][s]]  # -1 into an interior, rewritten below
+                kept[r][i] = length
+    for r, p, t, length in chains:
+        i, j = number[p], number[t]
+        renamed[r][i] = -2 - j
+        renamed[r + 1][j] = -2 - i
+        kept[r][i] = kept[r + 1][j] = length
+    states = len(order) + sum(length - 1 for arcs in kept[::2] for length in arcs.values())
+    return renamed, kept, states
+
+
+def _checked(alphabet: tuple[str, ...], ids, arcs: list, error) -> tuple:
+    """The stored shape of ``arcs``, each ``(u, g, v, line)`` between states
     ``0 .. len(ids) - 1`` over the sorted ``alphabet``, with the states
-    numbered canonically.  Raises ``error(message, line)`` unless the arcs
-    are folded, connected to the base 0 and core; the message names state
-    ``s`` by ``ids[s]``."""
+    numbered canonically, as ``_stored`` returns it.  Raises
+    ``error(message, line)`` unless the arcs are folded, connected to the
+    base 0 and core; the message names state ``s`` by ``ids[s]``."""
     n = len(ids)
     index = {g: 2 * i for i, g in enumerate(alphabet)}
     rows = [[-1] * n for _ in range(2 * len(alphabet))]
@@ -314,11 +498,12 @@ def _checked(alphabet: tuple[str, ...], ids, arcs: list, error) -> list:
     if len(order) < n:
         lost = sorted(ids[s] for s in set(range(n)).difference(order))
         raise error(f"states {lost} are not connected to the base", None)
-    kept = _trim(rows, n)
-    if len(kept) < n:
-        gone = sorted(ids[s] for s in set(range(n)).difference(kept))
+    lengths = [{} for _ in rows]
+    degree = _trim(rows, lengths, n)
+    if -1 in degree:
+        gone = sorted(ids[s] for s in range(n) if degree[s] < 0)
         raise error(f"states {gone} hang off the core in trees (not a core automaton)", None)
-    return _number(rows, n, order)
+    return _stored(rows, lengths, n, order, _interiors(rows, n, degree))
 
 
 def _walk(row: list, walked: dict, s: int, k: int) -> tuple[int, int]:
@@ -365,6 +550,12 @@ def from_generators(ws: Iterable[Word], alphabet: Iterable[str]) -> StallingsGra
     unread middle is spelled out letter by letter, so the 2m+1 conjugates
     ``a^-k b a^k`` take O(m) steps, not O(m^2).
 
+    A fresh state between two letters of one row is a run.  It has one
+    arc in and one out of one letter, and only a run can be a chain
+    interior: a state's arcs only add up until the end.  A run left with
+    exactly its two arcs is one, and ``_stored`` contracts the chains while
+    it numbers the states.
+
     Words may be unreduced or trivial; the trivial subgroup comes out as a
     single base state with no transitions.
     """
@@ -376,6 +567,7 @@ def from_generators(ws: Iterable[Word], alphabet: Iterable[str]) -> StallingsGra
     # the first arc with a label at a state is the one words are read along;
     # a later one with the same label asks for its other end to be merged
     merges = []
+    runs = []
     for w in _instance(ws, Iterable):
         # the reduced syllables as (row, letters)
         reduced = _free_reduced(_instance(w, Word).syllables, index)
@@ -438,6 +630,8 @@ def from_generators(ws: Iterable[Word], alphabet: Iterable[str]) -> StallingsGra
             pad = [-1] * fresh
             for row in rows:
                 row += pad
+            # the runs, fresh states between two letters of one row, with that row
+            runs += compress(zip(range(n, n + fresh), middle), map(eq, middle, middle[1:]))
         state = head
         for r, t in zip(middle, [*range(n, n + fresh), tail]):
             row = rows[r]
@@ -491,7 +685,12 @@ def from_generators(ws: Iterable[Word], alphabet: Iterable[str]) -> StallingsGra
     # nothing to trim: a fresh state lies on its word's reduced loop at the base,
     # so it keeps two distinct arcs, and a state merged away has none to search
     order = _search(rows, n)
-    return StallingsGraph._trusted(alpha, len(order), _number(rows, n, order))
+    # the runs that kept exactly their two arcs; the arcs at the runs are
+    # read off the rows a row at a time
+    at_runs = zip(*[map(row.__getitem__, map(itemgetter(0), runs)) for row in rows])
+    kept_two = map(eq, map(tuple.count, at_runs, repeat(-1)), repeat(len(rows) - 2))
+    interiors = list(compress(runs, kept_two))
+    return StallingsGraph._trusted(alpha, *_stored(rows, [{} for _ in rows], n, order, interiors))
 
 
 def format_stallings(sg: StallingsGraph) -> str:
@@ -549,4 +748,4 @@ def parse_stallings(text: str) -> StallingsGraph:
 
     alphabet = tuple(sorted(set(declared).union(g for _, g, _, _ in arcs)))
     ids = list(index)
-    return StallingsGraph._trusted(alphabet, len(ids), _checked(alphabet, ids, arcs, ParseError))
+    return StallingsGraph._trusted(alphabet, *_checked(alphabet, ids, arcs, ParseError))

@@ -107,6 +107,13 @@ def bouquet_automaton(generator_words, alphabet):
     an end, then non-base states of degree one are stripped until none is
     left.  States are numbered breadth-first from the base, generators in
     alphabet order, the forward transition before the backward one.
+
+    The fold is a worklist over an index of each state's edges by label,
+    one index for the edges leaving and one for those entering: an edge
+    whose label is already held at its end queues the two far ends to be
+    identified, and identifying two states moves the larger one's edges to
+    the smaller one's index.  No edge is looked at again but when one of
+    its ends is identified.
     """
     edges = set()
     fresh = itertools.count(1)
@@ -118,20 +125,33 @@ def bouquet_automaton(generator_words, alphabet):
         for (gen, sign), u, v in zip(t, path, path[1:]):
             edges.add((u, gen, v) if sign > 0 else (v, gen, u))
 
-    def clash():
-        for e, f in itertools.combinations(edges, 2):
-            if e[1] == f[1]:
-                if e[0] == f[0] and e[2] != f[2]:
-                    return e[2], f[2]
-                if e[2] == f[2] and e[0] != f[0]:
-                    return e[0], f[0]
-        return None
+    parent = {}
 
-    while (pair := clash()) is not None:
-        keep, drop = min(pair), max(pair)
-        edges = {
-            (keep if u == drop else u, g, keep if v == drop else v) for u, g, v in edges
-        }
+    def find(s):
+        while s in parent:
+            s = parent[s]
+        return s
+
+    leaving, entering = {}, {}  # state -> {label: state at the edge's other end}
+    queue = []
+
+    def index(by_state, s, g, t):
+        held = by_state.setdefault(s, {}).setdefault(g, t)
+        if find(held) != find(t):
+            queue.append((held, t))
+
+    for u, g, v in edges:
+        index(leaving, u, g, v)
+        index(entering, v, g, u)
+    while queue:
+        x, y = (find(s) for s in queue.pop())
+        if x != y:
+            keep, drop = min(x, y), max(x, y)
+            parent[drop] = keep
+            for by_state in (leaving, entering):
+                for g, t in by_state.pop(drop, {}).items():
+                    index(by_state, keep, g, t)
+    edges = {(find(u), g, find(v)) for u, labels in leaving.items() for g, v in labels.items()}
 
     return _core_text(edges, 0, alphabet)
 

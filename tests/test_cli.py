@@ -256,6 +256,17 @@ class TestIntersectFree:
         monkeypatch.setattr(stallings, "format_stallings", refuse)
         assert invoke(*argv, "--dot", str(tmp_path / "meet.dot"))[0] == 0
 
+    def test_coprime_powers_meet_without_their_product_states(self, tmp_path):
+        # <a^99991> ∩ <a^99989> has 99991 * 99989 states, one long loop at
+        # the base: the product walks the two loops' p + q arcs, not the states
+        h = tmp_path / "h.words"
+        k = tmp_path / "k.words"
+        h.write_text("a^99991\n")
+        k.write_text("a^99989\n")
+        code, out, err = invoke("intersect-free", "--alphabet", "a", str(h), str(k))
+        assert (code, err) == (0, "")
+        assert out == '{"rank": 1, "states": 9998000099, "edges": 9998000099}\n'
+
     def test_bad_word_file_line_numbered(self, tmp_path):
         h = tmp_path / "h.words"
         h.write_text("a b\n\na^x\n")

@@ -4,8 +4,10 @@ Each example calls one callable in ``pcgroups.__all__`` with as many
 positional arguments as it takes, each drawn from a small pool of odd and
 ordinary values.  The pool holds no object of the caller's own whose
 ``__hash__`` or ``__iter__`` raises: such an exception is the caller's, not
-the package's.  Its automata are small, because the product of
-``<a^p>`` and ``<a^q>`` has p·q states however short the words are."""
+the package's.  Its automata are small, because building one costs a step
+per letter of its generators, and ``==``, ``hash`` and the text and DOT
+forms spell out one state per letter: the product of ``<a^p>`` and
+``<a^q>`` is one long loop, but it has p·q states to write or compare."""
 
 import inspect
 import time

@@ -167,6 +167,83 @@ LONG_SYLLABLE_FAMILIES = {
 }
 
 
+def signed(rng, k):
+    return rng.choice((k, -k))
+
+
+def coprime_and_not(rng):
+    """<a^p, b> and <a^q, b>, p, q <= 15: a long loop at each base, meeting in
+    an a-loop of lcm(p, q) letters; half the pairs share a factor."""
+    g = rng.choice((1, 2, 3)) if rng.random() < 0.5 else 1
+    p, q = g * rng.randrange(1, 16 // g), g * rng.randrange(1, 16 // g)
+    return AB, [syllables(("a", p)), w("b")], [syllables(("a", q)), w("b")]
+
+
+def chain_passes_branch(rng):
+    """<a^p, b> and <a^q, a^r b a^-r>: the walk along the first one's long
+    loop passes the second one's branch state a^r on the way."""
+    p, q = rng.randrange(2, 16), rng.randrange(3, 16)
+    r = rng.randrange(1, q)
+    return AB, [syllables(("a", signed(rng, p))), w("b")], [
+        syllables(("a", q)), syllables(("a", r), ("b", signed(rng, 1)), ("a", -r))]
+
+
+def chain_dies(rng):
+    """Words a^p b^i a^j against a^q b^k a^l: walks along the long arcs
+    mostly run out inside the other automaton, and the product keeps
+    trees of long arcs that trimming cuts."""
+    def word():
+        return syllables(("a", signed(rng, rng.randrange(2, 10))), ("b", signed(rng, rng.randrange(1, 3))),
+                         ("a", signed(rng, rng.randrange(1, 10))))
+    return AB, [word() for _ in range(rng.randrange(1, 3))] + [syllables(("b", 2))], [
+        word() for _ in range(rng.randrange(1, 3))] + [syllables(("b", signed(rng, 2)))]
+
+
+def negative_powers(rng):
+    """Conjugates and powers with negative exponents, so that long arcs
+    are also walked backward, from both operands."""
+    def word():
+        return syllables(("b", signed(rng, 1)), ("a", -rng.randrange(2, 12)), ("b", signed(rng, 1)))
+    return AB, [syllables(("a", -rng.randrange(2, 12))), word()], [
+        syllables(("a", -rng.randrange(2, 12))), word(), syllables(("b", -rng.randrange(2, 6)))]
+
+
+def three_letters(rng):
+    """Long powers of a, b and c, and words of two syllables over them."""
+    abc = ("a", "b", "c")
+
+    def word():
+        x, y = rng.sample(abc, 2)
+        return syllables((x, signed(rng, rng.randrange(1, 9))), (y, signed(rng, rng.randrange(1, 4))))
+    return abc, [syllables(("a", rng.randrange(2, 10))), syllables(("b", rng.randrange(2, 7))), word(), word()], [
+        syllables(("c", rng.randrange(2, 10))), syllables(("b", rng.randrange(2, 7))), word(), word()]
+
+
+# Pairs of subgroups whose automata have long arcs, for the product walk.
+LONG_ARC_FAMILIES = {
+    "coprime-and-not": coprime_and_not,
+    "chain-passes-branch": chain_passes_branch,
+    "chain-dies": chain_dies,
+    "negative-powers": negative_powers,
+    "three-letters": three_letters,
+}
+
+
+def traces(text, word):
+    """Does the free reduction of ``word`` trace a closed path at the base
+    of the automaton written as ``text``, a letter at a time?"""
+    arcs = {}
+    for u, g, v in (line.split() for line in text.splitlines()[1:]):
+        arcs[(u, g, 1)] = v
+        arcs[(v, g, -1)] = u
+    state = "0"
+    for letter in free_reduce(letters_of(word)):
+        state = arcs.get((state, *letter))
+        if state is None:
+            return False
+    return state == "0"
+
+
 def random_subgroup(rng, max_gens=3, max_len=5):
     gens = []
     for _ in range(rng.randrange(1, max_gens + 1)):
@@ -462,6 +539,59 @@ class TestIntersect:
             assert len(transition_map(meet)) == meet.num_edges
             assert meet.rank() == meet.num_edges - meet.num_states + 1
         assert trimmed >= 100
+
+    @pytest.mark.parametrize("family", sorted(LONG_ARC_FAMILIES))
+    def test_long_arcs_match_product_oracle(self, family):
+        rng = random.Random(f"long-arcs/{family}")
+        long_meets = trimmed = 0
+        for _ in range(30):
+            alphabet, gens1, gens2 = LONG_ARC_FAMILIES[family](rng)
+            sg1, sg2 = from_generators(gens1, alphabet), from_generators(gens2, alphabet)
+            meet = sg1.intersect(sg2)
+            text1 = bouquet_automaton(map(letters_of, gens1), alphabet)
+            text2 = bouquet_automaton(map(letters_of, gens2), alphabet)
+            expected = intersection_automaton(text1, text2, alphabet)
+            assert format_stallings(meet) == expected, (gens1, gens2)
+            assert parse_stallings(format_stallings(meet)) == meet
+            long_meets += any(meet._lengths)
+            trimmed += product_size(sg1, sg2) > meet.num_states
+            candidates = gens1 + gens2 + [u * v for u in gens1 for v in gens2]
+            candidates += [Word(random_reduced_word(rng, alphabet, 12)) for _ in range(10)]
+            for g in gens1 + gens2:
+                candidates += [g ** k for k in range(2, 6)]
+            for word in candidates:
+                in1, in2 = traces(text1, word), traces(text2, word)
+                assert (sg1.member(word), sg2.member(word)) == (in1, in2), word
+                assert meet.member(word) == traces(expected, word) == (in1 and in2), word
+        assert long_meets >= 20
+        if family == "chain-dies":
+            assert trimmed >= 20
+
+    def test_long_powers_meet_in_branch_steps(self):
+        # <a^p, b> ∩ <a^q, b> has pq states: one long a-loop and a b-loop at
+        # the base.  The product walks the p + q arcs of the two loops, so ten
+        # times p and q cost about ten times as much, not a hundred.  Best of
+        # three each, the two sizes timed in turn with the collector paused,
+        # as the host's speed drifts.
+        pairs = {}
+        for p, q in ((1009, 1013), (10007, 10009)):
+            sg1 = from_generators([w(f"a^{p}"), w("b")], AB)
+            sg2 = from_generators([w(f"a^{q}"), w("b")], AB)
+            pairs[p, q] = sg1, sg2, []
+        gc.disable()
+        try:
+            for _ in range(3):
+                for (p, q), (sg1, sg2, times) in pairs.items():
+                    start = time.perf_counter()
+                    meet = sg1.intersect(sg2)
+                    times.append(time.perf_counter() - start)
+                    assert (meet.rank(), meet.num_states, meet.num_edges) == (2, p * q, p * q + 1)
+                    # p + q steps, not 10^6 states: stop before the larger pair
+                    assert min(pairs[1009, 1013][2]) < 0.25
+        finally:
+            gc.enable()
+        ratio = min(pairs[10007, 10009][2]) / min(pairs[1009, 1013][2])
+        assert ratio < 20, ratio
 
     def test_alphabet_mismatch(self):
         sg1 = from_generators([w("a")], AB)

@@ -105,15 +105,32 @@ def test_constructor_canonicalises_any_numbering(sg, data):
 
 @given(subgroup_pairs())
 def test_row_r_xor_1_reads_row_r_backwards(case):
-    # the arcs read off the rows, (row, source, target), are closed under
-    # reading them backwards: rows[r][s] == t >= 0 exactly when rows[r ^ 1][t] == s
+    # the stored arcs, (row, source, target, length), are closed under
+    # reading them backwards: a long arc's reverse has the same length.  The
+    # stored states are the base and the branch states, and a length is
+    # stored for exactly the long arcs.  The derived per-letter rows are
+    # closed the same way: rows[r][s] == t >= 0 exactly when rows[r ^ 1][t] == s
     alphabet, gens1, gens2 = case
     sg1, sg2 = from_generators(gens1, alphabet), from_generators(gens2, alphabet)
     built = StallingsGraph(alphabet, sg2.num_states, {(u, g): v for u, g, v in sg2.edges()})
     for sg in (sg1, sg1.intersect(sg2), parse_stallings(format_stallings(sg1)), built):
-        assert len(sg._rows) == 2 * len(sg.alphabet)
-        assert all(len(row) == sg.num_states for row in sg._rows)
-        arcs = {(r, s, t) for r, row in enumerate(sg._rows) for s, t in enumerate(row) if t >= 0}
+        assert len(sg._rows) == len(sg._lengths) == 2 * len(sg.alphabet)
+        stored = len(sg._rows[0]) if sg._rows else 1
+        assert all(len(row) == stored for row in sg._rows)
+        arcs = {(r, s, t, 1) if t >= 0 else (r, s, -2 - t, sg._lengths[r][s])
+                for r, row in enumerate(sg._rows) for s, t in enumerate(row) if t != -1}
+        assert arcs == {(r ^ 1, t, s, length) for r, s, t, length in arcs}
+        assert {(r, s) for r, s, _, length in arcs if length > 1} == {
+            (r, s) for r, lengths in enumerate(sg._lengths) for s in lengths}
+        for s, row_arcs in enumerate(zip(*sg._rows)):
+            held = [(r, t) for r, t in enumerate(row_arcs) if t != -1]
+            interior = len(held) == 2 and held[0][0] + 1 == held[1][0] and held[0][0] % 2 == 0
+            assert s == 0 or not interior
+        assert stored + sum(length - 1 for r, _, _, length in arcs if r % 2 == 0) == sg.num_states
+        rows = sg._expanded()
+        assert len(rows) == 2 * len(sg.alphabet)
+        assert all(len(row) == sg.num_states for row in rows)
+        arcs = {(r, s, t) for r, row in enumerate(rows) for s, t in enumerate(row) if t >= 0}
         assert arcs == {(r ^ 1, t, s) for r, s, t in arcs}
 
 
