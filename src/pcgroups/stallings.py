@@ -37,17 +37,16 @@ and check them in ``_checked``: folded as written, connected, and core, in
 the caller's own state ids; then they contract the chains in the same pass.
 
 Every automaton is canonical, whichever way it was built: the alphabet is
-sorted, and states are numbered breadth-first from the base along the
-per-letter rows in their own order: generators in order, forward before
-backward.  The constructor canonicalises what it is given as
-``parse_stallings`` does.  A core automaton is unique up to isomorphism of
-based graphs (Kapovich & Myasnikov 2002), so two automata compare equal
-exactly when they represent the same subgroup over the same alphabet, and
-isomorphism checks in tests are plain ``==``.  The per-letter rows are
-derived only where they are read (``_expanded``: ``edges``, the text and
-DOT forms, ``==``, ``hash`` and ``repr``), and renumbered breadth-first
-there.  An automaton with no long arc stores its branch states in that
-canonical order, so its rows are its own per-letter rows.
+sorted, and the stored states are numbered breadth-first from the base
+along the stored rows in their order (generators in order, forward before
+backward), a long arc taken as one step.  Without a long arc that is the
+order of the per-letter rows.  A core automaton is unique up to
+isomorphism of based graphs (Kapovich & Myasnikov 2002), and so is its
+stored shape, so two automata compare equal exactly when they represent
+the same subgroup over the same alphabet: ``==`` and ``hash`` read the
+stored rows, and isomorphism checks in tests are plain ``==``.  The
+per-letter rows are derived only for ``edges`` and the text and DOT forms
+(``_expanded``), and renumbered breadth-first there.
 
 ``intersect`` searches the product automaton based at the pair of bases in
 exactly that order, keying each pair of stored states by one int, and
@@ -56,11 +55,9 @@ unit product arc, in one step.  Where either arc is long, the two walks go
 on along the row from stored state to stored state until both stand on one
 at once (folding with arcs labelled by group elements, Kapovich, Weidmann &
 Miasnikov 2005), so ``<a^p> ∩ <a^q>`` takes p + q steps, not lcm(p, q); a
-walk that runs out first leads into a tree, and no arc is written.  A tree
-that hangs off the core is entered only through its root, so it never
-precedes that root and never discovers a core state: when the product has
-no long arc, the search's numbering, restricted to the core, is already
-canonical, and trimming the trees only closes the gaps they leave.
+walk that runs out first leads into a tree, and no arc is written.  When
+no tree is cut and no chain is left, the search's numbering is the
+canonical one; otherwise ``_stored`` numbers the core again.
 
 Text serialization: the base state (always 0) followed by the alphabet on
 the first line, then one line ``state_from generator state_to`` per
@@ -69,8 +66,8 @@ positively-labeled transition, one state per letter.
 
 from __future__ import annotations
 
-from itertools import compress, filterfalse, repeat
-from operator import eq, itemgetter
+from itertools import compress, repeat
+from operator import eq, itemgetter, sub
 from typing import Iterable, Optional
 
 from .errors import InputError, ParseError, _instance
@@ -92,8 +89,8 @@ class StallingsGraph:
     ``alphabet[i]`` at stored state ``s`` and ``_rows[2i + 1][s]`` the
     source of the one entering ``s``, or -1.  A long arc to ``t`` is stored
     as ``-2 - t`` and its length in ``_lengths[r][s]``.  The stored states
-    are the base 0 and the branch states; ``num_states`` also counts the
-    chain interiors.
+    are the base 0 and the branch states, numbered breadth-first along the
+    stored rows; ``num_states`` also counts the chain interiors.
 
     The constructor sorts the alphabet and numbers the states canonically,
     so the automaton equals any other of the same subgroup.  It raises
@@ -105,7 +102,7 @@ class StallingsGraph:
     every non-base state has degree at least two (a core automaton).
     """
 
-    __slots__ = ("alphabet", "num_states", "_rows", "_lengths")
+    __slots__ = ("alphabet", "_rows", "_lengths")
 
     base = 0
 
@@ -138,25 +135,29 @@ class StallingsGraph:
             raise InputError(f"{num_states} states are not connected to the base by "
                              f"{len(arcs)} transitions; that needs at least {num_states - 1}")
         self.alphabet = alphabet
-        self._rows, self._lengths, self.num_states = _checked(
+        self._rows, self._lengths = _checked(
             alphabet, range(num_states), arcs, lambda message, _: InputError(message))
 
     @classmethod
-    def _trusted(cls, alphabet: tuple[str, ...], rows: list, lengths: list,
-                 num_states: int) -> "StallingsGraph":
+    def _trusted(cls, alphabet: tuple[str, ...], rows: list, lengths: list) -> "StallingsGraph":
         """Wrap the stored shape of a folded core automaton that the library
         built, unchecked and uncopied."""
         sg = object.__new__(cls)
         sg.alphabet = alphabet
         sg._rows = rows
         sg._lengths = lengths
-        sg.num_states = num_states
         return sg
 
     @property
+    def num_states(self) -> int:
+        return _stored_count(self._rows) + sum(
+            length - 1 for lengths in self._lengths[::2] for length in lengths.values())
+
+    @property
     def num_edges(self) -> int:
-        return (sum(len(row) - row.count(-1) for row in self._rows[::2])
-                + sum(length - 1 for lengths in self._lengths[::2] for length in lengths.values()))
+        # each chain interior adds one arc as it adds one state
+        return (self.num_states - _stored_count(self._rows)
+                + sum(len(row) - row.count(-1) for row in self._rows[::2]))
 
     def edges(self) -> list[tuple[int, str, int]]:
         """Every arc, one per letter, as ``(source, generator, target)``, in
@@ -184,7 +185,7 @@ class StallingsGraph:
                 for u, v in zip(path, path[1:]):
                     row[u] = v
                     back[v] = u
-        return _number(rows, fresh, _search(rows, fresh))[1]
+        return _number(rows, fresh)[1]
 
     def member(self, w: Word) -> bool:
         """Does the free reduction of ``w`` trace a closed path at the base?
@@ -234,16 +235,11 @@ class StallingsGraph:
         product arc is long; if one walk runs out first, the product walks
         into a tree and gets no arc.
 
-        The core drops the trees hanging off it.  Such a tree meets the rest
-        only in its root, a core state, so the search enters it only through
-        that root: every tree state is numbered after its root, and no tree
-        state is the first to reach a core state.  Core states are therefore
-        reached by core states alone, in the order a search of the core alone
-        would reach them.  With unit arcs only, the product numbering
-        restricted to the core is canonical, and trimming the trees leaf by
-        leaf then only closes up the survivors' numbers in order.  The
-        product's own chains, pairs of branch states left with two arcs of
-        one letter, are contracted in the same renaming (``_stored``).
+        The search is the canonical one, a long arc one step.  So when
+        trimming (``_trim``) cuts no tree and no pair of stored states is
+        left a chain interior, with two arcs of one letter, the rows are
+        stored as they are.  Otherwise ``_stored`` contracts the chains and
+        numbers the core again.
         """
         if self.alphabet != _instance(other, StallingsGraph).alphabet:
             raise InputError("cannot intersect subgroups over different alphabets")
@@ -284,10 +280,8 @@ class StallingsGraph:
         degree = _trim(rows, lengths, n)
         interiors = _interiors(rows, n, degree) if 2 in degree else []
         if interiors or -1 in degree:  # chains to contract, or trees cut
-            kept = [s for s in range(n) if degree[s] >= 0]
-            return StallingsGraph._trusted(self.alphabet, *_stored(rows, lengths, n, kept, interiors))
-        states = n + sum(length - 1 for arcs in lengths[::2] for length in arcs.values())
-        return StallingsGraph._trusted(self.alphabet, rows, lengths, states)
+            return StallingsGraph._trusted(self.alphabet, *_stored(rows, lengths, n, interiors))
+        return StallingsGraph._trusted(self.alphabet, rows, lengths)
 
     def to_dot(self) -> str:
         """Plain DOT text; the base state is drawn as a double circle.  A
@@ -304,19 +298,15 @@ class StallingsGraph:
     def __eq__(self, other) -> bool:
         if not isinstance(other, StallingsGraph):
             return NotImplemented
-        return (
-            self.alphabet == other.alphabet
-            and self.num_states == other.num_states
-            and self._expanded() == other._expanded()
-        )
+        return (self.alphabet, self._rows, self._lengths) == (other.alphabet, other._rows, other._lengths)
 
     def __hash__(self) -> int:
-        return hash((self.alphabet, self.num_states, tuple(map(tuple, self._expanded()))))
+        return hash((self.alphabet, tuple(map(tuple, self._rows))))
 
     def __repr__(self) -> str:
         return (
             f"StallingsGraph(alphabet={self.alphabet!r}, states={self.num_states}, "
-            f"edges={self.edges()!r})"
+            f"edges={self.num_edges})"
         )
 
 
@@ -374,14 +364,18 @@ def _walk_pair(row1: list, row2: list, long: tuple, s1: int, s2: int, t1: int, t
 
 def _search(rows: list, n: int) -> list[int]:
     """States reached from the base 0 in canonical order: breadth-first,
-    along per-letter rows in their order."""
+    along the rows in their order, a long arc one step."""
     seen = [False] * n
     seen[0] = True
     order = [0]
     for s in order:  # grows while it is walked
         for row in rows:
             t = row[s]
-            if t >= 0 and not seen[t]:
+            if t < 0:
+                if t == -1:
+                    continue
+                t = -2 - t
+            if not seen[t]:
                 seen[t] = True
                 order.append(t)
     return order
@@ -409,14 +403,16 @@ def _trim(rows: list, lengths: list, n: int) -> list[int]:
     return degree
 
 
-def _number(rows: list, n: int, order: list[int]) -> tuple[list, list]:
-    """The renaming of state ``order[j]`` to ``j``, as a list that also
-    maps -1 to -1, and the rows renamed by it.  States left out of
-    ``order`` are dropped; no kept state may have an arc to one of them.
-    A long arc's entry comes out wrong, and is the caller's to rewrite."""
+def _number(rows: list, n: int) -> tuple[list, list]:
+    """The canonical renaming of the states reached from the base, -1 for
+    the others, and the rows renamed by it.  The renaming is a list that
+    also maps a missing arc, -1, to -1 and a long arc ``-2 - s`` to
+    ``-2 - number[s]``, so it renames every entry of a row."""
+    order = _search(rows, n)
     number = [-1] * (n + 1)  # number[-1] stays -1 for a missing arc
     for new, s in enumerate(order):
         number[s] = new
+    number[n:n] = map(sub, repeat(-2), reversed(number[:n]))  # number[-2 - s]
     return number, [[number[row[s]] for s in order] for row in rows]
 
 
@@ -435,16 +431,15 @@ def _interiors(rows: list, n: int, degree: list[int]) -> list[tuple[int, int]]:
     return found
 
 
-def _stored(rows: list, lengths: list, n: int, order: list[int], interiors: list) -> tuple:
-    """The stored shape of the automaton on ``rows`` and ``lengths`` over
-    states ``0 .. n - 1``: the states of ``order`` but the chain
-    ``interiors``, each given with a row of its letter, renamed in that
-    order, and each chain one arc.  Returns the rows, the lengths and the
-    number of states."""
+def _stored(rows: list, lengths: list, n: int, interiors: list) -> tuple:
+    """The stored shape, rows and lengths, of the automaton on ``rows`` and
+    ``lengths`` over states ``0 .. n - 1``, given its chain ``interiors``,
+    each with a row of its letter.  Each chain is written in place as one
+    arc, which leaves its interiors unreached, and the states reached from
+    the base are numbered canonically."""
     inner = [False] * n
     for s, _ in interiors:
         inner[s] = True
-    chains = []
     for c, r in interiors:
         r &= -2  # the row its arcs leave along
         p = rows[r + 1][c]
@@ -459,32 +454,21 @@ def _stored(rows: list, lengths: list, n: int, order: list[int], interiors: list
             t = row[t]
             if t < -1:
                 t = -2 - t
-        chains.append((r, p, t, length))
-    if chains:
-        order = list(filterfalse(inner.__getitem__, order))
-    number, renamed = _number(rows, n, order)
-    kept = [{} for _ in rows]
-    for r, arcs in enumerate(lengths):
-        for s, length in arcs.items():
-            i = number[s]
-            if i >= 0:
-                renamed[r][i] = -2 - number[-2 - rows[r][s]]  # -1 into an interior, rewritten below
-                kept[r][i] = length
-    for r, p, t, length in chains:
-        i, j = number[p], number[t]
-        renamed[r][i] = -2 - j
-        renamed[r + 1][j] = -2 - i
-        kept[r][i] = kept[r + 1][j] = length
-    states = len(order) + sum(length - 1 for arcs in kept[::2] for length in arcs.values())
-    return renamed, kept, states
+        row[p] = -2 - t
+        rows[r + 1][t] = -2 - p
+        arcs[p] = lengths[r + 1][t] = length
+    number, renamed = _number(rows, n)
+    # a length moves with its arc's source; most rows hold no long arc
+    return renamed, [{number[s]: length for s, length in arcs.items() if number[s] >= 0} if arcs else {}
+                     for arcs in lengths]
 
 
 def _checked(alphabet: tuple[str, ...], ids, arcs: list, error) -> tuple:
     """The stored shape of ``arcs``, each ``(u, g, v, line)`` between states
-    ``0 .. len(ids) - 1`` over the sorted ``alphabet``, with the states
-    numbered canonically, as ``_stored`` returns it.  Raises
-    ``error(message, line)`` unless the arcs are folded, connected to the
-    base 0 and core; the message names state ``s`` by ``ids[s]``."""
+    ``0 .. len(ids) - 1`` over the sorted ``alphabet``, as ``_stored``
+    returns it.  Raises ``error(message, line)`` unless the arcs are
+    folded, connected to the base 0 and core; the message names state
+    ``s`` by ``ids[s]``."""
     n = len(ids)
     index = {g: 2 * i for i, g in enumerate(alphabet)}
     rows = [[-1] * n for _ in range(2 * len(alphabet))]
@@ -503,7 +487,7 @@ def _checked(alphabet: tuple[str, ...], ids, arcs: list, error) -> tuple:
     if -1 in degree:
         gone = sorted(ids[s] for s in range(n) if degree[s] < 0)
         raise error(f"states {gone} hang off the core in trees (not a core automaton)", None)
-    return _stored(rows, lengths, n, order, _interiors(rows, n, degree))
+    return _stored(rows, lengths, n, _interiors(rows, n, degree))
 
 
 def _walk(row: list, walked: dict, s: int, k: int) -> tuple[int, int]:
@@ -683,14 +667,13 @@ def from_generators(ws: Iterable[Word], alphabet: Iterable[str]) -> StallingsGra
         row[:] = [root[t] for t in row]
 
     # nothing to trim: a fresh state lies on its word's reduced loop at the base,
-    # so it keeps two distinct arcs, and a state merged away has none to search
-    order = _search(rows, n)
-    # the runs that kept exactly their two arcs; the arcs at the runs are
-    # read off the rows a row at a time
+    # so it keeps two distinct arcs, and a state merged away is not reached.
+    # The chain interiors are the runs that kept exactly their two arcs; the
+    # arcs at the runs are read off the rows a row at a time
     at_runs = zip(*[map(row.__getitem__, map(itemgetter(0), runs)) for row in rows])
     kept_two = map(eq, map(tuple.count, at_runs, repeat(-1)), repeat(len(rows) - 2))
     interiors = list(compress(runs, kept_two))
-    return StallingsGraph._trusted(alpha, *_stored(rows, [{} for _ in rows], n, order, interiors))
+    return StallingsGraph._trusted(alpha, *_stored(rows, [{} for _ in rows], n, interiors))
 
 
 def format_stallings(sg: StallingsGraph) -> str:

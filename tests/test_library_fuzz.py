@@ -5,9 +5,10 @@ positional arguments as it takes, each drawn from a small pool of odd and
 ordinary values.  The pool holds no object of the caller's own whose
 ``__hash__`` or ``__iter__`` raises: such an exception is the caller's, not
 the package's.  Its automata are small, because building one costs a step
-per letter of its generators, and ``==``, ``hash`` and the text and DOT
-forms spell out one state per letter: the product of ``<a^p>`` and
-``<a^q>`` is one long loop, but it has p·q states to write or compare."""
+per letter of its generators, and the text and DOT forms spell out one
+state per letter: the product of ``<a^p>`` and ``<a^q>`` is one long loop,
+but it has p·q states to write.  One such product, of 8,633 states, is in
+the pool, so that ``==``, ``hash`` and the counts meet a long arc."""
 
 import inspect
 import time
@@ -42,6 +43,7 @@ POOL = (
     *WORDS,
     from_generators([parse_word("a^2"), parse_word("b")], ("a", "b")),
     from_generators([parse_word("a^3 b a^-1")], ("a", "b", "c")),
+    from_generators([parse_word("a^97")], ("a",)).intersect(from_generators([parse_word("a^89")], ("a",))),
     VertexRestriction(P3, ["a", "c"]),
 )
 

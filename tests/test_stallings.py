@@ -593,6 +593,30 @@ class TestIntersect:
         ratio = min(pairs[10007, 10009][2]) / min(pairs[1009, 1013][2])
         assert ratio < 20, ratio
 
+    def test_long_power_products_compare_in_their_stored_shape(self):
+        # <a^997> ∩ <a^991> is one a-loop of 988,027 letters, stored as one
+        # arc: ==, hash and repr read the stored arcs, not a state per letter.
+        # repr of the 10^10-state product is asked for only after the smaller
+        # pair passed, so code that spells states out fails before it hangs.
+        p, q, r = (from_generators([w(f"a^{k}")], ("a",)) for k in (997, 991, 983))
+        meet, swapped, other = p.intersect(q), q.intersect(p), p.intersect(r)
+        big = from_generators([w("a^99991")], ("a",)).intersect(from_generators([w("a^99989")], ("a",)))
+        checks = [
+            (lambda: meet == swapped, 0.02),
+            (lambda: hash(meet) == hash(swapped), 0.02),
+            (lambda: meet != other, 0.02),
+            (lambda: repr(meet) == "StallingsGraph(alphabet=('a',), states=988027, edges=988027)", 0.01),
+            (lambda: repr(big) == "StallingsGraph(alphabet=('a',), states=9998000099, edges=9998000099)", 0.01),
+        ]
+        gc.disable()
+        try:
+            for check, limit in checks:
+                start = time.perf_counter()
+                assert check()
+                assert time.perf_counter() - start < limit
+        finally:
+            gc.enable()
+
     def test_alphabet_mismatch(self):
         sg1 = from_generators([w("a")], AB)
         sg2 = from_generators([w("a")], ("a", "c"))

@@ -21,7 +21,9 @@ from pcgroups import (
     parse_stallings,
     relabel,
 )
+from pcgroups.stallings import _search
 from oracles import bouquet_automaton, intersection_automaton, letters_of
+from test_stallings import LONG_ARC_FAMILIES
 
 ALPHABETS = (("a",), ("a", "b"), ("a", "b", "c"))
 
@@ -48,6 +50,16 @@ def subgroup_pairs(draw):
 def automata(draw):
     alphabet, gens, _ = draw(subgroup_pairs())
     return from_generators(gens, alphabet)
+
+
+@st.composite
+def long_arc_automata(draw):
+    """An operand of a pair from the long-arc families, or their
+    intersection."""
+    family = draw(st.sampled_from(sorted(LONG_ARC_FAMILIES)))
+    alphabet, gens1, gens2 = LONG_ARC_FAMILIES[family](draw(st.randoms(use_true_random=False)))
+    sg1, sg2 = from_generators(gens1, alphabet), from_generators(gens2, alphabet)
+    return draw(st.sampled_from((sg1, sg2, sg1.intersect(sg2))))
 
 
 @given(subgroup_pairs())
@@ -103,13 +115,29 @@ def test_constructor_canonicalises_any_numbering(sg, data):
     assert rebuilt.intersect(sg) == sg
 
 
+@given(st.one_of(automata(), long_arc_automata()), st.data())
+def test_equal_exactly_when_written_out_alike(x, data):
+    # == reads the stored shape; the text form spells out a state per letter.
+    # The second automaton is drawn apart, or is the first one rebuilt, or
+    # the first with its letters swapped: of the same size, and mostly not
+    # equal to it.
+    swap = dict(zip(x.alphabet, reversed(x.alphabet)))
+    swapped = StallingsGraph(x.alphabet, x.num_states, {(u, swap[g]): v for u, g, v in x.edges()})
+    y = data.draw(st.one_of(
+        automata(), long_arc_automata(),
+        st.sampled_from((x.intersect(x), parse_stallings(format_stallings(x)), swapped))))
+    assert (x == y) == (format_stallings(x) == format_stallings(y))
+    assert x != y or hash(x) == hash(y)
+
+
 @given(subgroup_pairs())
 def test_row_r_xor_1_reads_row_r_backwards(case):
     # the stored arcs, (row, source, target, length), are closed under
     # reading them backwards: a long arc's reverse has the same length.  The
-    # stored states are the base and the branch states, and a length is
-    # stored for exactly the long arcs.  The derived per-letter rows are
-    # closed the same way: rows[r][s] == t >= 0 exactly when rows[r ^ 1][t] == s
+    # stored states are the base and the branch states, numbered in the order
+    # the canonical search reaches them, and a length is stored for exactly
+    # the long arcs.  The derived per-letter rows are closed the same way:
+    # rows[r][s] == t >= 0 exactly when rows[r ^ 1][t] == s
     alphabet, gens1, gens2 = case
     sg1, sg2 = from_generators(gens1, alphabet), from_generators(gens2, alphabet)
     built = StallingsGraph(alphabet, sg2.num_states, {(u, g): v for u, g, v in sg2.edges()})
@@ -117,6 +145,7 @@ def test_row_r_xor_1_reads_row_r_backwards(case):
         assert len(sg._rows) == len(sg._lengths) == 2 * len(sg.alphabet)
         stored = len(sg._rows[0]) if sg._rows else 1
         assert all(len(row) == stored for row in sg._rows)
+        assert _search(sg._rows, stored) == list(range(stored))
         arcs = {(r, s, t, 1) if t >= 0 else (r, s, -2 - t, sg._lengths[r][s])
                 for r, row in enumerate(sg._rows) for s, t in enumerate(row) if t != -1}
         assert arcs == {(r ^ 1, t, s, length) for r, s, t, length in arcs}
