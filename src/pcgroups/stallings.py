@@ -44,9 +44,14 @@ order of the per-letter rows.  A core automaton is unique up to
 isomorphism of based graphs (Kapovich & Myasnikov 2002), and so is its
 stored shape, so two automata compare equal exactly when they represent
 the same subgroup over the same alphabet: ``==`` and ``hash`` read the
-stored rows, and isomorphism checks in tests are plain ``==``.  The
-per-letter rows are derived only for ``edges`` and the text and DOT forms
-(``_expanded``), and renumbered breadth-first there.
+stored rows, and isomorphism checks in tests are plain ``==``.
+
+``edges`` and the text and DOT forms write one state per letter, numbered
+breadth-first along the per-letter rows.  ``_spelled_out`` computes that
+numbering on the stored shape: the states inside the long arcs are
+numbered many levels at once, as arithmetic progressions written by slice
+assignment, so it costs a step per stored state and per walk that ends,
+not per state.  The lines are joined a letter at a time in C.
 
 ``intersect`` searches the product automaton based at the pair of bases in
 exactly that order, keying each pair of stored states by one int, and
@@ -66,8 +71,8 @@ positively-labeled transition, one state per letter.
 
 from __future__ import annotations
 
-from itertools import compress, repeat
-from operator import eq, itemgetter, sub
+from itertools import compress, cycle, repeat
+from operator import eq, itemgetter, le, sub
 from typing import Iterable, Optional
 
 from .errors import InputError, ParseError, _instance
@@ -162,30 +167,116 @@ class StallingsGraph:
     def edges(self) -> list[tuple[int, str, int]]:
         """Every arc, one per letter, as ``(source, generator, target)``, in
         sorted order."""
-        labelled = list(zip(self.alphabet, self._expanded()[::2]))
-        return [
-            (u, g, v) for u in range(self.num_states) for g, targets in labelled if (v := targets[u]) >= 0
-        ]
+        return self._arcs(range(self.num_states), lambda g, pairs: [(u, g, v) for u, v in pairs])
 
-    def _expanded(self) -> list:
-        """The rows with one state per letter, numbered canonically: each
-        long arc is spelled out by fresh states, then the states are
-        renumbered breadth-first.  Without a long arc they are ``_rows``."""
-        if not any(self._lengths):
-            return self._rows
-        n = _stored_count(self._rows)
-        pad = [-1] * (self.num_states - n)
-        rows = [row + pad for row in self._rows]
-        fresh = n
+    def _arcs(self, ends: list | range, items) -> list:
+        """One item per arc, one state per letter, in sorted order: by
+        source, then generator.  ``items(g, pairs)`` makes generator
+        ``g``'s items from the ``(ends[source], ends[target])`` pairs of its
+        arcs, in order of source.
+
+        Each letter's items are made apart, with no step per state, and
+        dealt out in order: a flag per (state, letter) slot says whether
+        the slot holds an arc, and each flagged slot takes the next item
+        of its letter."""
+        rows = self._spelled_out()
+        k = len(rows)
+        kept = [False] * (k * self.num_states)
+        letters = []
+        for i, (g, row) in enumerate(zip(self.alphabet, rows)):
+            held = list(map(le, repeat(0), row))
+            kept[i::k] = held
+            letters.append(iter(items(g, compress(zip(ends, map(ends.__getitem__, row)), held))))
+        return list(map(next, compress(cycle(letters), kept)))
+
+    def _spelled_out(self) -> list:
+        """The forward row of each generator with one state per letter,
+        numbered canonically.  Without a long arc that is ``_rows[::2]``.
+
+        The canonical search runs on the stored shape, a level of its
+        breadth-first queue at a time.  A queue item is a stored state or a
+        front: a long arc spelled out from one of its ends (``_Front``).  A
+        front step meets at most one state, so while a level holds j fronts
+        and nothing else, the next levels repeat it.  The ``rounds`` levels
+        before a front reaches the far end or its partner are numbered at
+        once: the i-th front takes ``nxt + i``, ``nxt + i + j``, ... and
+        writes its arcs with one slice assignment per row.  So the steps
+        follow the stored states and these events, not the states spelled
+        out.  Both rows of a letter are written, so that the two ends of a
+        long arc walk alike."""
+        rows, lengths = self._rows, self._lengths
+        if not any(lengths):
+            return rows[::2]
+        out = [[-1] * self.num_states for _ in rows]
+        fronts = [{} for _ in rows]  # per row: the front of each long arc leaving along it
+        pairs = []  # a long arc's two fronts, each with the other's index in it
         for r in range(0, len(rows), 2):
-            row, back = rows[r], rows[r + 1]
-            for s, length in self._lengths[r].items():
-                path = [s, *range(fresh, fresh + length - 1), -2 - row[s]]
-                fresh += length - 1
-                for u, v in zip(path, path[1:]):
-                    row[u] = v
-                    back[v] = u
-        return _number(rows, fresh)[1]
+            for s, length in lengths[r].items():
+                t = -2 - rows[r][s]
+                fronts[r][s] = _Front(out[r], out[r + 1], t, length, len(pairs) + 1)
+                fronts[r + 1][t] = _Front(out[r + 1], out[r], s, length, len(pairs))
+                pairs += fronts[r][s], fronts[r + 1][t]
+        steps = list(zip(rows, out, fronts))
+        number = [-1] * _stored_count(rows)
+        number[0] = 0
+        nxt = 1
+        level, branching = [0], True
+
+        def reach(s: int) -> int:
+            """The number of stored state ``s``, given when first met."""
+            nonlocal nxt, branching
+            if number[s] < 0:
+                number[s] = nxt
+                nxt += 1
+                ahead.append(s)
+                branching = True
+            return number[s]
+
+        def step(f: _Front) -> None:
+            """One level of ``f``'s walk: the next state along its row."""
+            nonlocal nxt
+            partner = pairs[f.partner]
+            if f.walked + partner.walked < f.length - 1:  # a fresh state inside the arc
+                f.row[f.at], f.back[nxt] = nxt, f.at
+                f.walked += 1
+                f.at = nxt
+                nxt += 1
+                ahead.append(f)
+            else:  # the far end, or where the partner stands
+                t = reach(f.end) if f.walked == f.length - 1 else partner.at
+                f.row[f.at], f.back[t] = t, f.at
+                f.walking = False
+
+        while level:
+            if not branching:  # fronts only: number the levels that repeat this one
+                rounds = min((f.length - 1 - f.walked - pairs[f.partner].walked)
+                             // (1 + pairs[f.partner].walking) for f in level)
+                if rounds:
+                    j = len(level)
+                    for a, f in enumerate(level, nxt):
+                        last = a + (rounds - 1) * j
+                        f.row[f.at], f.back[a] = a, f.at
+                        f.row[a:last:j] = range(a + j, last + j, j)
+                        f.back[a + j:last + j:j] = range(a, last, j)
+                        f.walked += rounds
+                        f.at = last
+                    nxt += rounds * j
+            ahead, branching = [], False
+            for item in level:
+                if type(item) is not int:
+                    step(item)
+                    continue
+                s = number[item]  # a stored state: its arcs in row order
+                for row, ex, row_fronts in steps:
+                    t = row[item]
+                    if t >= 0:
+                        ex[s] = reach(t)
+                    elif t != -1:  # a long arc: walk it from here
+                        f = row_fronts[item]
+                        f.at, f.walking = s, True
+                        step(f)
+            level = ahead
+        return out[::2]
 
     def member(self, w: Word) -> bool:
         """Does the free reduction of ``w`` trace a closed path at the base?
@@ -286,14 +377,15 @@ class StallingsGraph:
     def to_dot(self) -> str:
         """Plain DOT text; the base state is drawn as a double circle.  A
         backslash or a double quote in a label is escaped with a backslash."""
-        lines = ["digraph stallings {", "  rankdir=LR;", '  0 [shape=doublecircle, label="0"];']
-        for s in range(1, self.num_states):
-            lines.append(f'  {s} [shape=circle, label="{s}"];')
-        for u, g, v in self.edges():
+        ids = list(map(str, range(self.num_states)))  # each state id made once
+        states = map("".join, zip(repeat("  "), ids[1:], repeat(' [shape=circle, label="'), ids[1:],
+                                  repeat('"];')))
+
+        def arcs(g, pairs):
             label = g.replace("\\", "\\\\").replace('"', '\\"')
-            lines.append(f'  {u} -> {v} [label="{label}"];')
-        lines.append("}")
-        return "\n".join(lines) + "\n"
+            return map("".join, zip(repeat("  "), map(" -> ".join, pairs), repeat(f' [label="{label}"];')))
+        return "\n".join(["digraph stallings {", "  rankdir=LR;", '  0 [shape=doublecircle, label="0"];',
+                          *states, *self._arcs(ids, arcs), "}\n"])
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, StallingsGraph):
@@ -308,6 +400,22 @@ class StallingsGraph:
             f"StallingsGraph(alphabet={self.alphabet!r}, states={self.num_states}, "
             f"edges={self.num_edges})"
         )
+
+
+class _Front:
+    """One end of a long arc ``x^L`` as ``_spelled_out`` numbers the L - 1
+    states inside it: ``walked`` of them are numbered from this end, along
+    ``row`` (``back`` is the reverse row), the last one ``at``, and
+    ``walking`` says whether the walk goes on.  ``end`` is the stored state
+    at the far end.  ``partner`` indexes the front from there in a list,
+    so that no reference cycle keeps the rows alive."""
+
+    __slots__ = ("row", "back", "end", "length", "partner", "walked", "at", "walking")
+
+    def __init__(self, row: list, back: list, end: int, length: int, partner: int):
+        self.row, self.back, self.end, self.length, self.partner = row, back, end, length, partner
+        self.walked = self.at = 0
+        self.walking = False
 
 
 def _labels(alphabet: Iterable[str]) -> tuple[str, ...]:
@@ -403,16 +511,18 @@ def _trim(rows: list, lengths: list, n: int) -> list[int]:
     return degree
 
 
-def _number(rows: list, n: int) -> tuple[list, list]:
+def _number(rows: list, n: int, long: bool) -> tuple[list, list]:
     """The canonical renaming of the states reached from the base, -1 for
     the others, and the rows renamed by it.  The renaming is a list that
-    also maps a missing arc, -1, to -1 and a long arc ``-2 - s`` to
-    ``-2 - number[s]``, so it renames every entry of a row."""
+    also maps a missing arc, -1, to -1 and, where a row holds a ``long``
+    arc, ``-2 - s`` to ``-2 - number[s]``, so it renames every entry of a
+    row."""
     order = _search(rows, n)
     number = [-1] * (n + 1)  # number[-1] stays -1 for a missing arc
     for new, s in enumerate(order):
         number[s] = new
-    number[n:n] = map(sub, repeat(-2), reversed(number[:n]))  # number[-2 - s]
+    if long:
+        number[n:n] = map(sub, repeat(-2), reversed(number[:n]))  # number[-2 - s]
     return number, [[number[row[s]] for s in order] for row in rows]
 
 
@@ -457,7 +567,7 @@ def _stored(rows: list, lengths: list, n: int, interiors: list) -> tuple:
         row[p] = -2 - t
         rows[r + 1][t] = -2 - p
         arcs[p] = lengths[r + 1][t] = length
-    number, renamed = _number(rows, n)
+    number, renamed = _number(rows, n, any(lengths))
     # a length moves with its arc's source; most rows hold no long arc
     return renamed, [{number[s]: length for s, length in arcs.items() if number[s] >= 0} if arcs else {}
                      for arcs in lengths]
@@ -679,9 +789,10 @@ def from_generators(ws: Iterable[Word], alphabet: Iterable[str]) -> StallingsGra
 def format_stallings(sg: StallingsGraph) -> str:
     """Serialize: base state (and the alphabet, so a trivial subgroup keeps
     its generators) on line 1, then sorted transition lines."""
-    lines = [" ".join((str(_instance(sg, StallingsGraph).base),) + sg.alphabet)]
-    lines.extend(f"{u} {g} {v}" for u, g, v in sg.edges())
-    return "\n".join(lines) + "\n"
+    head = " ".join((str(_instance(sg, StallingsGraph).base),) + sg.alphabet)
+    ids = list(map(str, range(sg.num_states)))  # each state id made once
+    lines = sg._arcs(ids, lambda g, pairs: map(f" {g} ".join, pairs))
+    return "\n".join([head, *lines, ""])
 
 
 def _state_id(tok: str, lineno: int) -> int:

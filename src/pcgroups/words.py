@@ -412,13 +412,20 @@ def free_reduce(w: Word, alphabet: Collection[str]) -> Word:
     A ``str`` alphabet names one generator per character, as
     ``SimpleGraph("abc")`` does.  Raises ``InputError`` unless ``w`` is a
     ``Word`` and ``alphabet`` a collection other than ``bytes`` or
-    ``bytearray`` (neither can hold a name), and on a letter over a generator
-    outside ``alphabet``.
+    ``bytearray`` (neither can hold a name) whose items are hashable, and on
+    a letter over a generator outside ``alphabet``.  A set, frozenset or
+    dict is used as it is, any other collection is read into a frozenset
+    once, so a letter's cost does not grow with the alphabet.
     """
     if isinstance(_instance(alphabet, Collection), (bytes, bytearray)):
         raise InputError(f"expected a Collection of str, got {type(alphabet).__name__}")
-    if isinstance(alphabet, str):
-        alphabet = frozenset(alphabet)  # not substrings: "ab" is not in "xaby"
+    if not isinstance(alphabet, (set, frozenset, dict)):
+        # one hash test per syllable; a str's characters, not its substrings
+        try:
+            alphabet = frozenset(alphabet)
+        except TypeError:
+            raise InputError(f"expected a Collection of str, got a {type(alphabet).__name__} "
+                             f"with an unhashable item") from None
     return Word._trusted(tuple(_free_reduced(_instance(w, Word).syllables, alphabet)))
 
 

@@ -173,6 +173,68 @@ def intersection_automaton(text1, text2, alphabet):
     return _core_text(edges, (0, 0), alphabet)
 
 
+def expanded_rows(sg):
+    """The forward row of each generator of a ``StallingsGraph`` with one
+    state per letter, numbered canonically, read off its stored shape the
+    slow way: every long arc ``x^L`` is spelled out by L - 1 fresh states,
+    then all states are renumbered breadth-first from the base, along the
+    rows in their order (generators in order, forward before backward)."""
+    stored = len(sg._rows[0]) if sg._rows else 1
+    pad = [-1] * (sg.num_states - stored)
+    rows = [row + pad for row in sg._rows]
+    fresh = stored
+    for r in range(0, len(rows), 2):
+        row, back = rows[r], rows[r + 1]
+        for s, length in sg._lengths[r].items():
+            path = [s, *range(fresh, fresh + length - 1), -2 - row[s]]
+            fresh += length - 1
+            for u, v in zip(path, path[1:]):
+                row[u] = v
+                back[v] = u
+    number = {0: 0}
+    queue = [0]
+    for s in queue:
+        for row in rows:
+            if row[s] >= 0 and row[s] not in number:
+                number[row[s]] = len(number)
+                queue.append(row[s])
+    renamed = []
+    for row in rows[::2]:
+        out = [-1] * fresh
+        for s, t in enumerate(row):
+            if t >= 0:
+                out[number[s]] = number[t]
+        renamed.append(out)
+    return renamed
+
+
+def expanded_edges(sg):
+    """Every arc of a ``StallingsGraph``, one per letter, as ``(source,
+    generator, target)`` in sorted order, from ``expanded_rows``."""
+    rows = expanded_rows(sg)
+    return [(u, g, row[u]) for u in range(sg.num_states) for g, row in zip(sg.alphabet, rows) if row[u] >= 0]
+
+
+def stallings_text(alphabet, edges):
+    """The Stallings text form of ``edges``, written a line at a time."""
+    lines = [" ".join(("0",) + tuple(alphabet))]
+    lines.extend(f"{u} {g} {v}" for u, g, v in edges)
+    return "\n".join(lines) + "\n"
+
+
+def dot_text(num_states, edges):
+    """The DOT form of an automaton's ``edges``, written a line at a time:
+    a backslash or a double quote in a label is escaped with a backslash."""
+    lines = ["digraph stallings {", "  rankdir=LR;", '  0 [shape=doublecircle, label="0"];']
+    for s in range(1, num_states):
+        lines.append(f'  {s} [shape=circle, label="{s}"];')
+    for u, g, v in edges:
+        label = g.replace("\\", "\\\\").replace('"', '\\"')
+        lines.append(f'  {u} -> {v} [label="{label}"];')
+    lines.append("}")
+    return "\n".join(lines) + "\n"
+
+
 def _text_edges(text):
     return {(int(u), g, int(v)) for u, g, v in (line.split() for line in text.splitlines()[1:])}
 

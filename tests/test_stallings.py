@@ -2,6 +2,7 @@ import gc
 import random
 import re
 import statistics
+import sys
 import time
 
 import pytest
@@ -19,11 +20,14 @@ from pcgroups import (
 from pcgroups.zf2 import conjugate_generators
 from oracles import (
     bouquet_automaton,
+    dot_text,
+    expanded_edges,
     free_reduce,
     intersection_automaton,
     letters_of,
     random_reduced_word,
     random_word,
+    stallings_text,
     subgroup_ball,
 )
 
@@ -729,6 +733,47 @@ class TestSerialization:
             with pytest.raises(ParseError) as caught:
                 parse_stallings(text)
             assert str(caught.value) == message
+
+    def test_spelled_out_states_are_numbered_without_a_step_each(self):
+        # <a^p> ∩ <a^q> is one a-loop of pq letters at the base, numbered
+        # from its two ends in lockstep: the bytecodes run (counted by a
+        # sys.settrace hook that counts opcode events) do not grow with pq.
+        # Each size is checked before the next is built, so code with a step
+        # per state fails before the largest
+        counts = []
+
+        def count(frame, event, arg):
+            frame.f_trace_opcodes = True
+            if event == "opcode":
+                counts[-1] += 1
+            return count
+
+        for p, q in ((97, 89), (491, 487), (997, 991)):
+            meet = from_generators([w(f"a^{p}")], ("a",)).intersect(from_generators([w(f"a^{q}")], ("a",)))
+            counts.append(0)
+            previous = sys.gettrace()
+            sys.settrace(count)
+            try:
+                rows = meet._spelled_out()
+            finally:
+                sys.settrace(previous)
+            assert len(rows) == 1 and len(rows[0]) == p * q
+            assert max(counts) <= 2 * min(counts), counts
+
+    @pytest.mark.parametrize("labels", [("{", "}"), ("{0}", "%s"), ('a"b', "a\\b"), ("%", "{}")])
+    def test_labels_cannot_break_the_writers(self, labels):
+        x, y = labels
+        gens1 = [Word([(x, 1)] * 6), Word([(y, 1), (x, -1), (y, 1)]), Word([(y, -1)] * 3 + [(x, 1)] * 2)]
+        gens2 = [Word([(x, 1)] * 4), Word([(y, 1)] * 2), Word([(x, 1), (y, 1), (x, -1)])]
+        sg1, sg2 = from_generators(gens1, labels), from_generators(gens2, labels)
+        meet = sg1.intersect(sg2)
+        assert any(meet._lengths)
+        for sg in (sg1, sg2, meet):
+            edges = expanded_edges(sg)
+            assert sg.edges() == edges
+            assert format_stallings(sg) == stallings_text(sg.alphabet, edges)
+            assert sg.to_dot() == dot_text(sg.num_states, edges)
+            assert parse_stallings(format_stallings(sg)) == sg
 
 
 class TestConstructor:

@@ -22,7 +22,14 @@ from pcgroups import (
     relabel,
 )
 from pcgroups.stallings import _search
-from oracles import bouquet_automaton, intersection_automaton, letters_of
+from oracles import (
+    bouquet_automaton,
+    dot_text,
+    expanded_edges,
+    intersection_automaton,
+    letters_of,
+    stallings_text,
+)
 from test_stallings import LONG_ARC_FAMILIES
 
 ALPHABETS = (("a",), ("a", "b"), ("a", "b", "c"))
@@ -60,6 +67,25 @@ def long_arc_automata(draw):
     alphabet, gens1, gens2 = LONG_ARC_FAMILIES[family](draw(st.randoms(use_true_random=False)))
     sg1, sg2 = from_generators(gens1, alphabet), from_generators(gens2, alphabet)
     return draw(st.sampled_from((sg1, sg2, sg1.intersect(sg2))))
+
+
+@st.composite
+def long_arc_products(draw):
+    """The intersection of a pair from the long-arc families."""
+    family = draw(st.sampled_from(sorted(LONG_ARC_FAMILIES)))
+    alphabet, gens1, gens2 = LONG_ARC_FAMILIES[family](draw(st.randoms(use_true_random=False)))
+    return from_generators(gens1, alphabet).intersect(from_generators(gens2, alphabet))
+
+
+@given(st.one_of(automata(), long_arc_automata(), long_arc_products()))
+def test_written_out_as_spelled_out_one_state_per_letter(sg):
+    # the arcs and both text forms are read off the stored shape, the long
+    # arcs' states numbered in lockstep; the referee spells every long arc
+    # out letter by letter and renumbers all states breadth-first
+    edges = expanded_edges(sg)
+    assert sg.edges() == edges
+    assert format_stallings(sg) == stallings_text(sg.alphabet, edges)
+    assert sg.to_dot() == dot_text(sg.num_states, edges)
 
 
 @given(subgroup_pairs())
@@ -136,8 +162,8 @@ def test_row_r_xor_1_reads_row_r_backwards(case):
     # reading them backwards: a long arc's reverse has the same length.  The
     # stored states are the base and the branch states, numbered in the order
     # the canonical search reaches them, and a length is stored for exactly
-    # the long arcs.  The derived per-letter rows are closed the same way:
-    # rows[r][s] == t >= 0 exactly when rows[r ^ 1][t] == s
+    # the long arcs.  The derived forward row of each letter, one state per
+    # letter, is a partial injection, and together they hold every arc
     alphabet, gens1, gens2 = case
     sg1, sg2 = from_generators(gens1, alphabet), from_generators(gens2, alphabet)
     built = StallingsGraph(alphabet, sg2.num_states, {(u, g): v for u, g, v in sg2.edges()})
@@ -156,11 +182,12 @@ def test_row_r_xor_1_reads_row_r_backwards(case):
             interior = len(held) == 2 and held[0][0] + 1 == held[1][0] and held[0][0] % 2 == 0
             assert s == 0 or not interior
         assert stored + sum(length - 1 for r, _, _, length in arcs if r % 2 == 0) == sg.num_states
-        rows = sg._expanded()
-        assert len(rows) == 2 * len(sg.alphabet)
+        rows = sg._spelled_out()
+        assert len(rows) == len(sg.alphabet)
         assert all(len(row) == sg.num_states for row in rows)
-        arcs = {(r, s, t) for r, row in enumerate(rows) for s, t in enumerate(row) if t >= 0}
-        assert arcs == {(r ^ 1, t, s) for r, s, t in arcs}
+        targets = [[t for t in row if t >= 0] for row in rows]
+        assert all(len(set(row)) == len(row) for row in targets)
+        assert sum(map(len, targets)) == sg.num_edges
 
 
 NAMES = st.text(st.characters(categories=("L", "N"), include_characters="_'-"), min_size=1, max_size=3)
