@@ -29,7 +29,13 @@ from itertools import combinations
 
 from .classify import _resolve, classify, embeds_in
 from .errors import InputError, ParseError
-from .graphs import SimpleGraph, complete_decomposition, parse_graph, reflexive_closure_is_transitive
+from .graphs import (
+    SimpleGraph,
+    _is_name,
+    complete_decomposition,
+    parse_graph,
+    reflexive_closure_is_transitive,
+)
 
 __all__ = ["run", "main"]
 
@@ -48,19 +54,38 @@ def _load_graph(path: str) -> SimpleGraph:
     return parse_graph(_read(path))
 
 
-def _load_words(path: str):
-    from .words import parse_word
+def _load_subgroup(path: str, alphabet: list):
+    """The automaton of the subgroup that the words of a generator file
+    generate, one word per line that holds a token.  The file's words share
+    one token table.  An error names the file and the line it is on."""
+    from .stallings import from_generators
+    from .words import _parsed
 
+    text = _read(path)
+    lines = text.splitlines()
+    if "#" in text:
+        lines = [line.split("#", 1)[0] for line in lines]
+    made: dict = {}
     words = []
-    for lineno, line in enumerate(_read(path).splitlines(), start=1):
-        stripped = line.split("#", 1)[0].strip()
-        if not stripped:
-            continue
-        try:
-            words.append(parse_word(stripped))
-        except InputError as exc:
-            raise ParseError(f"{path}: {exc}", line=lineno) from None
-    return words
+    for lineno, line in enumerate(lines, start=1):
+        tokens = line.split()
+        if tokens:
+            try:
+                words.append(_parsed(tokens, made))
+            except InputError as exc:
+                raise ParseError(f"{path}: {exc}", line=lineno) from None
+    try:
+        return from_generators(words, alphabet)
+    except InputError as exc:
+        # a bad label is refused before any word is read; with good labels,
+        # the words are read in order and the first with a letter outside
+        # the alphabet stops the build
+        if not all(map(_is_name, alphabet)):
+            raise
+        known = set(alphabet)
+        at = next(i for i, word in enumerate(words) if not known.issuperset(g for g, _ in word.syllables))
+        lineno = [n for n, line in enumerate(lines, start=1) if line.split()][at]
+        raise ParseError(f"{path}: {exc}", line=lineno) from None
 
 
 def _cmd_classify(args):
@@ -108,13 +133,13 @@ def _cmd_embed(args):
 
 
 def _cmd_intersect_free(args):
-    from .stallings import StallingsGraph, format_stallings, from_generators
+    from .stallings import StallingsGraph, format_stallings
 
     alphabet = args.alphabet.split()
     if not alphabet:
         raise InputError("--alphabet must list at least one generator")
-    sg1 = from_generators(_load_words(args.generators1), alphabet)
-    sg2 = from_generators(_load_words(args.generators2), alphabet)
+    sg1 = _load_subgroup(args.generators1, alphabet)
+    sg2 = _load_subgroup(args.generators2, alphabet)
     meet = sg1.intersect(sg2)
     for path, render in ((args.out, format_stallings), (args.dot, StallingsGraph.to_dot)):
         if not path:

@@ -598,7 +598,9 @@ def parse_graph(text: str) -> SimpleGraph:
 
     Each name and edge line is checked once, with its line number, and each
     edge is written straight into both endpoints' neighbour sets."""
-    lines = [raw.split("#", 1)[0] for raw in _instance(text, str).splitlines()]
+    lines = _instance(text, str).splitlines()
+    if "#" in text:
+        lines = [raw.split("#", 1)[0] for raw in lines]
     numbered = enumerate(map(str.split, lines), start=1)
     adj: dict[str, set[str]] = {}
     for lineno, tokens in numbered:

@@ -62,7 +62,10 @@ at once (folding with arcs labelled by group elements, Kapovich, Weidmann &
 Miasnikov 2005), so ``<a^p> ∩ <a^q>`` takes p + q steps, not lcm(p, q); a
 walk that runs out first leads into a tree, and no arc is written.  When
 no tree is cut and no chain is left, the search's numbering is the
-canonical one; otherwise ``_stored`` numbers the core again.
+canonical one; otherwise ``_stored`` numbers the core again.  Two
+subgroups of finite index over two or more letters have a unit arc of
+every letter at every stored state, and so does their product: it is
+searched with no test for a missing or long arc and stored as searched.
 
 Text serialization: the base state (always 0) followed by the alphabet on
 the first line, then one line ``state_from generator state_to`` per
@@ -71,8 +74,8 @@ positively-labeled transition, one state per letter.
 
 from __future__ import annotations
 
-from itertools import compress, cycle, repeat
-from operator import eq, itemgetter, le, sub
+from itertools import chain, compress, cycle, repeat
+from operator import eq, itemgetter, le, mul, sub
 from typing import Iterable, Optional
 
 from .errors import InputError, ParseError, _instance
@@ -331,9 +334,18 @@ class StallingsGraph:
         left a chain interior, with two arcs of one letter, the rows are
         stored as they are.  Otherwise ``_stored`` contracts the chains and
         numbers the core again.
+
+        When both operands are over two or more letters and every row holds
+        a unit arc at every stored state, which is when both subgroups have
+        finite index, none of that can happen: ``_full_product`` runs the
+        search without the tests.  The rows alone select it, one ``min``
+        per row.
         """
         if self.alphabet != _instance(other, StallingsGraph).alphabet:
             raise InputError("cannot intersect subgroups over different alphabets")
+        if len(self._rows) > 2 and all(min(row) >= 0 for row in chain(self._rows, other._rows)):
+            return StallingsGraph._trusted(self.alphabet, _full_product(self._rows, other._rows),
+                                           [{} for _ in self._rows])
         width = _stored_count(other._rows)
         rows: list = [[] for _ in self._rows]
         lengths: list = [{} for _ in self._rows]
@@ -468,6 +480,36 @@ def _walk_pair(row1: list, row2: list, long: tuple, s1: int, s2: int, t1: int, t
             l2 = 1 if t >= 0 else lengths2[t2]
             t2 = t if t >= 0 else -2 - t
     return t1, t2, walked + l1
+
+
+def _full_product(rows1: list, rows2: list) -> list:
+    """The rows of the product of two automata over two or more letters
+    whose every stored state has a unit arc of every signed letter: two
+    subgroups of finite index.
+
+    The search is the one ``intersect`` runs, with nothing missing and
+    nothing long to test for.  Every product state has a unit arc of every
+    signed letter too, so its degree is at least four: no tree hangs off
+    the core and no state is a chain interior, and the search's numbering
+    is the canonical one.  The first operand's rows are scaled by the
+    second's width once, so a pair's key is one sum."""
+    width = len(rows2[0])
+    rows: list = [[] for _ in rows1]
+    steps = [(list(map(mul, row1, repeat(width))), row2, row.append)
+             for row1, row2, row in zip(rows1, rows2, rows)]
+    keys = [0]
+    claim = {0: 0}.setdefault
+    n = 1
+    # keys grows while map walks it: each state is visited once
+    for s1, s2 in map(divmod, keys, repeat(width)):
+        for row1, row2, add in steps:
+            key = row1[s1] + row2[s2]
+            t = claim(key, n)
+            if t == n:
+                n += 1
+                keys.append(key)
+            add(t)
+    return rows
 
 
 def _search(rows: list, n: int) -> list[int]:

@@ -49,7 +49,7 @@ builds anything.
 
 from __future__ import annotations
 
-from itertools import chain
+from itertools import chain, filterfalse
 from typing import Collection, Iterable, NamedTuple, Optional
 
 from .errors import InputError, ParseError, _instance
@@ -217,11 +217,19 @@ def parse_word(text: str) -> Word:
     Raises ``ParseError`` when the word would pass ``MAX_WORD_LETTERS``
     letters.
     """
-    tokens = _instance(text, str).split()
-    # one syllable per distinct token, made in text order so that the first
-    # bad token is the one reported; words repeat their tokens, so each
-    # distinct one is parsed once
-    made = {tok: _syllable(tok) for tok in dict.fromkeys(tokens)}
+    return _parsed(_instance(text, str).split(), {})
+
+
+def _parsed(tokens: list, made: dict) -> Word:
+    """The word that ``tokens`` spell.  ``made`` maps tokens to the
+    syllables they spell and gains this word's new ones, so that the words
+    of one file share it and each distinct token is parsed once.
+
+    The new tokens are parsed in text order, so the first bad one is the
+    one reported; a bad token raises before it enters ``made``.  Raises
+    ``ParseError`` when the word would pass ``MAX_WORD_LETTERS`` letters."""
+    for tok in filterfalse(made.__contains__, dict.fromkeys(tokens)):
+        made[tok] = _syllable(tok)
     return Word._joined(map(made.__getitem__, tokens), ParseError)
 
 

@@ -2,6 +2,7 @@ import importlib.metadata
 import io
 import json
 import os
+import random
 import shutil
 import subprocess
 import sys
@@ -272,6 +273,72 @@ class TestIntersectFree:
         h.write_text("a b\n\na^x\n")
         code, _, err = invoke("intersect-free", "--alphabet", "a b", str(h), str(h))
         assert code == 2 and "exponent" in err and "line 3" in err
+
+    def test_a_letter_outside_the_alphabet_names_its_file_and_line(self, tmp_path):
+        h = _write(tmp_path, "h.words", b"a^2\n# b c\n\nb a b^-1\nb c^2 a # c\na c\n")
+        k = _write(tmp_path, "k.words", b"a^3\nb\n")
+        for files, path, line in (((h, k), h, 5), ((k, h), h, 5), ((k, k), None, None)):
+            code, out, err = invoke("intersect-free", "--alphabet", "a b", *files)
+            if path is None:
+                assert (code, err) == (0, "")
+            else:
+                assert (code, out) == (2, "")
+                assert err == f"error: line {line}: {path}: letter over unknown generator 'c'\n"
+
+    def test_generator_file_errors_come_file_by_file(self, tmp_path):
+        # file 1 is read, then built, then file 2 is read and built; a bad
+        # alphabet is refused when the first file is built, with no line
+        unknown = _write(tmp_path, "unknown.words", b"a\nb c\n")
+        bad = _write(tmp_path, "bad.words", b"a\nb^x\n")
+        both = _write(tmp_path, "both.words", b"c\na^0\n")
+        cases = [
+            (("a b", unknown, bad), f"line 2: {unknown}: letter over unknown generator 'c'"),
+            (("a b", bad, unknown), f"line 2: {bad}: bad exponent in token 'b^x'"),
+            (("a b", both, bad), f"line 2: {both}: zero exponent in token 'a^0'"),
+            (("a b#", unknown, bad), "alphabet label must be a non-empty string without "
+                                     "whitespace, '^' or '#', got 'b#'"),
+        ]
+        for (alphabet, *files), message in cases:
+            code, out, err = invoke("intersect-free", "--alphabet", alphabet, *files)
+            assert (code, out, err) == (2, "", f"error: {message}\n")
+
+    def test_word_files_sharing_tokens_build_what_parse_word_builds(self, tmp_path):
+        from pcgroups import format_stallings, from_generators, parse_word
+
+        rng = random.Random(29)
+        tokens = ["a", "a^-1", "b^2", "b^-1", "c", "c^-3", "a^2"]
+        for trial in range(20):
+            texts = []
+            for _ in range(2):
+                lines = [" ".join(rng.choice(tokens) for _ in range(rng.randrange(6))) for _ in range(8)]
+                lines[rng.randrange(8)] += " # a^0 c"
+                texts.append("\n".join(lines) + "\n")
+            h = tmp_path / f"h{trial}.words"
+            k = tmp_path / f"k{trial}.words"
+            h.write_text(texts[0])
+            k.write_text(texts[1])
+            out_path = tmp_path / "meet.stallings"
+            code, out, err = invoke("intersect-free", "--alphabet", "a b c", str(h), str(k), "--out", str(out_path))
+            sg1, sg2 = (from_generators([parse_word(line.split("#")[0]) for line in text.splitlines()], "abc")
+                        for text in texts)
+            meet = sg1.intersect(sg2)
+            assert (code, err) == (0, "")
+            assert json.loads(out) == {"rank": meet.rank(), "states": meet.num_states, "edges": meet.num_edges}
+            assert out_path.read_text() == format_stallings(meet)
+
+    def test_a_bad_token_or_a_long_line_is_reported_on_its_own_line(self, tmp_path):
+        # each distinct token is parsed once per file, but an error still
+        # names the line it is on, and the letter cap holds for each line
+        k = _write(tmp_path, "k.words", b"a\n")
+        cases = [
+            (b"a b^2\nb^2 a\n\nb^2 a^0 a\n", "line 4: {}: zero exponent in token 'a^0'"),
+            (b"a^600000\nb a^600000\n# a^600000\nb a^600000 b a^600000\n",
+             "line 4: {}: word expands to more than 1000000 letters"),
+        ]
+        for text, message in cases:
+            h = _write(tmp_path, "h.words", text)
+            code, out, err = invoke("intersect-free", "--alphabet", "a b", h, k)
+            assert (code, out, err) == (2, "", f"error: {message.format(h)}\n")
 
 
 class TestDemoNonHowson:

@@ -162,6 +162,40 @@ class TestParsing:
                 parse_word(text)
 
 
+class TestSharedTokenTable:
+    # the lines of one generator file share one token table
+    def test_lines_sharing_tokens_give_what_parse_word_gives(self):
+        rng = random.Random(11)
+        tokens = ["a", "a^-1", "b^2", "b^-2", "c", "c^3", "a^007", "c^-1"]
+        made = {}
+        for _ in range(200):
+            line = " ".join(rng.choice(tokens) for _ in range(rng.randrange(8)))
+            assert pcgroups.words._parsed(line.split(), made) == parse_word(line), line
+        assert set(made) == set(tokens)
+        assert made["a^007"] == ("a", 7)
+
+    def test_a_bad_token_raises_its_own_message_and_stays_out(self):
+        made = {}
+        pcgroups.words._parsed("a b^2 a^-1".split(), made)
+        # the line's other tokens are known; the first bad one in text order
+        # is the one reported, and neither bad token enters the table
+        for line, message in (("a b^2 b^x a^0", "bad exponent in token 'b^x'"),
+                              ("b^2 a^0 b^x a", "zero exponent in token 'a^0'"),
+                              ("a ^2", "bad token '^2'")):
+            with pytest.raises(ParseError) as caught:
+                pcgroups.words._parsed(line.split(), made)
+            assert str(caught.value) == message
+            assert {"b^x", "a^0", "^2"}.isdisjoint(made)
+        assert pcgroups.words._parsed(["b^2", "a"], made) == w("b^2 a")
+
+    def test_the_letter_cap_holds_for_each_line(self):
+        made = {}
+        for _ in range(3):  # three lines of 600,000 letters each pass
+            assert len(pcgroups.words._parsed(["a^600000"], made)) == 600000
+        with pytest.raises(ParseError, match="more than 1000000 letters"):
+            pcgroups.words._parsed(["a^600000", "b", "a^600000"], made)
+
+
 class TestAlgebra:
     def test_invert_reverses_and_flips(self):
         assert invert(w("x y")) == w("y^-1 x^-1")
