@@ -15,11 +15,13 @@ needs no search.
 The clique number and the P4 and C4 tests work on adjacency bitmasks, one
 Python int per vertex, which each of them builds from the adjacency.  All
 three split the graph into components and co-components.  The clique number
-runs a branch and bound cut by greedy colourings (Tomita & Seki's MCQ) on
-each part that splits neither way; a P4 shows up when such a part has two or
-more vertices (the graph is then not a cograph); a C4 shows up when a join
-has two co-components of two or more vertices, or when such a part has a
-non-adjacent pair whose common neighbourhood is not a clique.
+counts a single-vertex co-component as 1, so it values a clique part by its
+size, and runs a branch and bound cut by greedy colourings (Tomita & Seki's
+MCQ) on each part that splits neither way; a P4 shows up when such a part has
+two or more vertices (the graph is then not a cograph); a C4 shows up when a
+join has two co-components of two or more vertices, or when such a part has
+a non-adjacent pair whose common neighbourhood is not a clique.  A union of
+cliques builds no bitmasks: its complete components answer all three.
 
 Vertex names are opaque strings ordered lexicographically; every "least
 witness" promise made by the search functions refers to that order.  A name
@@ -198,10 +200,9 @@ def connected_components(g: SimpleGraph) -> tuple[tuple[str, ...], ...]:
         comp = {start}
         stack = [start]
         while stack:
-            for w in adj[stack.pop()]:
-                if w not in comp:
-                    comp.add(w)
-                    stack.append(w)
+            new = adj[stack.pop()] - comp
+            comp |= new
+            stack += new
         seen |= comp
         blocks.append(tuple(sorted(comp)))
     return tuple(blocks)
@@ -426,7 +427,8 @@ def _clique_value(masks: list[int], best: int, stop: int) -> int:
     far, best, stop), and a part that splits neither way is handed to the
     clique search.  A component is searched with the value so far as its
     incumbent.  A co-component is valued exactly, up to what its join still
-    needs to reach ``stop``."""
+    needs to reach ``stop``; a single vertex counts 1 with no frame, so a
+    clique is valued by its size."""
     n = len(masks)
     full = (1 << n) - 1
     bits = [1 << v for v in range(n)]
@@ -436,7 +438,10 @@ def _clique_value(masks: list[int], best: int, stop: int) -> int:
         join, parts = _split(masks, s)
         if len(parts) == 1:
             return [False, [], _clique_search(masks, anti, bits, s, best, stop), best, stop]
-        return [join, parts, 0 if join else best, best, stop]
+        if join:  # each single-vertex co-component adds one, with no frame
+            big = [p for p in parts if p & (p - 1)]
+            return [True, big, len(parts) - len(big), best, stop]
+        return [False, parts, best, best, stop]
 
     stack = [frame(full, best, stop)]
     while True:
@@ -469,8 +474,12 @@ def clique_number(g: SimpleGraph) -> int:
 
 
 def _has_clique(g: SimpleGraph, n: int) -> bool:
-    """Does ``g`` contain n pairwise adjacent vertices?  The clique number's
+    """Does ``g`` contain n pairwise adjacent vertices?  On a union of
+    cliques, read off its largest part; otherwise the clique number's
     computation with an incumbent of n - 1, stopped at the first n-clique."""
+    ranks = complete_decomposition(g)
+    if ranks is not None:
+        return n <= max(ranks, default=0)
     return _clique_value(_bitsets(g), n - 1, n) >= n
 
 
@@ -498,8 +507,10 @@ def _has_induced_p4(g: SimpleGraph) -> bool:
     and self-complementary, so it lies in a graph iff it lies in one of its
     components, or in one of its co-components when the graph is connected.
     Sets of at most three vertices cannot hold a P4, and ``_split_nodes``
-    skips them; the first set that splits neither way answers yes."""
-    return any(len(parts) == 1 for _, _, parts in _split_nodes(_bitsets(g)))
+    skips them; the first set that splits neither way answers yes.  A union
+    of cliques holds no induced P3, so no P4, and is not split."""
+    return complete_decomposition(g) is None and any(
+        len(parts) == 1 for _, _, parts in _split_nodes(_bitsets(g)))
 
 
 def _has_induced_c4(g: SimpleGraph) -> bool:
@@ -511,7 +522,10 @@ def _has_induced_c4(g: SimpleGraph) -> bool:
     vertices is connected in the complement, so it holds such a pair.  The
     graph is split that way, as for the P4 test; on a part that splits
     neither way, a square is a non-adjacent pair u, v with two non-adjacent
-    common neighbours, i.e. a common neighbourhood that is not a clique."""
+    common neighbours, i.e. a common neighbourhood that is not a clique.  A
+    union of cliques holds no induced P3, so no square, and is not split."""
+    if complete_decomposition(g) is not None:
+        return False
     masks = _bitsets(g)
     return any(
         _pair_has_c4(masks, s) if len(parts) == 1
@@ -596,42 +610,51 @@ def cycle_graph(n_or_names, prefix: str = "v") -> SimpleGraph:
 def parse_graph(text: str) -> SimpleGraph:
     """Parse the one-graph text format described in the module docstring.
 
-    Each name and edge line is checked once, with its line number, and each
-    edge is written straight into both endpoints' neighbour sets."""
+    One loop appends each edge to both endpoints' neighbour lists while the
+    text is good.  At a fault (a duplicate or ``^`` name, a line without two
+    names, a loop, an unknown endpoint) the lines are read again one at a
+    time, and the first bad line is named."""
     lines = _instance(text, str).splitlines()
     if "#" in text:
         lines = [raw.split("#", 1)[0] for raw in lines]
-    numbered = enumerate(map(str.split, lines), start=1)
-    adj: dict[str, set[str]] = {}
-    for lineno, tokens in numbered:
-        if tokens:
+    rows = filter(None, map(str.split, lines))
+    names = next(rows, ())
+    adj: dict[str, list[str]] = {t: [] for t in names}
+    if len(adj) == len(names) and "^" not in "".join(names):
+        try:
+            for u, v in rows:
+                if u == v:
+                    break
+                adj[u].append(v)
+                adj[v].append(u)
+            else:
+                return SimpleGraph._trusted({v: frozenset(near) for v, near in adj.items()})
+        except (KeyError, ValueError):  # an unknown endpoint, or not two names
+            pass
+    raise _first_fault(lines)
+
+
+def _first_fault(lines: list[str]) -> ParseError:
+    """The error naming the first bad line of a graph text that has one."""
+    names: Optional[set[str]] = None
+    for lineno, tokens in enumerate(map(str.split, lines), start=1):
+        if not tokens:
+            continue
+        if names is None:
+            names = set()
             for t in tokens:
                 if "^" in t:
-                    raise ParseError(
-                        f"vertex name {t!r} may not contain '^'", line=lineno
-                    )
-                if t in adj:
-                    raise ParseError(f"duplicate vertex name {t!r}", line=lineno)
-                adj[t] = set()
-            break
-    for lineno, tokens in numbered:
-        if len(tokens) != 2:
-            if not tokens:
-                continue
-            raise ParseError(
-                f"edge line needs exactly two vertex names, got {len(tokens)}",
-                line=lineno,
-            )
-        u, v = tokens
-        if u == v:
-            raise ParseError(f"loop edge '{u} {v}' is not allowed", line=lineno)
-        try:
-            adj[u].add(v)
-            adj[v].add(u)
-        except KeyError:
-            unknown = u if u not in adj else v
-            raise ParseError(f"unknown vertex {unknown!r} in edge", line=lineno) from None
-    return SimpleGraph._trusted({v: frozenset(near) for v, near in adj.items()})
+                    return ParseError(f"vertex name {t!r} may not contain '^'", line=lineno)
+                if t in names:
+                    return ParseError(f"duplicate vertex name {t!r}", line=lineno)
+                names.add(t)
+        elif len(tokens) != 2:
+            return ParseError(f"edge line needs exactly two vertex names, got {len(tokens)}", line=lineno)
+        elif tokens[0] == tokens[1]:
+            return ParseError(f"loop edge '{tokens[0]} {tokens[1]}' is not allowed", line=lineno)
+        elif not names.issuperset(tokens):
+            unknown = tokens[0] if tokens[0] not in names else tokens[1]
+            return ParseError(f"unknown vertex {unknown!r} in edge", line=lineno)
 
 
 def format_graph(g: SimpleGraph) -> str:

@@ -860,25 +860,34 @@ def parse_stallings(text: str) -> StallingsGraph:
     renumbered canonically, so parse(format(sg)) == sg.
     """
     index: dict = {}  # state id -> state, in order of first mention
+    states: dict = {}  # state-id token -> state: each distinct token is read once
+    labels: set = set()  # the label tokens accepted so far
     declared: Optional[list] = None
     arcs = []
-    for lineno, line in enumerate(_instance(text, str).splitlines(), start=1):
-        tokens = line.split("#", 1)[0].split()
+    lines = _instance(text, str).splitlines()
+    if "#" in text:
+        lines = [line.split("#", 1)[0] for line in lines]
+    for lineno, tokens in enumerate(map(str.split, lines), start=1):
         if not tokens:
             continue
         if declared is None:
-            index[_state_id(tokens[0], lineno)] = 0
+            index[_state_id(tokens[0], lineno)] = states[tokens[0]] = 0
             declared = [_label(g, lineno) for g in tokens[1:]]
+            labels.update(declared)
             continue
         if len(tokens) != 3:
             raise ParseError("transition lines need 'state generator state'", line=lineno)
         u, g, v = tokens
-        u = index.setdefault(_state_id(u, lineno), len(index))
-        v = index.setdefault(_state_id(v, lineno), len(index))
-        _label(g, lineno)
-        if declared and g not in declared:
-            raise ParseError(f"generator {g!r} is not in the declared alphabet", line=lineno)
-        arcs.append((u, g, v, lineno))
+        if u not in states or v not in states:
+            for tok in (u, v):
+                if tok not in states:
+                    states[tok] = index.setdefault(_state_id(tok, lineno), len(index))
+        if g not in labels:
+            _label(g, lineno)
+            if declared:
+                raise ParseError(f"generator {g!r} is not in the declared alphabet", line=lineno)
+            labels.add(g)
+        arcs.append((states[u], g, states[v], lineno))
     if declared is None:
         raise ParseError("empty input: the first line must name the base state", line=1)
 

@@ -375,6 +375,56 @@ def clique_oracle(g):
     return clique_oracle_mask(len(g.vertices), graph_to_mask(g))
 
 
+def graph_text_outcome(text):
+    """What a graph text means, read one line at a time: ``("graph",
+    vertices, edges)`` with the sorted names and the set of sorted pairs, or
+    ``("error", message)`` with the message, prefixed by its line number,
+    for the first fault in line order."""
+    vertices, edges = None, set()
+    for number, line in enumerate(text.splitlines(), start=1):
+        tokens = line.partition("#")[0].split()
+        if not tokens:
+            continue
+        if vertices is None:
+            vertices = []
+            for name in tokens:
+                if "^" in name:
+                    return "error", f"line {number}: vertex name {name!r} may not contain '^'"
+                if name in vertices:
+                    return "error", f"line {number}: duplicate vertex name {name!r}"
+                vertices.append(name)
+            continue
+        if len(tokens) != 2:
+            return "error", f"line {number}: edge line needs exactly two vertex names, got {len(tokens)}"
+        u, v = tokens
+        if u == v:
+            return "error", f"line {number}: loop edge '{u} {v}' is not allowed"
+        for name in (u, v):
+            if name not in vertices:
+                return "error", f"line {number}: unknown vertex {name!r} in edge"
+        edges.add((min(u, v), max(u, v)))
+    return "graph", tuple(sorted(vertices or ())), edges
+
+
+def bfs_components(g):
+    """The connected blocks of ``g`` by breadth-first search from each
+    vertex not yet reached, in vertex order, each block sorted."""
+    reached, blocks = set(), []
+    for start in g.vertices:
+        if start in reached:
+            continue
+        block, queue = [start], [start]
+        reached.add(start)
+        for v in queue:
+            for u in g.vertices:
+                if u not in reached and g.adjacent(u, v):
+                    reached.add(u)
+                    block.append(u)
+                    queue.append(u)
+        blocks.append(tuple(sorted(block)))
+    return tuple(blocks)
+
+
 def brute_induced_embedding_exists(pattern, host):
     """Try every injective vertex assignment."""
     pv = pattern.vertices

@@ -9,6 +9,8 @@ from pcgroups import (
     ParseError,
     SimpleGraph,
     clique_number,
+    embeds_in,
+    explicit_catalog,
     complete_decomposition,
     complete_graph,
     connected_components,
@@ -25,7 +27,14 @@ from pcgroups import (
     reflexive_closure_is_transitive,
     relabel,
 )
-from oracles import all_labeled_graphs, clique_oracle
+from oracles import (
+    all_labeled_graphs,
+    bfs_components,
+    brute_induced_embedding_exists,
+    clique_oracle,
+    graph_text_outcome,
+)
+from test_stallings import opcodes
 
 
 def P3():
@@ -172,6 +181,16 @@ class TestConnectedComponents:
 
     def test_path(self):
         assert connected_components(P3()) == (("a", "b", "c"),)
+
+    def test_matches_breadth_first_search(self):
+        rng = random.Random(31)
+        for _ in range(300):
+            n = rng.randint(0, 40)
+            names = [f"v{i:02d}" for i in range(n)]
+            rng.shuffle(names)
+            p = rng.choice((0.0, 0.02, 0.05, 0.1, 0.3))
+            g = SimpleGraph(names, (q for q in itertools.combinations(names, 2) if rng.random() < p))
+            assert connected_components(g) == bfs_components(g)
 
 
 class TestFindInducedP3:
@@ -402,6 +421,89 @@ class TestCliqueNumber:
             assert clique_number(disjoint_union(g1, g2)) == max(clique_number(g1), clique_number(g2))
 
 
+def union_of_cliques(rng, names):
+    """The names cut into runs of random lengths, each run a clique."""
+    edges, at = [], 0
+    while at < len(names):
+        k = rng.randint(1, len(names) - at)
+        edges += itertools.combinations(names[at : at + k], 2)
+        at += k
+    return edges
+
+
+def join_of_unions(rng, names):
+    """The names cut into runs, often of one vertex, each a union of
+    cliques, with every pair from two runs adjacent."""
+    edges, runs, at = [], [], 0
+    while at < len(names):
+        k = rng.choice((1, 1, rng.randint(1, len(names) - at)))
+        runs.append(names[at : at + k])
+        edges += union_of_cliques(rng, runs[-1])
+        at += k
+    edges += ((u, v) for a, b in itertools.combinations(runs, 2) for u in a for v in b)
+    return edges
+
+
+def cut_names(rng, n):
+    names = [f"v{i:02d}" for i in range(n)]
+    rng.shuffle(names)  # so that no part is a run of the vertex order
+    return names
+
+
+class TestUnionsAndJoinsOfCliques:
+    # a union of cliques is answered from its decomposition, and a clique
+    # part of the split is valued by its size
+    PATTERNS = {entry.name: entry.pattern for entry in explicit_catalog() if entry.name in ("P3", "P4", "C4")}
+
+    @pytest.mark.parametrize("build", [union_of_cliques, join_of_unions])
+    def test_match_the_brute_searches(self, build):
+        rng = random.Random(47)
+        for _ in range(150):
+            names = list("abcdefg"[: rng.randint(0, 7)])
+            rng.shuffle(names)
+            g = SimpleGraph(names, build(rng, names))
+            omega = clique_oracle(g)
+            assert clique_number(g) == omega
+            for n in range(1, 9):
+                assert embeds_in(f"K_{n}", g) == (n <= omega)
+            for name, pattern in self.PATTERNS.items():
+                assert embeds_in(name, g) == brute_induced_embedding_exists(pattern, g), name
+
+    def test_large_ones_add_up(self):
+        # omega of a union is its largest clique; of a join, the sum over runs
+        rng = random.Random(53)
+        for _ in range(40):
+            names = cut_names(rng, rng.randint(1, 120))
+            union = SimpleGraph(names, union_of_cliques(rng, names))
+            omega = max(complete_decomposition(union))
+            assert clique_number(union) == omega
+            assert embeds_in(f"K_{omega}", union) and not embeds_in(f"K_{omega + 1}", union)
+            assert not any(embeds_in(p, union) for p in ("P3", "P4", "C4"))
+            joined = join(union, complete_graph(rng.randint(1, 30), prefix="w"))
+            assert clique_number(joined) == omega + len(joined.vertices) - len(names)
+
+    def test_unions_of_cliques_build_no_bitsets(self, monkeypatch):
+        built = []
+        bitsets = graphs._bitsets
+        monkeypatch.setattr(graphs, "_bitsets", lambda g: built.append(g) or bitsets(g))
+        host = edgeless_graph(0)
+        for k, prefix in ((61, "x"), (30, "y"), (5, "z"), (1, "u")):
+            host = disjoint_union(host, complete_graph(k, prefix=prefix))
+        assert embeds_in("K_61", host) and not embeds_in("K_62", host)
+        assert not embeds_in("P4", host) and not embeds_in("C4", host)
+        assert built == []
+        assert embeds_in("P4", path_graph(4)) and len(built) == 1  # the counter counts
+
+    def test_a_clique_is_valued_by_its_size(self):
+        # the bytecodes clique_number runs on K_300, the graph built beforehand;
+        # with a frame and a clique search per vertex it ran 150,857 on
+        # CPython 3.11.7, and valuing single-vertex co-components without a
+        # frame brings that to 44,378
+        g = complete_graph(300)
+        count, omega = opcodes(lambda: clique_number(g))
+        assert omega == 300 and 0 < count <= 150_857 // 2, count
+
+
 class TestFactories:
     def test_shapes(self):
         assert len(path_graph(4).edges) == 3
@@ -475,3 +577,41 @@ class TestTextFormat:
     def test_caret_banned(self):
         with pytest.raises(ParseError, match="'x\\^2'"):
             parse_graph("a x^2\n")
+
+    def test_matches_the_line_by_line_referee(self):
+        # random texts in every spelling the format allows, most with one or
+        # two faults planted; the first fault in line order is the one named
+        rng = random.Random(61)
+        pool = ["a", "b", "c", "d", "e", "x1", "x2", "long_name"]
+        messages = set()
+        for _ in range(800):
+            names = rng.sample(pool, rng.randint(0, 6))
+            header = names + [rng.choice(names)] if names and rng.random() < 0.1 else names[:]
+            if rng.random() < 0.08:
+                header.insert(rng.randint(0, len(header)), "x^2")
+            lines = [" ".join(header)]
+            for _ in range(rng.randint(0, 12)):
+                pair = rng.sample(names, 2) if len(names) >= 2 else ["a", "b"]
+                fault = rng.random()
+                if fault < 0.03:
+                    pair = pair[:1] * 2  # a loop
+                elif fault < 0.06:
+                    pair[rng.randrange(2)] = rng.choice(("zz", "a^1", "a#"))  # unknown, or cut by '#'
+                elif fault < 0.09:
+                    pair = pair[:1] if rng.random() < 0.5 else pair + ["c"]  # one name or three
+                lines.append(rng.choice((" ", "\t", "  ", " \t ")).join(pair))
+            for _ in range(rng.randint(0, 4)):  # blank, whitespace-only and comment lines
+                lines.insert(rng.randint(0, len(lines)), rng.choice(("", "  ", "\t", "# note", " # a b")))
+            lines = [line + " # c d" if rng.random() < 0.1 else line for line in lines]
+            end = rng.choice(("\n", "\r\n"))
+            text = end.join(lines) + end * (rng.random() < 0.8)
+            expected = graph_text_outcome(text)
+            try:
+                g = parse_graph(text)
+            except ParseError as error:
+                assert ("error", str(error)) == expected, text
+                messages.add(str(error).split(": ")[1].split()[0])
+            else:
+                assert ("graph", g.vertices, set(g.edges)) == expected, text
+        # every kind of fault was met: duplicate, '^' name, count, loop, unknown
+        assert messages == {"duplicate", "vertex", "edge", "loop", "unknown"}, messages

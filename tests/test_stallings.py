@@ -17,6 +17,7 @@ from pcgroups import (
     parse_stallings,
     parse_word,
 )
+from pcgroups import stallings
 from pcgroups.stallings import _search
 from pcgroups.zf2 import conjugate_generators
 from oracles import (
@@ -466,6 +467,21 @@ class TestMember:
         assert sg.member(word)
         assert time.perf_counter() - start < 0.3
 
+    def test_counted_cost_does_not_grow_with_the_alphabet(self):
+        # the clock pin above, counted: one 10^5-letter word over the last
+        # ten of 1,000 generators runs the same bytecodes, within 1%, in the
+        # subgroup they generate over those ten letters as over all 1,000
+        alphabet = [f"g{i:03d}" for i in range(1000)]
+        rng = random.Random(67)
+        word = w(" ".join(rng.choice(alphabet[-10:]) for _ in range(10**5)))
+        counts = []
+        for letters in (alphabet[-10:], alphabet):
+            sg = from_generators([w(g) for g in letters], letters)
+            count, member = opcodes(lambda: sg.member(word))
+            assert member
+            counts.append(count)
+        assert abs(counts[1] - counts[0]) <= 0.01 * counts[0], counts
+
     def test_a_long_syllable_walks_at_most_one_lap(self):
         # a walk along one label returns to its start after L steps, and then
         # only |k| mod L steps are left; the last case starts off the base
@@ -841,6 +857,33 @@ class TestSerialization:
         # 10 and 010 are one state; -4 is a state like any other
         back = parse_stallings("-4 a b\n-4 a 10\n010 b 010\n10 a -4\n")
         assert back == from_generators([w("a^2"), w("a b a^-1")], AB)
+
+    def test_each_distinct_token_is_read_once(self, monkeypatch):
+        # K_29 ∩ K_30 written out: 870 state ids, each on several lines, and
+        # two labels; each distinct token is checked once, in text order
+        meet = kernel(29).intersect(kernel(30))
+        text = format_stallings(meet)
+        decimals, names = [], []
+        decimal, is_name = stallings._decimal, stallings._is_name
+        monkeypatch.setattr(stallings, "_decimal", lambda tok: decimals.append(tok) or decimal(tok))
+        monkeypatch.setattr(stallings, "_is_name", lambda tok: names.append(tok) or is_name(tok))
+        assert parse_stallings(text) == meet
+        assert sorted(decimals) == sorted(set(text.split()) - {"a", "b"})
+        assert names == ["a", "b"]
+
+    @pytest.mark.parametrize("text, message", [
+        ("0 a\n0 a 1\n1 a x\n1 a 0\nx a 0\n", "line 3: state id 'x'"),
+        ("0 a\n0 a 1\n1 b^2 0\n1 b 0\n", "line 3: generator name 'b^2'"),
+        ("0 a\n0 a 1\n1 b 0\n1 b^2 0\n", "line 3: generator 'b' is not in the declared alphabet"),
+        ("0\n0 a 1 # a comment\n1 a^2 0\n", "line 3: generator name 'a^2'"),
+        ("0 a\n0 a 1\n1 c q\n", "line 3: state id 'q'"),
+        ("0 a\n0 a 1\n1 a 0 0\n1 z 0\n", "line 3: transition lines need"),
+    ])
+    def test_the_first_bad_token_in_text_order_is_named(self, text, message):
+        # a token that was read good stays good; a bad one raises where it
+        # first appears, with the state ids before the label on its line
+        with pytest.raises(ParseError, match="^" + re.escape(message)):
+            parse_stallings(text)
 
     def test_header_labels_may_not_contain_a_caret(self):
         with pytest.raises(ParseError, match="line 2: generator name 'a\\^2'"):
