@@ -32,6 +32,7 @@ from .errors import InputError, ParseError
 from .graphs import (
     SimpleGraph,
     _is_name,
+    _uncommented_lines,
     complete_decomposition,
     parse_graph,
     reflexive_closure_is_transitive,
@@ -61,10 +62,7 @@ def _load_subgroup(path: str, alphabet: list):
     from .stallings import from_generators
     from .words import _parsed
 
-    text = _read(path)
-    lines = text.splitlines()
-    if "#" in text:
-        lines = [line.split("#", 1)[0] for line in lines]
+    lines = _uncommented_lines(_read(path))
     made: dict = {}
     words = []
     for lineno, line in enumerate(lines, start=1):

@@ -44,6 +44,7 @@ edge line is harmless, and a loop ``u u`` is an error.
 from __future__ import annotations
 
 from itertools import combinations, islice
+from operator import length_hint
 from typing import Iterable, Mapping, Optional
 
 from .errors import InputError, ParseError, _instance
@@ -157,6 +158,15 @@ def _is_name(name) -> bool:
     ``#`` a comment."""
     return (isinstance(name, str) and name != "" and "^" not in name
             and "#" not in name and name.split() == [name])
+
+
+def _uncommented_lines(text: str) -> list[str]:
+    """The lines of ``text``, each cut at its first ``#``, which starts a
+    comment in every text format of the package."""
+    lines = text.splitlines()
+    if "#" in text:  # most texts hold none
+        lines = [line.split("#", 1)[0] for line in lines]
+    return lines
 
 
 def _check_names(names: Iterable) -> None:
@@ -610,17 +620,17 @@ def cycle_graph(n_or_names, prefix: str = "v") -> SimpleGraph:
 def parse_graph(text: str) -> SimpleGraph:
     """Parse the one-graph text format described in the module docstring.
 
-    One loop appends each edge to both endpoints' neighbour lists while the
-    text is good.  At a fault (a duplicate or ``^`` name, a line without two
-    names, a loop, an unknown endpoint) the lines are read again one at a
-    time, and the first bad line is named."""
-    lines = _instance(text, str).splitlines()
-    if "#" in text:
-        lines = [raw.split("#", 1)[0] for raw in lines]
-    rows = filter(None, map(str.split, lines))
+    The text is read once: one loop appends each edge to both endpoints'
+    neighbour lists while the text is good.  A fault (a duplicate or ``^``
+    name, a line without two names, a loop, an unknown endpoint) stops the
+    reading at its line, and the lines left unread give its number."""
+    lines = _uncommented_lines(_instance(text, str))
+    unread = iter(lines)  # map and filter read no line ahead
+    rows = filter(None, map(str.split, unread))
     names = next(rows, ())
     adj: dict[str, list[str]] = {t: [] for t in names}
-    if len(adj) == len(names) and "^" not in "".join(names):
+    header_ok = len(adj) == len(names) and "^" not in "".join(names)
+    if header_ok:
         try:
             for u, v in rows:
                 if u == v:
@@ -631,30 +641,19 @@ def parse_graph(text: str) -> SimpleGraph:
                 return SimpleGraph._trusted({v: frozenset(near) for v, near in adj.items()})
         except (KeyError, ValueError):  # an unknown endpoint, or not two names
             pass
-    raise _first_fault(lines)
-
-
-def _first_fault(lines: list[str]) -> ParseError:
-    """The error naming the first bad line of a graph text that has one."""
-    names: Optional[set[str]] = None
-    for lineno, tokens in enumerate(map(str.split, lines), start=1):
-        if not tokens:
-            continue
-        if names is None:
-            names = set()
-            for t in tokens:
-                if "^" in t:
-                    return ParseError(f"vertex name {t!r} may not contain '^'", line=lineno)
-                if t in names:
-                    return ParseError(f"duplicate vertex name {t!r}", line=lineno)
-                names.add(t)
-        elif len(tokens) != 2:
-            return ParseError(f"edge line needs exactly two vertex names, got {len(tokens)}", line=lineno)
-        elif tokens[0] == tokens[1]:
-            return ParseError(f"loop edge '{tokens[0]} {tokens[1]}' is not allowed", line=lineno)
-        elif not names.issuperset(tokens):
-            unknown = tokens[0] if tokens[0] not in names else tokens[1]
-            return ParseError(f"unknown vertex {unknown!r} in edge", line=lineno)
+    line = len(lines) - length_hint(unread)  # the last line read, the bad one
+    tokens = lines[line - 1].split()
+    if not header_ok:
+        seen: set[str] = set()  # add returns None: a name is picked if it holds ^ or repeats
+        t = next(t for t in tokens if "^" in t or t in seen or seen.add(t))
+        message = f"vertex name {t!r} may not contain '^'" if "^" in t else f"duplicate vertex name {t!r}"
+    elif len(tokens) != 2:
+        message = f"edge line needs exactly two vertex names, got {len(tokens)}"
+    elif tokens[0] == tokens[1]:
+        message = f"loop edge '{tokens[0]} {tokens[1]}' is not allowed"
+    else:
+        message = f"unknown vertex {next(t for t in tokens if t not in adj)!r} in edge"
+    raise ParseError(message, line=line)
 
 
 def format_graph(g: SimpleGraph) -> str:

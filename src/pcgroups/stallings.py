@@ -60,12 +60,12 @@ unit product arc, in one step.  Where either arc is long, the two walks go
 on along the row from stored state to stored state until both stand on one
 at once (folding with arcs labelled by group elements, Kapovich, Weidmann &
 Miasnikov 2005), so ``<a^p> ∩ <a^q>`` takes p + q steps, not lcm(p, q); a
-walk that runs out first leads into a tree, and no arc is written.  When
-no tree is cut and no chain is left, the search's numbering is the
-canonical one; otherwise ``_stored`` numbers the core again.  Two
-subgroups of finite index over two or more letters have a unit arc of
-every letter at every stored state, and so does their product: it is
-searched with no test for a missing or long arc and stored as searched.
+walk that runs out first leads into a tree, and no arc is written.  The
+trees are then cut, and ``_stored`` contracts the chains left and numbers
+the core.  Two subgroups of finite index over two or more letters have a
+unit arc of every letter at every stored state, and so does their
+product: it is searched with no test for a missing or long arc and stored
+as searched.
 
 Text serialization: the base state (always 0) followed by the alphabet on
 the first line, then one line ``state_from generator state_to`` per
@@ -79,7 +79,7 @@ from operator import eq, itemgetter, le, mul, sub
 from typing import Iterable, Optional
 
 from .errors import InputError, ParseError, _instance
-from .graphs import _is_name
+from .graphs import _is_name, _uncommented_lines
 from .words import Word, _decimal, _free_reduced
 
 __all__ = [
@@ -329,17 +329,16 @@ class StallingsGraph:
         product arc is long; if one walk runs out first, the product walks
         into a tree and gets no arc.
 
-        The search is the canonical one, a long arc one step.  So when
-        trimming (``_trim``) cuts no tree and no pair of stored states is
-        left a chain interior, with two arcs of one letter, the rows are
-        stored as they are.  Otherwise ``_stored`` contracts the chains and
-        numbers the core again.
+        Trimming (``_trim``) cuts the trees.  ``_stored`` then contracts
+        each chain through pairs of stored states left with two arcs of one
+        letter, and numbers the core.
 
         When both operands are over two or more letters and every row holds
         a unit arc at every stored state, which is when both subgroups have
-        finite index, none of that can happen: ``_full_product`` runs the
-        search without the tests.  The rows alone select it, one ``min``
-        per row.
+        finite index, there is no tree, no chain and no long arc:
+        ``_full_product`` runs the search without the tests, and its rows
+        are stored as searched.  The rows alone select it, one ``min`` per
+        row.
         """
         if self.alphabet != _instance(other, StallingsGraph).alphabet:
             raise InputError("cannot intersect subgroups over different alphabets")
@@ -382,9 +381,7 @@ class StallingsGraph:
 
         degree = _trim(rows, lengths, n)
         interiors = _interiors(rows, n, degree) if 2 in degree else []
-        if interiors or -1 in degree:  # chains to contract, or trees cut
-            return StallingsGraph._trusted(self.alphabet, *_stored(rows, lengths, n, interiors))
-        return StallingsGraph._trusted(self.alphabet, rows, lengths)
+        return StallingsGraph._trusted(self.alphabet, *_stored(rows, lengths, n, interiors))
 
     def to_dot(self) -> str:
         """Plain DOT text; the base state is drawn as a double circle.  A
@@ -864,10 +861,7 @@ def parse_stallings(text: str) -> StallingsGraph:
     labels: set = set()  # the label tokens accepted so far
     declared: Optional[list] = None
     arcs = []
-    lines = _instance(text, str).splitlines()
-    if "#" in text:
-        lines = [line.split("#", 1)[0] for line in lines]
-    for lineno, tokens in enumerate(map(str.split, lines), start=1):
+    for lineno, tokens in enumerate(map(str.split, _uncommented_lines(_instance(text, str))), start=1):
         if not tokens:
             continue
         if declared is None:

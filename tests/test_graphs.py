@@ -61,6 +61,10 @@ class TestSimpleGraph:
             SimpleGraph(("a", "b"), [("a", "c")])
         with pytest.raises(InputError, match="^edge endpoint 'z' is not a vertex$"):
             SimpleGraph(["a"], [("a", "z")])
+        # an unknown first endpoint is named, also when both are unknown
+        for edge in (("z", "a"), ("z", "y")):
+            with pytest.raises(InputError, match="^edge endpoint 'z' is not a vertex$"):
+                SimpleGraph(["a", "b"], [edge])
 
     def test_malformed_edge_named(self):
         for edge in ((["a"], "b"), "ab c", ("a",), None):

@@ -79,6 +79,21 @@ def test_a_command_loads_only_its_layers(command):
     assert set(loaded) == EAGER | {f"pcgroups.{layer}" for layer in LAYERS_RUN[command]}
 
 
+# Prints, as JSON, the modules that importing every layer adds; those a
+# ``.pth`` file loaded at start-up were there before and are not counted.
+ADDED = ("import sys; before = set(sys.modules); "
+         "import pcgroups.cli, pcgroups.words, pcgroups.visible, pcgroups.stallings, pcgroups.zf2; "
+         "added = sorted(set(sys.modules) - before); import json; print(json.dumps(added))")
+
+
+def test_the_layers_import_only_the_standard_library():
+    added = fresh(ADDED)
+    assert "pcgroups.zf2" in added
+    outside = [m for m in added if m != "pcgroups" and not m.startswith("pcgroups.")
+               and m.partition(".")[0] not in sys.stdlib_module_names]
+    assert outside == []
+
+
 CLASH = """
 import importlib, io, json, sys
 import pcgroups
