@@ -142,9 +142,10 @@ def _cmd_intersect_free(args):
     for path, render in ((args.out, format_stallings), (args.dot, StallingsGraph.to_dot)):
         if not path:
             continue
+        text = render(meet)  # a refused write raises before the file is opened
         try:
             with open(path, "w", encoding="utf-8") as handle:
-                handle.write(render(meet))
+                handle.write(text)
         except (OSError, ValueError) as exc:  # ValueError: a bad path, or a label UTF-8 cannot spell
             raise InputError(f"cannot write {path}: {getattr(exc, 'strerror', exc)}") from None
     return {"rank": meet.rank(), "states": meet.num_states, "edges": meet.num_edges}, True

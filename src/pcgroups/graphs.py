@@ -43,6 +43,7 @@ edge line is harmless, and a loop ``u u`` is an error.
 
 from __future__ import annotations
 
+from collections import Counter
 from itertools import combinations, islice
 from operator import length_hint
 from typing import Iterable, Mapping, Optional
@@ -593,7 +594,11 @@ def complete_graph(n_or_names, prefix: str = "v") -> SimpleGraph:
     """Every pair adjacent; at most ``MAX_GRAPH_SIZE`` vertices plus edges
     (n <= 1413)."""
     names = _names(n_or_names, prefix, lambda n: n * (n - 1) // 2)
-    return SimpleGraph(names, combinations(names, 2))
+    full = frozenset(SimpleGraph(names).vertices)  # checks the names
+    if len(full) < len(names):  # the pair of a repeated name with itself is a loop
+        twice = next(v for v, count in Counter(names).items() if count > 1)
+        raise InputError(f"loop edge at {twice!r} is not allowed")
+    return SimpleGraph._trusted({v: full - {v} for v in sorted(full)})
 
 
 def edgeless_graph(n_or_names, prefix: str = "v") -> SimpleGraph:

@@ -47,11 +47,13 @@ the same subgroup over the same alphabet: ``==`` and ``hash`` read the
 stored rows, and isomorphism checks in tests are plain ``==``.
 
 ``edges`` and the text and DOT forms write one state per letter, numbered
-breadth-first along the per-letter rows.  ``_spelled_out`` computes that
-numbering on the stored shape: the states inside the long arcs are
-numbered many levels at once, as arithmetic progressions written by slice
-assignment, so it costs a step per stored state and per walk that ends,
-not per state.  The lines are joined a letter at a time in C.
+breadth-first along the per-letter rows.  They write at most
+``MAX_WRITTEN_ARCS`` (4 * 10**6) arcs: past it they raise ``InputError``
+from ``num_edges``, before anything is built per state.  ``_spelled_out``
+computes that numbering on the stored shape: the states inside the long arcs
+are numbered many levels at once, as arithmetic progressions written by
+slice assignment, so it costs a step per stored state and per walk that
+ends, not per state.  The lines are joined a letter at a time in C.
 
 ``intersect`` searches the product automaton based at the pair of bases in
 exactly that order, keying each pair of stored states by one int, and
@@ -83,11 +85,14 @@ from .graphs import _is_name, _uncommented_lines
 from .words import Word, _decimal, _free_reduced
 
 __all__ = [
+    "MAX_WRITTEN_ARCS",
     "StallingsGraph",
     "from_generators",
     "parse_stallings",
     "format_stallings",
 ]
+
+MAX_WRITTEN_ARCS = 4 * 10**6
 
 
 class StallingsGraph:
@@ -169,8 +174,17 @@ class StallingsGraph:
 
     def edges(self) -> list[tuple[int, str, int]]:
         """Every arc, one per letter, as ``(source, generator, target)``, in
-        sorted order."""
-        return self._arcs(range(self.num_states), lambda g, pairs: [(u, g, v) for u, v in pairs])
+        sorted order; refused past ``MAX_WRITTEN_ARCS`` arcs."""
+        return self._arcs(self._written_states(), lambda g, pairs: [(u, g, v) for u, v in pairs])
+
+    def _written_states(self) -> range:
+        """The states a writer numbers, ``range(num_states)``; raises
+        ``InputError``, before anything is built per state, when the
+        automaton has more than ``MAX_WRITTEN_ARCS`` arcs."""
+        arcs = self.num_edges
+        if arcs > MAX_WRITTEN_ARCS:
+            raise InputError(f"the automaton has {arcs} arcs; at most {MAX_WRITTEN_ARCS} are written")
+        return range(self.num_states)
 
     def _arcs(self, ends: list | range, items) -> list:
         """One item per arc, one state per letter, in sorted order: by
@@ -385,8 +399,9 @@ class StallingsGraph:
 
     def to_dot(self) -> str:
         """Plain DOT text; the base state is drawn as a double circle.  A
-        backslash or a double quote in a label is escaped with a backslash."""
-        ids = list(map(str, range(self.num_states)))  # each state id made once
+        backslash or a double quote in a label is escaped with a backslash.
+        Refused past ``MAX_WRITTEN_ARCS`` arcs."""
+        ids = list(map(str, self._written_states()))  # each state id made once
         states = map("".join, zip(repeat("  "), ids[1:], repeat(' [shape=circle, label="'), ids[1:],
                                   repeat('"];')))
 
@@ -827,9 +842,10 @@ def from_generators(ws: Iterable[Word], alphabet: Iterable[str]) -> StallingsGra
 
 def format_stallings(sg: StallingsGraph) -> str:
     """Serialize: base state (and the alphabet, so a trivial subgroup keeps
-    its generators) on line 1, then sorted transition lines."""
+    its generators) on line 1, then sorted transition lines; refused past
+    ``MAX_WRITTEN_ARCS`` arcs."""
     head = " ".join((str(_instance(sg, StallingsGraph).base),) + sg.alphabet)
-    ids = list(map(str, range(sg.num_states)))  # each state id made once
+    ids = list(map(str, sg._written_states()))  # each state id made once
     lines = sg._arcs(ids, lambda g, pairs: map(f" {g} ".join, pairs))
     return "\n".join([head, *lines, ""])
 

@@ -90,6 +90,6 @@ def rewrite_in_visible(w: Word, r: VertexRestriction) -> Optional[NormalWord]:
     member's heap is read off.
     """
     heap = _pile(_instance(r, VertexRestriction).ambient, w)
-    if any(stack and x not in r.ys for x, stack in zip(heap.occurring, heap.stacks)):
+    if any(stack and x not in r.ys for x, (_, _, stack) in heap.pieces.items()):
         return None
     return _read_off(heap)

@@ -271,14 +271,14 @@ def normal_form(w: Word, g: SimpleGraph) -> NormalWord:
 
 
 class _Heap(NamedTuple):
-    """A piling: the occurring generators in sorted order, the width of
-    each one's count field, each one's ``inc`` row, and its stack of pieces
-    ``(c, k)`` from bottom to top."""
+    """A piling: the width of each count field, and a dict, in sorted
+    generator order, from each occurring generator to its record ``(shift,
+    row, stack)``: the shift of its count field, its blocking row (a 1 in
+    the field of each occurring generator that does not commute with it),
+    and its stack of pieces ``(c, k)`` from bottom to top."""
 
-    occurring: list
     width: int
-    inc: list
-    stacks: list
+    pieces: dict
 
 
 def _generators(w: Word, g: SimpleGraph) -> set:
@@ -305,19 +305,23 @@ def _pile(g: SimpleGraph, w: Word, divisor: Optional[Word] = None) -> _Heap:
     and then of ``divisor`` are checked, each in word order, before any
     syllable is piled.
 
-    Counts live in packed ints: each occurring generator, in sorted order,
-    owns a field of ``W = m.bit_length() + 1`` bits, ``m`` the number of
-    syllables.  A piece of ``x`` is stored with ``c``, the number of live
-    pieces that do not commute with ``x`` when it lands.  Those pieces lie
-    below it and stay live and unchanged as long as it does, because a piece
-    with a live non-commuting piece above it is never landed on: a syllable
-    over its generator counts that piece too.  So a syllable ``x^k`` meets
-    nothing non-commuting above the top piece ``(c, t)`` of ``x`` exactly
-    when the count is still ``c``.  It then lands on the piece, which becomes
-    ``(c, t + k)``, or is popped when that is zero; an overshooting
-    cancellation leaves the remainder with the count ``c`` it lands with.
-    Only a new or a popped piece moves the counts.  So a stack's counts rise
-    strictly from bottom to top, and no count exceeds ``m``.
+    Counts live in packed ints: each occurring generator, in sorted order, owns
+    a field of ``W = m.bit_length() + 1`` bits, ``m`` the number of
+    syllables.  Its one record holds the field's shift, its stack, and its
+    blocking row, a 1 in every field but its own and its occurring
+    neighbours': a new piece of it adds the row to the counts, and a popped
+    one takes it away.  A piece of ``x`` is stored with ``c``, the number of
+    live pieces that do not commute with ``x`` when it lands.  Those pieces
+    lie below it and stay live and unchanged as long as it does, because a
+    piece with a live non-commuting piece above it is never landed on: a
+    syllable over its generator counts that piece too.  So a syllable
+    ``x^k`` meets nothing non-commuting above the top piece ``(c, t)`` of
+    ``x`` exactly when the count is still ``c``.  It then lands on the
+    piece, which becomes ``(c, t + k)``, or is popped when that is zero; an
+    overshooting cancellation leaves the remainder with the count ``c`` it
+    lands with.  Only a new or a popped piece moves the counts.  So a
+    stack's counts rise strictly from bottom to top, and no count exceeds
+    ``m``.
     """
     gens = _generators(w, g)
     syllables = w.syllables
@@ -326,40 +330,28 @@ def _pile(g: SimpleGraph, w: Word, divisor: Optional[Word] = None) -> _Heap:
         gens |= _generators(divisor, g)
         m += len(divisor.syllables)
         syllables = chain(syllables, [(gen, -k) for gen, k in reversed(divisor.syllables)])
-    occurring = sorted(gens)
-    index = {x: i for i, x in enumerate(occurring)}
     width = m.bit_length() + 1
     mask = (1 << width) - 1
-    shifts = [width * i for i in range(len(occurring))]
-    # inc[i] has a 1 in the field of each occurring generator that does not
-    # commute with occurring[i].  It is read as binary text, last field
-    # first: one flag byte per generator (1 where it commutes), each widened
-    # to its field.
-    commuting, blocking = b"0" * width, b"0" * (width - 1) + b"1"
-    backwards = occurring[::-1]
-    inc = [
-        int(bytes(map(g.neighbors(x).__contains__, backwards))
-            .replace(b"\x01", commuting).replace(b"\x00", blocking), 2) - (1 << shift)
-        for x, shift in zip(occurring, shifts)
-    ]
+    bit = {x: 1 << width * i for i, x in enumerate(sorted(gens))}
+    every = sum(bit.values())
+    pieces = {x: (width * i, every - b - sum(map(bit.__getitem__, bit.keys() & g.neighbors(x))), [])
+              for i, (x, b) in enumerate(bit.items())}
 
-    stacks: list[list] = [[] for _ in occurring]
     live = 0  # per field: live pieces that do not commute with its generator
     for gen, k in syllables:
-        i = index[gen]
-        c = (live >> shifts[i]) & mask
-        stack = stacks[i]
+        shift, row, stack = pieces[gen]
+        c = (live >> shift) & mask
         if stack and stack[-1][0] == c:
             k += stack[-1][1]
             if k:
                 stack[-1] = (c, k)
             else:
                 stack.pop()
-                live -= inc[i]
+                live -= row
         else:
             stack.append((c, k))
-            live += inc[i]
-    return _Heap(occurring, width, inc, stacks)
+            live += row
+    return _Heap(width, pieces)
 
 
 def _read_off(heap: _Heap) -> NormalWord:
@@ -379,33 +371,33 @@ def _read_off(heap: _Heap) -> NormalWord:
     difference lies in ``[0, 2**(W-1))``, adding ``2**(W-1) - 1`` to it
     never carries out of the field, and the sum's top bit is clear exactly
     when the field was zero.  The lowest such bit names the least generator
-    that may be emitted.  Two pieces of one generator never come out next to
+    that may be emitted: its field's index is its record's place in the
+    heap's dict.  Two pieces of one generator never come out next to
     each other, since the next piece's count is higher, so the output
     syllables are maximal.
     """
-    occurring, width, inc, stacks = heap
-    shifts = [width * i for i in range(len(occurring))]
+    width, pieces = heap
+    records = list(pieces.items())
+    ones = sum(1 << shift for shift, _, _ in pieces.values())  # a 1 in every field
     top = 1 << (width - 1)
     spent = top - 1
-    fill = sum(spent << shift for shift in shifts)
-    high = sum(top << shift for shift in shifts)
-    for stack in stacks:
+    high = top * ones
+    for _, _, stack in pieces.values():
         stack.reverse()
     # per field: the front piece's count, minus the non-commuting pieces
     # emitted so far, plus ``spent``; never negative, so the bit tricks
     # below stay on non-negative ints
-    gap = fill + sum((stack[-1][0] if stack else spent) << shift
-                     for stack, shift in zip(stacks, shifts))
+    gap = spent * ones + sum((stack[-1][0] if stack else spent) << shift
+                             for shift, _, stack in pieces.values())
     out = []
-    for _ in range(sum(map(len, stacks))):
+    for _ in range(sum(len(stack) for _, _, stack in pieces.values())):
         # the clear top bits of ``gap``; the lowest is bit width * (i + 1) - 1
         least = high - (gap & high)
-        i = (least ^ (least - 1)).bit_length() // width - 1
-        stack = stacks[i]
+        x, (shift, row, stack) = records[(least ^ (least - 1)).bit_length() // width - 1]
         c, k = stack.pop()
         after = stack[-1][0] if stack else spent
-        gap += ((after - c) << shifts[i]) - inc[i]
-        out.append((occurring[i], k))
+        gap += ((after - c) << shift) - row
+        out.append((x, k))
     return NormalWord._trusted(tuple(out))
 
 
@@ -464,11 +456,11 @@ def are_equal(u: Word, v: Word, g: SimpleGraph) -> bool:
     They do exactly when ``u v^-1`` is trivial, that is when its one heap
     ends with every stack empty; nothing is read off.
     """
-    return not any(_pile(g, u, _instance(v, Word)).stacks)  # None would pile u alone
+    heap = _pile(g, u, _instance(v, Word))  # None would pile u alone
+    return not any(stack for _, _, stack in heap.pieces.values())
 
 
 def support(w: Word, g: SimpleGraph) -> frozenset[str]:
     """Generators that survive in the normal form of ``w``: those whose
     stack in the heap of ``w`` is not empty.  Nothing is read off."""
-    heap = _pile(g, w)
-    return frozenset(x for x, stack in zip(heap.occurring, heap.stacks) if stack)
+    return frozenset(x for x, (_, _, stack) in _pile(g, w).pieces.items() if stack)

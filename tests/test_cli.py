@@ -3,6 +3,7 @@ import io
 import json
 import os
 import random
+import resource
 import shutil
 import subprocess
 import sys
@@ -267,6 +268,19 @@ class TestIntersectFree:
         code, out, err = invoke("intersect-free", "--alphabet", "a", str(h), str(k))
         assert (code, err) == (0, "")
         assert out == '{"rank": 1, "states": 9998000099, "edges": 9998000099}\n'
+
+    @pytest.mark.parametrize("flag", ["--out", "--dot"])
+    def test_coprime_powers_are_refused_before_the_file_is_opened(self, tmp_path, flag):
+        # 9998000099 arcs pass MAX_WRITTEN_ARCS; the command runs with 1.5 GB
+        # of address space, which a write of every arc would exhaust
+        h = _write(tmp_path, "h.words", b"a^99991\n")
+        k = _write(tmp_path, "k.words", b"a^99989\n")
+        target = tmp_path / "meet"
+        argv = ["-m", "pcgroups", "intersect-free", "--alphabet", "a", h, k, flag, str(target)]
+        code, out, err = spawn(sys.executable, *argv, address_space=1500000 * 1024)
+        assert (code, out) == (2, "")
+        assert err == "error: the automaton has 9998000099 arcs; at most 4000000 are written\n"
+        assert not target.exists()
 
     def test_bad_word_file_line_numbered(self, tmp_path):
         h = tmp_path / "h.words"
@@ -551,10 +565,16 @@ GOLDEN_FILES = {
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 
-def spawn(*command):
+def spawn(*command, address_space=None):
+    """Run ``command`` with the package on its path; ``address_space``
+    caps its virtual memory in bytes, so that an allocation that should
+    never be made fails with a ``MemoryError`` instead of filling the host."""
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (address_space, address_space))
+
     done = subprocess.run(
         list(command), env=dict(os.environ, PYTHONPATH=str(SRC)),
-        capture_output=True, text=True, timeout=60,
+        capture_output=True, text=True, timeout=60, preexec_fn=cap if address_space else None,
     )
     return done.returncode, done.stdout, done.stderr
 

@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 import time
 
 import pytest
@@ -514,6 +515,32 @@ class TestFactories:
         assert len(cycle_graph(4).edges) == 4
         assert len(complete_graph(4).edges) == 6
         assert edgeless_graph(4).edges == frozenset()
+
+    def test_complete_graph_is_every_pair_checked(self):
+        for n in range(41):
+            names = [f"v{i}" for i in range(1, n + 1)]
+            assert complete_graph(n) == SimpleGraph(names, itertools.combinations(names, 2))
+        for names in (["b", "a"], ("x", "y", "z"), "pqrs", ["q2", "q10", "q1"]):
+            assert complete_graph(iter(names)) == SimpleGraph(names, itertools.combinations(names, 2))
+
+    @pytest.mark.parametrize("names, message", [
+        (["a", "b c"], "vertex names must be non-empty strings without whitespace, '^' or '#', got 'b c'"),
+        (["a", 3], "vertex names must be non-empty strings without whitespace, '^' or '#', got 3"),
+        # the repeated name that occurs first, as the pair of it with itself is met first
+        (["a", "b", "b", "a"], "loop edge at 'a' is not allowed"),
+        (["b", "a", "a"], "loop edge at 'a' is not allowed"),
+        ("xyzy", "loop edge at 'y' is not allowed"),
+    ])
+    def test_complete_graph_refuses_as_the_checked_construction(self, names, message):
+        for build in (complete_graph, lambda names: SimpleGraph(names, itertools.combinations(names, 2))):
+            with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+                build(names)
+
+    def test_complete_graph_takes_no_step_per_pair(self):
+        # every pair through the checked constructor ran 1,858,032 bytecodes
+        # on CPython 3.11.7; one set difference per vertex runs about 22,000
+        count, g = opcodes(lambda: complete_graph(300))
+        assert len(g.edges) == 300 * 299 // 2 and count <= 100_000, count
 
     def test_cycle_needs_three(self):
         with pytest.raises(InputError):

@@ -20,6 +20,7 @@ from pcgroups import (
 from pcgroups import stallings
 from pcgroups.stallings import _search
 from pcgroups.zf2 import conjugate_generators
+from test_cli import spawn
 from oracles import (
     bouquet_automaton,
     dot_text,
@@ -937,6 +938,34 @@ class TestSerialization:
             assert format_stallings(sg) == stallings_text(sg.alphabet, edges)
             assert sg.to_dot() == dot_text(sg.num_states, edges)
             assert parse_stallings(format_stallings(sg)) == sg
+
+
+    def test_writers_refuse_past_the_arc_cap(self, monkeypatch):
+        # <a^5> ∩ <a^3> is one a-loop of 15 arcs at the base
+        meet = from_generators([w("a^5")], ("a",)).intersect(from_generators([w("a^3")], ("a",)))
+        assert stallings.MAX_WRITTEN_ARCS == 4 * 10**6
+        monkeypatch.setattr(stallings, "MAX_WRITTEN_ARCS", 15)
+        assert len(meet.edges()) == 15 and format_stallings(meet) and meet.to_dot()
+        monkeypatch.setattr(stallings, "MAX_WRITTEN_ARCS", 14)
+        for write in (StallingsGraph.edges, format_stallings, StallingsGraph.to_dot):
+            with pytest.raises(InputError, match="^the automaton has 15 arcs; at most 14 are written$"):
+                write(meet)
+
+    def test_writers_refuse_the_coprime_powers_before_building_a_state(self):
+        # 9998000099 arcs, in a fresh interpreter with 1.5 GB of address
+        # space, which one id per state would exhaust
+        code = (
+            "from pcgroups import InputError, format_stallings, from_generators, parse_word\n"
+            "h, k = (from_generators([parse_word(f'a^{p}')], 'a') for p in (99991, 99989))\n"
+            "meet = h.intersect(k)\n"
+            "for write in (meet.edges, meet.to_dot, lambda: format_stallings(meet)):\n"
+            "    try:\n"
+            "        write()\n"
+            "    except InputError as error:\n"
+            "        print(error)\n"
+        )
+        out = spawn(sys.executable, "-c", code, address_space=1500000 * 1024)
+        assert out == (0, "the automaton has 9998000099 arcs; at most 4000000 are written\n" * 3, "")
 
 
 class TestConstructor:

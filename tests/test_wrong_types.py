@@ -113,3 +113,11 @@ def test_wrong_type_raises_input_error(call):
     run, expected = CALLS[call]
     with pytest.raises(InputError, match=f"^expected {re.escape(expected)}$"):
         run()
+
+
+def test_values_differ_from_a_value_of_another_type():
+    # each __eq__ leaves a foreign type to Python, which falls back to identity
+    for value in (G, from_generators([parse_word("a b")], "ab"), WORD):
+        for other in ("v1 v2", None, (), 0):
+            assert not value == other
+            assert value != other
