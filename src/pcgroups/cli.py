@@ -42,9 +42,11 @@ __all__ = ["run", "main"]
 
 
 def _read(path: str) -> str:
+    """The text of a UTF-8 file, without a leading byte-order mark."""
     try:
         with open(path, "r", encoding="utf-8") as handle:
-            return handle.read()
+            # not "utf-8-sig": a bad byte's offset stays counted from the file's start
+            return handle.read().removeprefix("\ufeff")
     except UnicodeDecodeError as exc:
         raise InputError(f"cannot read {path}: not UTF-8 text (byte {exc.start})") from None
     except (OSError, ValueError) as exc:  # ValueError: a NUL or a lone surrogate in the path
@@ -101,16 +103,12 @@ def _cmd_normal_form(args):
 
 
 def _cmd_equal(args):
-    from .words import _generators, are_equal, parse_word
+    from .words import _pile, _stacks, parse_word
 
     g = _load_graph(args.graph)
-    u = parse_word(args.word1)
-    try:
-        v = parse_word(args.word2)
-    except ParseError:
-        _generators(u, g)  # an unknown generator in word1 is reported first
-        raise
-    verdict = are_equal(u, v, g)
+    # word1 is piled before word2 is parsed: its unknown generator is reported first
+    stacks = _stacks(_pile(g, parse_word(args.word1)))
+    verdict = stacks == _stacks(_pile(g, parse_word(args.word2)))
     return verdict, verdict
 
 

@@ -26,12 +26,14 @@ group element, a whole piece at a time: fully reduced (no inverse pair can
 be brought together by commuting swaps) and lexicographically least among
 its shuffles.
 
-The heap alone answers every yes/no or set-valued question, because the
-read-off emits every stored piece: an element is trivial exactly when its
-heap is empty, and its normal form's generators are those whose stack is
-not.  So ``are_equal`` piles ``u v^-1`` once and checks that every stack
-ends empty, and ``support`` reads the non-empty stacks; only
-``normal_form``, whose word gets printed, runs the read-off.
+The heap alone answers every yes/no or set-valued question, because it
+belongs to the group element, not to the word that spelled it: its pieces
+are the syllables of the normal form, and a piece's count is the number of
+non-commuting pieces below it.  So two words are equal exactly when their
+heaps have the same non-empty stacks (``_stacks``), and an element's normal
+form uses the generators whose stack is not empty.  ``are_equal`` piles
+each word and compares the stacks, and ``support`` reads their generators;
+only ``normal_form``, whose word gets printed, runs the read-off.
 
 ``free_reduce`` is the normal form in a free group (no two generators
 commute): one stack pass over syllables, which ``stallings`` also runs on
@@ -49,7 +51,7 @@ builds anything.
 
 from __future__ import annotations
 
-from itertools import chain, filterfalse
+from itertools import filterfalse
 from typing import Collection, Iterable, NamedTuple, Optional
 
 from .errors import InputError, ParseError, _instance
@@ -294,16 +296,14 @@ def _generators(w: Word, g: SimpleGraph) -> set:
     return gens
 
 
-def _pile(g: SimpleGraph, w: Word, divisor: Optional[Word] = None) -> _Heap:
-    """The heap of pieces of ``w``, or of ``w divisor^-1``.
+def _pile(g: SimpleGraph, w: Word) -> _Heap:
+    """The heap of pieces of ``w``.
 
-    The heap decides the element: it is trivial exactly when every stack
-    ends empty, and the generators of its normal form are those whose stack
-    does not, since the read-off emits every stored piece whole.
-    ``divisor^-1`` is piled as ``divisor``'s syllables in reverse with
-    negated exponents; no inverse word is built.  The generators of ``w``
-    and then of ``divisor`` are checked, each in word order, before any
-    syllable is piled.
+    The heap decides the element: its non-empty stacks (``_stacks``) are
+    the same for every word that spells it, and the generators of its
+    normal form are those whose stack is not empty, since the read-off
+    emits every stored piece whole.  The generators of ``w`` are checked,
+    in word order, before any syllable is piled.
 
     Counts live in packed ints: each occurring generator, in sorted order, owns
     a field of ``W = m.bit_length() + 1`` bits, ``m`` the number of
@@ -324,13 +324,7 @@ def _pile(g: SimpleGraph, w: Word, divisor: Optional[Word] = None) -> _Heap:
     ``m``.
     """
     gens = _generators(w, g)
-    syllables = w.syllables
-    m = len(syllables)
-    if divisor is not None:
-        gens |= _generators(divisor, g)
-        m += len(divisor.syllables)
-        syllables = chain(syllables, [(gen, -k) for gen, k in reversed(divisor.syllables)])
-    width = m.bit_length() + 1
+    width = len(w.syllables).bit_length() + 1
     mask = (1 << width) - 1
     bit = {x: 1 << width * i for i, x in enumerate(sorted(gens))}
     every = sum(bit.values())
@@ -338,7 +332,7 @@ def _pile(g: SimpleGraph, w: Word, divisor: Optional[Word] = None) -> _Heap:
               for i, (x, b) in enumerate(bit.items())}
 
     live = 0  # per field: live pieces that do not commute with its generator
-    for gen, k in syllables:
+    for gen, k in w.syllables:
         shift, row, stack = pieces[gen]
         c = (live >> shift) & mask
         if stack and stack[-1][0] == c:
@@ -450,17 +444,27 @@ def _free_reduced(syllables: tuple, alphabet) -> list:
     return out
 
 
+def _stacks(heap: _Heap) -> dict:
+    """The non-empty stacks of ``heap``, by generator.  Two words' heaps
+    have equal stacks exactly when the words represent the same element: a
+    reduced heap's pieces are the syllables of the normal form, each stored
+    with the number of non-commuting pieces below it."""
+    return {x: stack for x, (_, _, stack) in heap.pieces.items() if stack}
+
+
 def are_equal(u: Word, v: Word, g: SimpleGraph) -> bool:
     """Word problem: do ``u`` and ``v`` represent the same group element?
 
-    They do exactly when ``u v^-1`` is trivial, that is when its one heap
-    ends with every stack empty; nothing is read off.
+    Each word is piled into its own heap, and the two heaps' non-empty
+    stacks are compared; nothing is read off.  Raises ``InputError`` for
+    the first letter of ``u``, then of ``v``, over a generator that is not
+    a vertex of ``g``.
     """
-    heap = _pile(g, u, _instance(v, Word))  # None would pile u alone
-    return not any(stack for _, _, stack in heap.pieces.values())
+    _instance(v, Word)  # a v that is not a Word is named before any fault of u
+    return _stacks(_pile(g, u)) == _stacks(_pile(g, v))
 
 
 def support(w: Word, g: SimpleGraph) -> frozenset[str]:
     """Generators that survive in the normal form of ``w``: those whose
     stack in the heap of ``w`` is not empty.  Nothing is read off."""
-    return frozenset(x for x, (_, _, stack) in _pile(g, w).pieces.items() if stack)
+    return frozenset(_stacks(_pile(g, w)))

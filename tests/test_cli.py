@@ -618,6 +618,25 @@ def test_golden_outputs(entry, command, tmp_path):
         assert (tmp_path / name).read_bytes() == (GOLDEN / name).read_bytes()
 
 
+@pytest.mark.parametrize("command", sorted(
+    command for command, argv in GOLDEN_INVOCATIONS.items() if any(a.startswith(str(INPUTS)) for a in argv)))
+def test_golden_inputs_after_a_byte_order_mark(command, tmp_path):
+    # each input file with a UTF-8 byte-order mark in front reads as without it
+    argv = list(GOLDEN_INVOCATIONS[command])
+    for i, arg in enumerate(argv):
+        if arg.startswith(str(INPUTS)):
+            argv[i] = _write(tmp_path, Path(arg).name, b"\xef\xbb\xbf" + Path(arg).read_bytes())
+    code, out, err = invoke(*argv)
+    assert (code, err) == (0, "")
+    assert out == (GOLDEN / f"{command}.json").read_text()
+
+
+def test_a_bad_byte_after_a_byte_order_mark_is_counted_from_the_file_start(tmp_path):
+    path = _write(tmp_path, "bad.graph", b"\xef\xbb\xbfa b\xff")
+    code, out, err = invoke("classify", path)
+    assert (code, out, err) == (2, "", f"error: cannot read {path}: not UTF-8 text (byte 6)\n")
+
+
 def test_golden_automaton_files(tmp_path):
     # the table passes the file flags together; each alone writes only its own file
     for flag, name in GOLDEN_FILES["intersect-free"]:
