@@ -53,10 +53,6 @@ def _read(path: str) -> str:
         raise InputError(f"cannot read {path}: {getattr(exc, 'strerror', exc)}") from None
 
 
-def _load_graph(path: str) -> SimpleGraph:
-    return parse_graph(_read(path))
-
-
 def _load_subgroup(path: str, alphabet: list):
     """The automaton of the subgroup that the words of a generator file
     generate, one word per line that holds a token.  The file's words share
@@ -89,14 +85,14 @@ def _load_subgroup(path: str, alphabet: list):
 
 
 def _cmd_classify(args):
-    report = classify(_load_graph(args.graph))
+    report = classify(parse_graph(_read(args.graph)))
     return report.to_json_dict(), report.howson
 
 
 def _cmd_normal_form(args):
     from .words import format_word, normal_form, parse_word
 
-    g = _load_graph(args.graph)
+    g = parse_graph(_read(args.graph))
     nf = normal_form(parse_word(args.word), g)
     support = sorted({gen for gen, _ in nf.syllables})
     return {"normal_form": format_word(nf), "length": len(nf), "support": support}, True
@@ -105,7 +101,7 @@ def _cmd_normal_form(args):
 def _cmd_equal(args):
     from .words import _pile, _stacks, parse_word
 
-    g = _load_graph(args.graph)
+    g = parse_graph(_read(args.graph))
     # word1 is piled before word2 is parsed: its unknown generator is reported first
     stacks = _stacks(_pile(g, parse_word(args.word1)))
     verdict = stacks == _stacks(_pile(g, parse_word(args.word2)))
@@ -116,7 +112,7 @@ def _cmd_member_visible(args):
     from .visible import VertexRestriction, rewrite_in_visible
     from .words import format_word, parse_word
 
-    r = VertexRestriction(_load_graph(args.graph), args.subset.split())
+    r = VertexRestriction(parse_graph(_read(args.graph)), args.subset.split())
     rewritten = rewrite_in_visible(parse_word(args.word), r)
     member = rewritten is not None
     return {"member": member, "rewritten": format_word(rewritten) if member else None}, member
@@ -124,7 +120,7 @@ def _cmd_member_visible(args):
 
 def _cmd_embed(args):
     _resolve(args.pattern)  # a bad name is reported before the graph is read
-    verdict = embeds_in(args.pattern, _load_graph(args.graph))
+    verdict = embeds_in(args.pattern, parse_graph(_read(args.graph)))
     return {"pattern": args.pattern, "embeds": verdict}, verdict
 
 

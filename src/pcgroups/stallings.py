@@ -16,6 +16,9 @@ would with one state per letter.  In a folded automaton row ``r ^ 1`` is
 row ``r`` read backwards, and a long arc's reverse has the same length.
 The automaton has the branch states plus L - 1 states per long arc, and L
 arcs per long arc; the rank of the subgroup is ``edges - states + 1``.
+The builders work on plain targets, a long arc's too, with its length
+beside it in ``lengths``; ``_stored`` writes the stored shape, and it
+alone writes ``-2 - t``, once the states are numbered.
 Membership traces the free reduction of a word from the base, a whole arc
 at a time.
 
@@ -57,17 +60,18 @@ ends, not per state.  The lines are joined a letter at a time in C.
 
 ``intersect`` searches the product automaton based at the pair of bases in
 exactly that order, keying each pair of stored states by one int, and
-appends every product arc to the rows as it goes.  Two unit arcs make a
-unit product arc, in one step.  Where either arc is long, the two walks go
-on along the row from stored state to stored state until both stand on one
-at once (folding with arcs labelled by group elements, Kapovich, Weidmann &
-Miasnikov 2005), so ``<a^p> ∩ <a^q>`` takes p + q steps, not lcm(p, q); a
-walk that runs out first leads into a tree, and no arc is written.  The
-trees are then cut, and ``_stored`` contracts the chains left and numbers
-the core.  Two subgroups of finite index over two or more letters have a
-unit arc of every letter at every stored state, and so does their
-product: it is searched with no test for a missing or long arc and stored
-as searched.
+appends every product arc to the rows as it goes, as a plain target.  Two
+unit arcs make a unit product arc, in one step.  Where either arc is long,
+the two walks go on along the row from stored state to stored state until
+both stand on one at once (folding with arcs labelled by group elements,
+Kapovich, Weidmann & Miasnikov 2005), so ``<a^p> ∩ <a^q>`` takes p + q
+steps, not lcm(p, q); the product arc's length goes to ``lengths``.  A walk
+that runs out first leads into a tree, and no arc is written.  The trees
+are then cut, and ``_stored`` contracts the chains left, numbers the core
+and writes its stored shape.  Two subgroups of finite index over two or
+more letters have a unit arc of every letter at every stored state, and
+so does their product: it is searched with no test for a missing or long
+arc and stored as searched.
 
 Text serialization: the base state (always 0) followed by the alphabet on
 the first line, then one line ``state_from generator state_to`` per
@@ -77,7 +81,7 @@ positively-labeled transition, one state per letter.
 from __future__ import annotations
 
 from itertools import chain, compress, cycle, repeat
-from operator import eq, itemgetter, le, mul, sub
+from operator import eq, itemgetter, le, mul
 from typing import Iterable, Optional
 
 from .errors import InputError, ParseError, _instance
@@ -341,11 +345,13 @@ class StallingsGraph:
         step, as with one state per letter.  Where either arc is long,
         ``_walk_pair`` goes on to the first pair of stored states, and the
         product arc is long; if one walk runs out first, the product walks
-        into a tree and gets no arc.
+        into a tree and gets no arc.  The rows hold plain targets, a long
+        arc's with its length in ``lengths``, so every arc is claimed in one
+        place.
 
         Trimming (``_trim``) cuts the trees.  ``_stored`` then contracts
         each chain through pairs of stored states left with two arcs of one
-        letter, and numbers the core.
+        letter, numbers the core and writes the long arcs as stored.
 
         When both operands are over two or more letters and every row holds
         a unit arc at every stored state, which is when both subgroups have
@@ -377,15 +383,7 @@ class StallingsGraph:
                     if not walk:
                         add(-1)
                         continue
-                    t1, t2, length = walk
-                    t = claim(t1 * width + t2, n)
-                    if t == n:
-                        n += 1
-                        firsts.append(t1)
-                        seconds.append(t2)
-                    long[2][len(long[3])] = length
-                    add(-2 - t)
-                    continue
+                    t1, t2, long[2][len(long[3])] = walk
                 t = claim(t1 * width + t2, n)
                 if t == n:
                     n += 1
@@ -464,34 +462,31 @@ def _walk_pair(row1: list, row2: list, long: tuple, s1: int, s2: int, t1: int, t
     ``t1``, ``t2`` are the stored arcs at ``s1``, ``s2``, and one of them is
     long.  None when one walk runs out first.
 
-    Each walk is a partial injection, so the product walk either runs out
-    or comes back to ``(s1, s2)``, a pair of stored states: it ends.  It
-    steps once per stored state either walk passes, so two cycles of
-    lengths p and q meet in p + q steps."""
+    Each walk heads for a stored state, ``a1`` (``a2``) letters from the
+    start; the walk that is behind takes its next arc, until both stand on
+    stored states at once.  Each walk is a partial injection, so the
+    product walk either runs out or comes back to ``(s1, s2)``, a pair of
+    stored states: it ends.  It steps once per stored state either walk
+    passes, so two cycles of lengths p and q meet in p + q steps."""
     lengths1, lengths2 = long[0], long[1]
-    l1 = 1 if t1 >= 0 else lengths1[s1]
-    l2 = 1 if t2 >= 0 else lengths2[s2]
+    a1 = 1 if t1 >= 0 else lengths1[s1]
+    a2 = 1 if t2 >= 0 else lengths2[s2]
     t1 = t1 if t1 >= 0 else -2 - t1
     t2 = t2 if t2 >= 0 else -2 - t2
-    walked = 0
-    while l1 != l2:
-        if l1 < l2:  # the first walk stands on t1, the second is inside its arc
-            walked += l1
-            l2 -= l1
+    while a1 != a2:
+        if a1 < a2:  # the first walk is behind: it takes its next arc
             t = row1[t1]
             if t == -1:
                 return None
-            l1 = 1 if t >= 0 else lengths1[t1]
+            a1 += 1 if t >= 0 else lengths1[t1]
             t1 = t if t >= 0 else -2 - t
         else:
-            walked += l2
-            l1 -= l2
             t = row2[t2]
             if t == -1:
                 return None
-            l2 = 1 if t >= 0 else lengths2[t2]
+            a2 += 1 if t >= 0 else lengths2[t2]
             t2 = t if t >= 0 else -2 - t
-    return t1, t2, walked + l1
+    return t1, t2, a1
 
 
 def _full_product(rows1: list, rows2: list) -> list:
@@ -526,7 +521,8 @@ def _full_product(rows1: list, rows2: list) -> list:
 
 def _search(rows: list, n: int) -> list[int]:
     """States reached from the base 0 in canonical order: breadth-first,
-    along the rows in their order, a long arc one step."""
+    along the rows in their order, a long arc one step.  The rows may hold
+    plain targets or the stored shape."""
     seen = [False] * n
     seen[0] = True
     order = [0]
@@ -546,7 +542,8 @@ def _search(rows: list, n: int) -> list[int]:
 def _trim(rows: list, lengths: list, n: int) -> list[int]:
     """Cut the trees that hang off the core in place, and return each
     state's degree, -1 for a state cut: a non-base state of degree at most
-    one goes, with the arcs into it, until none is left."""
+    one goes, with the arcs into it, until none is left.  The rows hold
+    plain targets; an arc cut loses its length in ``lengths``."""
     degree = [len(arcs) - arcs.count(-1) for arcs in zip(*rows)] if rows else [0] * n
     trim = [s for s in range(1, n) if degree[s] <= 1]
     ends = [(row, rows[r ^ 1], lengths[r ^ 1]) for r, row in enumerate(rows)]
@@ -554,29 +551,24 @@ def _trim(rows: list, lengths: list, n: int) -> list[int]:
         degree[s] = -1
         for row, back, back_lengths in ends:
             t = row[s]
-            if t < -1:  # a long arc: its reverse has a length too
-                t = -2 - t
-                del back_lengths[t]
             if t >= 0:
                 back[t] = -1
+                back_lengths.pop(t, None)  # a long arc's reverse has a length too
                 degree[t] -= 1
                 if t and degree[t] == 1:
                     trim.append(t)
     return degree
 
 
-def _number(rows: list, n: int, long: bool) -> tuple[list, list]:
+def _number(rows: list, n: int) -> tuple[list, list]:
     """The canonical renaming of the states reached from the base, -1 for
-    the others, and the rows renamed by it.  The renaming is a list that
-    also maps a missing arc, -1, to -1 and, where a row holds a ``long``
-    arc, ``-2 - s`` to ``-2 - number[s]``, so it renames every entry of a
+    the others, and the plain rows renamed by it.  The renaming is a list
+    that also maps a missing arc, -1, to -1, so it renames every entry of a
     row."""
     order = _search(rows, n)
     number = [-1] * (n + 1)  # number[-1] stays -1 for a missing arc
     for new, s in enumerate(order):
         number[s] = new
-    if long:
-        number[n:n] = map(sub, repeat(-2), reversed(number[:n]))  # number[-2 - s]
     return number, [[number[row[s]] for s in order] for row in rows]
 
 
@@ -596,19 +588,18 @@ def _interiors(rows: list, n: int, degree: list[int]) -> list[tuple[int, int]]:
 
 
 def _stored(rows: list, lengths: list, n: int, interiors: list) -> tuple:
-    """The stored shape, rows and lengths, of the automaton on ``rows`` and
-    ``lengths`` over states ``0 .. n - 1``, given its chain ``interiors``,
-    each with a row of its letter.  Each chain is written in place as one
-    arc, which leaves its interiors unreached, and the states reached from
-    the base are numbered canonically."""
+    """The stored shape, rows and lengths, of the automaton on the plain
+    ``rows`` and ``lengths`` over states ``0 .. n - 1``, given its chain
+    ``interiors``, each with a row of its letter.  Each chain is written in
+    place as one arc, which leaves its interiors unreached, and the states
+    reached from the base are numbered canonically.  Only then is each long
+    arc to ``t`` written as ``-2 - t``: no step before reads the encoding."""
     inner = [False] * n
     for s, _ in interiors:
         inner[s] = True
     for c, r in interiors:
         r &= -2  # the row its arcs leave along
         p = rows[r + 1][c]
-        if p < -1:
-            p = -2 - p
         if inner[p]:  # not the first interior of its chain
             continue
         row, arcs = rows[r], lengths[r]
@@ -616,15 +607,17 @@ def _stored(rows: list, lengths: list, n: int, interiors: list) -> tuple:
         while inner[t]:
             length += arcs.get(t, 1)
             t = row[t]
-            if t < -1:
-                t = -2 - t
-        row[p] = -2 - t
-        rows[r + 1][t] = -2 - p
+        row[p] = t
+        rows[r + 1][t] = p
         arcs[p] = lengths[r + 1][t] = length
-    number, renamed = _number(rows, n, any(lengths))
+    number, renamed = _number(rows, n)
     # a length moves with its arc's source; most rows hold no long arc
-    return renamed, [{number[s]: length for s, length in arcs.items() if number[s] >= 0} if arcs else {}
-                     for arcs in lengths]
+    lengths = [{number[s]: length for s, length in arcs.items() if number[s] >= 0} if arcs else {}
+               for arcs in lengths]
+    for row, arcs in zip(renamed, lengths):
+        for s in arcs:
+            row[s] = -2 - row[s]
+    return renamed, lengths
 
 
 def _checked(alphabet: tuple[str, ...], ids, arcs: list, error) -> tuple:

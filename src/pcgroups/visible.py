@@ -12,6 +12,9 @@ phase of ``normal_form``): the generators whose stack is not empty.  So a
 non-member is rejected before the normal form is read off.  A member's canonical word is
 then already the normal form over the induced subgraph, because the induced
 adjacency among Y is the ambient one.
+
+Each function checks its arguments' types in argument order, the word
+before the restriction, and then the word's letters.
 """
 
 from __future__ import annotations
@@ -58,11 +61,12 @@ def alpha_include(w: Word, r: VertexRestriction) -> Word:
     """Reinterpret a word over the induced subgraph as a word over the
     ambient graph.  The letters are unchanged; the map is injective on group
     elements because the retraction undoes it."""
+    syllables = _instance(w, Word).syllables
     ys = _instance(r, VertexRestriction).ys
-    for gen, _ in _instance(w, Word).syllables:
+    for gen, _ in syllables:
         if gen not in ys:
             raise InputError(f"letter over generator {gen!r} outside the subset")
-    return Word._trusted(w.syllables)
+    return Word._trusted(syllables)
 
 
 def rho_retract(w: Word, r: VertexRestriction) -> Word:
@@ -71,14 +75,14 @@ def rho_retract(w: Word, r: VertexRestriction) -> Word:
     This is a homomorphism onto the subgroup: each defining commutation
     relation is either kept intact or killed entirely.
     """
-    _generators(w, _instance(r, VertexRestriction).ambient)
+    _generators(_instance(w, Word), _instance(r, VertexRestriction).ambient)
     return Word._joined(s for s in w.syllables if s[0] in r.ys)
 
 
 def is_in_visible(w: Word, r: VertexRestriction) -> bool:
     """True iff ``w`` represents an element of the subgroup generated by the
     subset."""
-    return support(w, _instance(r, VertexRestriction).ambient) <= r.ys
+    return support(_instance(w, Word), _instance(r, VertexRestriction).ambient) <= r.ys
 
 
 def rewrite_in_visible(w: Word, r: VertexRestriction) -> Optional[NormalWord]:
@@ -89,6 +93,7 @@ def rewrite_in_visible(w: Word, r: VertexRestriction) -> Optional[NormalWord]:
     canonical word is empty) is not conflated with non-membership.  Only a
     member's heap is read off.
     """
+    _instance(w, Word)  # w's type is named before r's
     heap = _pile(_instance(r, VertexRestriction).ambient, w)
     if any(stack and x not in r.ys for x, (_, _, stack) in heap.pieces.items()):
         return None

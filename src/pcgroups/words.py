@@ -406,11 +406,13 @@ def free_reduce(w: Word, alphabet: Collection[str]) -> Word:
     A ``str`` alphabet names one generator per character, as
     ``SimpleGraph("abc")`` does.  Raises ``InputError`` unless ``w`` is a
     ``Word`` and ``alphabet`` a collection other than ``bytes`` or
-    ``bytearray`` (neither can hold a name) whose items are hashable, and on
-    a letter over a generator outside ``alphabet``.  A set, frozenset or
-    dict is used as it is, any other collection is read into a frozenset
-    once, so a letter's cost does not grow with the alphabet.
+    ``bytearray`` (neither can hold a name) whose items are hashable,
+    checked in that order, and on a letter over a generator outside
+    ``alphabet``.  A set, frozenset or dict is used as it is, any other
+    collection is read into a frozenset once, so a letter's cost does not
+    grow with the alphabet.
     """
+    syllables = _instance(w, Word).syllables
     if isinstance(_instance(alphabet, Collection), (bytes, bytearray)):
         raise InputError(f"expected a Collection of str, got {type(alphabet).__name__}")
     if not isinstance(alphabet, (set, frozenset, dict)):
@@ -420,7 +422,7 @@ def free_reduce(w: Word, alphabet: Collection[str]) -> Word:
         except TypeError:
             raise InputError(f"expected a Collection of str, got a {type(alphabet).__name__} "
                              f"with an unhashable item") from None
-    return Word._trusted(tuple(_free_reduced(_instance(w, Word).syllables, alphabet)))
+    return Word._trusted(tuple(_free_reduced(syllables, alphabet)))
 
 
 def _free_reduced(syllables: tuple, alphabet) -> list:
@@ -456,11 +458,13 @@ def are_equal(u: Word, v: Word, g: SimpleGraph) -> bool:
     """Word problem: do ``u`` and ``v`` represent the same group element?
 
     Each word is piled into its own heap, and the two heaps' non-empty
-    stacks are compared; nothing is read off.  Raises ``InputError`` for
-    the first letter of ``u``, then of ``v``, over a generator that is not
-    a vertex of ``g``.
+    stacks are compared; nothing is read off.  Raises ``InputError`` unless
+    ``u`` and ``v`` are ``Word`` objects and ``g`` a ``SimpleGraph``,
+    checked in argument order, and then for the first letter of ``u``, then
+    of ``v``, over a generator that is not a vertex of ``g``.
     """
-    _instance(v, Word)  # a v that is not a Word is named before any fault of u
+    _instance(u, Word)
+    _instance(v, Word)  # both types before g's and before any letter of u
     return _stacks(_pile(g, u)) == _stacks(_pile(g, v))
 
 

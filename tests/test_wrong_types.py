@@ -12,6 +12,7 @@ from pcgroups import (
     VertexRestriction,
     Word,
     alpha_include,
+    are_equal,
     catalog_entry,
     classify,
     clique_number,
@@ -40,6 +41,7 @@ from pcgroups import (
     relabel,
     rewrite_in_visible,
     rho_retract,
+    support,
 )
 
 G = path_graph(3)
@@ -111,6 +113,33 @@ CALLS = {
 @pytest.mark.parametrize("call", sorted(CALLS))
 def test_wrong_type_raises_input_error(call):
     run, expected = CALLS[call]
+    with pytest.raises(InputError, match=f"^expected {re.escape(expected)}$"):
+        run()
+
+
+# With two arguments of the wrong type, the first in argument order is
+# named; the types are checked before any letter of a word
+TWO_WRONG = {
+    "are_equal(None, 3, g)": (lambda: are_equal(None, 3, G), "a Word, got NoneType"),
+    "are_equal(w, 3, None)": (lambda: are_equal(WORD, 3, None), "a Word, got int"),
+    "are_equal(w, None, None)": (lambda: are_equal(WORD, None, None), "a Word, got NoneType"),
+    'are_equal(unknown, 3, g)': (lambda: are_equal(parse_word("zz"), 3, G), "a Word, got int"),
+    'are_equal(unknown, w, None)': (
+        lambda: are_equal(parse_word("zz"), WORD, None), "a SimpleGraph, got NoneType"),
+    "alpha_include(None, None)": (lambda: alpha_include(None, None), "a Word, got NoneType"),
+    "rho_retract(None, None)": (lambda: rho_retract(None, None), "a Word, got NoneType"),
+    "is_in_visible(None, None)": (lambda: is_in_visible(None, None), "a Word, got NoneType"),
+    "rewrite_in_visible(None, None)": (lambda: rewrite_in_visible(None, None), "a Word, got NoneType"),
+    "free_reduce(None, None)": (lambda: free_reduce(None, None), "a Word, got NoneType"),
+    'free_reduce(None, b"ab")': (lambda: free_reduce(None, b"ab"), "a Word, got NoneType"),
+    "normal_form(None, None)": (lambda: normal_form(None, None), "a Word, got NoneType"),
+    "support(None, None)": (lambda: support(None, None), "a Word, got NoneType"),
+}
+
+
+@pytest.mark.parametrize("call", sorted(TWO_WRONG))
+def test_first_wrong_argument_is_named(call):
+    run, expected = TWO_WRONG[call]
     with pytest.raises(InputError, match=f"^expected {re.escape(expected)}$"):
         run()
 
