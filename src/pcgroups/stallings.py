@@ -16,9 +16,11 @@ would with one state per letter.  In a folded automaton row ``r ^ 1`` is
 row ``r`` read backwards, and a long arc's reverse has the same length.
 The automaton has the branch states plus L - 1 states per long arc, and L
 arcs per long arc; the rank of the subgroup is ``edges - states + 1``.
-The builders work on plain targets, a long arc's too, with its length
-beside it in ``lengths``; ``_stored`` writes the stored shape, and it
-alone writes ``-2 - t``, once the states are numbered.
+Every construction step reads plain targets, a long arc's too, with its
+length beside it in ``lengths``; ``_stored`` writes the stored shape, and it
+alone writes ``-2 - t``, once the states are numbered.  Only
+``StallingsGraph``'s methods, ``_walk_pair``, ``_spelled_out`` and
+``_full_product``'s gate read the encoding.
 Membership traces the free reduction of a word from the base, a whole arc
 at a time.
 
@@ -521,18 +523,15 @@ def _full_product(rows1: list, rows2: list) -> list:
 
 def _search(rows: list, n: int) -> list[int]:
     """States reached from the base 0 in canonical order: breadth-first,
-    along the rows in their order, a long arc one step.  The rows may hold
-    plain targets or the stored shape."""
-    seen = [False] * n
+    along the rows in their order, a long arc one step.  The rows hold
+    plain targets, as its callers ``_number`` and ``_checked`` pass
+    them, not the stored shape."""
+    seen = [False] * n + [True]  # seen[-1]: a missing arc, -1, is never followed
     seen[0] = True
     order = [0]
     for s in order:  # grows while it is walked
         for row in rows:
             t = row[s]
-            if t < 0:
-                if t == -1:
-                    continue
-                t = -2 - t
             if not seen[t]:
                 seen[t] = True
                 order.append(t)

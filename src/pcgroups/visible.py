@@ -23,7 +23,7 @@ from typing import NamedTuple, Optional
 
 from .errors import InputError, _instance
 from .graphs import SimpleGraph, _subset
-from .words import NormalWord, Word, _generators, _pile, _read_off, support
+from .words import NormalWord, Word, _generators, _pile, _read_off, _stacks, support
 
 __all__ = [
     "VertexRestriction",
@@ -95,6 +95,6 @@ def rewrite_in_visible(w: Word, r: VertexRestriction) -> Optional[NormalWord]:
     """
     _instance(w, Word)  # w's type is named before r's
     heap = _pile(_instance(r, VertexRestriction).ambient, w)
-    if any(stack and x not in r.ys for x, (_, _, stack) in heap.pieces.items()):
+    if not _stacks(heap).keys() <= r.ys:
         return None
     return _read_off(heap)

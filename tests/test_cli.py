@@ -1,5 +1,6 @@
 import importlib.metadata
 import io
+import itertools
 import json
 import os
 import random
@@ -647,6 +648,53 @@ def test_golden_automaton_files(tmp_path):
         assert out == (GOLDEN / "intersect-free.json").read_text()
         assert [p.name for p in target.parent.iterdir()] == [name]
         assert target.read_bytes() == (GOLDEN / name).read_bytes()
+
+
+@pytest.fixture(scope="module")
+def large_inputs(tmp_path_factory):
+    """The directory of the large inputs.  K_p = <a^p, b, a^k b a^-k :
+    1 <= k < p> has finite index p.  Three 300-cliques take 134,551 lines;
+    the bad copy adds a comment and one edge to an unknown vertex last."""
+    directory = tmp_path_factory.mktemp("large")
+    for p in (199, 200):
+        words = [f"a^{p}", "b", *(f"a^{k} b a^-{k}" for k in range(1, p))]
+        (directory / f"k{p}.words").write_text("".join(f"{line}\n" for line in words))
+    cliques = [" ".join(f"{c}{i}" for c in "xyz" for i in range(300))]
+    cliques += [f"{c}{i} {c}{j}" for c in "xyz" for i, j in itertools.combinations(range(300), 2)]
+    assert len(cliques) == 134551
+    (directory / "k300x3.graph").write_text("".join(f"{line}\n" for line in cliques))
+    bad = [*cliques, "", "# one bad edge last", "x0 q"]
+    (directory / "k300x3-bad.graph").write_text("".join(f"{line}\n" for line in bad))
+    return directory
+
+
+# each large input runs in a fresh interpreter under spawn's 60 s limit.
+# K_199 ∩ K_200 has 39800 states, each with an arc of every signed letter,
+# and the product runs with no test for a missing or long arc.  A union of
+# cliques is read in one loop, and classify and embed K_n answer from its
+# decomposition, with no bitset or clique search; the bad edge's error
+# names its line
+LARGE_RUNS = {
+    "intersect-free K_199 K_200": (
+        ["intersect-free", "--alphabet", "a b", "k199.words", "k200.words"],
+        0, '{"rank": 39801, "states": 39800, "edges": 79600}\n', ""),
+    "classify 3K_300": (
+        ["classify", "k300x3.graph"],
+        0, '{"p3_free": true, "fully_residually_free": true, "howson": true, "contains_z_cross_f2": false, '
+           '"free_product_of_free_abelian": true, "factor_ranks": [300, 300, 300], "p3_witness": null, '
+           '"fix_points_fg": true, "per_points_fg": true, "max_abelian_rank": 300}\n', ""),
+    "embed K_300 3K_300": (["embed", "K_300", "k300x3.graph"], 0, '{"pattern": "K_300", "embeds": true}\n', ""),
+    "embed K_301 3K_300": (["embed", "K_301", "k300x3.graph"], 0, '{"pattern": "K_301", "embeds": false}\n', ""),
+    "classify 3K_300 with a bad edge last": (
+        ["classify", "k300x3-bad.graph"], 2, "", "error: line 134554: unknown vertex 'q' in edge\n"),
+}
+
+
+@pytest.mark.parametrize("case", list(LARGE_RUNS))
+def test_large_inputs_run_in_a_fresh_interpreter(case, large_inputs):
+    argv, *expected = LARGE_RUNS[case]
+    argv = [str(large_inputs / arg) if arg.endswith((".words", ".graph")) else arg for arg in argv]
+    assert spawn(sys.executable, "-m", "pcgroups", *argv) == tuple(expected)
 
 
 def test_command_set_and_exit_status_flags():

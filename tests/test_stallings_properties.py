@@ -171,7 +171,8 @@ def test_row_r_xor_1_reads_row_r_backwards(case):
         assert len(sg._rows) == len(sg._lengths) == 2 * len(sg.alphabet)
         stored = len(sg._rows[0]) if sg._rows else 1
         assert all(len(row) == stored for row in sg._rows)
-        assert _search(sg._rows, stored) == list(range(stored))
+        plain = [[t if t >= -1 else -2 - t for t in row] for row in sg._rows]
+        assert _search(plain, stored) == list(range(stored))
         arcs = {(r, s, t, 1) if t >= 0 else (r, s, -2 - t, sg._lengths[r][s])
                 for r, row in enumerate(sg._rows) for s, t in enumerate(row) if t != -1}
         assert arcs == {(r ^ 1, t, s, length) for r, s, t, length in arcs}
