@@ -26,12 +26,12 @@ import functools
 import json
 import sys
 from itertools import combinations
+from operator import length_hint
 
 from .classify import _resolve, classify, embeds_in
 from .errors import InputError, ParseError
 from .graphs import (
     SimpleGraph,
-    _is_name,
     _uncommented_lines,
     complete_decomposition,
     parse_graph,
@@ -55,33 +55,31 @@ def _read(path: str) -> str:
 
 def _load_subgroup(path: str, alphabet: list):
     """The automaton of the subgroup that the words of a generator file
-    generate, one word per line that holds a token.  The file's words share
-    one token table.  An error names the file and the line it is on."""
+    generate, one word per line that holds a token.  Every line is parsed
+    first, and the file's words share one token table; then
+    ``from_generators`` takes the words one at a time.  An error names the
+    file and its line: a build error, the line of the word the build was
+    taking."""
     from .stallings import from_generators
     from .words import _parsed
 
-    lines = _uncommented_lines(_read(path))
     made: dict = {}
-    words = []
-    for lineno, line in enumerate(lines, start=1):
+    words = {}  # line number -> the word on it
+    for lineno, line in enumerate(_uncommented_lines(_read(path)), start=1):
         tokens = line.split()
         if tokens:
             try:
-                words.append(_parsed(tokens, made))
+                words[lineno] = _parsed(tokens, made)
             except InputError as exc:
                 raise ParseError(f"{path}: {exc}", line=lineno) from None
+    unread = iter(words.values())
     try:
-        return from_generators(words, alphabet)
+        return from_generators(unread, alphabet)
     except InputError as exc:
-        # a bad label is refused before any word is read; with good labels,
-        # the words are read in order and the first with a letter outside
-        # the alphabet stops the build
-        if not all(map(_is_name, alphabet)):
+        taken = len(words) - length_hint(unread)  # the words the build took, the last one bad
+        if not taken:  # a bad label is refused before any word is taken
             raise
-        known = set(alphabet)
-        at = next(i for i, word in enumerate(words) if not known.issuperset(g for g, _ in word.syllables))
-        lineno = [n for n, line in enumerate(lines, start=1) if line.split()][at]
-        raise ParseError(f"{path}: {exc}", line=lineno) from None
+        raise ParseError(f"{path}: {exc}", line=list(words)[taken - 1]) from None
 
 
 def _cmd_classify(args):

@@ -19,8 +19,7 @@ arcs per long arc; the rank of the subgroup is ``edges - states + 1``.
 Every construction step reads plain targets, a long arc's too, with its
 length beside it in ``lengths``; ``_stored`` writes the stored shape, and it
 alone writes ``-2 - t``, once the states are numbered.  Only
-``StallingsGraph``'s methods, ``_walk_pair``, ``_spelled_out`` and
-``_full_product``'s gate read the encoding.
+``StallingsGraph``'s methods and ``_walk_pair`` read the encoding.
 Membership traces the free reduction of a word from the base, a whole arc
 at a time.
 
@@ -524,7 +523,7 @@ def _full_product(rows1: list, rows2: list) -> list:
 def _search(rows: list, n: int) -> list[int]:
     """States reached from the base 0 in canonical order: breadth-first,
     along the rows in their order, a long arc one step.  The rows hold
-    plain targets, as its callers ``_number`` and ``_checked`` pass
+    plain targets, as its callers ``_stored`` and ``_checked`` pass
     them, not the stored shape."""
     seen = [False] * n + [True]  # seen[-1]: a missing arc, -1, is never followed
     seen[0] = True
@@ -559,18 +558,6 @@ def _trim(rows: list, lengths: list, n: int) -> list[int]:
     return degree
 
 
-def _number(rows: list, n: int) -> tuple[list, list]:
-    """The canonical renaming of the states reached from the base, -1 for
-    the others, and the plain rows renamed by it.  The renaming is a list
-    that also maps a missing arc, -1, to -1, so it renames every entry of a
-    row."""
-    order = _search(rows, n)
-    number = [-1] * (n + 1)  # number[-1] stays -1 for a missing arc
-    for new, s in enumerate(order):
-        number[s] = new
-    return number, [[number[row[s]] for s in order] for row in rows]
-
-
 def _interiors(rows: list, n: int, degree: list[int]) -> list[tuple[int, int]]:
     """The chain interiors, each with the row its arcs leave along: the
     non-base states whose two arcs are a leaving and an entering one of one
@@ -591,8 +578,9 @@ def _stored(rows: list, lengths: list, n: int, interiors: list) -> tuple:
     ``rows`` and ``lengths`` over states ``0 .. n - 1``, given its chain
     ``interiors``, each with a row of its letter.  Each chain is written in
     place as one arc, which leaves its interiors unreached, and the states
-    reached from the base are numbered canonically.  Only then is each long
-    arc to ``t`` written as ``-2 - t``: no step before reads the encoding."""
+    reached from the base are searched (``_search``), numbered canonically
+    and renamed, -1 for the others.  Only then is each long arc to ``t``
+    written as ``-2 - t``: no step before reads the encoding."""
     inner = [False] * n
     for s, _ in interiors:
         inner[s] = True
@@ -609,7 +597,11 @@ def _stored(rows: list, lengths: list, n: int, interiors: list) -> tuple:
         row[p] = t
         rows[r + 1][t] = p
         arcs[p] = lengths[r + 1][t] = length
-    number, renamed = _number(rows, n)
+    order = _search(rows, n)
+    number = [-1] * (n + 1)  # number[-1] stays -1 for a missing arc
+    for new, s in enumerate(order):
+        number[s] = new
+    renamed = [[number[row[s]] for s in order] for row in rows]
     # a length moves with its arc's source; most rows hold no long arc
     lengths = [{number[s]: length for s, length in arcs.items() if number[s] >= 0} if arcs else {}
                for arcs in lengths]
@@ -655,9 +647,7 @@ def _walk(row: list, walked: dict, s: int, k: int) -> tuple[int, int]:
     walk that returns to ``s`` repeats from there: it is not extended again,
     and ``k`` steps end where ``k`` mod its length do.  So a walk holds no
     more states than the steps asked of it."""
-    met = walked.get(s)
-    if met is None:
-        met = walked[s] = [s]
+    met = walked.get(s) or walked.setdefault(s, [s])  # a walk holds s: never empty
     t = met[-1]
     while len(met) <= k:
         if t == s and len(met) > 1:  # one lap closed
@@ -893,6 +883,6 @@ def parse_stallings(text: str) -> StallingsGraph:
     if declared is None:
         raise ParseError("empty input: the first line must name the base state", line=1)
 
-    alphabet = tuple(sorted(set(declared).union(g for _, g, _, _ in arcs)))
+    alphabet = tuple(sorted(labels))  # the declared labels, or else every label read
     ids = list(index)
     return StallingsGraph._trusted(alphabet, *_checked(alphabet, ids, arcs, ParseError))

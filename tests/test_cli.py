@@ -654,8 +654,12 @@ def test_golden_automaton_files(tmp_path):
 def large_inputs(tmp_path_factory):
     """The directory of the large inputs.  K_p = <a^p, b, a^k b a^-k :
     1 <= k < p> has finite index p.  Three 300-cliques take 134,551 lines;
-    the bad copy adds a comment and one edge to an unknown vertex last."""
+    the bad copy adds a comment and one edge to an unknown vertex last.
+    The one-vertex graph and the powers of ``a`` sit at the word cap."""
     directory = tmp_path_factory.mktemp("large")
+    (directory / "a.graph").write_text("a\n")
+    for k in (1000000, 999999):
+        (directory / f"a{k}.words").write_text(f"a^{k}\n")
     for p in (199, 200):
         words = [f"a^{p}", "b", *(f"a^{k} b a^-{k}" for k in range(1, p))]
         (directory / f"k{p}.words").write_text("".join(f"{line}\n" for line in words))
@@ -673,7 +677,11 @@ def large_inputs(tmp_path_factory):
 # and the product runs with no test for a missing or long arc.  A union of
 # cliques is read in one loop, and classify and embed K_n answer from its
 # decomposition, with no bitset or clique search; the bad edge's error
-# names its line
+# names its line.  The rows after them sit at the declared caps: m <= 706
+# for demo-nonhowson (1415 conjugates of m = 707 total more than
+# MAX_WORD_LETTERS), and MAX_WORD_LETTERS itself.  <a^1000000> ∩ <a^999999>
+# is built from two stored arcs, and its 999999000000 states are counted,
+# not written.  Every row runs under 1 GiB of address space
 LARGE_RUNS = {
     "intersect-free K_199 K_200": (
         ["intersect-free", "--alphabet", "a b", "k199.words", "k200.words"],
@@ -687,6 +695,20 @@ LARGE_RUNS = {
     "embed K_301 3K_300": (["embed", "K_301", "k300x3.graph"], 0, '{"pattern": "K_301", "embeds": false}\n', ""),
     "classify 3K_300 with a bad edge last": (
         ["classify", "k300x3-bad.graph"], 2, "", "error: line 134554: unknown vertex 'q' in edge\n"),
+    "demo-nonhowson m = 706": (
+        ["demo-nonhowson", "--m", "706"],
+        0, '{"m": 706, "rank": 1413, "element": "a^-707 b a^707", "verdict": "not_member"}\n', ""),
+    "demo-nonhowson m = 707": (
+        ["demo-nonhowson", "--m", "707"],
+        2, "", "error: the 1415 conjugates for m = 707 total 1002527 letters, more than 1000000\n"),
+    "normal-form a^1000000": (
+        ["normal-form", "a.graph", "a^1000000"],
+        0, '{"normal_form": "a^1000000", "length": 1000000, "support": ["a"]}\n', ""),
+    "normal-form a^1000001": (
+        ["normal-form", "a.graph", "a^1000001"], 2, "", "error: word expands to more than 1000000 letters\n"),
+    "intersect-free a^1000000 a^999999": (
+        ["intersect-free", "--alphabet", "a", "a1000000.words", "a999999.words"],
+        0, '{"rank": 1, "states": 999999000000, "edges": 999999000000}\n', ""),
 }
 
 
@@ -694,7 +716,7 @@ LARGE_RUNS = {
 def test_large_inputs_run_in_a_fresh_interpreter(case, large_inputs):
     argv, *expected = LARGE_RUNS[case]
     argv = [str(large_inputs / arg) if arg.endswith((".words", ".graph")) else arg for arg in argv]
-    assert spawn(sys.executable, "-m", "pcgroups", *argv) == tuple(expected)
+    assert spawn(sys.executable, "-m", "pcgroups", *argv, address_space=1 << 30) == tuple(expected)
 
 
 def test_command_set_and_exit_status_flags():
