@@ -13,15 +13,18 @@ decomposition into complete components reads closed neighbourhoods and
 needs no search.
 
 The clique number and the P4 and C4 tests work on adjacency bitmasks, one
-Python int per vertex, which each of them builds from the adjacency.  All
-three split the graph into components and co-components.  The clique number
-counts a single-vertex co-component as 1, so it values a clique part by its
-size, and runs a branch and bound cut by greedy colourings (Tomita & Seki's
-MCQ) on each part that splits neither way; a P4 shows up when such a part has
-two or more vertices (the graph is then not a cograph); a C4 shows up when a
-join has two co-components of two or more vertices, or when such a part has
-a non-adjacent pair whose common neighbourhood is not a clique.  A union of
-cliques builds no bitmasks: its complete components answer all three.
+Python int per vertex, which each of them builds from the adjacency.  The
+clique number and the P4 test split the graph into components and
+co-components.  The clique number counts a single-vertex co-component as 1,
+so it values a clique part by its size, and runs a branch and bound cut by
+greedy colourings (Tomita & Seki's MCQ) on each part that splits neither
+way; a P4 shows up when such a part has two or more vertices (the graph is
+then not a cograph).  The C4 test does not split: it walks the 2-paths
+u - w - v down from each vertex u to a v that u does not see, and finds a
+square when the middles of one such pair hold a non-adjacent pair.
+``classify``, ``_has_clique`` and the P4 and C4 tests read the decomposition
+into complete components first and answer a union of cliques from it, with
+no bitmasks; ``clique_number`` builds them for every graph.
 
 Vertex names are opaque strings ordered lexicographically; every "least
 witness" promise made by the search functions refers to that order.  A name
@@ -494,21 +497,6 @@ def _has_clique(g: SimpleGraph, n: int) -> bool:
     return _clique_value(_bitsets(g), n - 1, n) >= n
 
 
-def _split_nodes(masks: list[int]):
-    """Each vertex set of four or more vertices that the split reaches, as
-    ``(s, join, parts)`` from ``_split``: the whole vertex set first, then the
-    parts of every set that splits, on an explicit stack.  A set that splits
-    neither way (one part) is not split further."""
-    stack = [(1 << len(masks)) - 1]
-    while stack:
-        s = stack.pop()
-        if s.bit_count() >= 4:
-            join, parts = _split(masks, s)
-            yield s, join, parts
-            if len(parts) > 1:
-                stack.extend(parts)
-
-
 def _has_induced_p4(g: SimpleGraph) -> bool:
     """Does ``g`` contain an induced path on four vertices?
 
@@ -517,47 +505,55 @@ def _has_induced_p4(g: SimpleGraph) -> bool:
     B 1974; Corneil, Lerchs & Stewart Burlingham, DAM 1981).  P4 is connected
     and self-complementary, so it lies in a graph iff it lies in one of its
     components, or in one of its co-components when the graph is connected.
-    Sets of at most three vertices cannot hold a P4, and ``_split_nodes``
-    skips them; the first set that splits neither way answers yes.  A union
-    of cliques holds no induced P3, so no P4, and is not split."""
-    return complete_decomposition(g) is None and any(
-        len(parts) == 1 for _, _, parts in _split_nodes(_bitsets(g)))
+    The vertex set is split that way on an explicit stack, and the first set
+    that splits neither way answers yes.  Parts of at most three vertices
+    cannot hold a P4 and are not pushed.  A union of cliques holds no
+    induced P3, so no P4, and is not split; any other graph holds a P3, and
+    every graph on three vertices splits, so the whole vertex set is split
+    whatever its size."""
+    if complete_decomposition(g) is not None:
+        return False
+    masks = _bitsets(g)
+    stack = [(1 << len(masks)) - 1]
+    while stack:
+        parts = _split(masks, stack.pop())[1]
+        if len(parts) == 1:
+            return True
+        stack += [p for p in parts if p.bit_count() >= 4]
+    return False
 
 
 def _has_induced_c4(g: SimpleGraph) -> bool:
     """Does ``g`` contain an induced cycle on four vertices?
 
-    A square is connected, so it lies in one component.  Its complement is
-    two disjoint edges, so in a join it lies in one co-component or takes a
-    non-adjacent pair from each of two; a co-component of two or more
-    vertices is connected in the complement, so it holds such a pair.  The
-    graph is split that way, as for the P4 test; on a part that splits
-    neither way, a square is a non-adjacent pair u, v with two non-adjacent
-    common neighbours, i.e. a common neighbourhood that is not a clique.  A
-    union of cliques holds no induced P3, so no square, and is not split."""
+    A square is a non-adjacent pair u, v with two non-adjacent common
+    neighbours.  It is found from its vertex u of highest bit in
+    ``_bitsets``: the other end v of u's diagonal and both middles sit at
+    lower bits, so the square closes a 2-path u - w - v walked down from u
+    (Chiba & Nishizeki, SIAM J. Comput. 1985).  Each u takes ``near``, its
+    lower neighbours, and ``far``, the lower vertices it does not see.  A u
+    that sees every lower vertex is passed over; otherwise ``far`` is cut to
+    the vertices two steps away through ``near``, and a v left closes a
+    square exactly when the vertices of ``near`` that it sees are not a
+    clique.  A union of cliques holds no induced P3, so no square, and builds
+    no bitmasks."""
     if complete_decomposition(g) is not None:
         return False
     masks = _bitsets(g)
-    return any(
-        _pair_has_c4(masks, s) if len(parts) == 1
-        else join and sum(p & (p - 1) != 0 for p in parts) >= 2
-        for s, join, parts in _split_nodes(masks)
-    )
-
-
-def _pair_has_c4(masks: list[int], s: int) -> bool:
-    """Does the subgraph induced on ``s`` hold a non-adjacent pair whose
-    common neighbourhood is not a clique?"""
-    rest_u = s
-    while rest_u:
-        u = rest_u.bit_length() - 1
-        rest_u ^= 1 << u
-        near_u = masks[u] & s
-        far = rest_u & ~near_u
+    for u, mask in enumerate(masks):
+        lower = (1 << u) - 1
+        near, far = mask & lower, lower & ~mask
+        if far:  # else u sees every lower vertex
+            reach, rest = 0, near
+            while rest:
+                w = rest.bit_length() - 1
+                rest ^= 1 << w
+                reach |= masks[w]
+            far &= reach
         while far:
             v = far.bit_length() - 1
             far ^= 1 << v
-            rest = near_u & masks[v]
+            rest = near & masks[v]
             while rest:
                 w = rest.bit_length() - 1
                 rest ^= 1 << w

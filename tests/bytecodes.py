@@ -1,0 +1,31 @@
+"""Counted work for the tests that pin a call's cost: ``opcodes(call)``
+counts the bytecodes a call runs, which does not drift with the host as a
+wall clock does."""
+
+import sys
+
+
+def opcodes(call):
+    """The bytecodes ``call()`` runs, counted by a ``sys.settrace`` hook
+    that asks for opcode events, and its result.  A call is traced first
+    with the hook and counted apart: CPython 3.12 counts nothing in the
+    first call a process traces."""
+    counted = [0]
+
+    def count(frame, event, arg):
+        frame.f_trace_opcodes = True
+        if event == "opcode":
+            counted[0] += 1
+        return count
+
+    previous = sys.gettrace()
+    sys.settrace(count)
+    (lambda: None)()
+    sys.settrace(previous)
+    counted[0] = 0
+    sys.settrace(count)
+    try:
+        result = call()
+    finally:
+        sys.settrace(previous)
+    return counted[0], result

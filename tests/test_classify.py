@@ -23,6 +23,7 @@ from pcgroups import (
     max_abelian_rank,
     path_graph,
 )
+from bytecodes import opcodes
 from oracles import all_labeled_graphs, brute_induced_embedding_exists, clique_oracle, iso_representatives
 
 
@@ -301,6 +302,19 @@ class TestEmbedsIn:
             assert embeds_in("C4", join(left, right))
         # a clique side adds no non-adjacent pair, and a pentagon has no square
         assert not embeds_in("C4", join(complete_graph(5, prefix="x"), cycle_graph(5, prefix="y")))
+
+    def test_square_search_grows_with_the_path(self):
+        # the bytecodes of the C4 test on paths of 500, 1,000 and 2,000
+        # vertices: trying every non-adjacent pair of the split's parts ran
+        # 3.9-4.0 times more per doubling on CPython 3.11.7, walking 2-paths
+        # down from each vertex runs 2.0 times more
+        counts = []
+        for n in (500, 1000, 2000):
+            g = path_graph(n)
+            count, found = opcodes(lambda: embeds_in("C4", g))
+            assert not found
+            counts.append(count)
+        assert all(0 < a and b <= 2.5 * a for a, b in zip(counts, counts[1:])), counts
 
     def test_p3_detects_non_howson(self):
         # mirror of the acceptance criterion at small scale

@@ -655,7 +655,9 @@ def large_inputs(tmp_path_factory):
     """The directory of the large inputs.  K_p = <a^p, b, a^k b a^-k :
     1 <= k < p> has finite index p.  Three 300-cliques take 134,551 lines;
     the bad copy adds a comment and one edge to an unknown vertex last.
-    The one-vertex graph and the powers of ``a`` sit at the word cap."""
+    The one-vertex graph and the powers of ``a`` sit at the word cap.  The
+    path v1 - ... - v40000 holds no square; the edge v39997 v40000 closes
+    one at its end."""
     directory = tmp_path_factory.mktemp("large")
     (directory / "a.graph").write_text("a\n")
     for k in (1000000, 999999):
@@ -669,6 +671,9 @@ def large_inputs(tmp_path_factory):
     (directory / "k300x3.graph").write_text("".join(f"{line}\n" for line in cliques))
     bad = [*cliques, "", "# one bad edge last", "x0 q"]
     (directory / "k300x3-bad.graph").write_text("".join(f"{line}\n" for line in bad))
+    path = [" ".join(f"v{i}" for i in range(1, 40001)), *(f"v{i} v{i + 1}" for i in range(1, 40000))]
+    (directory / "p40000.graph").write_text("".join(f"{line}\n" for line in path))
+    (directory / "p40000-square.graph").write_text("".join(f"{line}\n" for line in [*path, "v39997 v40000"]))
     return directory
 
 
@@ -681,7 +686,10 @@ def large_inputs(tmp_path_factory):
 # for demo-nonhowson (1415 conjugates of m = 707 total more than
 # MAX_WORD_LETTERS), and MAX_WORD_LETTERS itself.  <a^1000000> ∩ <a^999999>
 # is built from two stored arcs, and its 999999000000 states are counted,
-# not written.  Every row runs under 1 GiB of address space
+# not written.  embed C4 on a path of 40000 vertices needs a square test
+# whose work grows with the path, not with its square: one that tries every
+# non-adjacent pair runs past the time limit.  The path with a square closed
+# at its end answers true.  Every row runs under 1 GiB of address space
 LARGE_RUNS = {
     "intersect-free K_199 K_200": (
         ["intersect-free", "--alphabet", "a b", "k199.words", "k200.words"],
@@ -709,6 +717,9 @@ LARGE_RUNS = {
     "intersect-free a^1000000 a^999999": (
         ["intersect-free", "--alphabet", "a", "a1000000.words", "a999999.words"],
         0, '{"rank": 1, "states": 999999000000, "edges": 999999000000}\n', ""),
+    "embed C4 P_40000": (["embed", "C4", "p40000.graph"], 0, '{"pattern": "C4", "embeds": false}\n', ""),
+    "embed C4 P_40000 with a square at its end": (
+        ["embed", "C4", "p40000-square.graph"], 0, '{"pattern": "C4", "embeds": true}\n', ""),
 }
 
 

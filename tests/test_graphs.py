@@ -35,7 +35,7 @@ from oracles import (
     clique_oracle,
     graph_text_outcome,
 )
-from test_stallings import opcodes
+from bytecodes import opcodes
 
 
 def P3():

@@ -20,6 +20,7 @@ from pcgroups import (
 from pcgroups import stallings
 from pcgroups.stallings import _search
 from pcgroups.zf2 import conjugate_generators
+from bytecodes import opcodes
 from test_cli import spawn
 from oracles import (
     bouquet_automaton,
@@ -297,32 +298,6 @@ def kernel(p):
     """``K_p = <a^p, b, a^k b a^-k : 1 <= k < p>``, the kernel of the map
     onto Z/p that counts a's: an a-cycle of p states, a b-loop at each."""
     return from_generators([w(f"a^{p}"), w("b"), *(w(f"a^{k} b a^-{k}") for k in range(1, p))], AB)
-
-
-def opcodes(call):
-    """The bytecodes ``call()`` runs, counted by a ``sys.settrace`` hook
-    that asks for opcode events, and its result.  A call is traced first
-    with the hook and counted apart: CPython 3.12 counts nothing in the
-    first call a process traces."""
-    counted = [0]
-
-    def count(frame, event, arg):
-        frame.f_trace_opcodes = True
-        if event == "opcode":
-            counted[0] += 1
-        return count
-
-    previous = sys.gettrace()
-    sys.settrace(count)
-    (lambda: None)()
-    sys.settrace(previous)
-    counted[0] = 0
-    sys.settrace(count)
-    try:
-        result = call()
-    finally:
-        sys.settrace(previous)
-    return counted[0], result
 
 
 class TestFromGenerators:

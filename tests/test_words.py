@@ -34,7 +34,7 @@ from oracles import (
     word_key,
 )
 from oracles import free_reduce as oracle_free_reduce
-from test_stallings import opcodes
+from bytecodes import opcodes
 
 XY_EDGE = SimpleGraph(("x", "y"), [("x", "y")])
 XY_FREE = SimpleGraph(("x", "y"))
