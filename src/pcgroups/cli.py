@@ -160,14 +160,15 @@ def _cmd_self_check(args):
         verts = ("a", "b", "c", "d", "e")[:n]
         pairs = list(combinations(verts, 2))
         adj = {v: frozenset() for v in verts}
+        g = SimpleGraph._trusted(adj)  # flipped in place: it never leaves this sweep, no check keeps it
+        checked += 1 << len(pairs)
         # reflected Gray code: graph i is graph i - 1 with one pair flipped,
         # the pair at the index of i's lowest set bit
         for i in range(1 << len(pairs)):
             if i:
                 u, w = pairs[(i & -i).bit_length() - 1]
-                adj = {**adj, u: adj[u] ^ {w}, w: adj[w] ^ {u}}
-            g = SimpleGraph._trusted(adj)
-            checked += 1
+                adj[u] ^= {w}
+                adj[w] ^= {u}
             # classify decides by complete components; transitivity of the
             # reflexive closure is the independent referee
             if (complete_decomposition(g) is not None) != reflexive_closure_is_transitive(g):
