@@ -12,19 +12,21 @@ neighbour sets directly; the edge set is derived only when it is read.  The
 decomposition into complete components reads closed neighbourhoods and
 needs no search.
 
-The clique number and the P4 and C4 tests work on adjacency bitmasks, one
-Python int per vertex, which each of them builds from the adjacency.  The
-clique number and the P4 test split the graph into components and
-co-components.  The clique number counts a single-vertex co-component as 1,
-so it values a clique part by its size, and runs a branch and bound cut by
-greedy colourings (Tomita & Seki's MCQ) on each part that splits neither
-way; a P4 shows up when such a part has two or more vertices (the graph is
-then not a cograph).  The C4 test does not split: it walks the 2-paths
-u - w - v down from each vertex u to a v that u does not see, and finds a
-square when the middles of one such pair hold a non-adjacent pair.
-``classify``, ``_has_clique`` and the P4 and C4 tests read the decomposition
-into complete components first and answer a union of cliques from it, with
-no bitmasks; ``clique_number`` builds them for every graph.
+The clique number and the P4 test split the graph into components and
+co-components, by breadth-first searches over the adjacency sets; a part of
+a split is split only the other way.  The clique number counts a
+single-vertex part as 1, so it values a clique part by its size, and runs
+a branch and bound cut by greedy colourings (Tomita & Seki's MCQ) on each
+part that splits neither way, over adjacency bitmasks, one Python int per
+vertex, built for that part alone.  A P4 shows up when such a part has two
+or more vertices (the graph is then not a cograph); the P4 test builds no
+bitmasks.  The C4 test does not split: it builds bitmasks for the whole
+graph and walks the 2-paths u - w - v down from each vertex u to a v that
+u does not see, and finds a square when the middles of one such pair hold
+a non-adjacent pair.  ``classify``, ``_has_clique`` and the P4 and C4 tests
+read the decomposition into complete components first and answer a union
+of cliques from it, with no split or bitmasks; ``clique_number`` splits
+every graph, and builds no bitmasks for a cograph.
 
 Vertex names are opaque strings ordered lexicographically; every "least
 witness" promise made by the search functions refers to that order.  A name
@@ -46,7 +48,7 @@ edge line is harmless, and a loop ``u u`` is an error.
 
 from __future__ import annotations
 
-from collections import Counter
+from collections import Counter, defaultdict
 from itertools import combinations, islice
 from operator import length_hint
 from typing import Iterable, Mapping, Optional
@@ -205,21 +207,8 @@ def connected_components(g: SimpleGraph) -> tuple[tuple[str, ...], ...]:
     Blocks are sorted internally and listed by least member, so the output is
     deterministic.
     """
-    seen: set[str] = set()
-    blocks = []
     adj = _instance(g, SimpleGraph)._adj
-    for start in g.vertices:
-        if start in seen:
-            continue
-        comp = {start}
-        stack = [start]
-        while stack:
-            new = adj[stack.pop()] - comp
-            comp |= new
-            stack += new
-        seen |= comp
-        blocks.append(tuple(sorted(comp)))
-    return tuple(blocks)
+    return tuple(sorted(tuple(sorted(block)) for block in _components(adj, adj)))
 
 
 def find_induced_p3(g: SimpleGraph) -> Optional[tuple[str, str, str]]:
@@ -322,48 +311,54 @@ def relabel(g: SimpleGraph, mapping: dict) -> SimpleGraph:
     )
 
 
-def _bitsets(g: SimpleGraph) -> list[int]:
-    """Adjacency bitmasks, built from the adjacency on every call.
+def _bitsets(adj: dict, part) -> list[int]:
+    """Adjacency bitmasks of the subgraph induced on ``part``.
 
-    Vertex sets are Python ints.  Vertices are ranked by degree, highest
-    first (ties by name), and the vertex of rank r is bit ``n - 1 - r``, so
-    taking a set's highest bit first visits it in rank order.  ``masks[b]``
-    is the set of neighbours of the vertex at bit ``b``."""
-    adj = _instance(g, SimpleGraph)._adj
-    by_bit = sorted(g.vertices, key=lambda v: (-len(adj[v]), v), reverse=True)
-    bit = {v: 1 << b for b, v in enumerate(by_bit)}
+    Vertex sets are Python ints.  The vertices are ranked by their degree in
+    the whole graph, highest first (ties by name), and the vertex of rank r
+    is bit ``n - 1 - r``, so taking a set's highest bit first visits it in
+    rank order.  ``masks[b]`` is the set of neighbours in ``part`` of the
+    vertex at bit ``b``.  ``bit`` maps a neighbour outside ``part`` to 0 on
+    its first lookup, so each lookup is a plain subscript (a ``get`` with a
+    default costs 10-20% more)."""
+    by_bit = sorted(part, key=lambda v: (-len(adj[v]), v), reverse=True)
+    bit = defaultdict(int, {v: 1 << b for b, v in enumerate(by_bit)})
     return [sum(map(bit.__getitem__, adj[v])) for v in by_bit]
 
 
-def _components(masks: list[int], s: int, co: bool) -> list[int]:
-    """Vertex sets of the components of the subgraph induced on ``s``, or of
-    its complement when ``co``."""
+def _components(adj: dict, part, co: bool = False) -> list[list[str]]:
+    """Vertex lists of the components of the subgraph induced on ``part``,
+    or of its complement when ``co``: a breadth-first search that moves out
+    of the set of vertices not yet reached, for each vertex it reaches, the
+    ones it sees (with ``co``, the ones it does not see).  A step costs what
+    it moves plus at most the vertex's degree."""
+    left = set(part)
     parts = []
-    while s:
-        top = 1 << (s.bit_length() - 1)
-        part = frontier = top
-        s ^= top
-        while frontier:
-            v = frontier.bit_length() - 1
-            frontier ^= 1 << v
-            near = s & masks[v]
-            new = s ^ near if co else near
-            if new:
-                s ^= new
-                part |= new
-                frontier |= new
-        parts.append(part)
+    while left:
+        reached = [left.pop()]
+        for v in reached:  # grows as it is walked
+            new = left - adj[v] if co else left & adj[v]
+            left -= new
+            reached += new
+            if not left:  # the rest of ``reached`` has nothing to move
+                break
+        parts.append(reached)
     return parts
 
 
-def _split(masks: list[int], s: int) -> tuple[bool, list[int]]:
-    """``(False, components)`` of the subgraph induced on ``s`` when it is
-    disconnected, else ``(True, co-components)``: the parts of a join.  One
-    part means ``s`` splits neither way."""
-    parts = _components(masks, s, False)
-    if len(parts) != 1:
-        return False, parts
-    return True, _components(masks, s, True)
+def _split(adj: dict, part, co: Optional[bool] = None) -> tuple[bool, list[list[str]]]:
+    """``(co, parts)``: the components of the subgraph induced on ``part``
+    when ``co`` is false, and its co-components, the parts of a join, when
+    it is true.  A component is connected and a co-component's complement
+    is, so a part of a split is split only the other way.  For the whole
+    vertex set ``co`` is None: its components, unless it is connected, and
+    then its co-components.  One part means ``part`` splits neither way."""
+    if co is None:
+        parts = _components(adj, part)
+        if len(parts) != 1:
+            return False, parts
+        co = True
+    return co, _components(adj, part, co)
 
 
 def _colour(anti: list[int], bits: list[int], cands: int, floor: int) -> tuple[list, list, int]:
@@ -392,10 +387,10 @@ def _colour(anti: list[int], bits: list[int], cands: int, floor: int) -> tuple[l
     return verts, colours, k
 
 
-def _clique_search(masks: list[int], anti: list[int], bits: list[int], cands: int,
-                   best: int, stop: int) -> int:
-    """Largest clique within ``cands`` if it exceeds ``best``, else ``best``;
-    returns as soon as a clique of ``stop`` vertices is found.
+def _clique_search(masks: list[int], best: int, stop: int) -> int:
+    """Largest clique of the graph with adjacency bitmasks ``masks`` if it
+    exceeds ``best``, else ``best``; returns as soon as a clique of ``stop``
+    vertices is found.
 
     MCQ-style branch and bound (Tomita & Seki, DMTCS 2003) over bitsets, as
     in San Segundo et al.'s BBMC.  A frame holds a clique size, its
@@ -406,6 +401,9 @@ def _clique_search(masks: list[int], anti: list[int], bits: list[int], cands: in
     beat the incumbent.  Candidates that take one colour each are a clique
     and end the branch.  The stack is explicit, so the depth is not bounded
     by the interpreter's recursion limit."""
+    cands = (1 << len(masks)) - 1
+    bits = [1 << v for v in range(len(masks))]
+    anti = [cands ^ m ^ b for m, b in zip(masks, bits)]
     stack = []
     size = 0
     while True:
@@ -430,39 +428,35 @@ def _clique_search(masks: list[int], anti: list[int], bits: list[int], cands: in
             return best
 
 
-def _clique_value(masks: list[int], best: int, stop: int) -> int:
-    """The clique number if it exceeds ``best``, else ``best``; returns as
-    soon as it reaches ``stop``.
+def _clique_value(adj: dict, best: int, stop: int) -> int:
+    """The clique number of the graph with adjacency ``adj`` if it exceeds
+    ``best``, else ``best``; returns as soon as it reaches ``stop``.
 
     The clique number of a disconnected graph is the largest over its
     components, and that of a graph with a disconnected complement (a join)
     the sum over its co-components.  The vertex set is split that way as far
     as it goes, on an explicit stack of frames (join?, parts left, value so
-    far, best, stop), and a part that splits neither way is handed to the
-    clique search.  A component is searched with the value so far as its
-    incumbent.  A co-component is valued exactly, up to what its join still
-    needs to reach ``stop``; a single vertex counts 1 with no frame, so a
-    clique is valued by its size."""
-    n = len(masks)
-    full = (1 << n) - 1
-    bits = [1 << v for v in range(n)]
-    anti = [full ^ m ^ bits[v] for v, m in enumerate(masks)]
+    far, best, stop), and only a part that splits neither way is handed,
+    with its own bitmasks, to the clique search.  A component is searched
+    with the value so far as its incumbent.  A co-component is valued
+    exactly, up to what its join still needs to reach ``stop``.  A single
+    vertex counts 1 with no frame, so a clique is valued by its size."""
 
-    def frame(s: int, best: int, stop: int) -> list:
-        join, parts = _split(masks, s)
+    def frame(part, best: int, stop: int, co: Optional[bool] = None) -> list:
+        join, parts = _split(adj, part, co)
         if len(parts) == 1:
-            return [False, [], _clique_search(masks, anti, bits, s, best, stop), best, stop]
-        if join:  # each single-vertex co-component adds one, with no frame
-            big = [p for p in parts if p & (p - 1)]
+            return [False, [], _clique_search(_bitsets(adj, part), best, stop), best, stop]
+        big = [p for p in parts if len(p) > 1]
+        if join:
             return [True, big, len(parts) - len(big), best, stop]
-        return [False, parts, best, best, stop]
+        return [False, big, best if len(big) == len(parts) else max(best, 1), best, stop]
 
-    stack = [frame(full, best, stop)]
+    stack = [frame(adj, best, stop)]
     while True:
         join, parts, value, best, stop = stack[-1]
         if parts and value < stop:
-            s = parts.pop()
-            stack.append(frame(s, 0, stop - value) if join else frame(s, value, stop))
+            part = parts.pop()
+            stack.append(frame(part, 0, stop - value, False) if join else frame(part, value, stop, True))
             continue
         stack.pop()
         value = max(value, best)
@@ -475,16 +469,17 @@ def _clique_value(masks: list[int], best: int, stop: int) -> int:
 def clique_number(g: SimpleGraph) -> int:
     """Size of a largest complete subgraph.
 
-    The graph is split into components, whose largest clique number is the
-    graph's, and co-components, whose clique numbers add up.  Each part
-    that splits neither way is searched by branch and bound over adjacency
-    bitsets with vertices ranked by degree: a greedy colouring of each
-    branch's candidates bounds the clique it can reach, and vertices are
-    expanded in reverse colour order (Tomita & Seki's MCQ).  Both the split
-    and the search keep their own stacks, so the depth is not bounded by the
-    interpreter's recursion limit."""
-    masks = _bitsets(g)
-    return _clique_value(masks, 0, len(masks))
+    The graph is split, on its adjacency sets, into components, whose
+    largest clique number is the graph's, and co-components, whose clique
+    numbers add up.  Only a part that splits neither way gets adjacency
+    bitsets, with its vertices ranked by degree, and is searched by branch
+    and bound over them: a greedy colouring of each branch's candidates
+    bounds the clique it can reach, and vertices are expanded in reverse
+    colour order (Tomita & Seki's MCQ).  A cograph builds no bitsets.  Both
+    the split and the search keep their own stacks, so the depth is not
+    bounded by the interpreter's recursion limit."""
+    adj = _instance(g, SimpleGraph)._adj
+    return _clique_value(adj, 0, len(adj))
 
 
 def _has_clique(g: SimpleGraph, n: int) -> bool:
@@ -494,7 +489,7 @@ def _has_clique(g: SimpleGraph, n: int) -> bool:
     ranks = complete_decomposition(g)
     if ranks is not None:
         return n <= max(ranks, default=0)
-    return _clique_value(_bitsets(g), n - 1, n) >= n
+    return _clique_value(g._adj, n - 1, n) >= n
 
 
 def _has_induced_p4(g: SimpleGraph) -> bool:
@@ -505,21 +500,22 @@ def _has_induced_p4(g: SimpleGraph) -> bool:
     B 1974; Corneil, Lerchs & Stewart Burlingham, DAM 1981).  P4 is connected
     and self-complementary, so it lies in a graph iff it lies in one of its
     components, or in one of its co-components when the graph is connected.
-    The vertex set is split that way on an explicit stack, and the first set
-    that splits neither way answers yes.  Parts of at most three vertices
-    cannot hold a P4 and are not pushed.  A union of cliques holds no
-    induced P3, so no P4, and is not split; any other graph holds a P3, and
-    every graph on three vertices splits, so the whole vertex set is split
-    whatever its size."""
+    The vertex set is split that way on its adjacency sets, on an explicit
+    stack, with no bitsets, and the first set that splits neither way
+    answers yes.  Parts of at most three vertices cannot hold a P4 and are
+    not pushed.  A union of cliques holds no induced P3, so no P4, and is
+    not split; any other graph holds a P3, and every graph on three vertices
+    splits, so the whole vertex set is split whatever its size."""
     if complete_decomposition(g) is not None:
         return False
-    masks = _bitsets(g)
-    stack = [(1 << len(masks)) - 1]
+    adj = g._adj
+    stack = [(adj, None)]
     while stack:
-        parts = _split(masks, stack.pop())[1]
+        part, co = stack.pop()
+        co, parts = _split(adj, part, co)
         if len(parts) == 1:
             return True
-        stack += [p for p in parts if p.bit_count() >= 4]
+        stack += [(p, not co) for p in parts if len(p) >= 4]
     return False
 
 
@@ -527,19 +523,20 @@ def _has_induced_c4(g: SimpleGraph) -> bool:
     """Does ``g`` contain an induced cycle on four vertices?
 
     A square is a non-adjacent pair u, v with two non-adjacent common
-    neighbours.  It is found from its vertex u of highest bit in
-    ``_bitsets``: the other end v of u's diagonal and both middles sit at
-    lower bits, so the square closes a 2-path u - w - v walked down from u
-    (Chiba & Nishizeki, SIAM J. Comput. 1985).  Each u takes ``near``, its
-    lower neighbours, and ``far``, the lower vertices it does not see.  A u
-    that sees every lower vertex is passed over; otherwise ``far`` is cut to
-    the vertices two steps away through ``near``, and a v left closes a
-    square exactly when the vertices of ``near`` that it sees are not a
-    clique.  A union of cliques holds no induced P3, so no square, and builds
+    neighbours.  It is found from its vertex u of highest bit in the
+    bitsets of the whole graph, which only this test builds: the other end
+    v of u's diagonal and both middles sit at lower bits, so the square
+    closes a 2-path u - w - v walked down from u (Chiba & Nishizeki, SIAM J.
+    Comput. 1985).  Each u takes ``near``, its lower neighbours, and
+    ``far``, the lower vertices it does not see.  A u that sees every lower
+    vertex is passed over; otherwise ``far`` is cut to the vertices two
+    steps away through ``near``, and a v left closes a square exactly when
+    the vertices of ``near`` that it sees are not a clique.  A union of
+    cliques holds no induced P3, so no square, and builds
     no bitmasks."""
     if complete_decomposition(g) is not None:
         return False
-    masks = _bitsets(g)
+    masks = _bitsets(g._adj, g._adj)
     for u, mask in enumerate(masks):
         lower = (1 << u) - 1
         near, far = mask & lower, lower & ~mask

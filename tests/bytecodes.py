@@ -1,8 +1,9 @@
 """Counted work for the tests that pin a call's cost: ``opcodes(call)``
-counts the bytecodes a call runs, which does not drift with the host as a
-wall clock does."""
+counts the bytecodes a call runs, and ``peak_allocation(call)`` the most
+memory it holds at once; neither drifts with the host as a wall clock does."""
 
 import sys
+import tracemalloc
 
 
 def opcodes(call):
@@ -29,3 +30,15 @@ def opcodes(call):
     finally:
         sys.settrace(previous)
     return counted[0], result
+
+
+def peak_allocation(call):
+    """The peak of the memory ``tracemalloc`` traces while ``call()`` runs,
+    in bytes, and its result."""
+    tracemalloc.start()
+    try:
+        result = call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak, result

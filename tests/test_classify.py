@@ -23,7 +23,7 @@ from pcgroups import (
     max_abelian_rank,
     path_graph,
 )
-from bytecodes import opcodes
+from bytecodes import opcodes, peak_allocation
 from oracles import all_labeled_graphs, brute_induced_embedding_exists, clique_oracle, iso_representatives
 
 
@@ -315,6 +315,19 @@ class TestEmbedsIn:
             assert not found
             counts.append(count)
         assert all(0 < a and b <= 2.5 * a for a, b in zip(counts, counts[1:])), counts
+
+    def test_p4_search_memory_grows_with_the_path(self):
+        # the peak allocation of the P4 test on paths of 2,000 and 8,000
+        # vertices: splitting on adjacency sets holds 4.0 times more on
+        # CPython 3.11.7, and whole-graph bitsets, n bits per vertex, held
+        # 11.2 times more
+        peaks = []
+        for n in (2000, 8000):
+            g = path_graph(n)
+            peak, found = peak_allocation(lambda: embeds_in("P4", g))
+            assert found
+            peaks.append(peak)
+        assert 0 < peaks[1] <= 6 * peaks[0], peaks
 
     def test_p3_detects_non_howson(self):
         # mirror of the acceptance criterion at small scale

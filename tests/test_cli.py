@@ -9,7 +9,6 @@ import shutil
 import subprocess
 import sys
 import sysconfig
-import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -19,7 +18,7 @@ from hypothesis import strategies as st
 from pcgroups import SimpleGraph
 from pcgroups.cli import run
 from oracles import all_labeled_graphs
-from bytecodes import opcodes
+from bytecodes import opcodes, peak_allocation
 
 GOLDEN = Path(__file__).resolve().parent.parent / "docs" / "golden"
 INPUTS = GOLDEN / "inputs"
@@ -125,12 +124,7 @@ def test_long_runs_cost_what_the_text_costs(args):
     # words are kept as syllables x^k, never expanded into their letters
     argv = (args[0], str(INPUTS / "p3.graph")) + args[1:]
     invoke(*argv)  # the parser is built once per process
-    tracemalloc.start()
-    try:
-        code, out, err = invoke(*argv)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak, (code, out, err) = peak_allocation(lambda: invoke(*argv))
     assert code == 0 and err == "" and json.loads(out) == LONG_RUN_ANSWERS[args]
     assert peak < 1_000_000
 
@@ -212,12 +206,7 @@ class TestEmbed:
         # K_n is decided from n; the n-vertex pattern is never built
         argv = ("embed", "K_1000", str(INPUTS / "p3.graph"))
         invoke(*argv)  # the parser is built once per process
-        tracemalloc.start()
-        try:
-            code, out, err = invoke(*argv)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peak, (code, out, err) = peak_allocation(lambda: invoke(*argv))
         assert code == 0 and err == "" and json.loads(out) == {"pattern": "K_1000", "embeds": False}
         assert peak < 1_000_000
 
@@ -677,7 +666,7 @@ def large_inputs(tmp_path_factory):
     the bad copy adds a comment and one edge to an unknown vertex last.
     The one-vertex graph and the powers of ``a`` sit at the word cap.  The
     path v1 - ... - v40000 holds no square; the edge v39997 v40000 closes
-    one at its end."""
+    one at its end.  The forest holds 20,000 paths p{i}_0 - ... - p{i}_3."""
     directory = tmp_path_factory.mktemp("large")
     (directory / "a.graph").write_text("a\n")
     for k in (1000000, 999999):
@@ -694,6 +683,9 @@ def large_inputs(tmp_path_factory):
     path = [" ".join(f"v{i}" for i in range(1, 40001)), *(f"v{i} v{i + 1}" for i in range(1, 40000))]
     (directory / "p40000.graph").write_text("".join(f"{line}\n" for line in path))
     (directory / "p40000-square.graph").write_text("".join(f"{line}\n" for line in [*path, "v39997 v40000"]))
+    paths = [[f"p{i}_{j}" for j in range(4)] for i in range(20000)]
+    forest = [" ".join(v for p in paths for v in p), *(f"{p[j]} {p[j + 1]}" for p in paths for j in range(3))]
+    (directory / "p4x20000.graph").write_text("".join(f"{line}\n" for line in forest))
     return directory
 
 
@@ -709,7 +701,11 @@ def large_inputs(tmp_path_factory):
 # not written.  embed C4 on a path of 40000 vertices needs a square test
 # whose work grows with the path, not with its square: one that tries every
 # non-adjacent pair runs past the time limit.  The path with a square closed
-# at its end answers true.  Every row runs under 1 GiB of address space
+# at its end answers true.  classify on a forest of 20000 P4s (80000
+# vertices) splits the graph on its adjacency sets and builds bitsets only
+# for each 4-vertex path the clique search is handed; bitsets of the whole
+# graph, 80000 bits per vertex, ran out of memory.  Every row runs under
+# 1 GiB of address space
 LARGE_RUNS = {
     "intersect-free K_199 K_200": (
         ["intersect-free", "--alphabet", "a b", "k199.words", "k200.words"],
@@ -740,6 +736,11 @@ LARGE_RUNS = {
     "embed C4 P_40000": (["embed", "C4", "p40000.graph"], 0, '{"pattern": "C4", "embeds": false}\n', ""),
     "embed C4 P_40000 with a square at its end": (
         ["embed", "C4", "p40000-square.graph"], 0, '{"pattern": "C4", "embeds": true}\n', ""),
+    "classify 20000 P_4": (
+        ["classify", "p4x20000.graph"],
+        0, '{"p3_free": false, "fully_residually_free": false, "howson": false, "contains_z_cross_f2": true, '
+           '"free_product_of_free_abelian": false, "factor_ranks": null, "p3_witness": ["p0_0", "p0_1", "p0_2"], '
+           '"fix_points_fg": false, "per_points_fg": false, "max_abelian_rank": 2}\n', ""),
 }
 
 

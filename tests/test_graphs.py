@@ -490,14 +490,19 @@ class TestUnionsAndJoinsOfCliques:
     def test_unions_of_cliques_build_no_bitsets(self, monkeypatch):
         built = []
         bitsets = graphs._bitsets
-        monkeypatch.setattr(graphs, "_bitsets", lambda g: built.append(g) or bitsets(g))
+        monkeypatch.setattr(graphs, "_bitsets", lambda *args: built.append(args) or bitsets(*args))
         host = edgeless_graph(0)
         for k, prefix in ((61, "x"), (30, "y"), (5, "z"), (1, "u")):
             host = disjoint_union(host, complete_graph(k, prefix=prefix))
         assert embeds_in("K_61", host) and not embeds_in("K_62", host)
         assert not embeds_in("P4", host) and not embeds_in("C4", host)
         assert built == []
-        assert embeds_in("P4", path_graph(4)) and len(built) == 1  # the counter counts
+        # the split runs on adjacency sets: a cograph builds none, and the
+        # P4 test none at all
+        assert clique_number(join(host, complete_graph(7, prefix="w"))) == 68
+        assert embeds_in("P4", path_graph(4))
+        assert built == []
+        assert embeds_in("C4", cycle_graph(4)) and len(built) == 1  # the counter counts
 
     def test_a_clique_is_valued_by_its_size(self):
         # the bytecodes clique_number runs on K_300, the graph built beforehand;
