@@ -15,8 +15,9 @@ equivalent to induced-subgraph containment.  That equivalence fails in
 general (F3 embeds in F2 while a 3-vertex edgeless graph never embeds in a
 2-vertex one), so non-catalog patterns are rejected outright.  Each catalog
 entry is decided by a direct test on the host graph rather than by a search
-for the pattern: a count, the component decomposition, the clique search,
-the cograph split or common neighbourhoods.
+for the pattern: a count, the component decomposition, or the host's split
+tree into components and co-components, which ``K_<n>``, P4 and C4 all
+read.
 
 A pattern is named, never handed over as a graph: ``embeds_in`` takes the
 name.  The catalog is one table, ``_CATALOG``: each of the six fixed names
@@ -84,8 +85,9 @@ def classify(g: SimpleGraph) -> ClassificationReport:
     """Decide every condition of the classification for a finite graph.
 
     One decomposition pass decides; the largest factor rank is then the
-    maximal free-abelian rank.  Only a graph that fails it is searched for
-    the P3 witness and its clique number.
+    maximal free-abelian rank.  Only a graph that fails it is read for the
+    P3 witness, from closed neighbourhoods with no search, and for its
+    clique number, from its split tree.
 
     The fixed-point and periodic-point verdicts (finitely generated for every
     endomorphism) coincide with the main verdict on finite graphs and are
@@ -215,10 +217,13 @@ def embeds_in(pattern: str, host: SimpleGraph) -> bool:
     graphs subgroup embedding does not reduce to the induced-subgraph
     question.  Each name is decided directly, in polynomial time except for
     K_n: the trivial group embeds everywhere, Z in any non-empty graph's
-    group and F2 when two vertices are not adjacent; K_n by a clique search
-    that stops at the first n-clique; P3 when some component is not
-    complete; P4 when the host is not a cograph; C4 when two non-adjacent
-    vertices have two non-adjacent common neighbours.
+    group and F2 when two vertices are not adjacent; P3 when some component
+    is not complete.  K_n, P4 and C4 read the host's split tree into
+    components and co-components: K_n by the clique number's fold, which
+    stops at the first n-clique; P4 when the tree has a prime part, i.e. the
+    host is not a cograph; C4 when a join has two parts of two or more
+    vertices, or a prime part holds two non-adjacent vertices with two
+    non-adjacent common neighbours.
     """
     decide, _ = _resolve(pattern)
     return decide(_instance(host, SimpleGraph))

@@ -12,21 +12,22 @@ neighbour sets directly; the edge set is derived only when it is read.  The
 decomposition into complete components reads closed neighbourhoods and
 needs no search.
 
-The clique number and the P4 test split the graph into components and
-co-components, by breadth-first searches over the adjacency sets; a part of
-a split is split only the other way.  The clique number counts a
-single-vertex part as 1, so it values a clique part by its size, and runs
-a branch and bound cut by greedy colourings (Tomita & Seki's MCQ) on each
-part that splits neither way, over adjacency bitmasks, one Python int per
-vertex, built for that part alone.  A P4 shows up when such a part has two
-or more vertices (the graph is then not a cograph); the P4 test builds no
-bitmasks.  The C4 test does not split: it builds bitmasks for the whole
-graph and walks the 2-paths u - w - v down from each vertex u to a v that
-u does not see, and finds a square when the middles of one such pair hold
-a non-adjacent pair.  ``classify``, ``_has_clique`` and the P4 and C4 tests
-read the decomposition into complete components first and answer a union
-of cliques from it, with no split or bitmasks; ``clique_number`` splits
-every graph, and builds no bitmasks for a cograph.
+The clique number and the P4 and C4 tests read one split tree, built per
+call: the graph is split into components and co-components, by
+breadth-first searches over the adjacency sets, and a part of a split is
+split only the other way, down to single vertices and prime parts, which
+split neither way.  The clique number adds up a join's parts and takes the
+largest of a union's, values a clique part by its size, and runs a branch
+and bound cut by greedy colourings (Tomita & Seki's MCQ) on each prime
+part, over adjacency bitmasks, one Python int per vertex, built for that
+part alone.  A P4 shows up exactly when the tree has a prime part (the
+graph is then not a cograph); the P4 test builds no bitmasks.  A C4 shows
+up at a join of two parts of two or more vertices each, or inside a prime
+part, whose bitmasks the C4 test walks: the 2-paths u - w - v down from
+each vertex u to a v that u does not see, and a square when the middles of
+one such pair hold a non-adjacent pair.  A cograph builds no bitmasks.
+``find_induced_p3`` reads closed neighbourhoods in name order, with no
+search.
 
 Vertex names are opaque strings ordered lexicographically; every "least
 witness" promise made by the search functions refers to that order.  A name
@@ -215,17 +216,28 @@ def find_induced_p3(g: SimpleGraph) -> Optional[tuple[str, str, str]]:
     """Least ordered triple (x, y, z) with edges xy and yz but not xz.
 
     Returns None exactly when no three vertices induce a path, i.e. when the
-    graph is a disjoint union of complete graphs.  Read off the components:
-    x is the least vertex with deg(x) < |component(x)| - 1, i.e. whose closed
-    neighbourhood N[x] misses part of its (connected) component; y is x's
-    least neighbour with a neighbour outside N[x]; z is y's least such one.
+    graph is a disjoint union of complete graphs.  x is the least vertex
+    with deg(x) < |component(x)| - 1, i.e. whose closed neighbourhood N[x]
+    misses part of its (connected) component; y is x's least neighbour with
+    a neighbour outside N[x]; z is y's least such one.  x is found from
+    closed neighbourhoods in name order, with no search: the least vertex v
+    of a component sees all of it exactly when every neighbour's neighbours
+    lie in N[v], and N[v] is then the component; a later vertex of a
+    component found so sees all of it exactly when its degree is the
+    component's size minus 1.  x is the first vertex to fail either test.
     """
     adj = _instance(g, SimpleGraph)._adj
-    x = min(
-        (v for block in connected_components(g) for v in block if len(adj[v]) < len(block) - 1),
-        default=None,
-    )
-    if x is None:
+    size: dict[str, int] = {}  # each vertex of a component found so far -> its size
+    for x in g.vertices:
+        near = adj[x]
+        if x not in size:  # the least vertex of its component
+            closed = near | {x}
+            if not all(adj[u] <= closed for u in near):
+                break
+            size.update(dict.fromkeys(closed, len(closed)))
+        elif len(near) < size[x] - 1:
+            break
+    else:
         return None
     closed = adj[x] | {x}
     y = next(v for v in sorted(adj[x]) if not adj[v] <= closed)
@@ -346,19 +358,41 @@ def _components(adj: dict, part, co: bool = False) -> list[list[str]]:
     return parts
 
 
-def _split(adj: dict, part, co: Optional[bool] = None) -> tuple[bool, list[list[str]]]:
-    """``(co, parts)``: the components of the subgraph induced on ``part``
-    when ``co`` is false, and its co-components, the parts of a join, when
-    it is true.  A component is connected and a co-component's complement
-    is, so a part of a split is split only the other way.  For the whole
-    vertex set ``co`` is None: its components, unless it is connected, and
-    then its co-components.  One part means ``part`` splits neither way."""
-    if co is None:
-        parts = _components(adj, part)
-        if len(parts) != 1:
-            return False, parts
-        co = True
-    return co, _components(adj, part, co)
+def _split_tree(adj: dict) -> list:
+    """The nodes of the split tree of the graph with adjacency ``adj`` (its
+    cotree, where it is a cograph), the root first.
+
+    The root is the union of the graph's components.  A component of two or
+    more vertices is connected, so it is split into its co-components, the
+    parts of a join; a co-component's complement is connected, so it is
+    split into its components; a part is split only that other way.  A union
+    or a join is a tuple ``(join?, ones, kids)``: ``ones`` counts its
+    single-vertex parts, and ``kids`` holds the nodes of its larger parts.
+    A part that splits neither way is prime: its node is the list of its
+    vertices, four or more, since every graph on two or three vertices
+    splits.  Parts wait on an explicit stack, so the depth is not bounded by
+    the interpreter's recursion limit, and a part's vertex list is dropped
+    once it is split, so the tree holds O(n) references.
+
+    Each part is split by its own search, so a deep tree repeats that search
+    once per level: a threshold graph (vertex i sees every earlier vertex
+    when i is odd) of n vertices has about n levels, each searched over up
+    to n vertices and their adjacency sets, and its P4 test, clique number
+    and C4 test each take about 30 s at n = 2,000 (CPython 3.11, 2 vCPUs)."""
+    nodes: list = []
+    stack = [(adj, False, [])]
+    while stack:
+        part, co, siblings = stack.pop()
+        parts = _components(adj, part, co)
+        if len(parts) == 1 and nodes:  # below the root, a part that splits neither way
+            node = parts[0]
+        else:
+            big = [p for p in parts if len(p) > 1]
+            node = (co, len(parts) - len(big), [])
+            stack += [(p, not co, node[2]) for p in big]
+        siblings.append(node)
+        nodes.append(node)
+    return nodes
 
 
 def _colour(anti: list[int], bits: list[int], cands: int, floor: int) -> tuple[list, list, int]:
@@ -432,31 +466,30 @@ def _clique_value(adj: dict, best: int, stop: int) -> int:
     """The clique number of the graph with adjacency ``adj`` if it exceeds
     ``best``, else ``best``; returns as soon as it reaches ``stop``.
 
-    The clique number of a disconnected graph is the largest over its
-    components, and that of a graph with a disconnected complement (a join)
-    the sum over its co-components.  The vertex set is split that way as far
-    as it goes, on an explicit stack of frames (join?, parts left, value so
-    far, best, stop), and only a part that splits neither way is handed,
-    with its own bitmasks, to the clique search.  A component is searched
-    with the value so far as its incumbent.  A co-component is valued
-    exactly, up to what its join still needs to reach ``stop``.  A single
-    vertex counts 1 with no frame, so a clique is valued by its size."""
+    The clique number of a union is the largest over its parts, and that of
+    a join the sum over its parts.  The split tree is folded on an explicit
+    stack of frames (join?, kids left, value so far, best, stop), and only a
+    prime part is handed, with its own bitmasks, to the clique search.  A
+    part of a union is valued with the value so far as its incumbent.  A
+    part of a join is valued exactly, up to what its join still needs to
+    reach ``stop``.  A single vertex counts 1 with no frame, so a clique is
+    valued by its size.  The frames pop the tree's kid lists, which belong
+    to this call alone."""
 
-    def frame(part, best: int, stop: int, co: Optional[bool] = None) -> list:
-        join, parts = _split(adj, part, co)
-        if len(parts) == 1:
-            return [False, [], _clique_search(_bitsets(adj, part), best, stop), best, stop]
-        big = [p for p in parts if len(p) > 1]
+    def frame(node, best: int, stop: int) -> list:
+        if type(node) is list:  # a prime part
+            return [False, [], _clique_search(_bitsets(adj, node), best, stop), best, stop]
+        join, ones, kids = node
         if join:
-            return [True, big, len(parts) - len(big), best, stop]
-        return [False, big, best if len(big) == len(parts) else max(best, 1), best, stop]
+            return [True, kids, ones, best, stop]
+        return [False, kids, max(best, 1) if ones else best, best, stop]
 
-    stack = [frame(adj, best, stop)]
+    stack = [frame(_split_tree(adj)[0], best, stop)]
     while True:
-        join, parts, value, best, stop = stack[-1]
-        if parts and value < stop:
-            part = parts.pop()
-            stack.append(frame(part, 0, stop - value, False) if join else frame(part, value, stop, True))
+        join, kids, value, best, stop = stack[-1]
+        if kids and value < stop:
+            node = kids.pop()
+            stack.append(frame(node, 0, stop - value) if join else frame(node, value, stop))
             continue
         stack.pop()
         value = max(value, best)
@@ -483,12 +516,10 @@ def clique_number(g: SimpleGraph) -> int:
 
 
 def _has_clique(g: SimpleGraph, n: int) -> bool:
-    """Does ``g`` contain n pairwise adjacent vertices?  On a union of
-    cliques, read off its largest part; otherwise the clique number's
-    computation with an incumbent of n - 1, stopped at the first n-clique."""
-    ranks = complete_decomposition(g)
-    if ranks is not None:
-        return n <= max(ranks, default=0)
+    """Does ``g`` contain n pairwise adjacent vertices?  The clique number's
+    computation with an incumbent of n - 1, stopped at the first n-clique;
+    a union of cliques is a union of joins of single vertices, valued with
+    no bitsets."""
     return _clique_value(g._adj, n - 1, n) >= n
 
 
@@ -497,46 +528,24 @@ def _has_induced_p4(g: SimpleGraph) -> bool:
 
     A graph is P4-free (a cograph) iff every induced subgraph on at least two
     vertices is disconnected or has a disconnected complement (Seinsche, JCT
-    B 1974; Corneil, Lerchs & Stewart Burlingham, DAM 1981).  P4 is connected
-    and self-complementary, so it lies in a graph iff it lies in one of its
-    components, or in one of its co-components when the graph is connected.
-    The vertex set is split that way on its adjacency sets, on an explicit
-    stack, with no bitsets, and the first set that splits neither way
-    answers yes.  Parts of at most three vertices cannot hold a P4 and are
-    not pushed.  A union of cliques holds no induced P3, so no P4, and is
-    not split; any other graph holds a P3, and every graph on three vertices
-    splits, so the whole vertex set is split whatever its size."""
-    if complete_decomposition(g) is not None:
-        return False
-    adj = g._adj
-    stack = [(adj, None)]
-    while stack:
-        part, co = stack.pop()
-        co, parts = _split(adj, part, co)
-        if len(parts) == 1:
-            return True
-        stack += [(p, not co) for p in parts if len(p) >= 4]
-    return False
+    B 1974; Corneil, Lerchs & Stewart Burlingham, DAM 1981), i.e. iff its
+    split tree has no prime part.  It builds no bitsets."""
+    return any(type(node) is list for node in _split_tree(g._adj))
 
 
-def _has_induced_c4(g: SimpleGraph) -> bool:
-    """Does ``g`` contain an induced cycle on four vertices?
+def _has_square(masks: list[int]) -> bool:
+    """Does the graph with adjacency bitmasks ``masks`` contain an induced
+    cycle on four vertices?
 
     A square is a non-adjacent pair u, v with two non-adjacent common
-    neighbours.  It is found from its vertex u of highest bit in the
-    bitsets of the whole graph, which only this test builds: the other end
-    v of u's diagonal and both middles sit at lower bits, so the square
+    neighbours.  It is found from its vertex u of highest bit: the other
+    end v of u's diagonal and both middles sit at lower bits, so the square
     closes a 2-path u - w - v walked down from u (Chiba & Nishizeki, SIAM J.
     Comput. 1985).  Each u takes ``near``, its lower neighbours, and
     ``far``, the lower vertices it does not see.  A u that sees every lower
     vertex is passed over; otherwise ``far`` is cut to the vertices two
     steps away through ``near``, and a v left closes a square exactly when
-    the vertices of ``near`` that it sees are not a clique.  A union of
-    cliques holds no induced P3, so no square, and builds
-    no bitmasks."""
-    if complete_decomposition(g) is not None:
-        return False
-    masks = _bitsets(g._adj, g._adj)
+    the vertices of ``near`` that it sees are not a clique."""
     for u, mask in enumerate(masks):
         lower = (1 << u) - 1
         near, far = mask & lower, lower & ~mask
@@ -557,6 +566,20 @@ def _has_induced_c4(g: SimpleGraph) -> bool:
                 if rest & masks[w] != rest:
                     return True
     return False
+
+
+def _has_induced_c4(g: SimpleGraph) -> bool:
+    """Does ``g`` contain an induced cycle on four vertices?
+
+    A square is connected, so it lies in one part of a union.  Its
+    complement, two disjoint edges, is not, so in a join it lies in one
+    part or takes a non-adjacent pair from each of two parts; a part of two
+    or more vertices always holds such a pair, as its complement is
+    connected.  So the split tree answers yes at a join with two kids, and
+    only a prime part gets bitsets, for the walk of ``_has_square``."""
+    adj = g._adj
+    return any(_has_square(_bitsets(adj, node)) if type(node) is list else node[0] and len(node[2]) > 1
+               for node in _split_tree(adj))
 
 
 def _names(n_or_names, prefix: str, edges) -> tuple[str, ...]:

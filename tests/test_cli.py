@@ -692,20 +692,21 @@ def large_inputs(tmp_path_factory):
 # each large input runs in a fresh interpreter under spawn's 60 s limit.
 # K_199 ∩ K_200 has 39800 states, each with an arc of every signed letter,
 # and the product runs with no test for a missing or long arc.  A union of
-# cliques is read in one loop, and classify and embed K_n answer from its
-# decomposition, with no bitset or clique search; the bad edge's error
-# names its line.  The rows after them sit at the declared caps: m <= 706
-# for demo-nonhowson (1415 conjugates of m = 707 total more than
-# MAX_WORD_LETTERS), and MAX_WORD_LETTERS itself.  <a^1000000> ∩ <a^999999>
-# is built from two stored arcs, and its 999999000000 states are counted,
-# not written.  embed C4 on a path of 40000 vertices needs a square test
-# whose work grows with the path, not with its square: one that tries every
-# non-adjacent pair runs past the time limit.  The path with a square closed
-# at its end answers true.  classify on a forest of 20000 P4s (80000
-# vertices) splits the graph on its adjacency sets and builds bitsets only
-# for each 4-vertex path the clique search is handed; bitsets of the whole
-# graph, 80000 bits per vertex, ran out of memory.  Every row runs under
-# 1 GiB of address space
+# cliques is read in one loop; classify answers it from its decomposition,
+# and embed K_n from its split, a union of joins of single vertices, with no
+# bitset or clique search; the bad edge's error names its line.  The rows
+# after them sit at the declared caps: m <= 706 for demo-nonhowson (1415
+# conjugates of m = 707 total more than MAX_WORD_LETTERS), and
+# MAX_WORD_LETTERS itself.  <a^1000000> ∩ <a^999999> is built from two
+# stored arcs, and its 999999000000 states are counted, not written.  embed
+# C4 on a path of 40000 vertices needs a square test whose work grows with
+# the path, not with its square: one that tries every non-adjacent pair
+# runs past the time limit.  The path with a square closed at its end
+# answers true.  classify and embed C4 on a forest of 20000 P4s (80000
+# vertices) split the graph on its adjacency sets and build bitsets only
+# for each 4-vertex path, a prime part; bitsets of the whole graph, 80000
+# bits per vertex, ran out of memory.  Every row runs under 1 GiB of
+# address space
 LARGE_RUNS = {
     "intersect-free K_199 K_200": (
         ["intersect-free", "--alphabet", "a b", "k199.words", "k200.words"],
@@ -741,6 +742,7 @@ LARGE_RUNS = {
         0, '{"p3_free": false, "fully_residually_free": false, "howson": false, "contains_z_cross_f2": true, '
            '"free_product_of_free_abelian": false, "factor_ranks": null, "p3_witness": ["p0_0", "p0_1", "p0_2"], '
            '"fix_points_fg": false, "per_points_fg": false, "max_abelian_rank": 2}\n', ""),
+    "embed C4 20000 P_4": (["embed", "C4", "p4x20000.graph"], 0, '{"pattern": "C4", "embeds": false}\n', ""),
 }
 
 

@@ -224,6 +224,17 @@ class TestFindInducedP3:
             else:
                 assert wit == min(triples)
 
+    def test_reads_neighbourhoods_with_no_component_search(self, monkeypatch):
+        searched = []
+        components = graphs._components
+        monkeypatch.setattr(graphs, "_components", lambda *args: searched.append(args) or components(*args))
+        star = SimpleGraph("abcd", [("a", "b"), ("a", "c"), ("a", "d")])
+        cliques = disjoint_union(complete_graph(3, prefix="x"), complete_graph(5, prefix="y"))
+        late = disjoint_union(cliques, path_graph(3, prefix="z"))
+        assert [find_induced_p3(g) for g in (star, cliques, late, cycle_graph(40))] == [
+            ("b", "a", "c"), None, ("z1", "z2", "z3"), ("v1", "v2", "v3")]
+        assert searched == []
+
 
 class TestTransitivity:
     def test_path_not_transitive(self):
@@ -497,12 +508,22 @@ class TestUnionsAndJoinsOfCliques:
         assert embeds_in("K_61", host) and not embeds_in("K_62", host)
         assert not embeds_in("P4", host) and not embeds_in("C4", host)
         assert built == []
-        # the split runs on adjacency sets: a cograph builds none, and the
-        # P4 test none at all
+        # the split runs on adjacency sets: a cograph builds none, the P4
+        # test none at all, and the C4 test none on a join of two non-edges
         assert clique_number(join(host, complete_graph(7, prefix="w"))) == 68
         assert embeds_in("P4", path_graph(4))
+        assert embeds_in("C4", cycle_graph(4))
         assert built == []
-        assert embeds_in("C4", cycle_graph(4)) and len(built) == 1  # the counter counts
+        # a prime part gets bitsets of its own vertices (the counter counts)
+        assert not embeds_in("C4", cycle_graph(6))
+        assert [sorted(part) for _, part in built] == [list(cycle_graph(6).vertices)]
+        # and a graph that splits hands no call its whole vertex set
+        built.clear()
+        for g in (disjoint_union(cycle_graph(5, prefix="a"), path_graph(4, prefix="b")),
+                  join(cycle_graph(5, prefix="a"), path_graph(4, prefix="b"))):
+            clique_number(g), embeds_in("K_3", g), embeds_in("C4", g)
+            assert built and all(len(part) < len(g.vertices) for _, part in built), built
+            built.clear()
 
     def test_a_clique_is_valued_by_its_size(self):
         # the bytecodes clique_number runs on K_300, the graph built beforehand;
