@@ -97,21 +97,27 @@ def _cmd_normal_form(args):
 
 
 def _cmd_equal(args):
-    from .words import _pile, _stacks, parse_word
+    from .words import _parsed, _pile, _stacks, _tallied
 
     g = parse_graph(_read(args.graph))
-    # word1 is piled before word2 is parsed: its unknown generator is reported first
-    stacks = _stacks(_pile(g, parse_word(args.word1)))
-    verdict = stacks == _stacks(_pile(g, parse_word(args.word2)))
+    tokens1, tokens2, made = args.word1.split(), args.word2.split(), {}
+    # word1 is tallied before word2 is read, so its errors are reported first.
+    # Equal elements have equal exponent sums; only equal sums need the heaps
+    if _tallied(tokens1, made, g) != _tallied(tokens2, made, g):
+        return False, False
+    verdict = _stacks(_pile(g, _parsed(tokens1, made))) == _stacks(_pile(g, _parsed(tokens2, made)))
     return verdict, verdict
 
 
 def _cmd_member_visible(args):
     from .visible import VertexRestriction, rewrite_in_visible
-    from .words import format_word, parse_word
+    from .words import _parsed, _tallied, format_word
 
     r = VertexRestriction(parse_graph(_read(args.graph)), args.subset.split())
-    rewritten = rewrite_in_visible(parse_word(args.word), r)
+    tokens, made = args.word.split(), {}
+    # a member's exponent sums are zero on every generator outside the subset
+    outside = _tallied(tokens, made, r.ambient).keys() - r.ys
+    rewritten = None if outside else rewrite_in_visible(_parsed(tokens, made), r)
     member = rewritten is not None
     return {"member": member, "rewritten": format_word(rewritten) if member else None}, member
 

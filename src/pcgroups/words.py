@@ -24,7 +24,11 @@ syllable costs a constant number of integer operations.  The read-off
 (``_read_off``) then writes the heap as the canonical representative of the
 group element, a whole piece at a time: fully reduced (no inverse pair can
 be brought together by commuting swaps) and lexicographically least among
-its shuffles.
+its shuffles.  Before the pile, the CLI's ``equal`` and ``member-visible``
+check a certificate that needs no heap: the exponent sums (``_tallied``,
+read from a word's token counts) are a homomorphism onto ``Z^V``, so words
+whose sums differ are unequal, and a word with a non-zero sum outside a
+vertex subset is not in the subgroup the subset generates.
 
 The heap alone answers every yes/no or set-valued question, because it
 belongs to the group element, not to the word that spelled it: its pieces
@@ -51,6 +55,7 @@ builds anything.
 
 from __future__ import annotations
 
+from collections import Counter
 from itertools import filterfalse
 from typing import Collection, Iterable, NamedTuple, Optional
 
@@ -233,6 +238,31 @@ def _parsed(tokens: list, made: dict) -> Word:
     for tok in filterfalse(made.__contains__, dict.fromkeys(tokens)):
         made[tok] = _syllable(tok)
     return Word._joined(map(made.__getitem__, tokens), ParseError)
+
+
+def _tallied(tokens: list, made: dict, g: SimpleGraph) -> dict:
+    """The non-zero exponent sums, by generator, of the word that
+    ``tokens`` spell, read from each distinct token's count; ``made`` is
+    filled as ``_parsed`` fills it, so ``_parsed(tokens, made)`` then parses
+    nothing.
+
+    Raises what ``parse_word`` and then ``_generators`` raise, in that
+    order: ``ParseError`` for the first bad token in text order, then for a
+    word past ``MAX_WORD_LETTERS`` letters, then ``InputError`` for the
+    first letter, in word order, over a generator that is not a vertex of
+    ``g``."""
+    sums: dict = {}  # generators in the order their first letters come
+    letters = 0
+    for tok, n in Counter(tokens).items():  # in first-seen order, so text order
+        gen, k = made.get(tok) or made.setdefault(tok, _syllable(tok))
+        letters += abs(k) * n
+        sums[gen] = sums.get(gen, 0) + k * n
+    if letters > MAX_WORD_LETTERS:
+        raise ParseError(f"word expands to more than {MAX_WORD_LETTERS} letters")
+    unknown = next(filterfalse(g.__contains__, sums), None)
+    if unknown is not None:
+        raise InputError(f"letter over unknown generator {unknown!r}")
+    return {gen: total for gen, total in sums.items() if total}
 
 
 def format_word(w: Word) -> str:

@@ -2,6 +2,7 @@
 counts the bytecodes a call runs, and ``peak_allocation(call)`` the most
 memory it holds at once; neither drifts with the host as a wall clock does."""
 
+import gc
 import sys
 import tracemalloc
 
@@ -34,7 +35,10 @@ def opcodes(call):
 
 def peak_allocation(call):
     """The peak of the memory ``tracemalloc`` traces while ``call()`` runs,
-    in bytes, and its result."""
+    in bytes, and its result.  A full collection first empties the
+    interpreter's free lists, which would otherwise serve an untraced share
+    of the call's objects that depends on what ran before it."""
+    gc.collect()
     tracemalloc.start()
     try:
         result = call()

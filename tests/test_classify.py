@@ -1,4 +1,3 @@
-import gc
 import itertools
 import json
 import random
@@ -335,15 +334,12 @@ class TestEmbedsIn:
         # graph, whose split tree is a path of about n unions and joins.
         # The peak allocation of the P4 test and of the clique number at 400
         # vertices held 1.8-2.3 times that at 200 on CPython 3.11.7; a tree
-        # that kept the vertex list of every part held 3.5 times more.  A
-        # full collection first empties the interpreter's free lists, which
-        # would otherwise serve a varying share of a run's objects untraced
+        # that kept the vertex list of every part held 3.5 times more
         for decide in (lambda g: embeds_in("P4", g), clique_number):
             peaks = []
             for n in (200, 400):
                 names = [f"t{i:03d}" for i in range(n)]
                 g = SimpleGraph(names, [(names[j], names[i]) for i in range(1, n, 2) for j in range(i)])
-                gc.collect()
                 peak, _ = peak_allocation(lambda: decide(g))
                 peaks.append(peak)
             assert 0 < peaks[1] <= 3 * peaks[0], peaks

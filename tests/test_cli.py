@@ -15,7 +15,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from pcgroups import SimpleGraph
+from pcgroups import SimpleGraph, format_word
 from pcgroups.cli import run
 from oracles import all_labeled_graphs
 from bytecodes import opcodes, peak_allocation
@@ -42,6 +42,23 @@ def xy_file(tmp_path):
     path = tmp_path / "xy.graph"
     path.write_text("x y\nx y\n")
     return str(path)
+
+
+@pytest.fixture
+def piled(monkeypatch):
+    """The words piled into heaps, recorded wherever the pile is bound."""
+    from pcgroups import visible, words
+
+    words_piled = []
+    pile = words._pile
+
+    def recording(g, w):
+        words_piled.append(w)
+        return pile(g, w)
+
+    for module in (words, visible):
+        monkeypatch.setattr(module, "_pile", recording)
+    return words_piled
 
 
 class TestClassify:
@@ -156,6 +173,17 @@ class TestEqual:
         code, out, err = invoke("equal", xy_file, word1, word2)
         assert (code, out, err) == (2, "", f"error: {message}\n")
 
+    def test_the_letter_cap_comes_before_unknown_generators(self, xy_file):
+        code, out, err = invoke("equal", xy_file, "q^1000001", "y^a")
+        assert (code, out, err) == (2, "", "error: word expands to more than 1000000 letters\n")
+
+    def test_unequal_exponent_sums_pile_nothing(self, p3_file, piled):
+        # 10^4 letters each; the sums of a and c differ by two, so the
+        # words are different elements before either is piled
+        code, out, err = invoke("equal", p3_file, "a c " * 5000, "c a " * 4999 + "a a")
+        assert (code, out, err) == (0, "false\n", "")
+        assert piled == []
+
 
 class TestMemberVisible:
     def test_member_with_rewrite(self, p3_file):
@@ -179,6 +207,42 @@ class TestMemberVisible:
     def test_unknown_subset_vertex(self, p3_file):
         code, _, err = invoke("member-visible", p3_file, "q", "b")
         assert code == 2 and "'q'" in err
+
+    def test_a_bad_subset_vertex_comes_before_a_bad_token(self, p3_file):
+        code, out, err = invoke("member-visible", p3_file, "a q", "b^0")
+        assert (code, out, err) == (2, "", "error: unknown vertex 'q'\n")
+
+    def test_a_sum_outside_the_subset_piles_nothing(self, p3_file, piled):
+        code, out, _ = invoke("member-visible", p3_file, "a b", "a c b c^-1 c")
+        assert json.loads(out) == {"member": False, "rewritten": None}
+        assert piled == []
+
+    def test_zero_sums_outside_the_subset_leave_it_to_the_heap(self, p3_file, piled):
+        # c's sum is zero, but c does not commute with a
+        code, out, _ = invoke("member-visible", p3_file, "a", "c a c^-1")
+        assert json.loads(out) == {"member": False, "rewritten": None}
+        assert [format_word(w) for w in piled] == ["c a c^-1"]
+
+
+def test_word_commands_make_the_public_calls_the_benchmark_traces(monkeypatch, p3_file):
+    # bench/tracer.py times public functions only, at the places they are
+    # bound; its word-problem spans read these calls
+    from pcgroups import visible, words
+
+    called = []
+    for module, name in ((words, "parse_word"), (words, "normal_form"), (visible, "rewrite_in_visible")):
+        def recording(*args, call=getattr(module, name), name=f"{module.__name__}.{name}"):
+            called.append(name)
+            return call(*args)
+
+        monkeypatch.setattr(module, name, recording)
+    out = invoke("normal-form", p3_file, "b a")[1]
+    assert json.loads(out) == {"normal_form": "a b", "length": 2, "support": ["a", "b"]}
+    assert called == ["pcgroups.words.parse_word", "pcgroups.words.normal_form"]
+    called.clear()
+    out = invoke("member-visible", p3_file, "a b", "b a")[1]
+    assert json.loads(out) == {"member": True, "rewritten": "a b"}
+    assert "pcgroups.visible.rewrite_in_visible" in called
 
 
 class TestEmbed:

@@ -10,6 +10,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from pcgroups import (
+    InputError,
     SimpleGraph,
     VertexRestriction,
     Word,
@@ -85,6 +86,40 @@ def test_format_parses_back(case):
     _, letters = case
     word = Word(letters)
     assert parse_word(format_word(word)) == word
+
+
+GOOD_TAILS = ("", "", "", "^-1", "^2", "^-3", "^333334", "^-1000001")
+BAD_TOKENS = ("^2", "a#", "b^0", "c^x", "d^+1", "e^", "a^-0")
+
+
+@st.composite
+def token_lists(draw):
+    """A graph and tokens over its names and two unknown ones, with bad
+    tokens in about half the lists; the long powers can pass the letter cap
+    alone or together."""
+    g = draw(graphs())
+    good = st.tuples(st.sampled_from(NAMES + ("q", "z")), st.sampled_from(GOOD_TAILS)).map("".join)
+    token = st.one_of(good, st.sampled_from(BAD_TOKENS)) if draw(st.booleans()) else good
+    return g, draw(st.lists(token, max_size=10))
+
+
+@given(token_lists())
+def test_tallied_fails_or_sums_as_parse_word_and_generators_do(case):
+    g, tokens = case
+    made = {}
+    try:
+        w = parse_word(" ".join(tokens))
+        words_module._generators(w, g)
+    except InputError as expected:
+        with pytest.raises(InputError) as caught:
+            words_module._tallied(tokens, made, g)
+        assert (type(caught.value), str(caught.value)) == (type(expected), str(expected))
+        return
+    sums = {}
+    for gen, k in w.syllables:
+        sums[gen] = sums.get(gen, 0) + k
+    assert words_module._tallied(tokens, made, g) == {gen: total for gen, total in sums.items() if total}
+    assert made.keys() == set(tokens) and words_module._parsed(tokens, made) == w
 
 
 # The heap decisions: ``are_equal``, ``support`` and ``rewrite_in_visible``
