@@ -165,7 +165,14 @@ def _cmd_self_check(args):
     for n in range(6):
         verts = ("a", "b", "c", "d", "e")[:n]
         pairs = list(combinations(verts, 2))
-        adj = {v: frozenset() for v in verts}
+        # the 2^n neighbour sets over verts, built once; flip[w] maps each to
+        # the shared copy with w toggled, so a step builds no set
+        sets = [frozenset()]
+        for v in verts:
+            sets += [s | {v} for s in sets]
+        shared = dict(zip(sets, sets))
+        flip = {w: {s: shared[s ^ {w}] for s in sets} for w in verts}
+        adj = dict.fromkeys(verts, sets[0])
         g = SimpleGraph._trusted(adj)  # flipped in place: it never leaves this sweep, no check keeps it
         checked += 1 << len(pairs)
         # reflected Gray code: graph i is graph i - 1 with one pair flipped,
@@ -173,8 +180,8 @@ def _cmd_self_check(args):
         for i in range(1 << len(pairs)):
             if i:
                 u, w = pairs[(i & -i).bit_length() - 1]
-                adj[u] ^= {w}
-                adj[w] ^= {u}
+                adj[u] = flip[w][adj[u]]
+                adj[w] = flip[u][adj[w]]
             # classify decides by complete components; transitivity of the
             # reflexive closure is the independent referee
             if (complete_decomposition(g) is not None) != reflexive_closure_is_transitive(g):

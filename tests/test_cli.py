@@ -447,10 +447,12 @@ def test_self_check_sweeps_each_small_graph_once(monkeypatch):
     from pcgroups import cli
 
     seen = []
+    held = []  # every adjacency value handed to the check, kept so that no id is reused
     decide = cli.complete_decomposition
 
     def recorder(g):
         seen.append(SimpleGraph(g.vertices, g.edges))  # the graph as the check sees it
+        held.extend(g._adj.values())
         return decide(g)
 
     monkeypatch.setattr(cli, "complete_decomposition", recorder)
@@ -466,13 +468,18 @@ def test_self_check_sweeps_each_small_graph_once(monkeypatch):
     steps = [before.edges ^ after.edges for before, after in zip(seen, seen[1:])
              if before.vertices == after.vertices]
     assert len(steps) == 1100 - 6 and all(len(flipped) == 1 for flipped in steps)
+    # no neighbour set is built per step: each vertex count n shares its 2^n
+    # sets, where a set built per flip made one object per step
+    assert len({id(near) for near in held}) <= 1 + 2 + 4 + 8 + 16 + 32
 
 
 def test_self_check_sweep_alone_is_counted(monkeypatch):
     # the bytecodes of the sweep with both checks stubbed: on CPython 3.11.7,
-    # 93,684 when each step copied the dict and wrapped a new graph, and
-    # 63,082 with one graph per vertex count, flipped in place.  The stubs
-    # walk no frozenset, so the count does not move with the hash seed.
+    # 93,684 when each step copied the dict and wrapped a new graph, 63,082
+    # with one graph per vertex count, flipped in place, and 64,782 with the
+    # flips read from a table of neighbour sets built once per vertex count
+    # (61,408 / 59,092 / 50,825 on CPython 3.10.13 / 3.12.1 / 3.13.0).  The
+    # stubs walk no frozenset, so the count does not move with the hash seed.
     from pcgroups import cli
 
     monkeypatch.setattr(cli, "complete_decomposition", lambda g: None)
@@ -730,7 +737,9 @@ def large_inputs(tmp_path_factory):
     the bad copy adds a comment and one edge to an unknown vertex last.
     The one-vertex graph and the powers of ``a`` sit at the word cap.  The
     path v1 - ... - v40000 holds no square; the edge v39997 v40000 closes
-    one at its end.  The forest holds 20,000 paths p{i}_0 - ... - p{i}_3."""
+    one at its end.  The forest holds 20,000 paths p{i}_0 - ... - p{i}_3.
+    In the threshold graph on t0, ..., t1989, vertex ti sees every earlier
+    vertex when i is odd: 990,025 edges."""
     directory = tmp_path_factory.mktemp("large")
     (directory / "a.graph").write_text("a\n")
     for k in (1000000, 999999):
@@ -750,6 +759,9 @@ def large_inputs(tmp_path_factory):
     paths = [[f"p{i}_{j}" for j in range(4)] for i in range(20000)]
     forest = [" ".join(v for p in paths for v in p), *(f"{p[j]} {p[j + 1]}" for p in paths for j in range(3))]
     (directory / "p4x20000.graph").write_text("".join(f"{line}\n" for line in forest))
+    names = [f"t{i}" for i in range(1990)]
+    threshold = [" ".join(names), *(f"{names[j]} {names[i]}" for i in range(1, 1990, 2) for j in range(i))]
+    (directory / "threshold1990.graph").write_text("".join(f"{line}\n" for line in threshold))
     return directory
 
 
@@ -769,8 +781,10 @@ def large_inputs(tmp_path_factory):
 # answers true.  classify and embed C4 on a forest of 20000 P4s (80000
 # vertices) split the graph on its adjacency sets and build bitsets only
 # for each 4-vertex path, a prime part; bitsets of the whole graph, 80000
-# bits per vertex, ran out of memory.  Every row runs under 1 GiB of
-# address space
+# bits per vertex, ran out of memory.  classify on the threshold graph
+# splits it down a path of about 2000 unions and joins, one vertex peeled
+# per level: a search set that kept its table size as it emptied made that
+# cubic, about 33 s.  Every row runs under 1 GiB of address space
 LARGE_RUNS = {
     "intersect-free K_199 K_200": (
         ["intersect-free", "--alphabet", "a b", "k199.words", "k200.words"],
@@ -807,6 +821,11 @@ LARGE_RUNS = {
            '"free_product_of_free_abelian": false, "factor_ranks": null, "p3_witness": ["p0_0", "p0_1", "p0_2"], '
            '"fix_points_fg": false, "per_points_fg": false, "max_abelian_rank": 2}\n', ""),
     "embed C4 20000 P_4": (["embed", "C4", "p4x20000.graph"], 0, '{"pattern": "C4", "embeds": false}\n', ""),
+    "classify threshold 1990": (
+        ["classify", "threshold1990.graph"],
+        0, '{"p3_free": false, "fully_residually_free": false, "howson": false, "contains_z_cross_f2": true, '
+           '"free_product_of_free_abelian": false, "factor_ranks": null, "p3_witness": ["t0", "t1001", "t10"], '
+           '"fix_points_fg": false, "per_points_fg": false, "max_abelian_rank": 996}\n', ""),
 }
 
 

@@ -257,6 +257,24 @@ class TestTransitivity:
             )
             assert reflexive_closure_is_transitive(g) == expected
 
+    def test_matches_the_brute_p3_oracle(self):
+        # the closure is transitive exactly when no three vertices induce a
+        # path, which the oracle decides by trying every vertex assignment
+        p3 = path_graph(3, prefix="p")
+        hosts = [g for n in range(6) for g in all_labeled_graphs(n)]
+        rng = random.Random(43)
+        for i in range(300):
+            n = rng.randint(6, 10)
+            if i % 2:
+                names = [f"v{k}" for k in range(n)]
+                p = rng.random()
+                hosts.append(SimpleGraph(names, [e for e in itertools.combinations(names, 2) if rng.random() < p]))
+            else:
+                hosts.append(clique_union_with_toggles(rng, n, rng.randint(0, 2)))
+        verdicts = [reflexive_closure_is_transitive(g) for g in hosts]
+        assert verdicts == [not brute_induced_embedding_exists(p3, g) for g in hosts]
+        assert 50 < sum(verdicts[-300:]) < 250  # both verdicts among the random graphs
+
 
 def decomposition_referee(g):
     """Component sizes, descending, if every component is complete, read off
