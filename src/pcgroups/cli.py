@@ -97,7 +97,7 @@ def _cmd_normal_form(args):
 
 
 def _cmd_equal(args):
-    from .words import _parsed, _pile, _stacks, _tallied
+    from .words import _parsed, _tallied, are_equal
 
     g = parse_graph(_read(args.graph))
     tokens1, tokens2, made = args.word1.split(), args.word2.split(), {}
@@ -105,7 +105,7 @@ def _cmd_equal(args):
     # Equal elements have equal exponent sums; only equal sums need the heaps
     if _tallied(tokens1, made, g) != _tallied(tokens2, made, g):
         return False, False
-    verdict = _stacks(_pile(g, _parsed(tokens1, made))) == _stacks(_pile(g, _parsed(tokens2, made)))
+    verdict = are_equal(_parsed(tokens1, made), _parsed(tokens2, made), g)
     return verdict, verdict
 
 

@@ -242,16 +242,15 @@ class StallingsGraph:
         number = [-1] * _stored_count(rows)
         number[0] = 0
         nxt = 1
-        level, branching = [0], True
+        level = [0]
 
         def reach(s: int) -> int:
             """The number of stored state ``s``, given when first met."""
-            nonlocal nxt, branching
+            nonlocal nxt
             if number[s] < 0:
                 number[s] = nxt
                 nxt += 1
                 ahead.append(s)
-                branching = True
             return number[s]
 
         def step(f: _Front) -> None:
@@ -270,7 +269,7 @@ class StallingsGraph:
                 f.walking = False
 
         while level:
-            if not branching:  # fronts only: number the levels that repeat this one
+            if all(type(item) is not int for item in level):  # fronts only: number the levels that repeat it
                 rounds = min((f.length - 1 - f.walked - pairs[f.partner].walked)
                              // (1 + pairs[f.partner].walking) for f in level)
                 if rounds:
@@ -283,7 +282,7 @@ class StallingsGraph:
                         f.walked += rounds
                         f.at = last
                     nxt += rounds * j
-            ahead, branching = [], False
+            ahead = []
             for item in level:
                 if type(item) is not int:
                     step(item)

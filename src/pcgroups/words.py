@@ -246,22 +246,21 @@ def _tallied(tokens: list, made: dict, g: SimpleGraph) -> dict:
     filled as ``_parsed`` fills it, so ``_parsed(tokens, made)`` then parses
     nothing.
 
-    Raises what ``parse_word`` and then ``_generators`` raise, in that
+    Raises what ``_generators(_parsed(tokens, made), g)`` raises, in its
     order: ``ParseError`` for the first bad token in text order, then for a
     word past ``MAX_WORD_LETTERS`` letters, then ``InputError`` for the
     first letter, in word order, over a generator that is not a vertex of
-    ``g``."""
-    sums: dict = {}  # generators in the order their first letters come
+    ``g``.  A bad token raises as it is counted; a word past the cap or
+    over an unknown generator is then read by that reference path, which
+    raises."""
+    sums: dict = {}
     letters = 0
     for tok, n in Counter(tokens).items():  # in first-seen order, so text order
         gen, k = made.get(tok) or made.setdefault(tok, _syllable(tok))
         letters += abs(k) * n
         sums[gen] = sums.get(gen, 0) + k * n
-    if letters > MAX_WORD_LETTERS:
-        raise ParseError(f"word expands to more than {MAX_WORD_LETTERS} letters")
-    unknown = next(filterfalse(g.__contains__, sums), None)
-    if unknown is not None:
-        raise InputError(f"letter over unknown generator {unknown!r}")
+    if letters > MAX_WORD_LETTERS or not all(map(g.__contains__, sums)):
+        _generators(_parsed(tokens, made), g)
     return {gen: total for gen, total in sums.items() if total}
 
 

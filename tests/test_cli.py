@@ -224,13 +224,14 @@ class TestMemberVisible:
         assert [format_word(w) for w in piled] == ["c a c^-1"]
 
 
-def test_word_commands_make_the_public_calls_the_benchmark_traces(monkeypatch, p3_file):
+def test_word_commands_make_the_public_calls_the_benchmark_traces(monkeypatch, p3_file, piled):
     # bench/tracer.py times public functions only, at the places they are
     # bound; its word-problem spans read these calls
     from pcgroups import visible, words
 
     called = []
-    for module, name in ((words, "parse_word"), (words, "normal_form"), (visible, "rewrite_in_visible")):
+    for module, name in ((words, "parse_word"), (words, "normal_form"), (words, "are_equal"),
+                         (visible, "rewrite_in_visible")):
         def recording(*args, call=getattr(module, name), name=f"{module.__name__}.{name}"):
             called.append(name)
             return call(*args)
@@ -243,6 +244,16 @@ def test_word_commands_make_the_public_calls_the_benchmark_traces(monkeypatch, p
     out = invoke("member-visible", p3_file, "a b", "b a")[1]
     assert json.loads(out) == {"member": True, "rewritten": "a b"}
     assert "pcgroups.visible.rewrite_in_visible" in called
+    # equal sums: are_equal decides, piling each word once
+    called.clear()
+    piled.clear()
+    assert invoke("equal", p3_file, "a b a^-1", "b")[1] == "true\n"
+    assert called == ["pcgroups.words.are_equal"]
+    assert [format_word(w) for w in piled] == ["a b a^-1", "b"]
+    # unequal sums: decided before are_equal is called
+    called.clear()
+    assert invoke("equal", p3_file, "a c", "c")[1] == "false\n"
+    assert called == []
 
 
 class TestEmbed:
