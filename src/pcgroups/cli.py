@@ -25,7 +25,7 @@ import contextlib
 import functools
 import json
 import sys
-from itertools import combinations
+from itertools import combinations, filterfalse
 from operator import length_hint
 
 from .classify import _resolve, classify, embeds_in
@@ -56,30 +56,37 @@ def _read(path: str) -> str:
 def _load_subgroup(path: str, alphabet: list):
     """The automaton of the subgroup that the words of a generator file
     generate, one word per line that holds a token.  Every line is parsed
-    first, and the file's words share one token table; then
-    ``from_generators`` takes the words one at a time.  An error names the
-    file and its line: a build error, the line of the word the build was
-    taking."""
-    from .stallings import from_generators
-    from .words import _parsed
+    first: its new tokens go into the file's token table, in text order, and
+    the line is kept as its tokens' syllables, with no ``Word`` built.  Then
+    the build of ``from_generators`` takes the lines one at a time.  An
+    error names the file and its line: a build error, the line of the word
+    the build was taking."""
+    from .stallings import _from_syllables
+    from .words import MAX_WORD_LETTERS, _parsed, _syllable
 
-    made: dict = {}
-    words = {}  # line number -> the word on it
+    made: dict = {}  # token -> the syllable it spells
+    sizes: dict = {}  # token -> its letters
+    lines = {}  # line number -> the syllables on it
     for lineno, line in enumerate(_uncommented_lines(_read(path)), start=1):
         tokens = line.split()
         if tokens:
             try:
-                words[lineno] = _parsed(tokens, made)
+                for tok in filterfalse(made.__contains__, dict.fromkeys(tokens)):
+                    _, k = made[tok] = _syllable(tok)
+                    sizes[tok] = abs(k)
+                if sum(map(sizes.__getitem__, tokens)) > MAX_WORD_LETTERS:
+                    _parsed(tokens, made)  # raises the letter cap's own error
             except InputError as exc:
                 raise ParseError(f"{path}: {exc}", line=lineno) from None
-    unread = iter(words.values())
+            lines[lineno] = list(map(made.__getitem__, tokens))
+    unread = iter(lines.values())
     try:
-        return from_generators(unread, alphabet)
+        return _from_syllables(unread, alphabet)
     except InputError as exc:
-        taken = len(words) - length_hint(unread)  # the words the build took, the last one bad
+        taken = len(lines) - length_hint(unread)  # the words the build took, the last one bad
         if not taken:  # a bad label is refused before any word is taken
             raise
-        raise ParseError(f"{path}: {exc}", line=list(words)[taken - 1]) from None
+        raise ParseError(f"{path}: {exc}", line=list(lines)[taken - 1]) from None
 
 
 def _cmd_classify(args):

@@ -23,7 +23,10 @@ alone writes ``-2 - t``, once the states are numbered.  Only
 Membership traces the free reduction of a word from the base, a whole arc
 at a time.
 
-``from_generators`` reads each freely reduced generator from the base along
+``from_generators`` reduces each generator freely in one stack pass, straight
+into ``(row, letters)`` pairs (``_reduced``); the command line reads a
+generator file's tokens straight into the same build, as syllables, with no
+``Word`` between.  It reads each reduced generator from the base along
 per-letter rows, one state per letter, from both ends, and adds only its
 unread middle; each fresh state appends one -1 to every row.  Where an
 arc's label is already taken at a state, the pair of states to identify is
@@ -87,7 +90,7 @@ from typing import Iterable, Optional
 
 from .errors import InputError, ParseError, _instance
 from .graphs import _is_name, _uncommented_lines
-from .words import Word, _decimal, _free_reduced
+from .words import Word, _decimal
 
 __all__ = [
     "MAX_WRITTEN_ARCS",
@@ -311,10 +314,9 @@ class StallingsGraph:
         index = {g: 2 * i for i, g in enumerate(self.alphabet)}
         rows, lengths = self._rows, self._lengths
         state = 0
-        for gen, k in _free_reduced(_instance(w, Word).syllables, index):
-            r = index[gen] + (k < 0)
+        for r, c in _reduced(_instance(w, Word).syllables, index):
             row = rows[r]
-            start, left = state, abs(k)
+            start, left = state, c
             while left:
                 t = row[state]
                 if t < 0:  # no arc, or a long one
@@ -325,7 +327,7 @@ class StallingsGraph:
                 state = t
                 left -= 1
                 if state == start:  # one lap done: skip the whole laps left
-                    left %= abs(k) - left
+                    left %= c - left
         return state == 0
 
     def rank(self) -> int:
@@ -658,6 +660,31 @@ def _walk(row: list, walked: dict, s: int, k: int) -> tuple[int, int]:
     return met[k], k
 
 
+def _reduced(syllables: Iterable, index: dict) -> list:
+    """The free reduction of ``syllables`` as ``(row, letters)`` pairs, in
+    one stack pass: ``x^k`` is ``|k|`` letters along row ``index[x]``, or
+    the row after it when ``k < 0``, and a syllable over the top's
+    generator lands on the top.  Neighbours on the stack have different
+    generators.  Raises ``InputError`` on the first letter over a
+    generator that is not a key of ``index``."""
+    out: list = []
+    top = -1  # the even row of the top's generator; -1 for none
+    for gen, k in syllables:
+        try:
+            g = index[gen]
+        except KeyError:
+            raise InputError(f"letter over unknown generator {gen!r}") from None
+        if g == top:  # lands on the top
+            r, c = out.pop()
+            k += c if r == g else -c
+            if not k:
+                top = out[-1][0] & -2 if out else -1
+                continue
+        out.append((g + 1, -k) if k < 0 else (g, k))
+        top = g
+    return out
+
+
 def from_generators(ws: Iterable[Word], alphabet: Iterable[str]) -> StallingsGraph:
     """Build the subgroup's automaton from generator words.
 
@@ -672,12 +699,13 @@ def from_generators(ws: Iterable[Word], alphabet: Iterable[str]) -> StallingsGra
 
     A word is read a syllable ``x^k`` at a time.  A single letter steps
     along its row; a longer syllable jumps along the walk already followed
-    on its row from the same state (``_walk``), and extends that walk only
-    past its end.  The remembered walks stay true while words are
-    read: an arc is written only where its row holds -1, and a clash queues
-    a merge instead, so a row only gains arcs until the fold.  Only the
-    unread middle is spelled out letter by letter, so the 2m+1 conjugates
-    ``a^-k b a^k`` take O(m) steps, not O(m^2).
+    on its row from the same state, read in place when it reaches far
+    enough, and ``_walk`` extends that walk only past its end.  The
+    remembered walks stay true while words are read: an arc is written only
+    where its row holds -1, and a clash queues a merge instead, so a row
+    only gains arcs until the fold.  Only the unread middle is spelled out
+    letter by letter, so the 2m+1 conjugates ``a^-k b a^k`` take O(m)
+    steps, not O(m^2).
 
     A fresh state between two letters of one row is a run.  It has one
     arc in and one out of one letter, and only a run can be a chain
@@ -688,6 +716,21 @@ def from_generators(ws: Iterable[Word], alphabet: Iterable[str]) -> StallingsGra
     Words may be unreduced or trivial; the trivial subgroup comes out as a
     single base state with no transitions.
     """
+    return _from_syllables(_syllables(ws), alphabet)
+
+
+def _syllables(ws: Iterable[Word]):
+    """Each word's syllables, the word checked as the build takes it."""
+    for w in _instance(ws, Iterable):
+        yield _instance(w, Word).syllables
+
+
+def _from_syllables(words: Iterable, alphabet: Iterable[str]) -> StallingsGraph:
+    """The build of ``from_generators`` over words given as iterables of
+    ``(gen, k != 0)`` syllables, not necessarily maximal; the command line
+    hands it a generator file's lines as their tokens' syllables.  The
+    alphabet is checked before the first word is taken, and each word is
+    freely reduced as it is taken (``_reduced``)."""
     alpha = tuple(sorted(set(_labels(alphabet))))
     index = {g: 2 * i for i, g in enumerate(alpha)}
     rows: list = [[-1] for _ in range(2 * len(alpha))]
@@ -697,10 +740,8 @@ def from_generators(ws: Iterable[Word], alphabet: Iterable[str]) -> StallingsGra
     # a later one with the same label asks for its other end to be merged
     merges = []
     runs = []
-    for w in _instance(ws, Iterable):
-        # the reduced syllables as (row, letters)
-        reduced = _free_reduced(_instance(w, Word).syllables, index)
-        word = [(index[g] + (k < 0), abs(k)) for g, k in reduced]
+    for syllables in words:
+        word = _reduced(syllables, index)
         if not word:
             continue
         # forward: word[:p] whole and a letters of word[p], never the last letter
@@ -716,9 +757,13 @@ def from_generators(ws: Iterable[Word], alphabet: Iterable[str]) -> StallingsGra
                     break
                 head = t
             elif c:
-                head, a = _walk(rows[r], walked[r], head, c)
-                if a < c:
-                    break
+                met = walked[r].get(head, ())
+                if len(met) > c:  # a walk read before reaches it
+                    head = met[c]
+                else:
+                    head, a = _walk(rows[r], walked[r], head, c)
+                    if a < c:
+                        break
         else:  # read up to the last letter
             a = c
         # backward: word[q + 1:] whole and b letters off the end of word[q],
@@ -733,10 +778,14 @@ def from_generators(ws: Iterable[Word], alphabet: Iterable[str]) -> StallingsGra
                     break
                 tail = t
             else:
-                tail, b = _walk(rows[r], walked[r], tail, c)
-                if b < c:
-                    break
-                b = 0
+                met = walked[r].get(tail, ())
+                if len(met) > c:  # a walk read before reaches it
+                    tail = met[c]
+                else:
+                    tail, b = _walk(rows[r], walked[r], tail, c)
+                    if b < c:
+                        break
+                    b = 0
             q -= 1
         else:  # at the syllable the forward read stopped in: all it left but a letter
             r, c = word[p]

@@ -40,8 +40,10 @@ each word and compares the stacks, and ``support`` reads their generators;
 only ``normal_form``, whose word gets printed, runs the read-off.
 
 ``free_reduce`` is the normal form in a free group (no two generators
-commute): one stack pass over syllables, which ``stallings`` also runs on
-the words it builds from and traces.
+commute): one stack pass over syllables.  ``stallings`` runs its own such
+pass, which writes the automaton's rows and letter counts as it reduces,
+on the words it builds from and traces; the command line reads a generator
+file's tokens straight into that build, with no ``Word``.
 
 Word text syntax: whitespace-separated tokens, each a vertex name (no
 whitespace, ``^`` or ``#``) optionally suffixed ``^k`` for a nonzero
@@ -458,8 +460,7 @@ def _free_reduced(syllables: tuple, alphabet) -> list:
     """The syllables of the free reduction of ``syllables`` as a stack;
     raises ``InputError`` on a letter over a generator that is not ``in``
     ``alphabet``.  The alphabet is not checked here: ``free_reduce``
-    checks the one it is given, and ``stallings`` passes its own index
-    dict."""
+    checks the one it is given."""
     out: list = []
     for gen, k in syllables:
         if gen not in alphabet:

@@ -378,6 +378,8 @@ class TestIntersectFree:
             (("a b", both, bad), f"line 2: {both}: zero exponent in token 'a^0'"),
             (("a b#", unknown, bad), "alphabet label must be a non-empty string without "
                                      "whitespace, '^' or '#', got 'b#'"),
+            # the first file's tokens are read before the alphabet is checked
+            (("a b#", bad, unknown), f"line 2: {bad}: bad exponent in token 'b^x'"),
         ]
         for (alphabet, *files), message in cases:
             code, out, err = invoke("intersect-free", "--alphabet", alphabet, *files)
@@ -388,12 +390,19 @@ class TestIntersectFree:
 
         rng = random.Random(29)
         tokens = ["a", "a^-1", "b^2", "b^-1", "c", "c^-3", "a^2"]
-        for trial in range(20):
-            texts = []
-            for _ in range(2):
-                lines = [" ".join(rng.choice(tokens) for _ in range(rng.randrange(6))) for _ in range(8)]
-                lines[rng.randrange(8)] += " # a^0 c"
-                texts.append("\n".join(lines) + "\n")
+        # tokens that merge or cancel across tokens, and lines that reduce
+        # to the identity, then random lines
+        fixed = [("a a^-1 b\na^2 a^-3 b a\n", "a^2 a^-3 b a\nc c c^-3 c\n"),
+                 ("b b^-1\na a^-1\n", "a^-1 a^2 a^-1\nb\n")]
+        for trial in range(22):
+            if trial < len(fixed):
+                texts = fixed[trial]
+            else:
+                texts = []
+                for _ in range(2):
+                    lines = [" ".join(rng.choice(tokens) for _ in range(rng.randrange(6))) for _ in range(8)]
+                    lines[rng.randrange(8)] += " # a^0 c"
+                    texts.append("\n".join(lines) + "\n")
             h = tmp_path / f"h{trial}.words"
             k = tmp_path / f"k{trial}.words"
             h.write_text(texts[0])
@@ -415,11 +424,27 @@ class TestIntersectFree:
             (b"a b^2\nb^2 a\n\nb^2 a^0 a\n", "line 4: {}: zero exponent in token 'a^0'"),
             (b"a^600000\nb a^600000\n# a^600000\nb a^600000 b a^600000\n",
              "line 4: {}: word expands to more than 1000000 letters"),
+            # past the cap only through the sum of its tokens
+            (b"a^600000 a^400001\n", "line 1: {}: word expands to more than 1000000 letters"),
+            # every line's tokens are read before any word is built
+            (b"a\nb c\n\nb^x a\n", "line 4: {}: bad exponent in token 'b^x'"),
         ]
         for text, message in cases:
             h = _write(tmp_path, "h.words", text)
             code, out, err = invoke("intersect-free", "--alphabet", "a b", h, k)
             assert (code, out, err) == (2, "", f"error: {message.format(h)}\n")
+
+    def test_generator_files_are_read_without_building_words(self, tmp_path, monkeypatch):
+        # the lines' tokens go straight into the build: no Word is joined
+        from pcgroups import Word
+
+        joined = []
+        join = Word._joined.__func__
+        monkeypatch.setattr(Word, "_joined", classmethod(lambda cls, *a: joined.append(a) or join(cls, *a)))
+        h = _write(tmp_path, "h.words", b"a^2 a^-1 b\n\nb a b^-1 # c\na^600000 a^400000\n")
+        k = _write(tmp_path, "k.words", b"a^3\nb b\n")
+        code, out, err = invoke("intersect-free", "--alphabet", "a b", h, k, "--out", str(tmp_path / "meet"))
+        assert (code, err) == (0, "") and joined == []
 
 
 class TestDemoNonHowson:

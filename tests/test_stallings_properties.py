@@ -3,7 +3,9 @@ bouquet-fold and product oracles as judges.
 
 The examples are fixed by the profile in ``conftest.py``."""
 
+import io
 import itertools
+import json
 
 import pytest
 from hypothesis import given
@@ -189,6 +191,37 @@ def test_row_r_xor_1_reads_row_r_backwards(case):
         targets = [[t for t in row if t >= 0] for row in rows]
         assert all(len(set(row)) == len(row) for row in targets)
         assert sum(map(len, targets)) == sg.num_edges
+
+
+TOKENS = st.tuples(st.sampled_from("abc"), st.integers(-3, 3).filter(bool)).map(
+    lambda s: s[0] if s[1] == 1 else f"{s[0]}^{s[1]}")
+# a generator file's lines: words of unreduced runs and powers, some with a
+# trailing comment, blank lines and comment lines
+LINES = st.one_of(
+    st.lists(TOKENS, max_size=8).map(" ".join),
+    st.lists(TOKENS, min_size=1, max_size=4).map(lambda toks: " ".join(toks) + " # a^0 d"),
+    st.sampled_from(["", " \t", "# b^x c", "  # a a"]),
+)
+
+
+@given(st.lists(LINES, max_size=8).map(lambda lines: "".join(line + "\n" for line in lines)))
+def test_command_line_builds_what_the_word_path_builds(tmp_path_factory, text):
+    # the command line reads a file's tokens straight into the build; the
+    # public path through Word and from_generators is the referee.  A
+    # subgroup met with itself is itself
+    from pcgroups import parse_word
+    from pcgroups.cli import run
+
+    folder = tmp_path_factory.mktemp("words")
+    gens, meet = folder / "h.words", folder / "meet.stallings"
+    gens.write_text(text)
+    out, err = io.StringIO(), io.StringIO()
+    code = run(["intersect-free", "--alphabet", "a b c", str(gens), str(gens), "--out", str(meet)],
+               stdout=out, stderr=err)
+    sg = from_generators([parse_word(line.split("#")[0]) for line in text.splitlines()], "abc")
+    assert (code, err.getvalue()) == (0, "")
+    assert json.loads(out.getvalue()) == {"rank": sg.rank(), "states": sg.num_states, "edges": sg.num_edges}
+    assert meet.read_text() == format_stallings(sg)
 
 
 NAMES = st.text(st.characters(categories=("L", "N"), include_characters="_'-"), min_size=1, max_size=3)
