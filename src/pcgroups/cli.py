@@ -71,9 +71,11 @@ def _load_subgroup(path: str, alphabet: list):
         tokens = line.split()
         if tokens:
             try:
-                for tok in filterfalse(made.__contains__, dict.fromkeys(tokens)):
-                    _, k = made[tok] = _syllable(tok)
-                    sizes[tok] = abs(k)
+                # a line of known tokens has none to parse, and so no token error
+                if not all(map(made.__contains__, tokens)):
+                    for tok in filterfalse(made.__contains__, dict.fromkeys(tokens)):
+                        _, k = made[tok] = _syllable(tok)
+                        sizes[tok] = abs(k)
                 if sum(map(sizes.__getitem__, tokens)) > MAX_WORD_LETTERS:
                     _parsed(tokens, made)  # raises the letter cap's own error
             except InputError as exc:

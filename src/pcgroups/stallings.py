@@ -30,7 +30,8 @@ generator file's tokens straight into the same build, as syllables, with no
 per-letter rows, one state per letter, from both ends, and adds only its
 unread middle; each fresh state appends one -1 to every row.  Where an
 arc's label is already taken at a state, the pair of states to identify is
-queued, and one union-find fold merges the queued pairs on the rows.  Until
+queued, and one union-find fold merges the queued pairs on the rows; the
+arcs are resolved to their roots only when something merged.  Until
 that fold a row only gains arcs: an arc is written only where its row holds
 -1.  So a walk once followed along a row stays a walk of that row, and the
 reads keep, per row and start state, the states such a walk has met: a
@@ -75,7 +76,10 @@ are then cut, and ``_stored`` contracts the chains left, numbers the core
 and writes its stored shape.  Two subgroups of finite index over two or
 more letters have a unit arc of every letter at every stored state, and
 so does their product: it is searched with no test for a missing or long
-arc and stored as searched.
+arc and stored as searched.  Its pairs are claimed in a flat list indexed
+by the pair's key while the grid of pairs has at most ``_CLAIM_TABLE``
+(2**14) entries, and in a dict past that, where the list could dwarf the
+pairs reached.
 
 Text serialization: the base state (always 0) followed by the alphabet on
 the first line, then one line ``state_from generator state_to`` per
@@ -360,7 +364,10 @@ class StallingsGraph:
         finite index, there is no tree, no chain and no long arc:
         ``_full_product`` runs the search without the tests, and its rows
         are stored as searched.  The rows alone select it, one ``min`` per
-        row.
+        row; the size of the grid of pairs, ``w1 * w2`` for operands of
+        ``w1`` and ``w2`` stored states, then selects how it claims them: a
+        flat list of the whole grid up to ``_CLAIM_TABLE`` entries, else a
+        dict of the pairs reached.
         """
         if self.alphabet != _instance(other, StallingsGraph).alphabet:
             raise InputError("cannot intersect subgroups over different alphabets")
@@ -491,6 +498,16 @@ def _walk_pair(row1: list, row2: list, long: tuple, s1: int, s2: int, t1: int, t
     return t1, t2, a1
 
 
+# The most pairs of stored states ``_full_product`` claims in a list: 2**14
+# entries, 128 KB.  A list costs a step per pair of the grid, the dict only
+# per pair reached, and the pairs reached can be as few as the square root of
+# the grid (a subgroup met with itself).  On CPython 3.11, with the list,
+# K_128 met with itself took 1.15 times the dict's time (0.03 ms more) and
+# K_256 with itself 1.5 times; products that reach their whole grid, K_80
+# with K_81 up to K_150 with K_151, took 0.70-0.75 times.
+_CLAIM_TABLE = 1 << 14
+
+
 def _full_product(rows1: list, rows2: list) -> list:
     """The rows of the product of two automata over two or more letters
     whose every stored state has a unit arc of every signed letter: two
@@ -501,15 +518,32 @@ def _full_product(rows1: list, rows2: list) -> list:
     signed letter too, so its degree is at least four: no tree hangs off
     the core and no state is a chain interior, and the search's numbering
     is the canonical one.  The first operand's rows are scaled by the
-    second's width once, so a pair's key is one sum."""
+    second's width once, so a pair's key is one sum.  A grid of at most
+    ``_CLAIM_TABLE`` pairs claims them in a list indexed by the key, -1
+    for a pair not reached; a larger one, in a dict that holds only the
+    pairs reached."""
     width = len(rows2[0])
     rows: list = [[] for _ in rows1]
     steps = [(list(map(mul, row1, repeat(width))), row2, row.append)
              for row1, row2, row in zip(rows1, rows2, rows)]
     keys = [0]
-    claim = {0: 0}.setdefault
     n = 1
-    # keys grows while map walks it: each state is visited once
+    grid = len(rows1[0]) * width
+    if grid <= _CLAIM_TABLE:
+        claimed = [-1] * grid
+        claimed[0] = 0
+        # keys grows while map walks it: each state is visited once
+        for s1, s2 in map(divmod, keys, repeat(width)):
+            for row1, row2, add in steps:
+                key = row1[s1] + row2[s2]
+                t = claimed[key]
+                if t < 0:
+                    t = claimed[key] = n
+                    n += 1
+                    keys.append(key)
+                add(t)
+        return rows
+    claim = {0: 0}.setdefault
     for s1, s2 in map(divmod, keys, repeat(width)):
         for row1, row2, add in steps:
             key = row1[s1] + row2[s2]
@@ -830,8 +864,11 @@ def _from_syllables(words: Iterable, alphabet: Iterable[str]) -> StallingsGraph:
     # Union-find fold: the larger number of a pair is merged into the
     # smaller, so the base stays 0.  The merged state's arcs move to the kept
     # one, and wherever both have an arc with one label the two far ends are
-    # queued to merge in turn.  Arcs are resolved to their roots at the end.
+    # queued to merge in turn.  At the end only the states merged away are
+    # pointed at their roots, and ``parent`` is the root map of every state;
+    # the arcs are resolved through it only when something merged.
     parent = list(range(n))
+    merged = []
 
     def find(x: int) -> int:
         while parent[x] != x:
@@ -847,6 +884,7 @@ def _from_syllables(words: Iterable, alphabet: Iterable[str]) -> StallingsGraph:
         if a > b:
             a, b = b, a
         parent[b] = a
+        merged.append(b)
         for row in rows:
             t = row[b]
             if t >= 0:
@@ -856,9 +894,12 @@ def _from_syllables(words: Iterable, alphabet: Iterable[str]) -> StallingsGraph:
                     row[a] = t
                 elif held != t:
                     merges.append((held, t))
-    root = [find(s) for s in range(n)] + [-1]  # root[-1] is -1 for a missing arc
-    for row in rows:
-        row[:] = [root[t] for t in row]
+    if merged:
+        for b in merged:
+            parent[b] = find(b)
+        parent.append(-1)  # parent[-1] is -1 for a missing arc
+        for row in rows:
+            row[:] = [parent[t] for t in row]
 
     # nothing to trim: a fresh state lies on its word's reduced loop at the base,
     # so it keeps two distinct arcs, and a state merged away is not reached.

@@ -820,7 +820,9 @@ def large_inputs(tmp_path_factory):
 # bits per vertex, ran out of memory.  classify on the threshold graph
 # splits it down a path of about 2000 unions and joins, one vertex peeled
 # per level: a search set that kept its table size as it emptied made that
-# cubic, about 33 s.  Every row runs under 1 GiB of address space
+# cubic, about 33 s.  embed P4 and embed K_996 read the same split: a
+# threshold graph is P4-free, and its largest clique has 996 vertices.
+# Every row runs under 1 GiB of address space
 LARGE_RUNS = {
     "intersect-free K_199 K_200": (
         ["intersect-free", "--alphabet", "a b", "k199.words", "k200.words"],
@@ -862,6 +864,9 @@ LARGE_RUNS = {
         0, '{"p3_free": false, "fully_residually_free": false, "howson": false, "contains_z_cross_f2": true, '
            '"free_product_of_free_abelian": false, "factor_ranks": null, "p3_witness": ["t0", "t1001", "t10"], '
            '"fix_points_fg": false, "per_points_fg": false, "max_abelian_rank": 996}\n', ""),
+    "embed P4 threshold 1990": (["embed", "P4", "threshold1990.graph"], 0, '{"pattern": "P4", "embeds": false}\n', ""),
+    "embed K_996 threshold 1990": (
+        ["embed", "K_996", "threshold1990.graph"], 0, '{"pattern": "K_996", "embeds": true}\n', ""),
 }
 
 

@@ -53,6 +53,12 @@ class TestSimpleGraph:
         assert g.edges == frozenset({("a", "b")})
         assert g == SimpleGraph(("a", "b"), [("a", "b")])
 
+    def test_equal_needs_equal_edges_too(self):
+        g = SimpleGraph(("a", "b", "c"), [("a", "b")])
+        assert g != SimpleGraph(("a", "b", "c"), [("b", "c")])
+        assert g != SimpleGraph(("a", "b", "c"))
+        assert g != SimpleGraph(("a", "b"), [("a", "b")])
+
     def test_loop_rejected(self):
         with pytest.raises(InputError):
             SimpleGraph(("a",), [("a", "a")])
@@ -589,6 +595,8 @@ class TestFactories:
     def test_cycle_needs_three(self):
         with pytest.raises(InputError):
             cycle_graph(2)
+        assert cycle_graph(3) == complete_graph(3)
+        assert cycle_graph("xyz").edges == frozenset({("x", "y"), ("y", "z"), ("x", "z")})
 
     def test_count_not_negative(self):
         with pytest.raises(InputError, match="^vertex count must be >= 0$"):

@@ -20,7 +20,7 @@ from pcgroups import (
 from pcgroups import stallings
 from pcgroups.stallings import _search
 from pcgroups.zf2 import conjugate_generators
-from bytecodes import opcodes
+from bytecodes import opcodes, peak_allocation
 from test_cli import spawn
 from oracles import (
     bouquet_automaton,
@@ -262,10 +262,16 @@ def random_subgroup(rng, max_gens=3, max_len=5):
 def orbit(perms, point):
     """The points the permutations and their inverses reach from ``point``,
     breadth-first."""
+    moves = []
+    for perm in perms:
+        inverse = [0] * len(perm)
+        for p, q in enumerate(perm):
+            inverse[q] = p
+        moves.append((perm, inverse))
     order, seen = [point], {point}
     for p in order:  # grows while it is walked
-        for perm in perms:
-            for q in (perm[p], perm.index(p)):
+        for perm, inverse in moves:
+            for q in (perm[p], inverse[p]):
                 if q not in seen:
                     seen.add(q)
                     order.append(q)
@@ -314,6 +320,12 @@ class TestFromGenerators:
         assert sg.rank() == 0
         assert sg.member(w(""))
         assert not sg.member(w("a"))
+
+    def test_trivial_subgroup_over_no_letters(self):
+        # no rows at all: the base is still the one state
+        sg = from_generators([], [])
+        assert (sg.num_states, sg.num_edges, sg.rank()) == (1, 0, 0)
+        assert format_stallings(sg) == "0\n"
 
     def test_unreduced_and_trivial_words_ok(self):
         sg1 = from_generators([w("a b b^-1"), w("a a^-1"), w("b")], AB)
@@ -377,6 +389,38 @@ class TestFromGenerators:
         finally:
             gc.enable()
         assert statistics.median(ratios) < 2.6, ratios
+
+    def test_a_build_that_merges_nothing_resolves_no_roots(self):
+        # four reduced words of 300 letters over a, b, c are read with no
+        # clash, so the fold merges nothing (its find is never called) and
+        # no arc is resolved to a root.  Counted: 263,388 bytecodes on
+        # CPython 3.11.7.  A root looked up for each of the 1,191 states made
+        # it 283,655, and every arc then resolved through them 333,832
+        rng = random.Random(152)
+        words = []
+        for _ in range(4):
+            letters = []
+            while len(letters) < 300:
+                letter = (rng.choice("abc"), rng.choice((1, -1)))
+                if not letters or letters[-1] != (letter[0], -letter[1]):
+                    letters.append(letter)
+            words.append(Word(letters))
+        finds = [0]
+
+        def profile(frame, event, arg):
+            if event == "call" and frame.f_code.co_name == "find":
+                finds[0] += 1
+        previous = sys.getprofile()
+        sys.setprofile(profile)
+        try:
+            sg = from_generators(words, "abc")
+        finally:
+            sys.setprofile(previous)
+        assert finds == [0]
+        assert all(map(sg.member, words))
+        count, again = opcodes(lambda: from_generators(words, "abc"))
+        assert again == sg and (sg.num_states, sg.rank()) == (1191, 4)
+        assert 0 < count < 275_000, count
 
     def test_oracle_kinds_reach_their_cases(self):
         rng = random.Random(62)
@@ -730,6 +774,45 @@ class TestIntersect:
             assert meet == parse_stallings(expected) == kernel(p * q)
             assert (meet.rank(), meet.num_states, meet.num_edges) == (p * q + 1, p * q, 2 * p * q)
 
+    @pytest.mark.parametrize("p", [128, 129])
+    def test_kernel_met_with_itself_on_both_sides_of_the_claim_table(self, p):
+        # K_128 has 128 stored states, so met with itself its grid of pairs
+        # has _CLAIM_TABLE entries, claimed in a list of them all: at least
+        # 8 bytes each.  K_129's grid is past the bound, and its 129 pairs
+        # reached are claimed in a dict.  Either way nothing is tested per
+        # arc: the product runs under 2.5 times the bytecodes of the
+        # canonical search on its rows (2.29 and 2.39 times on CPython 3.11)
+        k = kernel(p)
+        assert len(k._rows[0]) ** 2 == p * p
+        peak, meet = peak_allocation(lambda: k.intersect(k))
+        assert meet == k == kernel(p)
+        product, _ = opcodes(lambda: k.intersect(k))
+        search, _ = opcodes(lambda: _search(meet._rows, meet.num_states))
+        assert 0 < product < 2.5 * search, (product, search)
+        if p * p <= stallings._CLAIM_TABLE:
+            assert p * p == stallings._CLAIM_TABLE and peak >= 8 * p * p, peak
+        else:
+            assert peak < 4 * p * p, peak
+
+    def test_finite_index_pairs_across_the_claim_table_bound(self):
+        # degrees whose grid of pairs lies below, at and past _CLAIM_TABLE
+        # (16,320, 16,384, 16,512 and 17,030): each stabiliser met with the
+        # other, whose product orbit is the whole grid or a part of it, and
+        # with itself, whose orbit is the diagonal
+        rng = random.Random(139)
+        for n1, n2 in ((120, 136), (128, 128), (128, 129), (130, 131)):
+            actions = [transitive_action(rng, n, 2) for n in (n1, n2)]
+            sg1, sg2 = (from_generators(schreier_generators(perms, AB), AB) for perms in actions)
+            assert len(sg1._rows[0]) * len(sg2._rows[0]) == n1 * n2
+            meet = sg1.intersect(sg2)
+            product = [[perm1[p // n2] * n2 + perm2[p % n2] for p in range(n1 * n2)]
+                       for perm1, perm2 in zip(*actions)]
+            states = len(orbit(product, 0))
+            assert (meet.num_states, meet.rank()) == (states, states + 1)
+            assert meet == sg2.intersect(sg1)
+            for sg, n in ((sg1, n1), (sg2, n2)):
+                assert sg.intersect(sg) == sg and sg.num_states == n
+
     def test_finite_index_over_one_letter_and_against_infinite_index(self):
         a = from_generators([w("a")], ("a",))
         assert a.intersect(a) == a
@@ -993,6 +1076,10 @@ class TestConstructor:
             StallingsGraph(("a",), 10**9, {})
         assert time.perf_counter() - start < 0.01
         assert len(str(caught.value)) < 200
+        # the refusal names the fewest transitions that could connect the states
+        with pytest.raises(InputError, match="^3 states are not connected to the base by 1 transitions; "
+                                             "that needs at least 2$"):
+            StallingsGraph(("a",), 3, {(0, "a"): 1})
 
     def test_rejects_non_core(self):
         with pytest.raises(InputError, match="core"):
