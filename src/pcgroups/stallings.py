@@ -345,15 +345,16 @@ class StallingsGraph:
         The product is searched breadth-first from the pair of bases over
         the stored states; a pair ``(s1, s2)`` is keyed by the int
         ``s1 * width + s2``, ``width`` being the other's stored states, and
-        numbered when first reached.  Each visited state appends its product
-        target (or -1) to every row, in the rows' order, so the rows are
-        complete when the search ends.  Two unit arcs give a unit arc in one
-        step, as with one state per letter.  Where either arc is long,
-        ``_walk_pair`` goes on to the first pair of stored states, and the
-        product arc is long; if one walk runs out first, the product walks
-        into a tree and gets no arc.  The rows hold plain targets, a long
-        arc's with its length in ``lengths``, so every arc is claimed in one
-        place.
+        numbered when first reached; the key alone is queued, and the search
+        reads it back with ``divmod``, as ``_full_product``'s does.  Each
+        visited state appends its product target (or -1) to every row, in
+        the rows' order, so the rows are complete when the search ends.  Two
+        unit arcs give a unit arc in one step, as with one state per letter.
+        Where either arc is long, ``_walk_pair`` goes on to the first pair of
+        stored states, and the product arc is long; if one walk runs out
+        first, the product walks into a tree and gets no arc.  The rows hold
+        plain targets, a long arc's with its length in ``lengths``, so every
+        arc is claimed in one place.
 
         Trimming (``_trim``) cuts the trees.  ``_stored`` then contracts
         each chain through pairs of stored states left with two arcs of one
@@ -379,11 +380,11 @@ class StallingsGraph:
         lengths: list = [{} for _ in self._rows]
         steps = list(zip(self._rows, other._rows, [row.append for row in rows],
                          zip(self._lengths, other._lengths, lengths, rows)))
-        firsts, seconds = [0], [0]
+        keys = [0]
         claim = {0: 0}.setdefault
         n = 1
-        # the lists grow while zip walks them: each state is visited once
-        for s1, s2 in zip(firsts, seconds):
+        # keys grows while map walks it: each state is visited once
+        for s1, s2 in map(divmod, keys, repeat(width)):
             for row1, row2, add, long in steps:
                 t1 = row1[s1]
                 t2 = row2[s2]
@@ -393,16 +394,15 @@ class StallingsGraph:
                         add(-1)
                         continue
                     t1, t2, long[2][len(long[3])] = walk
-                t = claim(t1 * width + t2, n)
+                key = t1 * width + t2
+                t = claim(key, n)
                 if t == n:
                     n += 1
-                    firsts.append(t1)
-                    seconds.append(t2)
+                    keys.append(key)
                 add(t)
 
         degree = _trim(rows, lengths, n)
-        interiors = _interiors(rows, n, degree) if 2 in degree else []
-        return StallingsGraph._trusted(self.alphabet, *_stored(rows, lengths, n, interiors))
+        return StallingsGraph._trusted(self.alphabet, *_stored(rows, lengths, n, _interiors(rows, n, degree)))
 
     def to_dot(self) -> str:
         """Plain DOT text; the base state is drawn as a double circle.  A
@@ -597,7 +597,8 @@ def _interiors(rows: list, n: int, degree: list[int]) -> list[tuple[int, int]]:
     """The chain interiors, each with the row its arcs leave along: the
     non-base states whose two arcs are a leaving and an entering one of one
     letter.  That is all there is to check: a non-base state whose two arcs
-    are one loop is not connected to the base."""
+    are one loop is not connected to the base.  The states of degree two are
+    picked out first, so with none there is nothing more to read."""
     found = []
     for s in [s for s in range(1, n) if degree[s] == 2]:
         for r in range(0, len(rows), 2):
@@ -675,13 +676,15 @@ def _checked(alphabet: tuple[str, ...], ids, arcs: list, error) -> tuple:
 
 def _walk(row: list, walked: dict, s: int, k: int) -> tuple[int, int]:
     """The state ``k`` steps along ``row`` from ``s``, or the last one before
-    the row runs out, and the number of steps taken.
+    the row runs out, and the number of steps taken: the build's one reader
+    of a syllable of more than one letter.
 
     ``walked[s]`` lists the states met so far on the walk from ``s``, ``s``
-    first; a call only extends it past its end.  The row is a function, so a
-    walk that returns to ``s`` repeats from there: it is not extended again,
-    and ``k`` steps end where ``k`` mod its length do.  So a walk holds no
-    more states than the steps asked of it."""
+    first; a call it reaches returns at once, and any other only extends
+    it past its end.  The row is a function, so a walk that returns to
+    ``s`` repeats from there: it is not extended again, and ``k`` steps end
+    where ``k`` mod its length do.  So a walk holds no more states than the
+    steps asked of it."""
     met = walked.get(s) or walked.setdefault(s, [s])  # a walk holds s: never empty
     t = met[-1]
     while len(met) <= k:
@@ -733,13 +736,12 @@ def from_generators(ws: Iterable[Word], alphabet: Iterable[str]) -> StallingsGra
 
     A word is read a syllable ``x^k`` at a time.  A single letter steps
     along its row; a longer syllable jumps along the walk already followed
-    on its row from the same state, read in place when it reaches far
-    enough, and ``_walk`` extends that walk only past its end.  The
-    remembered walks stay true while words are read: an arc is written only
-    where its row holds -1, and a clash queues a merge instead, so a row
-    only gains arcs until the fold.  Only the unread middle is spelled out
-    letter by letter, so the 2m+1 conjugates ``a^-k b a^k`` take O(m)
-    steps, not O(m^2).
+    on its row from the same state, through ``_walk``, which extends that
+    walk only past its end.  The remembered walks stay true while words are
+    read: an arc is written only where its row holds -1, and a clash queues
+    a merge instead, so a row only gains arcs until the fold.  Only the
+    unread middle is spelled out letter by letter, so the 2m+1 conjugates
+    ``a^-k b a^k`` take O(m) steps, not O(m^2).
 
     A fresh state between two letters of one row is a run.  It has one
     arc in and one out of one letter, and only a run can be a chain
@@ -791,13 +793,9 @@ def _from_syllables(words: Iterable, alphabet: Iterable[str]) -> StallingsGraph:
                     break
                 head = t
             elif c:
-                met = walked[r].get(head, ())
-                if len(met) > c:  # a walk read before reaches it
-                    head = met[c]
-                else:
-                    head, a = _walk(rows[r], walked[r], head, c)
-                    if a < c:
-                        break
+                head, a = _walk(rows[r], walked[r], head, c)
+                if a < c:
+                    break
         else:  # read up to the last letter
             a = c
         # backward: word[q + 1:] whole and b letters off the end of word[q],
@@ -812,14 +810,10 @@ def _from_syllables(words: Iterable, alphabet: Iterable[str]) -> StallingsGraph:
                     break
                 tail = t
             else:
-                met = walked[r].get(tail, ())
-                if len(met) > c:  # a walk read before reaches it
-                    tail = met[c]
-                else:
-                    tail, b = _walk(rows[r], walked[r], tail, c)
-                    if b < c:
-                        break
-                    b = 0
+                tail, b = _walk(rows[r], walked[r], tail, c)
+                if b < c:
+                    break
+                b = 0
             q -= 1
         else:  # at the syllable the forward read stopped in: all it left but a letter
             r, c = word[p]

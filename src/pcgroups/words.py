@@ -59,7 +59,7 @@ from __future__ import annotations
 
 from collections import Counter
 from itertools import filterfalse
-from typing import Collection, Iterable, NamedTuple, Optional
+from typing import Collection, Iterable, Optional
 
 from .errors import InputError, ParseError, _instance
 from .graphs import SimpleGraph, _is_name
@@ -303,17 +303,6 @@ def normal_form(w: Word, g: SimpleGraph) -> NormalWord:
     return _read_off(_pile(g, w))
 
 
-class _Heap(NamedTuple):
-    """A piling: the width of each count field, and a dict, in sorted
-    generator order, from each occurring generator to its record ``(shift,
-    row, stack)``: the shift of its count field, its blocking row (a 1 in
-    the field of each occurring generator that does not commute with it),
-    and its stack of pieces ``(c, k)`` from bottom to top."""
-
-    width: int
-    pieces: dict
-
-
 def _generators(w: Word, g: SimpleGraph) -> set:
     """The generators of ``w``; raises ``InputError`` for the first
     syllable, in word order, over a generator that is not a vertex of
@@ -327,8 +316,13 @@ def _generators(w: Word, g: SimpleGraph) -> set:
     return gens
 
 
-def _pile(g: SimpleGraph, w: Word) -> _Heap:
-    """The heap of pieces of ``w``.
+def _pile(g: SimpleGraph, w: Word) -> tuple[int, dict]:
+    """The heap of pieces of ``w``: the pair ``(width, pieces)`` of the
+    width of each count field and a dict, in sorted generator order, from
+    each occurring generator to its record ``(shift, row, stack)``: the
+    shift of its count field, its blocking row (a 1 in the field of each
+    occurring generator that does not commute with it), and its stack of
+    pieces ``(c, k)`` from bottom to top.
 
     The heap decides the element: its non-empty stacks (``_stacks``) are
     the same for every word that spells it, and the generators of its
@@ -376,11 +370,12 @@ def _pile(g: SimpleGraph, w: Word) -> _Heap:
         else:
             stack.append((c, k))
             live += row
-    return _Heap(width, pieces)
+    return width, pieces
 
 
-def _read_off(heap: _Heap) -> NormalWord:
-    """The lexicographically least word of a heap; empties its stacks.
+def _read_off(heap: tuple[int, dict]) -> NormalWord:
+    """The lexicographically least word of a heap ``(width, pieces)`` from
+    ``_pile``; empties its stacks.
 
     Read off letter by letter, a piece would still come out whole.  Each of
     its letters has the count ``c``, and emitting ``x`` changes only the
@@ -430,18 +425,18 @@ def free_reduce(w: Word, alphabet: Collection[str]) -> Word:
     """Free reduction of ``w`` over the generators in ``alphabet``: the
     normal form in the free group, where no two generators commute.
 
-    One stack of syllables: a syllable over the top's generator lands on it,
-    so ``a^-k b a^k`` takes three steps.  Neighbours on the stack have
-    different generators.
+    One stack pass over the syllables, each checked as it is taken: a
+    syllable over the top's generator lands on it, so ``a^-k b a^k`` takes
+    three steps.  Neighbours on the stack have different generators.
 
     A ``str`` alphabet names one generator per character, as
     ``SimpleGraph("abc")`` does.  Raises ``InputError`` unless ``w`` is a
     ``Word`` and ``alphabet`` a collection other than ``bytes`` or
     ``bytearray`` (neither can hold a name) whose items are hashable,
-    checked in that order, and on a letter over a generator outside
-    ``alphabet``.  A set, frozenset or dict is used as it is, any other
-    collection is read into a frozenset once, so a letter's cost does not
-    grow with the alphabet.
+    checked in that order, and on the first letter, in word order, over a
+    generator outside ``alphabet``.  A set, frozenset or dict is used as it
+    is, any other collection is read into a frozenset once, so a letter's
+    cost does not grow with the alphabet.
     """
     syllables = _instance(w, Word).syllables
     if isinstance(_instance(alphabet, Collection), (bytes, bytearray)):
@@ -453,14 +448,6 @@ def free_reduce(w: Word, alphabet: Collection[str]) -> Word:
         except TypeError:
             raise InputError(f"expected a Collection of str, got a {type(alphabet).__name__} "
                              f"with an unhashable item") from None
-    return Word._trusted(tuple(_free_reduced(syllables, alphabet)))
-
-
-def _free_reduced(syllables: tuple, alphabet) -> list:
-    """The syllables of the free reduction of ``syllables`` as a stack;
-    raises ``InputError`` on a letter over a generator that is not ``in``
-    ``alphabet``.  The alphabet is not checked here: ``free_reduce``
-    checks the one it is given."""
     out: list = []
     for gen, k in syllables:
         if gen not in alphabet:
@@ -473,15 +460,16 @@ def _free_reduced(syllables: tuple, alphabet) -> list:
                 out.pop()
         else:
             out.append((gen, k))
-    return out
+    return Word._trusted(tuple(out))
 
 
-def _stacks(heap: _Heap) -> dict:
-    """The non-empty stacks of ``heap``, by generator.  Two words' heaps
-    have equal stacks exactly when the words represent the same element: a
-    reduced heap's pieces are the syllables of the normal form, each stored
-    with the number of non-commuting pieces below it."""
-    return {x: stack for x, (_, _, stack) in heap.pieces.items() if stack}
+def _stacks(heap: tuple[int, dict]) -> dict:
+    """The non-empty stacks of a heap ``(width, pieces)`` from ``_pile``,
+    by generator.  Two words' heaps have equal stacks exactly when the
+    words represent the same element: a reduced heap's pieces are the
+    syllables of the normal form, each stored with the number of
+    non-commuting pieces below it."""
+    return {x: stack for x, (_, _, stack) in heap[1].items() if stack}
 
 
 def are_equal(u: Word, v: Word, g: SimpleGraph) -> bool:
