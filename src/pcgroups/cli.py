@@ -25,18 +25,12 @@ import contextlib
 import functools
 import json
 import sys
-from itertools import combinations, filterfalse
+from itertools import filterfalse
 from operator import length_hint
 
 from .classify import _resolve, classify, embeds_in
 from .errors import InputError, ParseError
-from .graphs import (
-    SimpleGraph,
-    _uncommented_lines,
-    complete_decomposition,
-    parse_graph,
-    reflexive_closure_is_transitive,
-)
+from .graphs import _self_check, _uncommented_lines, parse_graph
 
 __all__ = ["run", "main"]
 
@@ -169,32 +163,7 @@ def _cmd_demo_nonhowson(args):
 
 
 def _cmd_self_check(args):
-    checked = 0
-    disagreements = 0
-    for n in range(6):
-        verts = ("a", "b", "c", "d", "e")[:n]
-        pairs = list(combinations(verts, 2))
-        # the 2^n neighbour sets over verts, built once; flip[w] maps each to
-        # the shared copy with w toggled, so a step builds no set
-        sets = [frozenset()]
-        for v in verts:
-            sets += [s | {v} for s in sets]
-        shared = dict(zip(sets, sets))
-        flip = {w: {s: shared[s ^ {w}] for s in sets} for w in verts}
-        adj = dict.fromkeys(verts, sets[0])
-        g = SimpleGraph._trusted(adj)  # flipped in place: it never leaves this sweep, no check keeps it
-        checked += 1 << len(pairs)
-        # reflected Gray code: graph i is graph i - 1 with one pair flipped,
-        # the pair at the index of i's lowest set bit
-        for i in range(1 << len(pairs)):
-            if i:
-                u, w = pairs[(i & -i).bit_length() - 1]
-                adj[u] = flip[w][adj[u]]
-                adj[w] = flip[u][adj[w]]
-            # classify decides by complete components; transitivity of the
-            # reflexive closure is the independent referee
-            if (complete_decomposition(g) is not None) != reflexive_closure_is_transitive(g):
-                disagreements += 1
+    checked, disagreements = _self_check()
     ok = disagreements == 0
     return {"graphs_checked": checked, "disagreements": disagreements, "ok": ok}, ok
 

@@ -7,7 +7,9 @@ path-on-three-vertices search, joins and disjoint unions, the exact clique
 number, and polynomial tests for an induced P4 or C4.
 
 A graph stores its adjacency: each vertex name maps to the frozenset of its
-neighbours.  Parsing, induced subgraphs, joins, unions and relabelling write
+neighbours.  Only this module reads or writes that layout, the ``self-check``
+sweep (``_self_check``) included; other layers ask a graph's queries.
+Parsing, induced subgraphs, joins, unions and relabelling write
 neighbour sets directly; the edge set is derived only when it is read.  The
 decomposition into complete components reads closed neighbourhoods and
 needs no search.
@@ -50,7 +52,7 @@ edge line is harmless, and a loop ``u u`` is an error.
 from __future__ import annotations
 
 from collections import Counter, defaultdict
-from itertools import islice
+from itertools import combinations, islice
 from operator import length_hint
 from typing import Iterable, Mapping, Optional
 
@@ -128,23 +130,24 @@ class SimpleGraph:
         return frozenset((u, v) for u in self.vertices for v in self._adj[u] if u < v)
 
     def adjacent(self, u: str, v: str) -> bool:
-        if u not in self._adj:
-            raise InputError(f"unknown vertex {u!r}")
-        if v not in self._adj:
-            raise InputError(f"unknown vertex {v!r}")
-        return v in self._adj[u]
+        self.neighbors(u)  # u is checked before v
+        return u in self.neighbors(v)
 
     def neighbors(self, v: str) -> frozenset[str]:
+        """The neighbours of ``v``; the one vertex lookup of the queries."""
         try:
             return self._adj[v]
-        except KeyError:
+        except (KeyError, TypeError):  # TypeError: an unhashable value is no vertex either
             raise InputError(f"unknown vertex {v!r}") from None
 
     def degree(self, v: str) -> int:
         return len(self.neighbors(v))
 
     def __contains__(self, v) -> bool:
-        return v in self._adj
+        try:
+            return v in self._adj
+        except TypeError:  # unhashable, so no vertex
+            return False
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, SimpleGraph):
@@ -176,11 +179,12 @@ def _uncommented_lines(text: str) -> list[str]:
     return lines
 
 
-def _check_names(names: Iterable) -> None:
+def _check_names(names: Iterable, what: str = "vertex names must be non-empty strings") -> None:
+    """Raises ``InputError`` on the first of ``names`` that is not a name;
+    its message opens with ``what``, the rule as said of that kind of name."""
     for v in names:
         if not _is_name(v):
-            raise InputError(f"vertex names must be non-empty strings without "
-                             f"whitespace, '^' or '#', got {v!r}")
+            raise InputError(f"{what} without whitespace, '^' or '#', got {v!r}")
 
 
 def _subset(g: SimpleGraph, ys: Iterable[str]) -> frozenset[str]:
@@ -288,6 +292,37 @@ def complete_decomposition(g: SimpleGraph) -> Optional[tuple[int, ...]]:
         sizes.append(k + 1)
     sizes.sort(reverse=True)
     return tuple(sizes)
+
+
+def _self_check() -> tuple[int, int]:
+    """The number of graphs on at most 5 vertices, a to e, and the number
+    on which ``complete_decomposition`` and the independent referee
+    ``reflexive_closure_is_transitive`` disagree."""
+    checked = 0
+    disagreements = 0
+    for n in range(6):
+        verts = ("a", "b", "c", "d", "e")[:n]
+        pairs = list(combinations(verts, 2))
+        # the 2^n neighbour sets over verts, built once; flip[w] maps each to
+        # the shared copy with w toggled, so a step builds no set
+        sets = [frozenset()]
+        for v in verts:
+            sets += [s | {v} for s in sets]
+        shared = dict(zip(sets, sets))
+        flip = {w: {s: shared[s ^ {w}] for s in sets} for w in verts}
+        adj = dict.fromkeys(verts, sets[0])
+        g = SimpleGraph._trusted(adj)  # flipped in place: it never leaves this sweep, no check keeps it
+        checked += 1 << len(pairs)
+        # reflected Gray code: graph i is graph i - 1 with one pair flipped,
+        # the pair at the index of i's lowest set bit
+        for i in range(1 << len(pairs)):
+            if i:
+                u, w = pairs[(i & -i).bit_length() - 1]
+                adj[u] = flip[w][adj[u]]
+                adj[w] = flip[u][adj[w]]
+            if (complete_decomposition(g) is not None) != reflexive_closure_is_transitive(g):
+                disagreements += 1
+    return checked, disagreements
 
 
 def _check_disjoint(g1: SimpleGraph, g2: SimpleGraph) -> None:
@@ -628,7 +663,8 @@ def complete_graph(n_or_names, prefix: str = "v") -> SimpleGraph:
     """Every pair adjacent; at most ``MAX_GRAPH_SIZE`` vertices plus edges
     (n <= 1413)."""
     names = _names(n_or_names, prefix, lambda n: n * (n - 1) // 2)
-    full = frozenset(SimpleGraph(names).vertices)  # checks the names
+    _check_names(names)
+    full = frozenset(names)
     if len(full) < len(names):  # the pair of a repeated name with itself is a loop
         twice = next(v for v, count in Counter(names).items() if count > 1)
         raise InputError(f"loop edge at {twice!r} is not allowed")

@@ -93,7 +93,7 @@ from operator import eq, itemgetter, le, mul
 from typing import Iterable, Optional
 
 from .errors import InputError, ParseError, _instance
-from .graphs import _is_name, _uncommented_lines
+from .graphs import _check_names, _is_name, _uncommented_lines
 from .words import Word, _decimal
 
 __all__ = [
@@ -453,10 +453,7 @@ def _labels(alphabet: Iterable[str]) -> tuple[str, ...]:
     """The alphabet as a tuple; raises ``InputError`` on a label that is not
     a generator name, the rule ``Word`` applies to its letters."""
     alphabet = tuple(_instance(alphabet, Iterable))
-    for g in alphabet:
-        if not _is_name(g):
-            raise InputError(f"alphabet label must be a non-empty string without "
-                             f"whitespace, '^' or '#', got {g!r}")
+    _check_names(alphabet, "alphabet label must be a non-empty string")
     return alphabet
 
 

@@ -62,7 +62,7 @@ from itertools import filterfalse
 from typing import Collection, Iterable, Optional
 
 from .errors import InputError, ParseError, _instance
-from .graphs import SimpleGraph, _is_name
+from .graphs import SimpleGraph, _check_names
 
 __all__ = [
     "MAX_WORD_LETTERS",
@@ -174,9 +174,7 @@ def _checked_letters(letters: Iterable):
         if type(sign) is not int or sign not in (1, -1):
             raise InputError(f"letter sign must be the int 1 or -1, got {sign!r}")
         if not (isinstance(gen, str) and gen in names):
-            if not _is_name(gen):
-                raise InputError(f"letter generator must be a non-empty string without "
-                                 f"whitespace, '^' or '#', got {gen!r}")
+            _check_names((gen,), "letter generator must be a non-empty string")
             names.add(gen)
         yield gen, sign
 

@@ -6,6 +6,7 @@ so it shares no code path with the implementations it checks.
 """
 
 import itertools
+from collections import defaultdict
 from functools import lru_cache
 
 from pcgroups import SimpleGraph
@@ -55,10 +56,6 @@ def oracle_normal_form(letters, g):
     reach = bfs_reachable(letters, g)
     shortest = min(len(w) for w in reach)
     return min((w for w in reach if len(w) == shortest), key=word_key)
-
-
-def oracle_equal(u, v, g):
-    return oracle_normal_form(u, g) == oracle_normal_form(v, g)
 
 
 def free_reduce(letters):
@@ -254,18 +251,20 @@ def _core_text(edges, base, alphabet):
             break
         edges = {(u, g, v) for u, g, v in edges if u not in leaves and v not in leaves}
 
+    # the far ends of each state's arcs per label, forward and backward, in
+    # the order of the sorted edges
+    ahead, behind = defaultdict(list), defaultdict(list)
+    for u, g, v in sorted(edges):
+        ahead[u, g].append(v)
+        behind[v, g].append(u)
     order = {base: 0}
     queue = [base]
     for s in queue:
         for gen in alphabet:
-            for u, g, v in sorted(edges):
-                if g == gen and u == s and v not in order:
-                    order[v] = len(order)
-                    queue.append(v)
-            for u, g, v in sorted(edges):
-                if g == gen and v == s and u not in order:
-                    order[u] = len(order)
-                    queue.append(u)
+            for far in (*ahead[s, gen], *behind[s, gen]):
+                if far not in order:
+                    order[far] = len(order)
+                    queue.append(far)
     lines = [" ".join(("0",) + tuple(alphabet))]
     lines.extend(
         f"{u} {g} {v}"

@@ -470,9 +470,9 @@ def test_self_check():
 
 
 def test_self_check_disagreement_exits_1(monkeypatch):
-    from pcgroups import cli
+    from pcgroups import graphs
 
-    monkeypatch.setattr(cli, "reflexive_closure_is_transitive", lambda g: False)
+    monkeypatch.setattr(graphs, "reflexive_closure_is_transitive", lambda g: False)
     code, out, err = invoke("self-check")
     report = json.loads(out)
     assert (code, err) == (1, "")
@@ -480,19 +480,19 @@ def test_self_check_disagreement_exits_1(monkeypatch):
 
 
 def test_self_check_sweeps_each_small_graph_once(monkeypatch):
-    from pcgroups import cli
+    from pcgroups import graphs
 
     seen = []
     held = []  # every adjacency value handed to the check, kept so that no id is reused
-    decide = cli.complete_decomposition
+    decide = graphs.complete_decomposition
 
     def recorder(g):
         seen.append(SimpleGraph(g.vertices, g.edges))  # the graph as the check sees it
         held.extend(g._adj.values())
         return decide(g)
 
-    monkeypatch.setattr(cli, "complete_decomposition", recorder)
-    monkeypatch.setattr(cli, "reflexive_closure_is_transitive", lambda g: False)
+    monkeypatch.setattr(graphs, "complete_decomposition", recorder)
+    monkeypatch.setattr(graphs, "reflexive_closure_is_transitive", lambda g: False)
     code, out, err = invoke("self-check")
     assert (code, err) == (1, "")
     # with the referee always false, the disagreements are the P3-free graphs
@@ -516,10 +516,10 @@ def test_self_check_sweep_alone_is_counted(monkeypatch):
     # flips read from a table of neighbour sets built once per vertex count
     # (61,408 / 59,092 / 50,825 on CPython 3.10.13 / 3.12.1 / 3.13.0).  The
     # stubs walk no frozenset, so the count does not move with the hash seed.
-    from pcgroups import cli
+    from pcgroups import cli, graphs
 
-    monkeypatch.setattr(cli, "complete_decomposition", lambda g: None)
-    monkeypatch.setattr(cli, "reflexive_closure_is_transitive", lambda g: False)
+    monkeypatch.setattr(graphs, "complete_decomposition", lambda g: None)
+    monkeypatch.setattr(graphs, "reflexive_closure_is_transitive", lambda g: False)
     count, (report, ok) = opcodes(lambda: cli._cmd_self_check(None))
     assert report == {"graphs_checked": 1100, "disagreements": 0, "ok": True} and ok
     assert 0 < count <= 72_000, count

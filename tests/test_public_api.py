@@ -1,6 +1,7 @@
 """The package exports exactly what its layer modules export."""
 
 import importlib
+from pathlib import Path
 
 import pcgroups
 
@@ -21,3 +22,14 @@ def test_every_listed_name_resolves():
             assert getattr(pcgroups, name) is getattr(module, name), (layer, name)
     for name in pcgroups.__all__:
         assert hasattr(pcgroups, name), name
+
+
+def test_only_graphs_reads_a_graphs_layout():
+    # the other layers ask a graph's queries, so its stored shape can change
+    # inside graphs alone
+    readers = []
+    for path in sorted(Path(pcgroups.__file__).parent.glob("*.py")):
+        text = path.read_text(encoding="utf-8")
+        if path.name != "graphs.py" and ("._adj" in text or "SimpleGraph._trusted" in text):
+            readers.append(path.name)
+    assert readers == []

@@ -252,6 +252,23 @@ def traces(text, word):
     return state == "0"
 
 
+def find_calls(build):
+    """The number of calls of a function named ``find`` that ``build()``
+    makes, and what it returns."""
+    finds = [0]
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code.co_name == "find":
+            finds[0] += 1
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        built = build()
+    finally:
+        sys.setprofile(previous)
+    return finds[0], built
+
+
 def random_subgroup(rng, max_gens=3, max_len=5):
     gens = []
     for _ in range(rng.randrange(1, max_gens + 1)):
@@ -414,22 +431,22 @@ class TestFromGenerators:
                 if not letters or letters[-1] != (letter[0], -letter[1]):
                     letters.append(letter)
             words.append(Word(letters))
-        finds = [0]
-
-        def profile(frame, event, arg):
-            if event == "call" and frame.f_code.co_name == "find":
-                finds[0] += 1
-        previous = sys.getprofile()
-        sys.setprofile(profile)
-        try:
-            sg = from_generators(words, "abc")
-        finally:
-            sys.setprofile(previous)
-        assert finds == [0]
+        finds, sg = find_calls(lambda: from_generators(words, "abc"))
+        assert finds == 0
         assert all(map(sg.member, words))
         count, again = opcodes(lambda: from_generators(words, "abc"))
         assert again == sg and (sg.num_states, sg.rank()) == (1191, 4)
         assert 0 < count < 275_000, count
+
+    @pytest.mark.parametrize("words", [["a b", "a b c"], ["b a", "c b a"], ["a^3", "a^4 b"]])
+    def test_reads_through_the_base_merge_nothing(self, words):
+        # each later word reads the earlier ones' arcs and then leaves them
+        # with no clash, so the fold merges nothing.  An arc back to the base
+        # is one to state 0, so a read that took it for a missing arc would
+        # add a second arc beside it and merge them
+        finds, sg = find_calls(lambda: from_generators(map(w, words), "abc"))
+        assert finds == 0
+        assert all(sg.member(w(word)) for word in words)
 
     def test_oracle_kinds_reach_their_cases(self):
         rng = random.Random(62)

@@ -1,5 +1,7 @@
 """Every public entry point refuses an argument of the wrong type with
-``InputError``, whose text names the expected type and the one it got."""
+``InputError``, whose text names the expected type and the one it got; a
+graph's vertex queries refuse a value that is no vertex, hashable or not,
+naming it."""
 
 import re
 
@@ -150,3 +152,16 @@ def test_values_differ_from_a_value_of_another_type():
         for other in ("v1 v2", None, (), 0):
             assert not value == other
             assert value != other
+
+
+@pytest.mark.parametrize("bad", [[1], {}, 3], ids=repr)
+def test_vertex_queries_refuse_what_is_not_a_vertex(bad):
+    # an unhashable value is no vertex either: it is named as an unknown one
+    named = f"^unknown vertex {re.escape(repr(bad))}$"
+    for query in (G.neighbors, G.degree, lambda v: G.adjacent(v, "v1"),
+                  lambda v: G.adjacent("v1", v), lambda v: G.adjacent(v, [2])):
+        with pytest.raises(InputError, match=named):
+            query(bad)
+    with pytest.raises(InputError, match="^unknown vertex 'x'$"):
+        G.adjacent("x", bad)  # the first argument is checked first
+    assert bad not in G
